@@ -44,7 +44,6 @@ from .hydrogen import (
     valid_states,
 )
 from .specfun import (
-    QuadratureSpec,
     hyp1f1_terminating,
     quadrature_nodes,
     spherical_harmonic,
@@ -70,7 +69,6 @@ __all__ = [
     "ObservableTriple",
     "PeresMerminSquare",
     "QuadratureError",
-    "QuadratureSpec",
     "QuantumNumbers",
     "ReducedSpinDensity",
     "SpinorField",

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .hydrogen import (
     valid_states,
 )
 from .spindensity import QuadratureError, ReducedSpinDensity, reduce
-from .specfun import QuadratureSpec
 
 COMMANDS = (
     "audit", "ground", "excited", "sweep", "peres-mermin",
@@ -65,7 +64,6 @@ class RunConfig:
     beta: float = 0.0
     beta_grid: tuple | None = None
     seed: int = 0
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     output_format: str = "json"
     output_path: str | None = None
 
@@ -149,16 +147,7 @@ def render(document: ReportDocument, output_format: str) -> str:
 
 
 def _params_echo(config: RunConfig) -> dict:
-    quad = config.quad
-    params = {
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "quad_panels": quad.radial_panels,
-        "quad_radial_order": quad.radial_order,
-        "quad_radial_cutoff": quad.radial_cutoff,
-        "quad_theta": quad.theta_order,
-        "quad_phi": quad.phi_order,
-    }
+    params = {"alpha": config.alpha, "seed": config.seed}
     if config.command in ("ground", "excited", "converge"):
         params.update(n=config.n, kappa=config.kappa, mj=config.m_j)
     if config.command == "excited":
@@ -183,10 +172,8 @@ def _state_parameters(qn: QuantumNumbers, a: float) -> dict:
     }
 
 
-def _chsh_on_state(qn: QuantumNumbers, a: float, quad: QuadratureSpec,
-                   observables, extra_params: dict) -> dict:
-    state = eigenstate(qn, a, quad)
-    density = reduce(state, quad)
+def _chsh_on_state(qn: QuantumNumbers, a: float, observables, extra_params: dict) -> dict:
+    density = reduce(eigenstate(qn, a))
     params = _state_parameters(qn, a)
     params.update(extra_params)
     return chsh_value(density, *observables, parameters=params).to_dict()
@@ -206,10 +193,8 @@ def _run_audit(config: RunConfig) -> list:
 
 def _run_ground(config: RunConfig) -> list:
     qn = QuantumNumbers(n=1, kappa=1, m_j=config.m_j)
-    obs = ground_observables(config.m_j)
-    mu = sommerfeld_mu(1, 1, config.alpha)
-    extra = {"closed_form": math.sqrt(2.0) * (1.0 + mu)}
-    return [_chsh_on_state(qn, config.alpha, config.quad, obs, extra)]
+    obs, closed_form = _scenario(qn, config.alpha)
+    return [_chsh_on_state(qn, config.alpha, obs, {"closed_form": closed_form})]
 
 
 def _run_excited(config: RunConfig) -> list:
@@ -217,7 +202,7 @@ def _run_excited(config: RunConfig) -> list:
     xi_star, value_star = optimal_xi(qn, config.alpha)
     xi = config.xi if config.xi is not None else xi_star
     extra = {"xi": xi, "xi_star": xi_star, "closed_form": value_star}
-    return [_chsh_on_state(qn, config.alpha, config.quad, excited_observables(xi), extra)]
+    return [_chsh_on_state(qn, config.alpha, excited_observables(xi), extra)]
 
 
 def _run_sweep(config: RunConfig) -> list:
@@ -226,9 +211,7 @@ def _run_sweep(config: RunConfig) -> list:
     for qn in valid_states(n_max):
         xi_star, value_star = optimal_xi(qn, config.alpha)
         extra = {"xi": xi_star, "xi_star": xi_star, "closed_form": value_star}
-        results.append(
-            _chsh_on_state(qn, config.alpha, config.quad, excited_observables(xi_star), extra)
-        )
+        results.append(_chsh_on_state(qn, config.alpha, excited_observables(xi_star), extra))
     return results
 
 
@@ -236,7 +219,7 @@ def _run_peres_mermin(config: RunConfig) -> list:
     n_max = config.n_max if config.n_max is not None else 3
     results = []
     for qn in valid_states(n_max):
-        density = reduce(eigenstate(qn, config.alpha, config.quad), config.quad)
+        density = reduce(eigenstate(qn, config.alpha))
         results.append(peres_mermin_value(density).to_dict())
     rng = np.random.default_rng(config.seed)
     for idx in range(100):
@@ -279,42 +262,29 @@ def _run_measurability(config: RunConfig) -> list:
     return results
 
 
-def _scenario_value(qn: QuantumNumbers, alpha: float, quad: QuadratureSpec) -> float:
-    """Full pipeline value for the refinement study: the ground states use the
-    dedicated observable choice, everything else the optimal xi family."""
+def _scenario(qn: QuantumNumbers, alpha: float):
+    """Observables and closed-form value for one state: the ground states use
+    the dedicated observable choice, everything else the optimal xi family."""
     if qn.n == 1:
-        observables = ground_observables(qn.m_j)
-    else:
-        xi_star, _ = optimal_xi(qn, alpha)
-        observables = excited_observables(xi_star)
-    density = reduce(eigenstate(qn, alpha, quad), quad)
-    return chsh_value(density, *observables).value
+        return ground_observables(qn.m_j), math.sqrt(2.0) * (1.0 + sommerfeld_mu(1, 1, alpha))
+    xi_star, value_star = optimal_xi(qn, alpha)
+    return excited_observables(xi_star), value_star
 
 
 def _run_converge(config: RunConfig) -> list:
-    # the ground scenario is exactly rule-independent (f^2 and g^2 are scalar
-    # multiples at n_tilde = 0), so its ladder sits at the rounding floor;
-    # excited states show the genuine decrease
+    # n_tilde + 1 radial nodes already integrate the density exactly, so every
+    # rung of the ladder sits at the rounding floor of the closed form
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.m_j)
-    orders = (4, 6, 8, 12, 16, 24, 32, 48)
-
-    def with_order(order):
-        return QuadratureSpec(
-            radial_panels=config.quad.radial_panels,
-            radial_order=order,
-            radial_cutoff=config.quad.radial_cutoff,
-            theta_order=config.quad.theta_order,
-            phi_order=config.quad.phi_order,
-        )
-
-    reference = _scenario_value(qn, config.alpha, with_order(64))
+    observables, reference = _scenario(qn, config.alpha)
+    state = eigenstate(qn, config.alpha)
     results = []
-    for order in orders:
-        value = _scenario_value(qn, config.alpha, with_order(order))
+    for extra in (0, 1, 2, 4, 8, 16, 32):
+        count = qn.n_tilde + 1 + extra
+        value = chsh_value(reduce(state, count), *observables).value
         delta = abs(value - reference)
         results.append({
             "kind": "convergence",
-            "terms": {"value": value, "reference": reference, "radial_order": float(order)},
+            "terms": {"value": value, "reference": reference, "radial_nodes": float(count)},
             "value": delta,
             "bound": 5e-5,
             "violated": delta > 5e-5,
@@ -369,19 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
         "peres-mermin": "state-independent Peres-Mermin value on states and random spinors",
         "free-electron": "free Dirac electron violation curve",
         "measurability": "positive-spectrum vs negative-energy-mixing report",
-        "converge": "radial-quadrature refinement study on the ground scenario",
+        "converge": "radial node-count ladder from the exact n_tilde + 1 upward",
     }
     for name in COMMANDS:
         p = sub.add_parser(name, help=descriptions[name])
         p.add_argument("--alpha", type=float, default=FINE_STRUCTURE_ALPHA,
                        help="fine structure constant (default 1/137.036)")
         p.add_argument("--seed", type=int, default=0, help="seed for random-state checks")
-        p.add_argument("--quad-panels", type=int, default=4)
-        p.add_argument("--quad-radial-order", type=int, default=32)
-        p.add_argument("--quad-radial-cutoff", type=float, default=None,
-                       help="override the 60 + 10*n rho cutoff rule")
-        p.add_argument("--quad-theta", type=int, default=24)
-        p.add_argument("--quad-phi", type=int, default=24)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         if name in ("ground", "excited", "converge"):
@@ -406,13 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    quad = QuadratureSpec(
-        radial_panels=args.quad_panels,
-        radial_order=args.quad_radial_order,
-        radial_cutoff=args.quad_radial_cutoff,
-        theta_order=args.quad_theta,
-        phi_order=args.quad_phi,
-    )
     kappa = getattr(args, "kappa", 1)
     sign = getattr(args, "sign", None)
     if sign is not None:
@@ -429,7 +386,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         beta=getattr(args, "beta", 0.0),
         beta_grid=_parse_beta_grid(beta_grid) if beta_grid is not None else None,
         seed=args.seed,
-        quad=quad,
         output_format=args.format,
         output_path=args.output,
     )

@@ -193,6 +193,20 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+# the two checks below run on every correlator call, so they return the
+# numpy scalar (a float subclass) without a conversion
+
+
+def hermiticity_defect(a: np.ndarray) -> float:
+    """Largest entry of |a - a^dagger|."""
+    return np.abs(a - a.conj().T).max()
+
+
+def commutator_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of |[a, b]|."""
+    return np.abs(a @ b - b @ a).max()
+
+
 @dataclass(frozen=True)
 class AuditCheck:
     name: str

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import build_family
+from .clifford import build_family, commutator_defect
 from .hydrogen import QuantumNumbers, sommerfeld_mu
 from .spindensity import ReducedSpinDensity, correlator
 
@@ -208,8 +208,7 @@ def check_context(observables, contexts, tolerance: float = 1e-10) -> ContextRep
         residual = 0.0
         for pos, i in enumerate(ctx):
             for j in ctx[pos + 1:]:
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                residual = max(residual, float(np.abs(comm).max()))
+                residual = max(residual, float(commutator_defect(mats[i], mats[j])))
         entries.append(
             ContextEntry(indices=tuple(ctx), compatible=residual <= tolerance, residual=residual)
         )

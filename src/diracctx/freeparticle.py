@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import alpha_matrices, beta_matrix, gamma_matrix
+from .clifford import alpha_matrices, beta_matrix, gamma_matrix, hermiticity_defect
 from .contextuality import InequalityReport, chsh_value
 from .spindensity import ReducedSpinDensity
 
@@ -95,6 +95,17 @@ def free_hamiltonian(k: float) -> np.ndarray:
     return k * _ALPHA_Z + _BETA
 
 
+def energy_projector(beta_v: float, sign: int) -> np.ndarray:
+    """Projector (1 + sign H/E)/2 onto the positive (sign = 1) or negative
+    (sign = -1) energy subspace at the momentum of velocity ratio beta_v.
+
+    H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is exact.
+    """
+    _check_beta_v(beta_v)
+    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
+    return (np.eye(4) + sign * (free_hamiltonian(beta_v * energy) / energy)) / 2.0
+
+
 @dataclass(frozen=True)
 class EnergySplit:
     """Positive/negative-energy projectors at fixed k and, for one observable,
@@ -111,19 +122,15 @@ class EnergySplit:
 
 def energy_split(beta_v: float, observable: np.ndarray) -> EnergySplit:
     """Diagonalize the observable and weigh each eigenvector against the
-    negative-energy subspace of the fixed-k free Hamiltonian.
-
-    H^2 = (1 + k^2) * identity, so the projectors are (1 +- H/E)/2 exactly.
-    """
+    negative-energy subspace of the fixed-k free Hamiltonian."""
     _check_beta_v(beta_v)
     obs = np.asarray(observable, dtype=complex)
-    if np.abs(obs - obs.conj().T).max() > 1e-10:
+    if hermiticity_defect(obs) > 1e-10:
         raise ValueError("observable must be Hermitian")
     energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
     k = beta_v * energy
-    h = free_hamiltonian(k)
-    proj_pos = (np.eye(4) + h / energy) / 2.0
-    proj_neg = (np.eye(4) - h / energy) / 2.0
+    proj_pos = energy_projector(beta_v, 1)
+    proj_neg = energy_projector(beta_v, -1)
     eigvals, eigvecs = np.linalg.eigh(obs)
     weights = np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real
     return EnergySplit(
@@ -139,8 +146,5 @@ def energy_split(beta_v: float, observable: np.ndarray) -> EnergySplit:
 
 def negative_weight_of_state(beta_v: float, spinor) -> float:
     """Negative-energy weight <u|P-|u> of an arbitrary normalized spinor."""
-    _check_beta_v(beta_v)
     u = np.asarray(spinor, dtype=complex).reshape(4)
-    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
-    proj_neg = (np.eye(4) - free_hamiltonian(beta_v * energy) / energy) / 2.0
-    return float((u.conj() @ proj_neg @ u).real)
+    return float((u.conj() @ energy_projector(beta_v, -1) @ u).real)

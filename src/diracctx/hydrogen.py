@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .specfun import QuadratureSpec, DEFAULT_QUADRATURE, hyp1f1_terminating, radial_nodes, spherical_harmonic
+from .specfun import hyp1f1_terminating, radial_nodes, spherical_harmonic
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.036
 
@@ -108,7 +108,7 @@ def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Derived radial parameters plus the quadrature normalization
+    """Derived radial parameters plus the normalization
     N = integral rho^2 (f^2 + g^2) d rho."""
 
     n_tilde: int
@@ -150,15 +150,18 @@ def radial_fg(qn: QuantumNumbers, a: float, rho):
     return f, g
 
 
-def radial_solution(qn: QuantumNumbers, a: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RadialSolution:
-    """Radial parameters with the normalization computed on the spec's radial rule."""
+def radial_solution(qn: QuantumNumbers, a: float) -> RadialSolution:
+    """Radial parameters with the normalization computed on the exact radial
+    rule: rho^2 (f^2 + g^2) is rho^(2 nu) e^-rho times a polynomial of degree
+    2 n_tilde, so n_tilde + 1 Gauss-Laguerre nodes integrate it exactly."""
     mu = sommerfeld_mu(qn.n, qn.kappa, a)
-    rho, w = radial_nodes(spec.resolved(qn.n))
+    nu = math.sqrt(qn.kappa * qn.kappa - a * a)
+    rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * nu)
     f, g = radial_fg(qn, a, rho)
     norm = float(np.sum(w * rho * rho * (f * f + g * g)))
     return RadialSolution(
         n_tilde=qn.n_tilde,
-        nu=math.sqrt(qn.kappa * qn.kappa - a * a),
+        nu=nu,
         mu=mu,
         lam=1.0 / math.sqrt(1.0 - mu * mu),
         norm=norm,
@@ -204,7 +207,6 @@ class SpinorField:
     qn: QuantumNumbers
     a: float
     radial: RadialSolution
-    spec: QuadratureSpec
 
     @property
     def mu(self) -> float:
@@ -229,12 +231,10 @@ class SpinorField:
         return out
 
 
-def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA,
-               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SpinorField:
+def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA) -> SpinorField:
     """Assembled bound state: (i f phi^A, g phi^B)/sqrt(N) for kappa > 0,
     A and B swapped for kappa < 0."""
-    resolved = spec.resolved(qn.n)
-    return SpinorField(qn=qn, a=a, radial=radial_solution(qn, a, resolved), spec=resolved)
+    return SpinorField(qn=qn, a=a, radial=radial_solution(qn, a))
 
 
 # --- Dirac-operator eigencheck via ladder-operator action -------------------

@@ -7,7 +7,7 @@ coordinate rho, angular integration over (cos(theta), phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,11 @@ FOUR_PI = 4.0 * math.pi
 def hyp1f1_terminating(p: int, q: float, z):
     """Terminating confluent hypergeometric series 1F1(p; q; z) for non-positive integer p.
 
-    The series has exactly |p|+1 terms; the result is exact up to rounding.
+    With n = -p and alpha = q - 1 this is L_n^alpha(z) / binom(n + alpha, n)
+    (DLMF 13.6, 18.9), evaluated by the generalized-Laguerre three-term
+    recurrence with that normalization folded in,
+    (k + q) M_{k+1} = (2k + q - z) M_k - k M_{k-1}. Summing the series term by
+    term instead cancels catastrophically for large n and z.
     """
     if not isinstance(p, (int, np.integer)):
         raise ValueError(f"first argument must be a non-positive integer, got {p!r}")
@@ -26,12 +30,11 @@ def hyp1f1_terminating(p: int, q: float, z):
     if q <= 0 and float(q).is_integer():
         raise ValueError(f"second argument must not be a non-positive integer, got {q}")
     z = np.asarray(z, dtype=float)
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(-p):
-        term = term * ((p + k) / (q + k)) * z / (k + 1)
-        total = total + term
-    return total if total.ndim else float(total)
+    prev = np.ones_like(z)
+    cur = prev if p == 0 else 1.0 - z / q
+    for k in range(1, -p):
+        prev, cur = cur, ((2 * k + q - z) * cur - k * prev) / (k + q)
+    return cur if cur.ndim else float(cur)
 
 
 def _legendre_upward(l: int, m: int, x):
@@ -73,47 +76,6 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Product quadrature: paneled Gauss-Legendre in rho, Gauss-Legendre in
-    cos(theta), equispaced trapezoid in phi.
-
-    radial_cutoff=None means "resolve later via the 60 + 10*n rule".
-    """
-
-    radial_panels: int = 4
-    radial_order: int = 32
-    radial_cutoff: float | None = None
-    theta_order: int = 24
-    phi_order: int = 24
-
-    def __post_init__(self):
-        if self.radial_panels < 1 or self.radial_order < 1:
-            raise ValueError("radial_panels and radial_order must be >= 1")
-        if self.theta_order < 1 or self.phi_order < 1:
-            raise ValueError("theta_order and phi_order must be >= 1")
-        if self.radial_cutoff is not None and self.radial_cutoff <= 0:
-            raise ValueError("radial_cutoff must be positive")
-
-    def resolved(self, n: int) -> "QuadratureSpec":
-        """Concrete spec for principal quantum number n (cutoff rule 60 + 10*n)."""
-        if self.radial_cutoff is not None:
-            return self
-        return replace(self, radial_cutoff=default_radial_cutoff(n))
-
-    def check_phi_exactness(self, l_max: int) -> None:
-        """Azimuthal rule must be exact on the trig polynomials of states up to l_max."""
-        if self.phi_order < 2 * l_max + 2:
-            raise ValueError(
-                f"phi_order={self.phi_order} too small for l_max={l_max}; "
-                f"need >= {2 * l_max + 2}"
-            )
-
-
-def default_radial_cutoff(n: int) -> float:
-    return 60.0 + 10.0 * n
-
-
-@dataclass(frozen=True)
 class QuadratureNodes:
     rho: np.ndarray
     rho_weights: np.ndarray
@@ -123,28 +85,34 @@ class QuadratureNodes:
     phi_weights: np.ndarray
 
 
-def radial_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, rho_max], panels partitioned geometrically."""
-    if spec.radial_cutoff is None:
-        raise ValueError("radial_cutoff not resolved; call spec.resolved(n) first")
-    x, w = np.polynomial.legendre.leggauss(spec.radial_order)
-    p = spec.radial_panels
-    # geometric (ratio-2) panel edges clustered toward rho = 0
-    edges = spec.radial_cutoff * (2.0 ** np.arange(p + 1) - 1.0) / (2.0**p - 1.0)
-    nodes = np.concatenate(
-        [0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in zip(edges[:-1], edges[1:])]
-    )
-    weights = np.concatenate([0.5 * (hi - lo) * w for lo, hi in zip(edges[:-1], edges[1:])])
-    return nodes, weights
+def radial_nodes(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre rule of count nodes for the weight rho^alpha e^-rho.
+
+    Nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math.
+    Comp. 23, 1969). Weights are the Christoffel numbers 1/sum_j p_j(x)^2 over
+    the orthonormal polynomials, built by their three-term recurrence; squared
+    eigenvector components lose relative accuracy at the outer nodes. They are
+    returned as plain weights w e^rho rho^-alpha, so sum(w * h(rho)) is exact
+    for h = rho^alpha e^-rho P(rho) with deg P <= 2 count - 1.
+    """
+    k = np.arange(count)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k * (k + alpha))  # off[j] couples p_{j-1} and p_j; off[0] = 0
+    rho = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    # p_j scaled by sqrt(Gamma(alpha + 1)); the scale re-enters through lgamma
+    prev = np.zeros_like(rho)
+    cur = np.ones_like(rho)
+    total = np.ones_like(rho)
+    for j in range(count - 1):
+        prev, cur = cur, ((rho - diag[j]) * cur - off[j] * prev) / off[j + 1]
+        total += cur * cur
+    return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0)) / total
 
 
-def quadrature_nodes(spec: QuadratureSpec) -> QuadratureNodes:
-    """Node/weight sequences for the (rho, cos(theta), phi) product rule."""
-    rho, wr = radial_nodes(spec)
-    ct, wt = np.polynomial.legendre.leggauss(spec.theta_order)
-    phi = np.arange(spec.phi_order) * (2.0 * math.pi / spec.phi_order)
-    wp = np.full(spec.phi_order, 2.0 * math.pi / spec.phi_order)
-    return QuadratureNodes(rho, wr, ct, wt, phi, wp)
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+def quadrature_nodes(radial: int, polar: int, alpha: float) -> QuadratureNodes:
+    """Product rule: radial_nodes(radial, alpha) in rho, polar Gauss-Legendre
+    nodes in cos(theta), and the 2-point trapezoid in phi, which is exact for
+    e^(i k phi) with |k| <= 1."""
+    rho, wr = radial_nodes(radial, alpha)
+    ct, wt = np.polynomial.legendre.leggauss(polar)
+    return QuadratureNodes(rho, wr, ct, wt, np.array([0.0, math.pi]), np.full(2, math.pi))

@@ -7,19 +7,21 @@ rho_spin[u][v] = integral psi_u conj(psi_v) rho^2 d rho dOmega.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import commutator_defect, hermiticity_defect
 from .hydrogen import QuantumNumbers, SpinorField, sommerfeld_mu, radial_fg
-from .specfun import QuadratureSpec, DEFAULT_QUADRATURE, quadrature_nodes, radial_nodes
+from .specfun import quadrature_nodes, radial_nodes
 
-TRACE_TOLERANCE = 1e-6
+BLOCK_WEIGHT_TOLERANCE = 1e-8
 COMMUTE_TOLERANCE = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge (trace drifted away from 1)."""
+    """A block weight of the reduced density departs from its closed form."""
 
 
 class IncompatibleObservablesError(ValueError):
@@ -32,7 +34,6 @@ class ReducedSpinDensity:
 
     matrix: np.ndarray
     label: str
-    spec: QuadratureSpec | None = None
 
     @classmethod
     def from_pure(cls, spinor, label: str = "pure") -> "ReducedSpinDensity":
@@ -53,22 +54,28 @@ class ReducedSpinDensity:
         return float(np.trace(self.matrix).real)
 
     def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(hermiticity_defect(self.matrix))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
-def reduce(state: SpinorField, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ReducedSpinDensity:
-    """Integrate out space on the spec's product rule.
+def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDensity:
+    """Integrate out space on the product rule that is exact for the state.
 
-    Raises QuadratureError if the resulting trace deviates from 1 by more than
-    1e-6 (the normalization integral and this one use the same radial rule, so
-    any drift signals an inadequate spec).
+    Every density entry is rho^(2 nu) e^-rho times a polynomial of degree
+    2 n_tilde in rho, times a polynomial of degree <= 2l + 2 in cos(theta) and
+    e^(i k phi) with |k| <= 1; radial_count Gauss-Laguerre nodes (default
+    n_tilde + 1), l + 2 Gauss-Legendre nodes and the 2-point phi trapezoid
+    integrate that exactly.
+
+    Raises QuadratureError if either block trace departs from its closed form
+    (1 +- mu)/2 by more than 1e-8. The normalization and this integral share
+    the radial rule, so the trace alone could not reveal an inexact rule.
     """
-    resolved = spec.resolved(state.qn.n)
-    resolved.check_phi_exactness(state.qn.l + 1)
-    nodes = quadrature_nodes(resolved)
+    qn = state.qn
+    count = qn.n_tilde + 1 if radial_count is None else radial_count
+    nodes = quadrature_nodes(count, qn.l + 2, 2.0 * state.radial.nu)
     theta = np.arccos(nodes.cos_theta)
     rho = nodes.rho[:, None, None]
     th = theta[None, :, None]
@@ -81,20 +88,19 @@ def reduce(state: SpinorField, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Red
     )
     # deterministic accumulation order: einsum over the fixed node layout
     mat = np.einsum("urtp,vrtp,rtp->uv", psi, psi.conj(), weight, optimize=True)
-    density = ReducedSpinDensity(
-        matrix=mat,
-        label=f"n={state.qn.n} kappa={state.qn.kappa} mj={state.qn.m_j}",
-        spec=resolved,
-    )
-    if abs(density.trace - 1.0) > TRACE_TOLERANCE:
+    label = f"n={qn.n} kappa={qn.kappa} mj={qn.m_j}"
+    blocks = (mat[0, 0] + mat[1, 1]).real, (mat[2, 2] + mat[3, 3]).real
+    drift = max(abs(got - want) for got, want in zip(blocks, radial_weights(qn, state.a)))
+    if drift > BLOCK_WEIGHT_TOLERANCE:
         raise QuadratureError(
-            f"reduced density trace {density.trace} deviates from 1 beyond {TRACE_TOLERANCE}"
+            f"{label}: a block weight departs from (1 +- mu)/2 by {drift:.3e} "
+            f"> {BLOCK_WEIGHT_TOLERANCE} on {count} radial nodes"
         )
-    return density
+    return ReducedSpinDensity(matrix=mat, label=label)
 
 
 def _check_observable(name: str, o: np.ndarray) -> None:
-    if np.abs(o - o.conj().T).max() > COMMUTE_TOLERANCE:
+    if hermiticity_defect(o) > COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(f"observable {name} is not Hermitian")
 
 
@@ -104,10 +110,10 @@ def correlator(density: ReducedSpinDensity, o1: np.ndarray, o2: np.ndarray) -> f
     o2 = np.asarray(o2, dtype=complex)
     _check_observable("O1", o1)
     _check_observable("O2", o2)
-    comm = np.linalg.norm(o1 @ o2 - o2 @ o1)
+    comm = commutator_defect(o1, o2)
     if comm > COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(
-            f"observables do not commute (Frobenius norm {comm:.3e}); "
+            f"observables do not commute (largest entry {comm:.3e}); "
             "the correlator is only defined on compatible pairs"
         )
     value = np.trace(density.matrix @ o1 @ o2)
@@ -122,10 +128,9 @@ def radial_weights(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     return (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
 
 
-def radial_weights_quadrature(qn: QuantumNumbers, a: float,
-                              spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
+def radial_weights_quadrature(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     """Companion check: the same weights from quadrature of f^2 and g^2."""
-    rho, w = radial_nodes(spec.resolved(qn.n))
+    rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * math.sqrt(qn.kappa * qn.kappa - a * a))
     f, g = radial_fg(qn, a, rho)
     int_f = float(np.sum(w * rho * rho * f * f))
     int_g = float(np.sum(w * rho * rho * g * g))

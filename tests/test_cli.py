@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -18,6 +20,8 @@ from diracctx.cli import (
     main,
     render,
 )
+from diracctx.contextuality import closed_form_value
+from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers
 from diracctx.spindensity import QuadratureError
 
 
@@ -105,17 +109,35 @@ def test_measurability_contrast():
 
 def test_converge_ground_sits_at_rounding_floor():
     doc = _run("converge")
+    assert doc.results[0]["terms"]["radial_nodes"] == 1.0
     assert all(r["value"] < 1e-12 for r in doc.results)
 
 
 def test_converge_excited_decreases_to_floor():
-    doc = _run("converge", n=2, kappa=1)
-    deltas = [r["value"] for r in doc.results]
-    assert deltas[0] > 1e-9  # coarse rule genuinely off
-    floor = 1e-12
-    for prev, nxt in zip(deltas, deltas[1:]):
-        assert nxt <= prev or nxt < floor, deltas
+    # the ladder starts at the exact count n_tilde + 1, so every rung already
+    # sits at the floor; the one-node-short rule is the guard test's case
+    doc = _run("converge", n=4, kappa=-2)
+    nodes = [r["terms"]["radial_nodes"] for r in doc.results]
+    assert nodes[0] == 3.0 and nodes == sorted(set(nodes))
+    assert all(r["value"] < 1e-12 for r in doc.results)
     assert all(not r["violated"] for r in doc.results)
+
+
+def test_sweep_n_max_12_matches_closed_forms(capsys):
+    assert main(["sweep", "--n-max", "12", "--format", "csv"]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == sum(2 * n * n for n in range(1, 13))
+    for row in rows:
+        qn = QuantumNumbers(int(row[0]), int(row[1]), float(row[2]))
+        assert float(row[6]) == pytest.approx(closed_form_value(qn, FINE_STRUCTURE_ALPHA), rel=1e-8)
+
+
+def test_excited_at_n40_is_right_or_exits_3(capsys):
+    code = main(["excited", "--n", "40", "--kappa", "1", "--alpha", "0.5"])
+    assert code in (EXIT_OK, EXIT_QUADRATURE)
+    if code == EXIT_OK:
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
 
 
 # --- rendering -------------------------------------------------------------------
@@ -179,13 +201,12 @@ def test_parser_builds_config():
     parser = build_parser()
     args = parser.parse_args(
         ["excited", "--n", "3", "--kappa", "2", "--sign", "-1", "--mj", "-0.5",
-         "--quad-radial-order", "16", "--format", "csv"]
+         "--format", "csv"]
     )
     cfg = config_from_args(args)
     assert cfg.command == "excited"
     assert cfg.kappa == -2
     assert cfg.m_j == -0.5
-    assert cfg.quad.radial_order == 16
     assert cfg.output_format == "csv"
 
 

@@ -14,7 +14,7 @@ from diracctx.hydrogen import (
     spinor_harmonic,
     valid_states,
 )
-from diracctx.specfun import QuadratureSpec, quadrature_nodes
+from diracctx.specfun import quadrature_nodes, radial_nodes
 
 # independent high-precision evaluation (mpmath, 40 digits) of the energy formula
 MU_2_1_ORACLE = 0.99999334347000102
@@ -174,11 +174,9 @@ def test_radial_solution_parameters():
 
 def test_radial_normalization_self_consistency():
     # the two block weights computed on the same rule sum to one exactly
-    from diracctx.specfun import radial_nodes
-
     for qn in [QuantumNumbers(1, 1, 0.5), QuantumNumbers(4, -2, 1.5)]:
         sol = radial_solution(qn, ALPHA)
-        rho, w = radial_nodes(QuadratureSpec().resolved(qn.n))
+        rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * sol.nu)
         f, g = radial_fg(qn, ALPHA, rho)
         wf = np.sum(w * rho * rho * f * f) / sol.norm
         wg = np.sum(w * rho * rho * g * g) / sol.norm
@@ -216,8 +214,7 @@ def test_edge_mj_does_not_request_out_of_range_harmonics():
 @pytest.mark.parametrize("part", ["A", "B"])
 @pytest.mark.parametrize("j", [0.5, 1.5, 2.5])
 def test_spinor_harmonics_normalized_on_sphere(part, j):
-    spec = QuadratureSpec(theta_order=24, phi_order=24, radial_cutoff=1.0)
-    nodes = quadrature_nodes(spec)
+    nodes = quadrature_nodes(1, 24, 0.0)
     theta = np.arccos(nodes.cos_theta)[:, None]
     phi = nodes.phi[None, :]
     w = nodes.cos_theta_weights[:, None] * nodes.phi_weights[None, :]
@@ -256,7 +253,7 @@ def test_spinor_harmonic_rejects_bad_part():
 )
 def test_eigenstate_unit_norm_in_3d(n, kappa, m_j):
     state = eigenstate(QuantumNumbers(n, kappa, m_j), ALPHA)
-    nodes = quadrature_nodes(state.spec)
+    nodes = quadrature_nodes(state.qn.n_tilde + 1, state.qn.l + 2, 2.0 * state.radial.nu)
     rho = nodes.rho[:, None, None]
     theta = np.arccos(nodes.cos_theta)[None, :, None]
     phi = nodes.phi[None, None, :]

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gamma as gamma_fn, sph_harm_y
+from scipy.special import gamma as gamma_fn, hyp1f1, roots_genlaguerre, sph_harm_y
 
 from diracctx.specfun import (
-    QuadratureSpec,
-    default_radial_cutoff,
     hyp1f1_terminating,
     quadrature_nodes,
     radial_nodes,
@@ -86,6 +84,14 @@ def test_hyp1f1_vectorizes_over_z():
     assert np.allclose(got, 1.0 - z / 3.0)
 
 
+@pytest.mark.parametrize("q", [1.3, 2.0, 3.5, 10.0])
+def test_hyp1f1_at_n39_matches_scipy(q):
+    # n = 39 is the largest n_tilde of the n <= 40 domain; term-by-term
+    # summation cancels catastrophically out here
+    z = np.array([0.5, 5.0, 20.0, 60.0, 120.0, 200.0])
+    assert np.allclose(hyp1f1_terminating(-39, q, z), hyp1f1(-39, q, z), rtol=1e-12, atol=0.0)
+
+
 # --- spherical harmonics -----------------------------------------------------
 
 def test_y00_is_constant():
@@ -115,11 +121,12 @@ def test_spherical_harmonic_against_scipy(l):
 
 
 def test_orthonormality_by_quadrature():
-    spec = QuadratureSpec(theta_order=16, phi_order=16, radial_cutoff=1.0)
-    nodes = quadrature_nodes(spec)
-    theta = np.arccos(nodes.cos_theta)[:, None]
-    phi = nodes.phi[None, :]
-    w = nodes.cos_theta_weights[:, None] * nodes.phi_weights[None, :]
+    # 16 Gauss-Legendre nodes in cos(theta) and a 16-point phi trapezoid are
+    # exact for every product of two harmonics with l <= 3
+    cos_theta, w_theta = np.polynomial.legendre.leggauss(16)
+    theta = np.arccos(cos_theta)[:, None]
+    phi = (np.arange(16) * (2.0 * math.pi / 16))[None, :]
+    w = w_theta[:, None] * (2.0 * math.pi / 16)
     pairs = [(l, m) for l in range(4) for m in range(-l, l + 1)]
     vals = {lm: spherical_harmonic(*lm, theta, phi) for lm in pairs}
     for lm1 in pairs:
@@ -144,79 +151,38 @@ def test_addition_theorem(l):
 # --- quadrature rules --------------------------------------------------------
 
 def test_radial_rule_integrates_exponential():
-    spec = QuadratureSpec(radial_panels=4, radial_order=32, radial_cutoff=70.0)
-    rho, w = radial_nodes(spec)
-    got = np.sum(w * np.exp(-rho))
-    assert got == pytest.approx(1.0 - math.exp(-70.0), abs=1e-13)
+    rho, w = radial_nodes(8, 0.0)
+    assert np.sum(w * np.exp(-rho)) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.28, 1.0, 2.0, 5.5, 20.0, 79.9])
+def test_radial_nodes_match_scipy(alpha):
+    for k in range(1, 21):
+        rho, w = radial_nodes(k, alpha)
+        ref_rho, ref_w = roots_genlaguerre(k, alpha)
+        assert np.allclose(rho, ref_rho, rtol=1e-12, atol=0.0)
+        # plain weights carry e^rho rho^-alpha on top of the Gauss weights
+        assert np.allclose(w * rho**alpha * np.exp(-rho), ref_w, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.28, 1.0, 2.0, 5.5, 20.0, 79.9])
+def test_radial_rule_reproduces_moments(alpha):
+    # sum w rho^j rho^alpha e^-rho = Gamma(j + alpha + 1) for j <= 2k - 1
+    for k in range(1, 21):
+        rho, w = radial_nodes(k, alpha)
+        for j in range(2 * k):
+            moment = np.sum(w * rho ** (j + alpha) * np.exp(-rho))
+            assert moment == pytest.approx(gamma_fn(j + alpha + 1.0), rel=1e-12), (k, j)
 
 
 def test_cos_theta_rule_polynomial_exactness():
-    spec = QuadratureSpec(theta_order=2, radial_cutoff=1.0)
-    nodes = quadrature_nodes(spec)
+    nodes = quadrature_nodes(1, 2, 0.0)
     got = np.sum(nodes.cos_theta_weights * nodes.cos_theta**2)
     assert got == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_phi_rule_kills_single_winding():
-    spec = QuadratureSpec(phi_order=2, radial_cutoff=1.0)
-    nodes = quadrature_nodes(spec)
+    nodes = quadrature_nodes(1, 1, 0.0)
     got = np.sum(nodes.phi_weights * np.exp(1j * nodes.phi))
     assert abs(got) < 1e-14
-
-
-@pytest.mark.parametrize("nu", [0.99, 1.5, 2.5, 4.0])
-def test_radial_convergence_monotone_in_panels(nu):
-    cutoff = 70.0
-    exact = gamma_fn(2 * nu + 1) * gammainc(2 * nu + 1, cutoff)
-    errors = []
-    for panels in range(1, 7):
-        spec = QuadratureSpec(radial_panels=panels, radial_order=12, radial_cutoff=cutoff)
-        rho, w = radial_nodes(spec)
-        errors.append(abs(np.sum(w * rho ** (2 * nu) * np.exp(-rho)) - exact))
-    floor = 1e-13
-    for e_prev, e_next in zip(errors, errors[1:]):
-        assert e_next <= e_prev or e_next < floor, errors
-
-
-def test_radial_panels_cover_interval():
-    spec = QuadratureSpec(radial_panels=3, radial_order=16, radial_cutoff=50.0)
-    rho, w = radial_nodes(spec)
-    assert rho.min() > 0.0 and rho.max() < 50.0
-    assert np.sum(w) == pytest.approx(50.0, rel=1e-14)
-    assert rho.size == 3 * 16
-
-
-def test_default_cutoff_rule():
-    assert default_radial_cutoff(1) == 70.0
-    assert default_radial_cutoff(5) == 110.0
-    spec = QuadratureSpec()
-    assert spec.resolved(2).radial_cutoff == 80.0
-    fixed = QuadratureSpec(radial_cutoff=33.0)
-    assert fixed.resolved(2).radial_cutoff == 33.0
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"radial_panels": 0},
-        {"radial_order": 0},
-        {"theta_order": 0},
-        {"phi_order": -1},
-        {"radial_cutoff": -2.0},
-    ],
-)
-def test_spec_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadratureSpec(**kwargs)
-
-
-def test_phi_exactness_guard():
-    spec = QuadratureSpec(phi_order=6)
-    spec.check_phi_exactness(l_max=2)
-    with pytest.raises(ValueError):
-        spec.check_phi_exactness(l_max=3)
-
-
-def test_unresolved_cutoff_rejected():
-    with pytest.raises(ValueError):
-        radial_nodes(QuadratureSpec())
+    assert np.sum(nodes.phi_weights) == pytest.approx(2.0 * math.pi, rel=1e-15)

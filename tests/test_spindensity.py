@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from diracctx.clifford import build_family, direction_observable
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, valid_states
-from diracctx.specfun import QuadratureSpec
 from diracctx.spindensity import (
     IncompatibleObservablesError,
     QuadratureError,
@@ -136,22 +135,41 @@ def test_maximally_mixed():
     assert np.array_equal(density.matrix, np.eye(4) / 4.0)
 
 
-def test_reduce_rejects_insufficient_phi_order():
-    state = eigenstate(QuantumNumbers(3, 2, 0.5), ALPHA)
-    with pytest.raises(ValueError):
-        reduce(state, QuadratureSpec(phi_order=4))
-
-
 def test_reduce_flags_non_convergent_quadrature():
-    # normalize on the default rule, then integrate on a rule that truncates
-    # most of the wavefunction: the trace check must fire
-    state = eigenstate(QuantumNumbers(1, 1, 0.5), ALPHA)
-    bad = QuadratureSpec(radial_panels=1, radial_order=2, radial_cutoff=2.0)
+    # one radial node short of n_tilde + 1 leaves the degree-2 n_tilde radial
+    # integrand inexact; the block-weight guard must fire
+    state = eigenstate(QuantumNumbers(4, -2, 0.5), ALPHA)
+    reduce(state, state.qn.n_tilde + 1)
     with pytest.raises(QuadratureError):
-        reduce(state, bad)
+        reduce(state, state.qn.n_tilde)
 
 
 def test_reduce_metadata():
     density = _ground_density()
     assert "n=1" in density.label
-    assert density.spec is not None and density.spec.radial_cutoff == 70.0
+
+
+@st.composite
+def _bound_states(draw):
+    n = draw(st.integers(1, 40))
+    abs_kappa = draw(st.integers(1, n))
+    sign = 1 if abs_kappa == n else draw(st.sampled_from((1, -1)))
+    twice_mj = draw(st.sampled_from(range(1 - 2 * abs_kappa, 2 * abs_kappa, 2)))
+    return QuantumNumbers(n, sign * abs_kappa, twice_mj / 2.0)
+
+
+@given(qn=_bound_states(), a=st.floats(1e-6, 0.99))
+@settings(max_examples=200, deadline=None)
+def test_density_is_the_closed_form_across_the_domain(qn, a):
+    # diagonal: (1 +- mu)/2 times the Clebsch-Gordan weights of the A and B
+    # harmonics, with the roles swapped for kappa < 0
+    l, m = qn.l, qn.m
+    up, down = radial_weights(qn, a)
+    part_a = ((l + m + 1) / (2 * l + 1), (l - m) / (2 * l + 1))
+    part_b = ((l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3))
+    upper, lower = (part_a, part_b) if qn.kappa > 0 else (part_b, part_a)
+    expected = np.diag([up * upper[0], up * upper[1], down * lower[0], down * lower[1]])
+    density = reduce(eigenstate(qn, a))
+    assert np.abs(np.diag(density.matrix) - np.diag(expected)).max() < 1e-12
+    assert np.abs(density.matrix - np.diag(np.diag(density.matrix))).max() < 1e-12
+    assert density.trace == pytest.approx(1.0, abs=1e-12)
