@@ -19,7 +19,7 @@ from diracctx.contextuality import (
     optimal_xi,
     peres_mermin_value,
 )
-from diracctx.freeparticle import energy_split, free_chsh, free_observables
+from diracctx.freeparticle import energy_split, free_chsh_curve, free_observables
 from diracctx.hydrogen import (
     FINE_STRUCTURE_ALPHA,
     QuantumNumbers,
@@ -88,8 +88,8 @@ def main():
           f"value = 6 with spread {max(values) - min(values):.2e}")
 
     print("\n--- free Dirac electron, value = 2 sqrt(2 - beta^2) ---")
-    for beta in (0.0, 0.3, 0.6, 0.9, 0.999):
-        report = free_chsh(beta)
+    betas = (0.0, 0.3, 0.6, 0.9, 0.999)
+    for beta, report in zip(betas, free_chsh_curve(betas)):
         print(f"  beta={beta:<6} value = {report.value:.12f}   "
               f"closed form = {2.0 * math.sqrt(2.0 - beta * beta):.12f}")
 

@@ -6,11 +6,10 @@ Usage:
 """
 
 import argparse
-import math
 
 import numpy as np
 
-from diracctx.freeparticle import free_chsh, observable_angle
+from diracctx.freeparticle import free_chsh_curve
 
 
 def main():
@@ -21,11 +20,10 @@ def main():
     args = parser.parse_args()
 
     print("beta,theta,value,closed_form,violated")
-    for beta in np.linspace(args.beta_min, args.beta_max, args.points):
-        report = free_chsh(float(beta))
-        closed = 2.0 * math.sqrt(2.0 - beta * beta)
-        print(f"{beta:.15g},{observable_angle(float(beta)):.15g},"
-              f"{report.value:.15g},{closed:.15g},{'true' if report.violated else 'false'}")
+    for report in free_chsh_curve(np.linspace(args.beta_min, args.beta_max, args.points)):
+        p = report.parameters
+        print(f"{p['beta_v']:.15g},{p['theta']:.15g},{report.value:.15g},"
+              f"{p['closed_form']:.15g},{'true' if report.violated else 'false'}")
 
 
 if __name__ == "__main__":

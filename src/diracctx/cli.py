@@ -27,7 +27,7 @@ from .contextuality import (
     optimal_xi,
     peres_mermin_value,
 )
-from .freeparticle import energy_split, free_chsh, free_observables
+from .freeparticle import energy_split, free_chsh_curve, free_observables
 from .hydrogen import (
     FINE_STRUCTURE_ALPHA,
     QuantumNumbers,
@@ -232,7 +232,7 @@ def _run_peres_mermin(config: RunConfig) -> list:
 
 def _run_free_electron(config: RunConfig) -> list:
     betas = config.beta_grid if config.beta_grid is not None else (config.beta,)
-    return [free_chsh(b).to_dict() for b in betas]
+    return [report.to_dict() for report in free_chsh_curve(betas)]
 
 
 def _run_measurability(config: RunConfig) -> list:
@@ -322,6 +322,8 @@ def _parse_beta_grid(text: str) -> tuple:
         grid = np.linspace(float(start), float(stop), int(count))
     except Exception as exc:
         raise ValueError(f"--beta-grid must be start:stop:count, got {text!r}") from exc
+    if len(grid) < 1:
+        raise ValueError(f"--beta-grid needs a count of at least 1, got {text!r}")
     return tuple(float(b) for b in grid)
 
 

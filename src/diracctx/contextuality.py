@@ -15,7 +15,7 @@ import numpy as np
 
 from .clifford import build_family, commutator_defect
 from .hydrogen import QuantumNumbers, sommerfeld_mu
-from .spindensity import ReducedSpinDensity, correlator
+from .spindensity import ReducedSpinDensity, checked_observable, pair_correlator
 
 CHSH_BOUND = 2.0
 PERES_MERMIN_BOUND = 4.0
@@ -47,24 +47,39 @@ class InequalityReport:
         }
 
 
-def chsh_value(density: ReducedSpinDensity, a, b, c, d,
-               parameters: dict | None = None) -> InequalityReport:
-    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2."""
-    terms = {
-        "AB": correlator(density, a, b),
-        "BC": correlator(density, b, c),
-        "CD": correlator(density, c, d),
-        "DA": correlator(density, d, a),
-    }
-    value = terms["AB"] + terms["BC"] + terms["CD"] - terms["DA"]
-    return InequalityReport(
-        kind="chsh_nc",
-        terms=terms,
-        value=value,
-        bound=CHSH_BOUND,
-        violated=value > CHSH_BOUND,
-        parameters=dict(parameters or {}),
-    )
+def chsh_value(density: ReducedSpinDensity | np.ndarray, a, b, c, d,
+               parameters=None) -> InequalityReport | list[InequalityReport]:
+    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2.
+
+    density is a ReducedSpinDensity or an array of density matrices, and any
+    observable may be a (N, 4, 4) stack. Single matrices give one report with
+    the parameters dict; a leading axis of length N gives a list of N reports,
+    evaluated in one pass, with parameters a list of N dicts. Each observable
+    is checked Hermitian once and each of the four pairs for commutation.
+    """
+    rho = density.matrix if isinstance(density, ReducedSpinDensity) else np.asarray(density)
+    a, b, c, d = (checked_observable(name, o) for name, o in zip("ABCD", (a, b, c, d)))
+    rows = list(zip(*(
+        np.ravel(pair_correlator(rho, o1, o2)).tolist()
+        for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
+    )))
+    stacked = np.broadcast_shapes(*(m.shape[:-2] for m in (rho, a, b, c, d))) != ()
+    if not stacked:
+        parameters = [parameters]
+    elif parameters is None:
+        parameters = [None] * len(rows)
+    reports = []
+    for (ab, bc, cd, da), p in zip(rows, parameters, strict=True):
+        value = ab + bc + cd - da
+        reports.append(InequalityReport(
+            kind="chsh_nc",
+            terms={"AB": ab, "BC": bc, "CD": cd, "DA": da},
+            value=value,
+            bound=CHSH_BOUND,
+            violated=value > CHSH_BOUND,
+            parameters=dict(p or {}),
+        ))
+    return reports if stacked else reports[0]
 
 
 def ground_observables(m_j: float):

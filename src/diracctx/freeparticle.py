@@ -14,10 +14,11 @@ import numpy as np
 
 from .clifford import alpha_matrices, beta_matrix, gamma_matrix, hermiticity_defect
 from .contextuality import InequalityReport, chsh_value
-from .spindensity import ReducedSpinDensity
 
 _ALPHA_Z = alpha_matrices()[2]
 _BETA = beta_matrix()
+# beta points per vectorized pass of free_chsh_curve; bounds its (N, 4, 4) temporaries
+CURVE_BLOCK = 512
 
 
 def _check_beta_v(beta_v: float) -> None:
@@ -37,23 +38,33 @@ class FreeElectronState:
     spinor: np.ndarray
 
 
+def _plane_waves(betas: np.ndarray, helicity: int):
+    """Energies E = 1/sqrt(1 - beta^2), momenta k, constants N_e = 2E/(1+E)
+    and the real (N, 4) spinors (chi, k/(1+E) chi)/sqrt(N_e) at each velocity
+    ratio. The spinors stay float64 here: dividing complex ones by sqrt(N_e)
+    would round differently."""
+    energy = 1.0 / np.sqrt(1.0 - betas * betas)
+    k = betas * energy
+    norm_const = 2.0 * energy / (1.0 + energy)
+    chi = np.array([1.0, 0.0]) if helicity == 1 else np.array([0.0, 1.0])
+    lower = (k / (1.0 + energy))[:, None] * chi
+    spinors = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=1)
+    return energy, k, norm_const, spinors / np.sqrt(norm_const)[:, None]
+
+
 def free_state(beta_v: float, helicity: int = 1) -> FreeElectronState:
     """Spinor (chi, k/(1+E) chi)/sqrt(N_e) with E = 1/sqrt(1-beta^2), N_e = 2E/(1+E)."""
     _check_beta_v(beta_v)
     if helicity not in (1, -1):
         raise ValueError(f"helicity must be +1 or -1, got {helicity}")
-    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
-    k = beta_v * energy
-    norm_const = 2.0 * energy / (1.0 + energy)
-    chi = np.array([1.0, 0.0]) if helicity == 1 else np.array([0.0, 1.0])
-    spinor = np.concatenate([chi, (k / (1.0 + energy)) * chi]) / math.sqrt(norm_const)
+    energy, k, norm_const, spinors = _plane_waves(np.array([beta_v]), helicity)
     return FreeElectronState(
         beta_v=beta_v,
-        k=k,
-        energy=energy,
+        k=float(k[0]),
+        energy=float(energy[0]),
         helicity=helicity,
-        norm_const=norm_const,
-        spinor=spinor.astype(complex),
+        norm_const=float(norm_const[0]),
+        spinor=spinors[0].astype(complex),
     )
 
 
@@ -63,31 +74,48 @@ def observable_angle(beta_v: float) -> float:
     return math.atan(math.sqrt(1.0 - beta_v * beta_v))
 
 
+def _observables(thetas):
+    """(A', B', C', D') with B' and D' as (N, 4, 4) stacks over the angles."""
+    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
+    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
+    g0, g1, g2, g3, g5 = (gamma_matrix(i) for i in (0, 1, 2, 3, 5))
+    return g0, (cos * g3 + sin * g1) @ g5, 1j * g2, (-cos * g3 + sin * g1) @ g5
+
+
 def free_observables(beta_v: float):
     """(A', B', C', D') = (g0, (cos(t) g3 + sin(t) g1) g5, i g2, (-cos(t) g3 + sin(t) g1) g5)."""
-    theta = observable_angle(beta_v)
-    g0, g1, g2, g3, g5 = (gamma_matrix(i) for i in (0, 1, 2, 3, 5))
-    a = g0
-    b = (math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
-    c = 1j * g2
-    d = (-math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
-    return a, b, c, d
+    a, b, c, d = _observables([observable_angle(beta_v)])
+    return a, b[0], c, d[0]
+
+
+def free_chsh_curve(betas) -> list[InequalityReport]:
+    """Four-correlator inequality on the positive-helicity state at each
+    velocity ratio; the closed form is 2*sqrt(2 - beta^2).
+
+    The grid is evaluated in blocks of CURVE_BLOCK points, each one pass over
+    (N, 4, 4) stacks of densities and of the B', D' observables.
+    """
+    betas = [float(b) for b in betas]
+    thetas = [observable_angle(b) for b in betas]
+    reports = []
+    for start in range(0, len(betas), CURVE_BLOCK):
+        block = betas[start:start + CURVE_BLOCK]
+        angles = thetas[start:start + CURVE_BLOCK]
+        spinors = _plane_waves(np.array(block), helicity=1)[3].astype(complex)
+        # normalized as ReducedSpinDensity.from_pure does for one spinor
+        u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
+        densities = u[:, :, None] * u.conj()[:, None, :]
+        parameters = [
+            {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
+            for b, t in zip(block, angles)
+        ]
+        reports += chsh_value(densities, *_observables(angles), parameters=parameters)
+    return reports
 
 
 def free_chsh(beta_v: float) -> InequalityReport:
-    """Four-correlator inequality on the positive-helicity state; the closed
-    form is 2*sqrt(2 - beta^2)."""
-    state = free_state(beta_v, helicity=1)
-    density = ReducedSpinDensity.from_pure(state.spinor, label=f"free beta={beta_v}")
-    a, b, c, d = free_observables(beta_v)
-    return chsh_value(
-        density, a, b, c, d,
-        parameters={
-            "beta_v": beta_v,
-            "theta": observable_angle(beta_v),
-            "closed_form": 2.0 * math.sqrt(2.0 - beta_v * beta_v),
-        },
-    )
+    """The violation curve at one velocity ratio."""
+    return free_chsh_curve([beta_v])[0]
 
 
 def free_hamiltonian(k: float) -> np.ndarray:

@@ -109,10 +109,10 @@ def radial_nodes(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0)) / total
 
 
-def quadrature_nodes(radial: int, polar: int, alpha: float) -> QuadratureNodes:
-    """Product rule: radial_nodes(radial, alpha) in rho, polar Gauss-Legendre
-    nodes in cos(theta), and the 2-point trapezoid in phi, which is exact for
-    e^(i k phi) with |k| <= 1."""
-    rho, wr = radial_nodes(radial, alpha)
+def quadrature_nodes(radial: tuple[np.ndarray, np.ndarray], polar: int) -> QuadratureNodes:
+    """Product rule: the radial rule (rho, weights) that radial_nodes built,
+    polar Gauss-Legendre nodes in cos(theta), and the 2-point trapezoid in phi,
+    which is exact for e^(i k phi) with |k| <= 1."""
+    rho, wr = radial
     ct, wt = np.polynomial.legendre.leggauss(polar)
     return QuadratureNodes(rho, wr, ct, wt, np.array([0.0, math.pi]), np.full(2, math.pi))

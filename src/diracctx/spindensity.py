@@ -65,17 +65,21 @@ def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDe
 
     Every density entry is rho^(2 nu) e^-rho times a polynomial of degree
     2 n_tilde in rho, times a polynomial of degree <= 2l + 2 in cos(theta) and
-    e^(i k phi) with |k| <= 1; radial_count Gauss-Laguerre nodes (default
-    n_tilde + 1), l + 2 Gauss-Legendre nodes and the 2-point phi trapezoid
-    integrate that exactly.
+    e^(i k phi) with |k| <= 1; radial_count Gauss-Laguerre nodes (default: the
+    n_tilde + 1 node rule the state was normalized on), l + 2 Gauss-Legendre
+    nodes and the 2-point phi trapezoid integrate that exactly.
 
     Raises QuadratureError if either block trace departs from its closed form
     (1 +- mu)/2 by more than 1e-8. The normalization and this integral share
     the radial rule, so the trace alone could not reveal an inexact rule.
     """
     qn = state.qn
-    count = qn.n_tilde + 1 if radial_count is None else radial_count
-    nodes = quadrature_nodes(count, qn.l + 2, 2.0 * state.radial.nu)
+    if radial_count is None:
+        rule = state.radial.rule
+    else:
+        rule = radial_nodes(radial_count, 2.0 * state.radial.nu)
+    count = len(rule[0])
+    nodes = quadrature_nodes(rule, qn.l + 2)
     theta = np.arccos(nodes.cos_theta)
     rho = nodes.rho[:, None, None]
     th = theta[None, :, None]
@@ -99,27 +103,42 @@ def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDe
     return ReducedSpinDensity(matrix=mat, label=label)
 
 
-def _check_observable(name: str, o: np.ndarray) -> None:
+def checked_observable(name: str, o) -> np.ndarray:
+    """o as a complex matrix, or a (..., 4, 4) stack, once it is Hermitian."""
+    o = np.asarray(o, dtype=complex)
     if hermiticity_defect(o) > COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(f"observable {name} is not Hermitian")
+    return o
 
 
-def correlator(density: ReducedSpinDensity, o1: np.ndarray, o2: np.ndarray) -> float:
-    """Real part of trace(rho . o1 . o2) for a commuting Hermitian pair."""
-    o1 = np.asarray(o1, dtype=complex)
-    o2 = np.asarray(o2, dtype=complex)
-    _check_observable("O1", o1)
-    _check_observable("O2", o2)
+def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    """Real part of trace(rho . o1 . o2) for observables that checked_observable
+    passed, over the broadcast leading axes of the density matrices and both
+    observables. Raises if any pair of the stacks does not commute."""
     comm = commutator_defect(o1, o2)
     if comm > COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(
             f"observables do not commute (largest entry {comm:.3e}); "
             "the correlator is only defined on compatible pairs"
         )
-    value = np.trace(density.matrix @ o1 @ o2)
-    if abs(value.imag) > COMMUTE_TOLERANCE:
-        raise QuadratureError(f"correlator has spurious imaginary part {value.imag:.3e}")
-    return float(value.real)
+    value = np.trace(rho @ o1 @ o2, axis1=-2, axis2=-1)
+    spurious = np.abs(value.imag)
+    if spurious.max() > COMMUTE_TOLERANCE:
+        worst = np.ravel(value.imag)[np.ravel(spurious).argmax()]
+        raise QuadratureError(f"correlator has spurious imaginary part {worst:.3e}")
+    return value.real
+
+
+def correlator(density: ReducedSpinDensity | np.ndarray, o1, o2):
+    """Real part of trace(rho . o1 . o2) for a commuting Hermitian pair.
+
+    density is a ReducedSpinDensity or an array of density matrices; any
+    argument may carry leading stack axes, which broadcast. A float for single
+    matrices, else an array over the leading axes.
+    """
+    rho = density.matrix if isinstance(density, ReducedSpinDensity) else np.asarray(density)
+    value = pair_correlator(rho, checked_observable("O1", o1), checked_observable("O2", o2))
+    return float(value) if value.ndim == 0 else value
 
 
 def radial_weights(qn: QuantumNumbers, a: float) -> tuple[float, float]:

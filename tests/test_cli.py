@@ -219,6 +219,14 @@ def test_beta_grid_parsing():
         config_from_args(parser.parse_args(["free-electron", "--beta-grid", "oops"]))
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_beta_grid_without_points_exits_2(count, capsys):
+    assert main(["free-electron", "--beta-grid", f"0:0.5:{count}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--beta-grid" in captured.err
+
+
 def test_main_success_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["ground", "--output", str(out)])

@@ -117,6 +117,17 @@ def test_report_value_is_signed_term_sum():
     assert report.violated == (report.value > report.bound)
 
 
+def test_chsh_checks_each_observable_once(monkeypatch):
+    import diracctx.spindensity as spindensity
+
+    checked = []
+    original = spindensity.hermiticity_defect
+    monkeypatch.setattr(spindensity, "hermiticity_defect",
+                        lambda o: checked.append(o) or original(o))
+    chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
+    assert len(checked) == 4
+
+
 def test_chsh_rejects_incompatible_context():
     a, b, c, _ = ground_observables(0.5)
     with pytest.raises(IncompatibleObservablesError):

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracctx.cli import EXIT_USAGE, main
 from diracctx.clifford import build_family, gamma_matrix
+from diracctx.contextuality import chsh_value
 from diracctx.freeparticle import (
+    CURVE_BLOCK,
     EnergySplit,
     energy_split,
     free_chsh,
+    free_chsh_curve,
     free_hamiltonian,
     free_observables,
     free_state,
@@ -18,6 +22,7 @@ from diracctx.freeparticle import (
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import sommerfeld_mu, valid_states
+from diracctx.spindensity import IncompatibleObservablesError, correlator
 
 I4 = np.eye(4, dtype=complex)
 SIGMA = build_family("Sigma")
@@ -124,6 +129,69 @@ def test_curve_strictly_decreasing_and_violating():
     values = [free_chsh(float(b)).value for b in betas]
     assert all(v > 2.0 for v in values)
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def _pointwise_terms(beta_v):
+    """The four correlators of one velocity ratio on plain 4x4 matrices."""
+    spinor = free_state(beta_v).spinor
+    u = spinor / np.linalg.norm(spinor)
+    rho = np.outer(u, u.conj())
+    a, b, c, d = free_observables(beta_v)
+    pairs = {"AB": (a, b), "BC": (b, c), "CD": (c, d), "DA": (d, a)}
+    return {k: float(np.trace(rho @ o1 @ o2).real) for k, (o1, o2) in pairs.items()}
+
+
+def _stacks(betas):
+    densities = np.stack([np.outer(u, u.conj()) for u in (free_state(b).spinor for b in betas)])
+    a, _, c, _ = free_observables(0.0)
+    b = np.stack([free_observables(beta)[1] for beta in betas])
+    d = np.stack([free_observables(beta)[3] for beta in betas])
+    return densities, a, b, c, d
+
+
+def test_batched_terms_equal_pointwise_reference():
+    # a grid longer than one block, so a block boundary is crossed
+    betas = [float(b) for b in np.linspace(0.0, 0.999, CURVE_BLOCK + 50)][::21]
+    betas += [float(b) for b in np.random.default_rng(5).uniform(0.0, 0.999999, 50)]
+    for beta_v, report in zip(betas, free_chsh_curve(betas), strict=True):
+        assert report.terms == _pointwise_terms(beta_v)
+        t = report.terms
+        assert report.value == t["AB"] + t["BC"] + t["CD"] - t["DA"]
+
+
+def test_free_chsh_is_a_row_of_the_curve():
+    betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * CURVE_BLOCK + 3)]
+    curve = free_chsh_curve(betas)
+    for i in (0, 1, CURVE_BLOCK - 1, CURVE_BLOCK, CURVE_BLOCK + 1, len(betas) - 1):
+        assert free_chsh(betas[i]) == curve[i]
+
+
+def test_empty_curve_is_empty():
+    assert free_chsh_curve([]) == []
+
+
+def test_stack_with_one_bad_slice_is_rejected():
+    betas = [0.1, 0.5, 0.9]
+    densities, a, b, c, d = _stacks(betas)
+    reports = chsh_value(densities, a, b, c, d)
+    assert correlator(densities, a, b).tolist() == [r.terms["AB"] for r in reports]
+    non_hermitian = b.copy()
+    non_hermitian[1] = 1j * non_hermitian[1]
+    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
+        chsh_value(densities, a, non_hermitian, c, d)
+    with pytest.raises(IncompatibleObservablesError, match="observable O2 is not Hermitian"):
+        correlator(densities, a, non_hermitian)
+    non_commuting = d.copy()
+    non_commuting[2] = a  # commutes with A' but not with C' = i g2
+    with pytest.raises(IncompatibleObservablesError, match="do not commute"):
+        chsh_value(densities, a, b, c, non_commuting)
+
+
+def test_grid_reaching_the_speed_of_light_exits_2(capsys):
+    assert main(["free-electron", "--beta-grid", "0:1:3"]) == EXIT_USAGE
+    assert "velocity ratio must lie in [0, 1)" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        free_chsh_curve([0.2, 1.0])
 
 
 def test_report_parameters_carry_closed_form():

@@ -214,7 +214,7 @@ def test_edge_mj_does_not_request_out_of_range_harmonics():
 @pytest.mark.parametrize("part", ["A", "B"])
 @pytest.mark.parametrize("j", [0.5, 1.5, 2.5])
 def test_spinor_harmonics_normalized_on_sphere(part, j):
-    nodes = quadrature_nodes(1, 24, 0.0)
+    nodes = quadrature_nodes(radial_nodes(1, 0.0), 24)
     theta = np.arccos(nodes.cos_theta)[:, None]
     phi = nodes.phi[None, :]
     w = nodes.cos_theta_weights[:, None] * nodes.phi_weights[None, :]
@@ -253,7 +253,9 @@ def test_spinor_harmonic_rejects_bad_part():
 )
 def test_eigenstate_unit_norm_in_3d(n, kappa, m_j):
     state = eigenstate(QuantumNumbers(n, kappa, m_j), ALPHA)
-    nodes = quadrature_nodes(state.qn.n_tilde + 1, state.qn.l + 2, 2.0 * state.radial.nu)
+    nodes = quadrature_nodes(
+        radial_nodes(state.qn.n_tilde + 1, 2.0 * state.radial.nu), state.qn.l + 2
+    )
     rho = nodes.rho[:, None, None]
     theta = np.arccos(nodes.cos_theta)[None, :, None]
     phi = nodes.phi[None, None, :]

@@ -176,13 +176,13 @@ def test_radial_rule_reproduces_moments(alpha):
 
 
 def test_cos_theta_rule_polynomial_exactness():
-    nodes = quadrature_nodes(1, 2, 0.0)
+    nodes = quadrature_nodes(radial_nodes(1, 0.0), 2)
     got = np.sum(nodes.cos_theta_weights * nodes.cos_theta**2)
     assert got == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_phi_rule_kills_single_winding():
-    nodes = quadrature_nodes(1, 1, 0.0)
+    nodes = quadrature_nodes(radial_nodes(1, 0.0), 1)
     got = np.sum(nodes.phi_weights * np.exp(1j * nodes.phi))
     assert abs(got) < 1e-14
     assert np.sum(nodes.phi_weights) == pytest.approx(2.0 * math.pi, rel=1e-15)

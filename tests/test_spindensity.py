@@ -23,6 +23,21 @@ GAMMA_PRIME = build_family("GammaPrime")
 I4 = np.eye(4, dtype=complex)
 
 
+def test_radial_rule_built_once_per_state(monkeypatch):
+    import diracctx.hydrogen as hydrogen
+    import diracctx.specfun as specfun
+    import diracctx.spindensity as spindensity
+
+    builds = []
+    for module in (hydrogen, specfun, spindensity):
+        original = module.radial_nodes
+        monkeypatch.setattr(module, "radial_nodes",
+                            lambda *args, f=original: builds.append(args) or f(*args))
+    for qn in valid_states(3):
+        reduce(eigenstate(qn, ALPHA))
+    assert len(builds) == len(list(valid_states(3)))
+
+
 def _ground_density():
     return reduce(eigenstate(QuantumNumbers(1, 1, 0.5), ALPHA))
 
