@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -72,6 +73,10 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"--alpha must lie in (0, 1), got {self.alpha}")
+        if self.xi is not None and not math.isfinite(self.xi):
+            raise ValueError(f"--xi must be finite, got {self.xi}")
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError(f"--n-max must be at least 1, got {self.n_max}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"--format must be json or csv, got {self.output_format}")
 
@@ -108,21 +113,59 @@ class ReportDocument:
         )
 
 
-def _sig15(x):
-    """Floats rounded to 15 significant digits for stable serialization."""
-    if isinstance(x, float):
-        return float(f"{x:.15g}")
-    if isinstance(x, dict):
-        return {k: _sig15(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_sig15(v) for v in x]
-    return x
+def _float_text(x: float) -> str:
+    """A float at 15 significant digits, as json.dumps writes float(f"{x:.15g}").
+
+    .15g uses fixed notation only for decimal exponents -4 to 14. Every double
+    there is normal, so a decimal of at most 15 digits round-trips (DBL_DIG)
+    and repr, which also uses fixed notation there, prints the same digits:
+    the text is already the JSON of the rounded float, missing only ".0" on
+    integral values. Exponent forms (subnormals, 1e15 <= |x| < 1e16, overflow
+    to inf) and nan/inf contain an "e" or an "n" and take the exact path.
+    """
+    s = f"{x:.15g}"
+    if "e" in s or "n" in s:
+        return json.dumps(float(s))
+    return s if "." in s else s + ".0"
+
+
+def _json_text(value, indent: str = "") -> str:
+    """JSON text of a report tree, byte-identical to json.dumps(..., indent=2)
+    of the tree with every float rounded to 15 significant digits."""
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render(document: ReportDocument, output_format: str) -> str:
     """Serialize to the fixed JSON schema or the fixed-header CSV."""
     if output_format == "json":
-        return json.dumps(_sig15(document.to_dict()), indent=2) + "\n"
+        return _json_text(document.to_dict()) + "\n"
     if output_format != "csv":
         raise ValueError(f"format must be json or csv, got {output_format!r}")
     buf = io.StringIO()

@@ -177,14 +177,19 @@ def peres_mermin_square() -> PeresMerminSquare:
     )
 
 
+_PM_SQUARE = peres_mermin_square()
+_PM_LINE_PRODUCTS = (
+    *((f"R{i + 1}", _PM_SQUARE.row_product(i)) for i in range(3)),
+    *((f"C{j + 1}", _PM_SQUARE.column_product(j)) for j in range(3)),
+)
+
+
 def peres_mermin_value(density: ReducedSpinDensity) -> InequalityReport:
     """Six line-product correlators, minus sign on the third column; bound 4."""
-    square = peres_mermin_square()
-    terms = {}
-    for i in range(3):
-        terms[f"R{i + 1}"] = float(np.trace(density.matrix @ square.row_product(i)).real)
-    for j in range(3):
-        terms[f"C{j + 1}"] = float(np.trace(density.matrix @ square.column_product(j)).real)
+    terms = {
+        name: float(np.trace(density.matrix @ product).real)
+        for name, product in _PM_LINE_PRODUCTS
+    }
     value = terms["R1"] + terms["R2"] + terms["R3"] + terms["C1"] + terms["C2"] - terms["C3"]
     return InequalityReport(
         kind="peres_mermin",

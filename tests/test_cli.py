@@ -3,7 +3,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracctx import __version__
 from diracctx.cli import (
@@ -17,6 +20,8 @@ from diracctx.cli import (
     build_parser,
     config_from_args,
     execute,
+    _float_text,
+    _parse_beta_grid,
     main,
     render,
 )
@@ -195,6 +200,86 @@ def test_timing_never_serialized():
     assert "timing" not in render(doc, "json")
 
 
+def _sig15(x):
+    """Reference writer: floats rounded to 15 significant digits, then json.dumps."""
+    if isinstance(x, float):
+        return float(f"{x:.15g}")
+    if isinstance(x, dict):
+        return {k: _sig15(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_sig15(v) for v in x]
+    return x
+
+
+def _reference_json(doc):
+    return json.dumps(_sig15(doc.to_dict()), indent=2) + "\n"
+
+
+FLOAT_EDGES = (
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 123456789012345.0,
+    1e15, 9.99999999999999e15, 1e16, 1.7976931348623157e308,
+)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@settings(max_examples=500)
+def test_float_text_is_the_json_of_the_rounded_float(x):
+    assert _float_text(x) == json.dumps(float(f"{x:.15g}"))
+
+
+@pytest.mark.parametrize("x", FLOAT_EDGES + tuple(-x for x in FLOAT_EDGES))
+def test_float_text_at_edges(x):
+    assert _float_text(x) == json.dumps(float(f"{x:.15g}"))
+
+
+_keys = st.text(max_size=8)
+_leaves = (
+    st.text(max_size=8) | st.integers() | st.booleans() | st.none()
+    | st.floats() | st.floats().map(np.float64)
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_keys, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@given(
+    st.text(max_size=8),
+    st.dictionaries(_keys, _trees, max_size=3),
+    st.lists(st.dictionaries(_keys, _trees, max_size=3), max_size=3),
+)
+@settings(max_examples=100)
+def test_render_json_matches_reference_writer(command, params, results):
+    doc = ReportDocument(command=command, params=params, results=results)
+    assert render(doc, "json") == _reference_json(doc)
+
+
+@pytest.mark.parametrize("command, kwargs", [
+    ("audit", {}),
+    ("ground", {}),
+    ("excited", {"n": 4, "kappa": -1}),
+    ("sweep", {"n_max": 3}),
+    ("peres-mermin", {"n_max": 2, "seed": 1}),
+    ("free-electron", {"beta_grid": _parse_beta_grid("0:0.999:2000")}),
+    ("measurability", {}),
+    ("converge", {"n": 3, "kappa": -2}),
+])
+def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
+    doc = _run(command, **kwargs)
+    assert render(doc, "json") == _reference_json(doc)
+
+
+@pytest.mark.parametrize("payload", [{1: 0.5}, {"x": np.int64(3)}, {"x": {2.0, 3.0}}])
+def test_render_json_rejects_what_json_cannot_hold(payload):
+    doc = ReportDocument(command="audit", params=payload, results=[])
+    with pytest.raises(TypeError):
+        render(doc, "json")
+
+
 # --- argument parsing and exit codes ----------------------------------------------
 
 def test_parser_builds_config():
@@ -225,6 +310,23 @@ def test_beta_grid_without_points_exits_2(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--beta-grid" in captured.err
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf", "-inf"])
+def test_non_finite_xi_exits_2(xi, capsys):
+    assert main(["excited", f"--xi={xi}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--xi must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "peres-mermin", "measurability"])
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_n_max_below_one_exits_2(command, n_max, capsys):
+    assert main([command, "--n-max", n_max]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-max must be at least 1" in captured.err
 
 
 def test_main_success_exit_code(tmp_path, capsys):
