@@ -1,33 +1,24 @@
 #!/usr/bin/env python3
-"""Run every headline scenario and print the numbers in one compact table.
+"""Run every headline scenario through the CLI and print its numbers in one
+compact table.
+
+Each section reads the report of one CLI command (audit, ground, sweep,
+peres-mermin, free-electron, measurability), as `diracctx <command>` would
+write it.
 
 Usage:
     python scripts/reproduce_all.py [--alpha A] [--n-max N]
 """
 
 import argparse
-import math
 import time
 
-import numpy as np
+from diracctx.cli import RunConfig, execute
+from diracctx.hydrogen import FINE_STRUCTURE_ALPHA
 
-from diracctx.clifford import audit_algebra
-from diracctx.contextuality import (
-    chsh_value,
-    excited_observables,
-    ground_observables,
-    optimal_xi,
-    peres_mermin_value,
-)
-from diracctx.freeparticle import energy_split, free_chsh_curve, free_observables
-from diracctx.hydrogen import (
-    FINE_STRUCTURE_ALPHA,
-    QuantumNumbers,
-    eigenstate,
-    sommerfeld_mu,
-    valid_states,
-)
-from diracctx.spindensity import ReducedSpinDensity, reduce
+
+def results(command: str, **knobs) -> list:
+    return execute(RunConfig(command=command, **knobs)).results
 
 
 def main():
@@ -42,63 +33,48 @@ def main():
     print(f"relativistic spin-1/2 contextuality reproduction   (alpha = {a:.9g})")
     print("=" * 78)
 
-    audit = audit_algebra()
-    print(f"\nexact algebra audit: {len(audit.checks)} checks, "
-          f"max residual {audit.max_residual}, passed={audit.passed}")
+    (audit,) = results("audit", alpha=a)
+    print(f"\nexact algebra audit: {len(audit['terms'])} checks, "
+          f"max residual {audit['value']}, passed={not audit['violated']}")
 
     print("\n--- ground states, dedicated observables ---")
-    expected = math.sqrt(2.0) * (1.0 + math.sqrt(1.0 - a * a))
     for m_j in (0.5, -0.5):
-        density = reduce(eigenstate(QuantumNumbers(1, 1, m_j), a))
-        value = chsh_value(density, *ground_observables(m_j)).value
-        print(f"  m_j={m_j:+.1f}: value = {value:.6f}   "
-              f"closed form sqrt(2)(1+sqrt(1-a^2)) = {expected:.6f}")
+        (ground,) = results("ground", alpha=a, m_j=m_j)
+        print(f"  m_j={m_j:+.1f}: value = {ground['value']:.6f}   "
+              f"closed form sqrt(2)(1+sqrt(1-a^2)) = {ground['parameters']['closed_form']:.6f}")
 
     print(f"\n--- eigenstate sweep n <= {args.n_max} at optimal xi ---")
     print(f"  {'n':>2} {'kappa':>5} {'mj':>5}  {'mu':<18} {'value':<18} {'closed form':<18}")
-    worst = 0.0
-    smallest = math.inf
-    rows = 0
-    for qn in valid_states(args.n_max):
-        xi_star, value_star = optimal_xi(qn, a)
-        density = reduce(eigenstate(qn, a))
-        value = chsh_value(density, *excited_observables(xi_star)).value
-        worst = max(worst, abs(value - value_star) / value_star)
-        if value_star < smallest:
-            smallest, smallest_qn = value_star, qn
-        rows += 1
-        if qn.m_j == 0.5:  # one representative row per (n, kappa)
-            print(f"  {qn.n:>2} {qn.kappa:>5} {qn.m_j:>5}  "
-                  f"{sommerfeld_mu(qn.n, qn.kappa, a):<18.12f} "
-                  f"{value:<18.12f} {value_star:<18.12f}")
-    print(f"  {rows} states; worst quadrature/closed-form relative gap {worst:.2e}; "
-          f"smallest violation {smallest:.6f} "
-          f"(n={smallest_qn.n}, kappa={smallest_qn.kappa}, mj={smallest_qn.m_j}) > 2")
+    sweep = results("sweep", alpha=a, n_max=args.n_max)
+    for r in sweep:
+        p = r["parameters"]
+        if p["mj"] == 0.5:  # one representative row per (n, kappa)
+            print(f"  {p['n']:>2} {p['kappa']:>5} {p['mj']:>5}  {p['mu']:<18.12f} "
+                  f"{r['value']:<18.12f} {p['closed_form']:<18.12f}")
+    worst = max(abs(r["value"] - r["parameters"]["closed_form"]) / r["parameters"]["closed_form"]
+                for r in sweep)
+    smallest = min(sweep, key=lambda r: r["parameters"]["closed_form"])["parameters"]
+    print(f"  {len(sweep)} states; worst quadrature/closed-form relative gap {worst:.2e}; "
+          f"smallest violation {smallest['closed_form']:.6f} "
+          f"(n={smallest['n']}, kappa={smallest['kappa']}, mj={smallest['mj']}) > 2")
 
     print("\n--- Peres-Mermin square, noncontextual bound 4 ---")
-    values = []
-    for qn in valid_states(2):
-        values.append(peres_mermin_value(reduce(eigenstate(qn, a))).value)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        values.append(peres_mermin_value(ReducedSpinDensity.from_pure(raw)).value)
-    values.append(peres_mermin_value(ReducedSpinDensity.maximally_mixed()).value)
+    values = [r["value"] for r in results("peres-mermin", alpha=a, n_max=2)]
     print(f"  {len(values)} states (eigenstates, random spinors, maximally mixed): "
           f"value = 6 with spread {max(values) - min(values):.2e}")
 
     print("\n--- free Dirac electron, value = 2 sqrt(2 - beta^2) ---")
-    betas = (0.0, 0.3, 0.6, 0.9, 0.999)
-    for beta, report in zip(betas, free_chsh_curve(betas)):
-        print(f"  beta={beta:<6} value = {report.value:.12f}   "
-              f"closed form = {2.0 * math.sqrt(2.0 - beta * beta):.12f}")
+    for r in results("free-electron", alpha=a, beta_grid=(0.0, 0.3, 0.6, 0.9, 0.999)):
+        p = r["parameters"]
+        print(f"  beta={p['beta_v']:<6} value = {r['value']:.12f}   "
+              f"closed form = {p['closed_form']:.12f}")
 
     print("\n--- measurability contrast at beta = 0.5 ---")
-    mus = [sommerfeld_mu(qn.n, qn.kappa, a) for qn in valid_states(10)]
-    print(f"  hydrogen spectrum n <= 10: all positive (min mu = {min(mus):.9f})")
-    for name, obs in zip("ABCD", free_observables(0.5)):
-        weights = energy_split(0.5, obs).negative_weights
-        formatted = ", ".join(f"{w:.4f}" for w in weights)
+    spectrum, *mixing = results("measurability", alpha=a, n_max=10, beta=0.5)
+    print(f"  hydrogen spectrum n <= 10: all positive "
+          f"(min mu = {spectrum['terms']['min_mu']:.9f})")
+    for name, r in zip("ABCD", mixing):
+        formatted = ", ".join(f"{w:.4f}" for w in r["terms"].values())
         print(f"  observable {name}': negative-energy weights per eigenvector: {formatted}")
 
     print(f"\ndone in {time.perf_counter() - start:.1f}s")

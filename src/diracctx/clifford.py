@@ -1,9 +1,11 @@
 """Dirac gamma matrices, the commuting observable families, and algebra audits.
 
-Two arithmetic layers: all structural claims (Hermiticity, involutions,
-commutators, Peres-Mermin line products) are checked in exact integer-complex
-arithmetic with zero tolerance, since every matrix entry lies in {0, +-1, +-i};
-float matrices are what the rest of the package consumes.
+Every matrix is built once, as a read-only complex128 array, and the audit
+checks the very arrays the rest of the package consumes. The audit is exact,
+with zero tolerance, because every entry is a Gaussian integer: entries start
+in {0, +-1, +-i}, and after a product of at most four 4x4 matrices each real
+and imaginary part is at most 4^3 = 64 in size. Sums and products of such
+numbers are exact in IEEE double, whatever order BLAS uses.
 """
 
 from __future__ import annotations
@@ -15,106 +17,36 @@ import numpy as np
 FAMILY_LABELS = ("Gamma", "GammaPrime", "Sigma", "SigmaPrime")
 AXES = ("x", "y", "z")
 
-# exact matrices are (real, imag) int64 pairs
-_I2 = np.eye(2, dtype=np.int64)
-_Z2 = np.zeros((2, 2), dtype=np.int64)
-_SX = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_SY_IM = np.array([[0, -1], [1, 0]], dtype=np.int64)  # sigma_y = i * _SY_IM
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
 
-_PAULI_EXACT = {
-    "x": (_SX, _Z2),
-    "y": (_Z2, _SY_IM),
-    "z": (_SZ, _Z2),
-}
-
-
-def _emat(re, im):
-    return (np.asarray(re, dtype=np.int64), np.asarray(im, dtype=np.int64))
-
-
-def _eblock(a, b, c, d):
-    return _emat(
-        np.block([[a[0], b[0]], [c[0], d[0]]]),
-        np.block([[a[1], b[1]], [c[1], d[1]]]),
-    )
-
-
-def _eneg(a):
-    return (-a[0], -a[1])
-
-
-def _ematmul(a, b):
-    return (a[0] @ b[0] - a[1] @ b[1], a[0] @ b[1] + a[1] @ b[0])
-
-
-def _escale_i(a):
-    """Multiply by the imaginary unit."""
-    return (-a[1], a[0])
-
-
-def _eadjoint(a):
-    return (a[0].T.copy(), -a[1].T.copy())
-
-
-def _esub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _eadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _emax_abs(a) -> int:
-    return int(max(np.abs(a[0]).max(), np.abs(a[1]).max()))
-
-
-def _ekron(a, b):
-    return (
-        np.kron(a[0], b[0]) - np.kron(a[1], b[1]),
-        np.kron(a[0], b[1]) + np.kron(a[1], b[0]),
-    )
-
-
-def _to_complex(a) -> np.ndarray:
-    m = a[0].astype(np.complex128) + 1j * a[1].astype(np.complex128)
+def _frozen(m) -> np.ndarray:
+    # adding 0 turns the -0.0 that negation and complex products leave on zeros
+    # into +0.0, so each array is its exact Gaussian-integer value bit for bit
+    m = np.asarray(m, dtype=np.complex128) + 0.0
     m.flags.writeable = False
     return m
 
 
-_EZ2 = _emat(_Z2, _Z2)
-_EI2 = _emat(_I2, _Z2)
-_EI4 = _emat(np.eye(4, dtype=np.int64), np.zeros((4, 4), dtype=np.int64))
+_PAULI = {
+    "x": _frozen([[0, 1], [1, 0]]),
+    "y": _frozen([[0, -1j], [1j, 0]]),
+    "z": _frozen([[1, 0], [0, -1]]),
+}
+_I2 = _frozen(np.eye(2))
+_Z2 = _frozen(np.zeros((2, 2)))
+IDENTITY4 = _frozen(np.eye(4))
 
 # Weyl-basis gamma matrices: gamma^0 off-diagonal identities,
 # gamma^i off-diagonal +-sigma_i, gamma^5 = i g0 g1 g2 g3
-_EGAMMA = {
-    0: _eblock(_EZ2, _EI2, _EI2, _EZ2),
-    1: _eblock(_EZ2, _PAULI_EXACT["x"], _eneg(_PAULI_EXACT["x"]), _EZ2),
-    2: _eblock(_EZ2, _PAULI_EXACT["y"], _eneg(_PAULI_EXACT["y"]), _EZ2),
-    3: _eblock(_EZ2, _PAULI_EXACT["z"], _eneg(_PAULI_EXACT["z"]), _EZ2),
-}
-_EGAMMA[5] = _escale_i(
-    _ematmul(_ematmul(_EGAMMA[0], _EGAMMA[1]), _ematmul(_EGAMMA[2], _EGAMMA[3]))
+GAMMA = {0: _frozen(np.block([[_Z2, _I2], [_I2, _Z2]]))}
+GAMMA.update(
+    (i, _frozen(np.block([[_Z2, _PAULI[ax]], [-_PAULI[ax], _Z2]])))
+    for i, ax in enumerate(AXES, start=1)
 )
+GAMMA[5] = _frozen(1j * (GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]))
 
-_EFAMILIES = {
-    "Gamma": {
-        "x": _EGAMMA[0],
-        "y": _ematmul(_EGAMMA[2], _EGAMMA[0]),
-        "z": _escale_i(_EGAMMA[2]),
-    },
-    "GammaPrime": {
-        "x": _ematmul(_EGAMMA[3], _EGAMMA[5]),
-        "y": _escale_i(_ematmul(_EGAMMA[3], _EGAMMA[1])),
-        "z": _ematmul(_EGAMMA[5], _EGAMMA[1]),
-    },
-    "Sigma": {ax: _ekron(_EI2, _PAULI_EXACT[ax]) for ax in AXES},
-    "SigmaPrime": {ax: _ekron(_PAULI_EXACT[ax], _EI2) for ax in AXES},
-}
-
-GAMMA = {idx: _to_complex(m) for idx, m in _EGAMMA.items()}
-IDENTITY4 = _to_complex(_EI4)
+# the alpha = sigma_x (x) sigma vector and beta = sigma_z (x) identity
+_ALPHA = tuple(_frozen(np.kron(_PAULI["x"], _PAULI[ax])) for ax in AXES)
+_BETA = _frozen(np.kron(_PAULI["z"], _I2))
 
 
 def gamma_matrix(index: int) -> np.ndarray:
@@ -127,17 +59,17 @@ def gamma_matrix(index: int) -> np.ndarray:
 def pauli_matrix(axis: str) -> np.ndarray:
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _to_complex(_PAULI_EXACT[axis])
+    return _PAULI[axis]
 
 
 def alpha_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The alpha = sigma_x (x) sigma vector of the Dirac Hamiltonian."""
-    return tuple(_to_complex(_ekron(_PAULI_EXACT["x"], _PAULI_EXACT[ax])) for ax in AXES)
+    return _ALPHA
 
 
 def beta_matrix() -> np.ndarray:
     """beta = sigma_z (x) identity = diag(1, 1, -1, -1)."""
-    return _to_complex(_ekron(_PAULI_EXACT["z"], _EI2))
+    return _BETA
 
 
 @dataclass(frozen=True)
@@ -159,6 +91,29 @@ class ObservableTriple:
         return getattr(self, axis)
 
 
+def _triple(label: str, x, y, z) -> ObservableTriple:
+    return ObservableTriple(x=_frozen(x), y=_frozen(y), z=_frozen(z), label=label)
+
+
+_FAMILIES = {
+    "Gamma": _triple("Gamma", GAMMA[0], GAMMA[2] @ GAMMA[0], 1j * GAMMA[2]),
+    "GammaPrime": _triple(
+        "GammaPrime", GAMMA[3] @ GAMMA[5], 1j * (GAMMA[3] @ GAMMA[1]), GAMMA[5] @ GAMMA[1]
+    ),
+    "Sigma": _triple("Sigma", *(np.kron(_I2, _PAULI[ax]) for ax in AXES)),
+    "SigmaPrime": _triple("SigmaPrime", *(np.kron(_PAULI[ax], _I2) for ax in AXES)),
+}
+
+# the Peres-Mermin grid: products along each row and down the first two
+# columns are +1, down the third column -1
+_S, _SP = _FAMILIES["Sigma"], _FAMILIES["SigmaPrime"]
+PERES_MERMIN_GRID = (
+    (_SP.z, _S.z, _frozen(_S.z @ _SP.z)),
+    (_S.x, _SP.x, _frozen(_S.x @ _SP.x)),
+    (_frozen(_SP.z @ _S.x), _frozen(_SP.x @ _S.z), _frozen(_S.y @ _SP.y)),
+)
+
+
 def build_family(label: str, basis: np.ndarray | None = None) -> ObservableTriple:
     """Observable triple for one of the four families.
 
@@ -168,15 +123,16 @@ def build_family(label: str, basis: np.ndarray | None = None) -> ObservableTripl
     """
     if label not in FAMILY_LABELS:
         raise ValueError(f"label must be one of {FAMILY_LABELS}, got {label!r}")
-    mats = {ax: _to_complex(_EFAMILIES[label][ax]) for ax in AXES}
-    if basis is not None:
-        u = np.asarray(basis, dtype=complex)
-        if u.shape != (4, 4):
-            raise ValueError("basis must be a 4x4 unitary")
-        if np.abs(u @ u.conj().T - np.eye(4)).max() > 1e-12:
-            raise ValueError("basis matrix is not unitary")
-        mats = {ax: u @ m @ u.conj().T for ax, m in mats.items()}
-    return ObservableTriple(x=mats["x"], y=mats["y"], z=mats["z"], label=label)
+    family = _FAMILIES[label]
+    if basis is None:
+        return family
+    u = np.asarray(basis, dtype=complex)
+    if u.shape != (4, 4):
+        raise ValueError("basis must be a 4x4 unitary")
+    if np.abs(u @ u.conj().T - np.eye(4)).max() > 1e-12:
+        raise ValueError("basis matrix is not unitary")
+    x, y, z = (u @ m @ u.conj().T for m in family.components())
+    return ObservableTriple(x=x, y=y, z=z, label=label)
 
 
 def direction_observable(family: ObservableTriple, n) -> np.ndarray:
@@ -240,73 +196,67 @@ class AlgebraAudit:
         }
 
 
-def _exact_pm_square():
-    """Peres-Mermin grid in exact arithmetic (rows/cols of Sigma, SigmaPrime products)."""
-    s = _EFAMILIES["Sigma"]
-    sp = _EFAMILIES["SigmaPrime"]
-    return (
-        (sp["z"], s["z"], _ematmul(s["z"], sp["z"])),
-        (s["x"], sp["x"], _ematmul(s["x"], sp["x"])),
-        (_ematmul(sp["z"], s["x"]), _ematmul(sp["x"], s["z"]), _ematmul(s["y"], sp["y"])),
-    )
-
-
 def audit_algebra() -> AlgebraAudit:
-    """Exact structural audit of every algebraic claim the observables rely on."""
+    """Exact structural audit of every algebraic claim the observables rely on.
+
+    It checks the complex128 arrays the package uses, and a check passes only
+    when its residual (the largest entry modulus of the difference) is exactly
+    0. Zero tolerance is sound because every entry is a Gaussian integer:
+    entries start in {0, +-1, +-i}, each product below multiplies at most four
+    matrices, so each real and imaginary part stays at most 64 in size, and
+    sums and products of such numbers are exact in IEEE double whatever order
+    BLAS uses.
+    """
     checks: list[AuditCheck] = []
 
     def add(name, delta):
-        residual = _emax_abs(delta)
-        checks.append(AuditCheck(name=name, passed=residual == 0, residual=float(residual)))
+        residual = float(np.abs(delta).max())
+        checks.append(AuditCheck(name=name, passed=residual == 0.0, residual=residual))
 
+    g = GAMMA
     # gamma anticommutation and squares
     spatial = (1, 2, 3)
     for i in spatial:
-        add(f"gamma{i}^2 = -1", _eadd(_ematmul(_EGAMMA[i], _EGAMMA[i]), _EI4))
-        add(f"{{gamma0, gamma{i}}} = 0",
-            _eadd(_ematmul(_EGAMMA[0], _EGAMMA[i]), _ematmul(_EGAMMA[i], _EGAMMA[0])))
-        add(f"{{gamma5, gamma{i}}} = 0",
-            _eadd(_ematmul(_EGAMMA[5], _EGAMMA[i]), _ematmul(_EGAMMA[i], _EGAMMA[5])))
+        add(f"gamma{i}^2 = -1", g[i] @ g[i] + IDENTITY4)
+        add(f"{{gamma0, gamma{i}}} = 0", g[0] @ g[i] + g[i] @ g[0])
+        add(f"{{gamma5, gamma{i}}} = 0", g[5] @ g[i] + g[i] @ g[5])
     for i in spatial:
         for j in spatial:
             if i < j:
-                add(f"{{gamma{i}, gamma{j}}} = 0",
-                    _eadd(_ematmul(_EGAMMA[i], _EGAMMA[j]), _ematmul(_EGAMMA[j], _EGAMMA[i])))
-    add("gamma0^2 = 1", _esub(_ematmul(_EGAMMA[0], _EGAMMA[0]), _EI4))
-    add("gamma5^2 = 1", _esub(_ematmul(_EGAMMA[5], _EGAMMA[5]), _EI4))
-    add("{gamma5, gamma0} = 0",
-        _eadd(_ematmul(_EGAMMA[5], _EGAMMA[0]), _ematmul(_EGAMMA[0], _EGAMMA[5])))
+                add(f"{{gamma{i}, gamma{j}}} = 0", g[i] @ g[j] + g[j] @ g[i])
+    add("gamma0^2 = 1", g[0] @ g[0] - IDENTITY4)
+    add("gamma5^2 = 1", g[5] @ g[5] - IDENTITY4)
+    add("{gamma5, gamma0} = 0", g[5] @ g[0] + g[0] @ g[5])
 
     # family components: Hermitian involutions, cyclic products
     for label in FAMILY_LABELS:
-        fam = _EFAMILIES[label]
+        fam = _FAMILIES[label]
         for ax in AXES:
-            add(f"{label}.{ax} hermitian", _esub(fam[ax], _eadjoint(fam[ax])))
-            add(f"{label}.{ax}^2 = 1", _esub(_ematmul(fam[ax], fam[ax]), _EI4))
+            m = fam.component(ax)
+            add(f"{label}.{ax} hermitian", m - m.conj().T)
+            add(f"{label}.{ax}^2 = 1", m @ m - IDENTITY4)
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             add(f"{label}.{a}*{b} = i*{c}",
-                _esub(_ematmul(fam[a], fam[b]), _escale_i(fam[c])))
+                fam.component(a) @ fam.component(b) - 1j * fam.component(c))
 
     # the nine cross-family commutators
     for a in AXES:
         for b in AXES:
             add(f"[Gamma.{a}, GammaPrime.{b}] = 0",
-                _esub(_ematmul(_EFAMILIES["Gamma"][a], _EFAMILIES["GammaPrime"][b]),
-                      _ematmul(_EFAMILIES["GammaPrime"][b], _EFAMILIES["Gamma"][a])))
+                commutator(_FAMILIES["Gamma"].component(a),
+                           _FAMILIES["GammaPrime"].component(b)))
 
     # Peres-Mermin lines: pairwise commutation, products +-1 with only col 3 negative
-    grid = _exact_pm_square()
-    lines = [(f"row {i + 1}", [grid[i][j] for j in range(3)], _EI4) for i in range(3)]
+    grid = PERES_MERMIN_GRID
+    lines = [(f"row {i + 1}", grid[i], IDENTITY4) for i in range(3)]
     lines += [
-        (f"col {j + 1}", [grid[i][j] for i in range(3)], _eneg(_EI4) if j == 2 else _EI4)
+        (f"col {j + 1}", [grid[i][j] for i in range(3)], -IDENTITY4 if j == 2 else IDENTITY4)
         for j in range(3)
     ]
     for name, mats, expected in lines:
         for u in range(3):
             for v in range(u + 1, 3):
-                add(f"pm {name} entries {u + 1},{v + 1} commute",
-                    _esub(_ematmul(mats[u], mats[v]), _ematmul(mats[v], mats[u])))
-        prod = _ematmul(_ematmul(mats[0], mats[1]), mats[2])
-        add(f"pm {name} product", _esub(prod, expected))
+                add(f"pm {name} entries {u + 1},{v + 1} commute", commutator(mats[u], mats[v]))
+        add(f"pm {name} product", mats[0] @ mats[1] @ mats[2] - expected)
 
     return AlgebraAudit(checks=tuple(checks))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import build_family, commutator_defect
+from .clifford import PERES_MERMIN_GRID, build_family, commutator_defect
 from .hydrogen import QuantumNumbers, sommerfeld_mu
 from .spindensity import ReducedSpinDensity, checked_observable, pair_correlator
 
@@ -166,15 +166,7 @@ class PeresMerminSquare:
 
 def peres_mermin_square() -> PeresMerminSquare:
     """The nine-observable grid built from the Sigma and SigmaPrime families."""
-    s = build_family("Sigma")
-    sp = build_family("SigmaPrime")
-    return PeresMerminSquare(
-        grid=(
-            (sp.z, s.z, s.z @ sp.z),
-            (s.x, sp.x, s.x @ sp.x),
-            (sp.z @ s.x, sp.x @ s.z, s.y @ sp.y),
-        )
-    )
+    return PeresMerminSquare(grid=PERES_MERMIN_GRID)
 
 
 _PM_SQUARE = peres_mermin_square()

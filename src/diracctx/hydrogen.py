@@ -52,6 +52,8 @@ class QuantumNumbers:
             raise ValueError(
                 f"the kappa < 0 partner is absent when n = |kappa| (n={self.n})"
             )
+        if not math.isfinite(self.m_j):
+            raise ValueError(f"m_j must be finite, got {self.m_j}")
         twice = 2.0 * self.m_j
         if abs(twice - round(twice)) > 0 or round(twice) % 2 == 0:
             raise ValueError(f"m_j must be a half-odd integer, got {self.m_j}")
@@ -172,6 +174,23 @@ def radial_solution(qn: QuantumNumbers, a: float) -> RadialSolution:
     )
 
 
+def _spinor_terms(part: str, l: int, m: int) -> tuple:
+    """Clebsch-Gordan terms (component, orbital l, orbital m, coefficient) of
+    the spinor harmonic phi^A (orbital l) or phi^B (orbital l + 1) with
+    m = m_j - 1/2; terms with a zero coefficient are left out."""
+    if part == "A":
+        norm = math.sqrt(2 * l + 1)
+        terms = ((0, l, m, 1.0, l + m + 1), (1, l, m + 1, 1.0, l - m))
+    else:
+        norm = math.sqrt(2 * l + 3)
+        terms = ((0, l + 1, m, -1.0, l - m + 1), (1, l + 1, m + 1, 1.0, l + m + 2))
+    return tuple(
+        (comp, l_eff, m_eff, sign * math.sqrt(c) / norm)
+        for comp, l_eff, m_eff, sign, c in terms
+        if c > 0
+    )
+
+
 def spinor_harmonic(part: str, j: float, m_j: float, theta, phi):
     """Two-component spinor spherical harmonic, part "A" (orbital l = j - 1/2)
     or "B" (orbital l + 1).
@@ -189,18 +208,8 @@ def spinor_harmonic(part: str, j: float, m_j: float, theta, phi):
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast(theta, phi).shape
     out = np.zeros((2,) + shape, dtype=complex)
-    if part == "A":
-        c_up, c_dn = l + m + 1, l - m
-        l_eff, norm = l, math.sqrt(2 * l + 1)
-        sign_up = 1.0
-    else:
-        c_up, c_dn = l - m + 1, l + m + 2
-        l_eff, norm = l + 1, math.sqrt(2 * l + 3)
-        sign_up = -1.0
-    if c_up > 0:
-        out[0] = sign_up * math.sqrt(c_up) / norm * spherical_harmonic(l_eff, m, theta, phi)
-    if c_dn > 0:
-        out[1] = math.sqrt(c_dn) / norm * spherical_harmonic(l_eff, m + 1, theta, phi)
+    for comp, l_eff, m_eff, coef in _spinor_terms(part, l, m):
+        out[comp] = coef * spherical_harmonic(l_eff, m_eff, theta, phi)
     return out
 
 
@@ -250,16 +259,7 @@ def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA) -> SpinorFie
 def _harmonic_table(part: str, j: float, m_j: float) -> dict:
     l = int(round(j - 0.5))
     m = int(round(m_j - 0.5))
-    table = {}
-    if part == "A":
-        if l + m + 1 > 0:
-            table[(0, l, m)] = math.sqrt(l + m + 1) / math.sqrt(2 * l + 1)
-        if l - m > 0:
-            table[(1, l, m + 1)] = math.sqrt(l - m) / math.sqrt(2 * l + 1)
-    else:
-        table[(0, l + 1, m)] = -math.sqrt(l - m + 1) / math.sqrt(2 * l + 3)
-        table[(1, l + 1, m + 1)] = math.sqrt(l + m + 2) / math.sqrt(2 * l + 3)
-    return table
+    return {(comp, l_eff, m_eff): coef for comp, l_eff, m_eff, coef in _spinor_terms(part, l, m)}
 
 
 def _apply_sigma_dot_l(table: dict) -> dict:

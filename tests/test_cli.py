@@ -320,6 +320,15 @@ def test_non_finite_xi_exits_2(xi, capsys):
     assert "--xi must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["ground", "excited"])
+@pytest.mark.parametrize("mj", ["inf", "-inf", "nan"])
+def test_non_finite_mj_exits_2(command, mj, capsys):
+    assert main([command, f"--mj={mj}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m_j must be finite" in captured.err
+
+
 @pytest.mark.parametrize("command", ["sweep", "peres-mermin", "measurability"])
 @pytest.mark.parametrize("n_max", ["0", "-1"])
 def test_n_max_below_one_exits_2(command, n_max, capsys):

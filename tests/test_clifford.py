@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracctx import clifford
 from diracctx.clifford import (
     AXES,
     FAMILY_LABELS,
+    GAMMA,
+    IDENTITY4,
+    PERES_MERMIN_GRID,
     ObservableTriple,
     alpha_matrices,
     audit_algebra,
@@ -215,6 +219,45 @@ def test_audit_covers_expected_claims():
     assert "Gamma.x^2 = 1" in names
     assert "pm col 3 product" in names
     assert "{gamma1, gamma2} = 0" in names
+
+
+def test_audited_matrices_have_unit_gaussian_integer_entries():
+    # the premise of the zero-tolerance audit: entries in {0, +-1, +-i}
+    mats = [*GAMMA.values(), IDENTITY4]
+    mats += [m for label in FAMILY_LABELS for m in build_family(label).components()]
+    mats += [m for row in PERES_MERMIN_GRID for m in row]
+    for m in mats:
+        parts = np.concatenate([m.real.ravel(), m.imag.ravel()])
+        assert np.array_equal(parts, np.round(parts))
+        assert set(np.abs(m).ravel()) <= {0.0, 1.0}
+
+
+def _flip_family(label, axis):
+    fam = build_family(label)
+    mats = {ax: fam.component(ax) for ax in AXES}
+    mats[axis] = -mats[axis]
+    return {**clifford._FAMILIES, label: ObservableTriple(label=label, **mats)}
+
+
+def _flip_grid_entry(i, j):
+    grid = [list(row) for row in PERES_MERMIN_GRID]
+    grid[i][j] = -grid[i][j]
+    return tuple(tuple(row) for row in grid)
+
+
+@pytest.mark.parametrize("attribute, patched, expected", [
+    ("_FAMILIES", _flip_family("GammaPrime", "y"),
+     {"GammaPrime.x*y = i*z", "GammaPrime.y*z = i*x", "GammaPrime.z*x = i*y"}),
+    ("PERES_MERMIN_GRID", _flip_grid_entry(2, 2),
+     {"pm row 3 product", "pm col 3 product"}),
+], ids=["flip-GammaPrime.y", "flip-pm-entry-3,3"])
+def test_audit_fails_on_a_perturbed_matrix(monkeypatch, attribute, patched, expected):
+    monkeypatch.setattr(clifford, attribute, patched)
+    audit = audit_algebra()
+    assert not audit.passed
+    assert {c.name for c in audit.failures()} == expected
+    assert all(c.residual == 2.0 for c in audit.failures())
+    assert len(audit.checks) == 84
 
 
 def test_audit_serializes():
