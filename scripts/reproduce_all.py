@@ -54,7 +54,7 @@ def main():
     worst = max(abs(r["value"] - r["parameters"]["closed_form"]) / r["parameters"]["closed_form"]
                 for r in sweep)
     smallest = min(sweep, key=lambda r: r["parameters"]["closed_form"])["parameters"]
-    print(f"  {len(sweep)} states; worst quadrature/closed-form relative gap {worst:.2e}; "
+    print(f"  {len(sweep)} states; worst relative gap to 2 sqrt(mu^2 + X^2) {worst:.2e}; "
           f"smallest violation {smallest['closed_form']:.6f} "
           f"(n={smallest['n']}, kappa={smallest['kappa']}, mj={smallest['mj']}) > 2")
 

@@ -36,7 +36,7 @@ from .hydrogen import (
     sommerfeld_mu,
     valid_states,
 )
-from .spindensity import QuadratureError, ReducedSpinDensity, reduce
+from .spindensity import QuadratureError, ReducedSpinDensity, analytic_density, reduce
 
 COMMANDS = (
     "audit", "ground", "excited", "sweep", "peres-mermin",
@@ -102,15 +102,6 @@ class ReportDocument:
             "results": [dict(r) for r in self.results],
             "version": self.version,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReportDocument":
-        return cls(
-            command=payload["command"],
-            params=dict(payload["params"]),
-            results=[dict(r) for r in payload["results"]],
-            version=payload["version"],
-        )
 
 
 def _float_text(x: float) -> str:
@@ -216,7 +207,7 @@ def _state_parameters(qn: QuantumNumbers, a: float) -> dict:
 
 
 def _chsh_on_state(qn: QuantumNumbers, a: float, observables, extra_params: dict) -> dict:
-    density = reduce(eigenstate(qn, a))
+    density = analytic_density(qn, a)
     params = _state_parameters(qn, a)
     params.update(extra_params)
     return chsh_value(density, *observables, parameters=params).to_dict()
@@ -262,8 +253,7 @@ def _run_peres_mermin(config: RunConfig) -> list:
     n_max = config.n_max if config.n_max is not None else 3
     results = []
     for qn in valid_states(n_max):
-        density = reduce(eigenstate(qn, config.alpha))
-        results.append(peres_mermin_value(density).to_dict())
+        results.append(peres_mermin_value(analytic_density(qn, config.alpha)).to_dict())
     rng = np.random.default_rng(config.seed)
     for idx in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -315,8 +305,9 @@ def _scenario(qn: QuantumNumbers, alpha: float):
 
 
 def _run_converge(config: RunConfig) -> list:
-    # n_tilde + 1 radial nodes already integrate the density exactly, so every
-    # rung of the ladder sits at the rounding floor of the closed form
+    # the one command that integrates spinor fields; n_tilde + 1 radial nodes
+    # already integrate the density exactly, so every rung of the ladder sits
+    # at the rounding floor of the closed form
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.m_j)
     observables, reference = _scenario(qn, config.alpha)
     state = eigenstate(qn, config.alpha)
@@ -378,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "audit": "exact gamma/family algebra and Peres-Mermin structure audit",
-        "ground": "ground-state four-correlator violation (full quadrature pipeline)",
+        "ground": "ground-state four-correlator violation",
         "excited": "one eigenstate with the xi-family observables",
         "sweep": "all eigenstates up to --n-max at their optimal xi",
         "peres-mermin": "state-independent Peres-Mermin value on states and random spinors",
@@ -450,8 +441,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     text = render(document, config.output_format)
     if config.output_path is not None:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     print(f"completed {config.command} in {document.timing_seconds:.3f}s", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PERES_MERMIN_GRID, build_family, commutator_defect
+from .clifford import PERES_MERMIN_GRID, build_family
 from .hydrogen import QuantumNumbers, sommerfeld_mu
 from .spindensity import ReducedSpinDensity, checked_observable, pair_correlator
 
@@ -121,12 +121,6 @@ def harmonic_coefficients(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     return x, -mu
 
 
-def closed_form_value(qn: QuantumNumbers, a: float) -> float:
-    """Maximum of the xi sweep: 2*sqrt(mu^2 + X^2)."""
-    c, s = harmonic_coefficients(qn, a)
-    return 2.0 * math.hypot(c, s)
-
-
 def optimal_xi(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     """Maximizing angle and maximum value of the xi sweep for one state.
 
@@ -192,36 +186,3 @@ def peres_mermin_value(density: ReducedSpinDensity) -> InequalityReport:
         parameters={"state": density.label},
     )
 
-
-@dataclass(frozen=True)
-class ContextEntry:
-    indices: tuple
-    compatible: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class ContextReport:
-    entries: tuple
-
-    @property
-    def all_compatible(self) -> bool:
-        return all(e.compatible for e in self.entries)
-
-    def violations(self) -> tuple:
-        return tuple(e for e in self.entries if not e.compatible)
-
-
-def check_context(observables, contexts, tolerance: float = 1e-10) -> ContextReport:
-    """Verify pairwise commutation inside each declared context (index tuples)."""
-    mats = [np.asarray(o, dtype=complex) for o in observables]
-    entries = []
-    for ctx in contexts:
-        residual = 0.0
-        for pos, i in enumerate(ctx):
-            for j in ctx[pos + 1:]:
-                residual = max(residual, float(commutator_defect(mats[i], mats[j])))
-        entries.append(
-            ContextEntry(indices=tuple(ctx), compatible=residual <= tolerance, residual=residual)
-        )
-    return ContextReport(entries=tuple(entries))

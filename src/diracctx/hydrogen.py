@@ -15,7 +15,7 @@ differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -111,15 +111,13 @@ def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
 @dataclass(frozen=True)
 class RadialSolution:
     """Derived radial parameters plus the normalization
-    N = integral rho^2 (f^2 + g^2) d rho, and the exact radial rule
-    (rho, weights) it was computed on, which reduce integrates on too."""
+    N = integral rho^2 (f^2 + g^2) d rho."""
 
     n_tilde: int
     nu: float
     mu: float
     lam: float
     norm: float
-    rule: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
@@ -160,8 +158,7 @@ def radial_solution(qn: QuantumNumbers, a: float) -> RadialSolution:
     2 n_tilde, so n_tilde + 1 Gauss-Laguerre nodes integrate it exactly."""
     mu = sommerfeld_mu(qn.n, qn.kappa, a)
     nu = math.sqrt(qn.kappa * qn.kappa - a * a)
-    rule = radial_nodes(qn.n_tilde + 1, 2.0 * nu)
-    rho, w = rule
+    rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * nu)
     f, g = radial_fg(qn, a, rho)
     norm = float(np.sum(w * rho * rho * (f * f + g * g)))
     return RadialSolution(
@@ -170,7 +167,6 @@ def radial_solution(qn: QuantumNumbers, a: float) -> RadialSolution:
         mu=mu,
         lam=1.0 / math.sqrt(1.0 - mu * mu),
         norm=norm,
-        rule=rule,
     )
 
 

@@ -1,8 +1,10 @@
-"""Reduce a spinor field to its 4x4 spin density and evaluate correlators as traces.
+"""The 4x4 spin density of a bound state, and correlators as traces.
 
 All observables in play are spatially constant, so <O1 O2> factors exactly
 into trace(rho_spin . O1 . O2) against the single integrated density
 rho_spin[u][v] = integral psi_u conj(psi_v) rho^2 d rho dOmega.
+analytic_density gives that density in closed form; reduce integrates a
+spinor field for it, and serves as the independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import commutator_defect, hermiticity_defect
-from .hydrogen import QuantumNumbers, SpinorField, sommerfeld_mu, radial_fg
+from .hydrogen import QuantumNumbers, SpinorField, _spinor_terms, radial_fg, sommerfeld_mu
 from .specfun import quadrature_nodes, radial_nodes
 
 BLOCK_WEIGHT_TOLERANCE = 1e-8
@@ -60,26 +62,42 @@ class ReducedSpinDensity:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
+def _state_label(qn: QuantumNumbers) -> str:
+    return f"n={qn.n} kappa={qn.kappa} mj={qn.m_j}"
+
+
+def analytic_density(qn: QuantumNumbers, a: float) -> ReducedSpinDensity:
+    """The spin density of a bound state in closed form.
+
+    It is diagonal: the upper block weight (1 + mu)/2 and the lower one
+    (1 - mu)/2 times the squared Clebsch-Gordan coefficients of the block's
+    spinor harmonic (A in the upper block for kappa > 0, B for kappa < 0).
+    """
+    diagonal = np.zeros(4)
+    upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
+    for offset, part, weight in zip((0, 2), (upper_part, lower_part), radial_weights(qn, a)):
+        for comp, _, _, coef in _spinor_terms(part, qn.l, qn.m):
+            diagonal[offset + comp] = weight * coef * coef
+    return ReducedSpinDensity(matrix=np.diag(diagonal).astype(complex), label=_state_label(qn))
+
+
 def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDensity:
     """Integrate out space on the product rule that is exact for the state.
 
     Every density entry is rho^(2 nu) e^-rho times a polynomial of degree
     2 n_tilde in rho, times a polynomial of degree <= 2l + 2 in cos(theta) and
-    e^(i k phi) with |k| <= 1; radial_count Gauss-Laguerre nodes (default: the
-    n_tilde + 1 node rule the state was normalized on), l + 2 Gauss-Legendre
-    nodes and the 2-point phi trapezoid integrate that exactly.
+    e^(i k phi) with |k| <= 1; radial_count Gauss-Laguerre nodes (default
+    n_tilde + 1), l + 2 Gauss-Legendre nodes and the 2-point phi trapezoid
+    integrate that exactly.
 
     Raises QuadratureError if either block trace departs from its closed form
-    (1 +- mu)/2 by more than 1e-8. The normalization and this integral share
-    the radial rule, so the trace alone could not reveal an inexact rule.
+    (1 +- mu)/2 by more than 1e-8. The normalization and this integral use
+    the same exact rule by default, so the trace alone could not reveal an
+    inexact rule.
     """
     qn = state.qn
-    if radial_count is None:
-        rule = state.radial.rule
-    else:
-        rule = radial_nodes(radial_count, 2.0 * state.radial.nu)
-    count = len(rule[0])
-    nodes = quadrature_nodes(rule, qn.l + 2)
+    count = qn.n_tilde + 1 if radial_count is None else radial_count
+    nodes = quadrature_nodes(radial_nodes(count, 2.0 * state.radial.nu), qn.l + 2)
     theta = np.arccos(nodes.cos_theta)
     rho = nodes.rho[:, None, None]
     th = theta[None, :, None]
@@ -92,7 +110,7 @@ def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDe
     )
     # deterministic accumulation order: einsum over the fixed node layout
     mat = np.einsum("urtp,vrtp,rtp->uv", psi, psi.conj(), weight, optimize=True)
-    label = f"n={qn.n} kappa={qn.kappa} mj={qn.m_j}"
+    label = _state_label(qn)
     blocks = (mat[0, 0] + mat[1, 1]).real, (mat[2, 2] + mat[3, 3]).real
     drift = max(abs(got - want) for got, want in zip(blocks, radial_weights(qn, state.a)))
     if drift > BLOCK_WEIGHT_TOLERANCE:

@@ -25,7 +25,7 @@ from diracctx.cli import (
     main,
     render,
 )
-from diracctx.contextuality import closed_form_value
+from diracctx.contextuality import optimal_xi
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers
 from diracctx.spindensity import QuadratureError
 
@@ -134,15 +134,32 @@ def test_sweep_n_max_12_matches_closed_forms(capsys):
     assert len(rows) == sum(2 * n * n for n in range(1, 13))
     for row in rows:
         qn = QuantumNumbers(int(row[0]), int(row[1]), float(row[2]))
-        assert float(row[6]) == pytest.approx(closed_form_value(qn, FINE_STRUCTURE_ALPHA), rel=1e-8)
+        assert float(row[6]) == pytest.approx(optimal_xi(qn, FINE_STRUCTURE_ALPHA)[1], rel=1e-8)
 
 
 def test_excited_at_n40_is_right_or_exits_3(capsys):
-    code = main(["excited", "--n", "40", "--kappa", "1", "--alpha", "0.5"])
-    assert code in (EXIT_OK, EXIT_QUADRATURE)
-    if code == EXIT_OK:
-        result = json.loads(capsys.readouterr().out)["results"][0]
-        assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
+    assert main(["excited", "--n", "40", "--kappa", "1", "--alpha", "0.5"]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground"],
+    ["excited", "--n", "3", "--kappa", "-2"],
+    ["sweep", "--n-max", "3"],
+    ["peres-mermin", "--n-max", "3"],
+])
+def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
+    import diracctx.cli as cli_module
+    from diracctx.hydrogen import SpinorField
+
+    def boom(*args, **kwargs):
+        raise AssertionError("report path integrated a spinor field")
+
+    monkeypatch.setattr(cli_module, "reduce", boom)
+    monkeypatch.setattr(cli_module, "eigenstate", boom)
+    monkeypatch.setattr(SpinorField, "__call__", boom)
+    assert main(argv) == EXIT_OK
 
 
 # --- rendering -------------------------------------------------------------------
@@ -154,8 +171,7 @@ def test_render_json_schema_and_round_trip():
     assert set(payload) == {"command", "params", "results", "version"}
     assert payload["results"][0]["bound"] == 2.0
     assert payload["results"][0]["violated"] is True
-    restored = ReportDocument.from_dict(payload)
-    assert render(restored, "json") == text
+    assert render(_run("ground"), "json") == text
 
 
 def test_render_empty_results_is_valid():
@@ -378,8 +394,15 @@ def test_main_quadrature_failure_exit_3(monkeypatch, capsys):
         raise QuadratureError("forced")
 
     monkeypatch.setattr(cli_module, "reduce", boom)
-    assert main(["ground"]) == EXIT_QUADRATURE
+    assert main(["converge"]) == EXIT_QUADRATURE
     assert "quadrature failure" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["ground", "--output", str(target)]) == EXIT_USAGE
+    assert "cannot write report" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_run_config_validation():

@@ -9,9 +9,7 @@ from diracctx.clifford import build_family, direction_observable
 from diracctx.contextuality import (
     CHSH_BOUND,
     PERES_MERMIN_BOUND,
-    check_context,
     chsh_value,
-    closed_form_value,
     excited_observables,
     ground_observables,
     harmonic_coefficients,
@@ -161,7 +159,7 @@ def test_closed_form_negative_branch_substitution():
     qn = QuantumNumbers(2, -1, 0.5)
     mu = sommerfeld_mu(2, -1, ALPHA)
     x = (2.0 - mu + 2.0 * 0.0) / 3.0
-    assert closed_form_value(qn, ALPHA) == pytest.approx(
+    assert optimal_xi(qn, ALPHA)[1] == pytest.approx(
         2.0 * math.hypot(mu, x), rel=1e-14
     )
 
@@ -268,26 +266,3 @@ def test_peres_mermin_on_maximally_mixed():
     assert set(report.terms) == {"R1", "R2", "R3", "C1", "C2", "C3"}
     assert report.terms["C3"] == pytest.approx(-1.0, abs=1e-14)
 
-
-# --- context checking ----------------------------------------------------------------
-
-def test_declared_contexts_of_the_four_cycle():
-    obs = ground_observables(0.5)
-    report = check_context(obs, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert report.all_compatible
-    assert report.violations() == ()
-
-
-def test_incompatible_context_is_reported_not_raised():
-    obs = ground_observables(0.5)
-    report = check_context(obs, [(0, 2)])
-    assert not report.all_compatible
-    assert report.entries[0].residual > 1.0
-
-
-def test_peres_mermin_contexts_compatible():
-    square = peres_mermin_square()
-    flat = [square.entry(i, j) for i in range(3) for j in range(3)]
-    rows = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(3)]
-    cols = [(j, j + 3, j + 6) for j in range(3)]
-    assert check_context(flat, rows + cols).all_compatible

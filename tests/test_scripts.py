@@ -20,7 +20,7 @@ def test_reproduce_all_prints_every_section():
         "exact algebra audit: 84 checks, max residual 0.0, passed=True",
         "--- ground states, dedicated observables ---",
         "--- eigenstate sweep n <= 2 at optimal xi ---",
-        "10 states; worst quadrature/closed-form relative gap",
+        "10 states; worst relative gap to 2 sqrt(mu^2 + X^2)",
         "--- Peres-Mermin square, noncontextual bound 4 ---",
         "111 states (eigenstates, random spinors, maximally mixed): value = 6",
         "--- free Dirac electron, value = 2 sqrt(2 - beta^2) ---",

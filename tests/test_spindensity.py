@@ -12,6 +12,7 @@ from diracctx.spindensity import (
     IncompatibleObservablesError,
     QuadratureError,
     ReducedSpinDensity,
+    analytic_density,
     correlator,
     radial_weights,
     radial_weights_quadrature,
@@ -21,21 +22,6 @@ from diracctx.spindensity import (
 GAMMA = build_family("Gamma")
 GAMMA_PRIME = build_family("GammaPrime")
 I4 = np.eye(4, dtype=complex)
-
-
-def test_radial_rule_built_once_per_state(monkeypatch):
-    import diracctx.hydrogen as hydrogen
-    import diracctx.specfun as specfun
-    import diracctx.spindensity as spindensity
-
-    builds = []
-    for module in (hydrogen, specfun, spindensity):
-        original = module.radial_nodes
-        monkeypatch.setattr(module, "radial_nodes",
-                            lambda *args, f=original: builds.append(args) or f(*args))
-    for qn in valid_states(3):
-        reduce(eigenstate(qn, ALPHA))
-    assert len(builds) == len(list(valid_states(3)))
 
 
 def _ground_density():
@@ -162,6 +148,7 @@ def test_reduce_flags_non_convergent_quadrature():
 def test_reduce_metadata():
     density = _ground_density()
     assert "n=1" in density.label
+    assert analytic_density(QuantumNumbers(1, 1, 0.5), ALPHA).label == density.label
 
 
 @st.composite
@@ -184,6 +171,7 @@ def test_density_is_the_closed_form_across_the_domain(qn, a):
     part_b = ((l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3))
     upper, lower = (part_a, part_b) if qn.kappa > 0 else (part_b, part_a)
     expected = np.diag([up * upper[0], up * upper[1], down * lower[0], down * lower[1]])
+    assert np.abs(analytic_density(qn, a).matrix - expected).max() < 1e-15
     density = reduce(eigenstate(qn, a))
     assert np.abs(np.diag(density.matrix) - np.diag(expected)).max() < 1e-12
     assert np.abs(density.matrix - np.diag(np.diag(density.matrix))).max() < 1e-12
