@@ -36,7 +36,13 @@ from .hydrogen import (
     sommerfeld_mu,
     valid_states,
 )
-from .spindensity import QuadratureError, ReducedSpinDensity, analytic_density, reduce
+from .spindensity import (
+    QuadratureError,
+    ReducedSpinDensity,
+    analytic_densities,
+    reduce,
+    state_label,
+)
 
 COMMANDS = (
     "audit", "ground", "excited", "sweep", "peres-mermin",
@@ -77,6 +83,8 @@ class RunConfig:
             raise ValueError(f"--xi must be finite, got {self.xi}")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"--n-max must be at least 1, got {self.n_max}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"--format must be json or csv, got {self.output_format}")
 
@@ -206,11 +214,15 @@ def _state_parameters(qn: QuantumNumbers, a: float) -> dict:
     }
 
 
-def _chsh_on_state(qn: QuantumNumbers, a: float, observables, extra_params: dict) -> dict:
-    density = analytic_density(qn, a)
-    params = _state_parameters(qn, a)
-    params.update(extra_params)
-    return chsh_value(density, *observables, parameters=params).to_dict()
+def _chsh_on_states(states: list, a: float, observables, extra_params: list) -> list:
+    """One chsh_value pass over the closed-form densities of the states; the
+    i-th state's report parameters gain extra_params[i]."""
+    params = [
+        {**_state_parameters(qn, a), **extra}
+        for qn, extra in zip(states, extra_params, strict=True)
+    ]
+    reports = chsh_value(analytic_densities(states, a), *observables, parameters=params)
+    return [report.to_dict() for report in reports]
 
 
 def _run_audit(config: RunConfig) -> list:
@@ -228,7 +240,7 @@ def _run_audit(config: RunConfig) -> list:
 def _run_ground(config: RunConfig) -> list:
     qn = QuantumNumbers(n=1, kappa=1, m_j=config.m_j)
     obs, closed_form = _scenario(qn, config.alpha)
-    return [_chsh_on_state(qn, config.alpha, obs, {"closed_form": closed_form})]
+    return _chsh_on_states([qn], config.alpha, obs, [{"closed_form": closed_form}])
 
 
 def _run_excited(config: RunConfig) -> list:
@@ -236,31 +248,30 @@ def _run_excited(config: RunConfig) -> list:
     xi_star, value_star = optimal_xi(qn, config.alpha)
     xi = config.xi if config.xi is not None else xi_star
     extra = {"xi": xi, "xi_star": xi_star, "closed_form": value_star}
-    return [_chsh_on_state(qn, config.alpha, excited_observables(xi), extra)]
+    return _chsh_on_states([qn], config.alpha, excited_observables([xi]), [extra])
 
 
 def _run_sweep(config: RunConfig) -> list:
     n_max = config.n_max if config.n_max is not None else 3
-    results = []
-    for qn in valid_states(n_max):
-        xi_star, value_star = optimal_xi(qn, config.alpha)
-        extra = {"xi": xi_star, "xi_star": xi_star, "closed_form": value_star}
-        results.append(_chsh_on_state(qn, config.alpha, excited_observables(xi_star), extra))
-    return results
+    states = list(valid_states(n_max))
+    optima = [optimal_xi(qn, config.alpha) for qn in states]
+    extras = [{"xi": xi, "xi_star": xi, "closed_form": value} for xi, value in optima]
+    observables = excited_observables([xi for xi, _ in optima])
+    return _chsh_on_states(states, config.alpha, observables, extras)
 
 
 def _run_peres_mermin(config: RunConfig) -> list:
     n_max = config.n_max if config.n_max is not None else 3
-    results = []
-    for qn in valid_states(n_max):
-        results.append(peres_mermin_value(analytic_density(qn, config.alpha)).to_dict())
+    states = list(valid_states(n_max))
     rng = np.random.default_rng(config.seed)
+    others = []
     for idx in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        density = ReducedSpinDensity.from_pure(raw, label=f"random-{idx}")
-        results.append(peres_mermin_value(density).to_dict())
-    results.append(peres_mermin_value(ReducedSpinDensity.maximally_mixed()).to_dict())
-    return results
+        others.append(ReducedSpinDensity.from_pure(raw, label=f"random-{idx}"))
+    others.append(ReducedSpinDensity.maximally_mixed())
+    stack = np.concatenate([analytic_densities(states, config.alpha), [d.matrix for d in others]])
+    labels = [state_label(qn) for qn in states] + [d.label for d in others]
+    return [report.to_dict() for report in peres_mermin_value(stack, labels)]
 
 
 def _run_free_electron(config: RunConfig) -> list:

@@ -94,14 +94,22 @@ def ground_observables(m_j: float):
     raise ValueError(f"ground state has m_j in {{+1/2, -1/2}}, got {m_j}")
 
 
-def excited_observables(xi: float):
+def excited_observables(xi):
     """The xi family valid on both kappa branches:
-    (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z)."""
-    gy, gz = _GAMMA.y, _GAMMA.z
+    (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z).
+
+    One angle gives four 4x4 matrices; a sequence of N angles gives B and D
+    as (N, 4, 4) stacks, each slice equal to the matrix of its angle.
+    """
+    xis = np.ravel(xi).tolist()
+    sin = np.array([math.sin(x) for x in xis])[:, None, None]
+    cos = np.array([math.cos(x) for x in xis])[:, None, None]
     gpy, gpz = _GAMMA_PRIME.y, _GAMMA_PRIME.z
-    b = -math.sin(xi) * gpy + math.cos(xi) * gpz
-    d = math.sin(xi) * gpy + math.cos(xi) * gpz
-    return gy, b, gz, d
+    b = -sin * gpy + cos * gpz
+    d = sin * gpy + cos * gpz
+    if np.ndim(xi) == 0:
+        b, d = b[0], d[0]
+    return _GAMMA.y, b, _GAMMA.z, d
 
 
 def harmonic_coefficients(qn: QuantumNumbers, a: float) -> tuple[float, float]:
@@ -170,19 +178,30 @@ _PM_LINE_PRODUCTS = (
 )
 
 
-def peres_mermin_value(density: ReducedSpinDensity) -> InequalityReport:
-    """Six line-product correlators, minus sign on the third column; bound 4."""
-    terms = {
-        name: float(np.trace(density.matrix @ product).real)
-        for name, product in _PM_LINE_PRODUCTS
-    }
-    value = terms["R1"] + terms["R2"] + terms["R3"] + terms["C1"] + terms["C2"] - terms["C3"]
-    return InequalityReport(
-        kind="peres_mermin",
-        terms=terms,
-        value=value,
-        bound=PERES_MERMIN_BOUND,
-        violated=value > PERES_MERMIN_BOUND,
-        parameters={"state": density.label},
-    )
+def peres_mermin_value(density: ReducedSpinDensity | np.ndarray,
+                       labels=None) -> InequalityReport | list[InequalityReport]:
+    """Six line-product correlators, minus sign on the third column; bound 4.
 
+    A ReducedSpinDensity gives one report. An (N, 4, 4) stack of density
+    matrices with a list of N labels gives N reports, from one trace per line
+    product over the whole stack.
+    """
+    if isinstance(density, ReducedSpinDensity):
+        return peres_mermin_value(density.matrix[None], [density.label])[0]
+    columns = [
+        np.trace(density @ product, axis1=-2, axis2=-1).real.tolist()
+        for _, product in _PM_LINE_PRODUCTS
+    ]
+    reports = []
+    for values, label in zip(zip(*columns), labels, strict=True):
+        terms = {name: value for (name, _), value in zip(_PM_LINE_PRODUCTS, values)}
+        value = terms["R1"] + terms["R2"] + terms["R3"] + terms["C1"] + terms["C2"] - terms["C3"]
+        reports.append(InequalityReport(
+            kind="peres_mermin",
+            terms=terms,
+            value=value,
+            bound=PERES_MERMIN_BOUND,
+            violated=value > PERES_MERMIN_BOUND,
+            parameters={"state": label},
+        ))
+    return reports

@@ -3,8 +3,9 @@
 All observables in play are spatially constant, so <O1 O2> factors exactly
 into trace(rho_spin . O1 . O2) against the single integrated density
 rho_spin[u][v] = integral psi_u conj(psi_v) rho^2 d rho dOmega.
-analytic_density gives that density in closed form; reduce integrates a
-spinor field for it, and serves as the independent quadrature oracle.
+analytic_densities gives the densities of many states in closed form as one
+stack; reduce integrates a spinor field for one state, and serves as the
+independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -62,23 +63,33 @@ class ReducedSpinDensity:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
-def _state_label(qn: QuantumNumbers) -> str:
+def state_label(qn: QuantumNumbers) -> str:
+    """The label a bound state's density and Peres-Mermin report carry."""
     return f"n={qn.n} kappa={qn.kappa} mj={qn.m_j}"
 
 
-def analytic_density(qn: QuantumNumbers, a: float) -> ReducedSpinDensity:
-    """The spin density of a bound state in closed form.
+def analytic_densities(states, a: float) -> np.ndarray:
+    """The spin densities of the given bound states in closed form, as one
+    (N, 4, 4) complex stack in the order of states.
 
-    It is diagonal: the upper block weight (1 + mu)/2 and the lower one
+    Each is diagonal: the upper block weight (1 + mu)/2 and the lower one
     (1 - mu)/2 times the squared Clebsch-Gordan coefficients of the block's
     spinor harmonic (A in the upper block for kappa > 0, B for kappa < 0).
     """
-    diagonal = np.zeros(4)
-    upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
-    for offset, part, weight in zip((0, 2), (upper_part, lower_part), radial_weights(qn, a)):
-        for comp, _, _, coef in _spinor_terms(part, qn.l, qn.m):
-            diagonal[offset + comp] = weight * coef * coef
-    return ReducedSpinDensity(matrix=np.diag(diagonal).astype(complex), label=_state_label(qn))
+    diagonals = np.zeros((len(states), 4))
+    for diagonal, qn in zip(diagonals, states):
+        upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
+        for offset, part, weight in zip((0, 2), (upper_part, lower_part), radial_weights(qn, a)):
+            for comp, _, _, coef in _spinor_terms(part, qn.l, qn.m):
+                diagonal[offset + comp] = weight * coef * coef
+    densities = np.zeros((len(states), 4, 4), dtype=complex)
+    densities[:, range(4), range(4)] = diagonals
+    return densities
+
+
+def analytic_density(qn: QuantumNumbers, a: float) -> ReducedSpinDensity:
+    """The closed-form spin density of one bound state, labeled as reduce labels it."""
+    return ReducedSpinDensity(matrix=analytic_densities([qn], a)[0], label=state_label(qn))
 
 
 def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDensity:
@@ -110,7 +121,7 @@ def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDe
     )
     # deterministic accumulation order: einsum over the fixed node layout
     mat = np.einsum("urtp,vrtp,rtp->uv", psi, psi.conj(), weight, optimize=True)
-    label = _state_label(qn)
+    label = state_label(qn)
     blocks = (mat[0, 0] + mat[1, 1]).real, (mat[2, 2] + mat[3, 3]).real
     drift = max(abs(got - want) for got, want in zip(blocks, radial_weights(qn, state.a)))
     if drift > BLOCK_WEIGHT_TOLERANCE:

@@ -25,9 +25,16 @@ from diracctx.cli import (
     main,
     render,
 )
-from diracctx.contextuality import optimal_xi
-from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers
-from diracctx.spindensity import QuadratureError
+from diracctx.clifford import build_family
+from diracctx.contextuality import chsh_value, optimal_xi, peres_mermin_square, peres_mermin_value
+from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, _spinor_terms, valid_states
+from diracctx.spindensity import (
+    QuadratureError,
+    ReducedSpinDensity,
+    analytic_densities,
+    radial_weights,
+    state_label,
+)
 
 
 def _run(command, **kwargs):
@@ -160,6 +167,75 @@ def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli_module, "eigenstate", boom)
     monkeypatch.setattr(SpinorField, "__call__", boom)
     assert main(argv) == EXIT_OK
+
+
+def _reference_density(qn, a):
+    """Per-state reference: one state's diagonal density, built on its own."""
+    diagonal = np.zeros(4)
+    upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
+    for offset, part, weight in zip((0, 2), (upper_part, lower_part), radial_weights(qn, a)):
+        for comp, _, _, coef in _spinor_terms(part, qn.l, qn.m):
+            diagonal[offset + comp] = weight * coef * coef
+    return np.diag(diagonal).astype(complex)
+
+
+def _reference_sweep_row(qn, a):
+    """Per-state reference: one chsh_value call on single 4x4 matrices."""
+    gamma, gamma_prime = build_family("Gamma"), build_family("GammaPrime")
+    xi, _ = optimal_xi(qn, a)
+    b = -math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
+    d = math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
+    return chsh_value(_reference_density(qn, a), gamma.y, b, gamma.z, d)
+
+
+@pytest.mark.parametrize("alpha", [1.0 / 137.036, 0.6])
+def test_sweep_rows_equal_per_state_evaluation(alpha):
+    doc = _run("sweep", n_max=8, alpha=alpha)
+    states = list(valid_states(8))
+    assert len(doc.results) == len(states)
+    for qn, row in zip(states, doc.results):
+        reference = _reference_sweep_row(qn, alpha)
+        assert (row["parameters"]["n"], row["parameters"]["kappa"]) == (qn.n, qn.kappa)
+        assert row["terms"] == reference.terms
+        assert row["value"] == reference.value
+
+
+def test_peres_mermin_stack_equals_per_density_evaluation():
+    square = peres_mermin_square()
+    products = [square.row_product(i) for i in range(3)] + [
+        square.column_product(j) for j in range(3)
+    ]
+    rng = np.random.default_rng(11)
+    states = list(valid_states(8))
+    spinors = rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))
+    densities = [
+        ReducedSpinDensity.from_pure(u, label=f"random-{i}") for i, u in enumerate(spinors)
+    ]
+    stack = np.concatenate([analytic_densities(states, FINE_STRUCTURE_ALPHA),
+                            [rho.matrix for rho in densities]])
+    labels = [state_label(qn) for qn in states] + [rho.label for rho in densities]
+    reports = peres_mermin_value(stack, labels)
+    assert len(reports) == len(stack) == len(states) + 500
+    for matrix, label, report in zip(stack, labels, reports):
+        # per-density reference: one 4x4 trace per line product
+        terms = [float(np.trace(matrix @ product).real) for product in products]
+        assert list(report.terms.values()) == terms
+        assert report.value == terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - terms[5]
+        assert report.parameters == {"state": label}
+        single = peres_mermin_value(ReducedSpinDensity(matrix=matrix, label=label))
+        assert single == report
+
+
+def test_sweep_checks_each_observable_once(monkeypatch, capsys):
+    import diracctx.contextuality as contextuality_module
+
+    calls = []
+    original = contextuality_module.checked_observable
+    monkeypatch.setattr(contextuality_module, "checked_observable",
+                        lambda name, o: calls.append(name) or original(name, o))
+    assert main(["sweep", "--n-max", "8", "--format", "csv"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 408
+    assert calls == ["A", "B", "C", "D"]
 
 
 # --- rendering -------------------------------------------------------------------
@@ -343,6 +419,14 @@ def test_non_finite_mj_exits_2(command, mj, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "m_j must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["peres-mermin", "sweep"])
+def test_negative_seed_exits_2(command, capsys):
+    assert main([command, "--seed", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be non-negative, got -1" in captured.err
 
 
 @pytest.mark.parametrize("command", ["sweep", "peres-mermin", "measurability"])

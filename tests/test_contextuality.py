@@ -85,6 +85,27 @@ def test_excited_observables_structure_any_xi(xi):
         assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
 
 
+def test_excited_observables_stack_slices_equal_single_angles():
+    xis = [-3.0, -0.4, 0.0, 0.3, math.pi / 2.0, 2.9]
+    a, b, c, d = excited_observables(xis)
+    assert b.shape == d.shape == (len(xis), 4, 4)
+    for i, xi in enumerate(xis):
+        single = excited_observables(xi)
+        assert b[i].tobytes() == single[1].tobytes()
+        assert d[i].tobytes() == single[3].tobytes()
+
+
+def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
+    states = [QuantumNumbers(2, 1, 0.5), QuantumNumbers(3, -2, -1.5), QuantumNumbers(4, 3, 2.5)]
+    densities = np.stack([_density(qn.n, qn.kappa, qn.m_j).matrix for qn in states])
+    a, b, c, d = excited_observables([optimal_xi(qn, ALPHA)[0] for qn in states])
+    assert len(chsh_value(densities, a, b, c, d)) == 3
+    non_hermitian = b.copy()
+    non_hermitian[1] = 1j * non_hermitian[1]
+    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
+        chsh_value(densities, a, non_hermitian, c, d)
+
+
 # --- CHSH-like inequality ---------------------------------------------------------
 
 def test_identity_observables_meet_bound_without_violation():
