@@ -33,13 +33,13 @@ def main():
     print(f"relativistic spin-1/2 contextuality reproduction   (alpha = {a:.9g})")
     print("=" * 78)
 
-    (audit,) = results("audit", alpha=a)
+    (audit,) = results("audit")
     print(f"\nexact algebra audit: {len(audit['terms'])} checks, "
           f"max residual {audit['value']}, passed={not audit['violated']}")
 
     print("\n--- ground states, dedicated observables ---")
     for m_j in (0.5, -0.5):
-        (ground,) = results("ground", alpha=a, m_j=m_j)
+        (ground,) = results("ground", alpha=a, mj=m_j)
         print(f"  m_j={m_j:+.1f}: value = {ground['value']:.6f}   "
               f"closed form sqrt(2)(1+sqrt(1-a^2)) = {ground['parameters']['closed_form']:.6f}")
 
@@ -64,7 +64,7 @@ def main():
           f"value = 6 with spread {max(values) - min(values):.2e}")
 
     print("\n--- free Dirac electron, value = 2 sqrt(2 - beta^2) ---")
-    for r in results("free-electron", alpha=a, beta_grid=(0.0, 0.3, 0.6, 0.9, 0.999)):
+    for r in results("free-electron", beta_grid=(0.0, 0.3, 0.6, 0.9, 0.999)):
         p = r["parameters"]
         print(f"  beta={p['beta_v']:<6} value = {r['value']:.12f}   "
               f"closed form = {p['closed_form']:.12f}")

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -44,10 +45,6 @@ from .spindensity import (
     state_label,
 )
 
-COMMANDS = (
-    "audit", "ground", "excited", "sweep", "peres-mermin",
-    "free-electron", "measurability", "converge",
-)
 SWEEP_CSV_HEADER = ("n", "kappa", "mj", "sign", "mu", "xi_star", "value", "bound", "violated")
 GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
 MIXING_THRESHOLD = 1e-10
@@ -59,34 +56,52 @@ EXIT_QUADRATURE = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: one command plus every knob it may consume."""
+    """Validated invocation: one command plus the flags it takes.
+
+    A flag left at None takes its command's default from COMMANDS; a flag the
+    command does not take must stay None.
+    """
 
     command: str
-    alpha: float = FINE_STRUCTURE_ALPHA
-    n: int = 1
-    kappa: int = 1
-    m_j: float = 0.5
+    alpha: float | None = None
+    n: int | None = None
+    kappa: int | None = None
+    mj: float | None = None
     xi: float | None = None
     n_max: int | None = None
-    beta: float = 0.0
+    beta: float | None = None
     beta_grid: tuple | None = None
-    seed: int = 0
+    seed: int | None = None
     output_format: str = "json"
     output_path: str | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not 0.0 < self.alpha < 1.0:
+        flags = COMMANDS[self.command].flags
+        for name in FLAGS:
+            if name not in flags and getattr(self, name) is not None:
+                raise ValueError(f"{self.command} does not take --{name.replace('_', '-')}")
+        if self.beta is not None and self.beta_grid is not None:
+            raise ValueError("--beta and --beta-grid exclude each other; pass one of them")
+        for name, default in flags.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"--alpha must lie in (0, 1), got {self.alpha}")
         if self.xi is not None and not math.isfinite(self.xi):
             raise ValueError(f"--xi must be finite, got {self.xi}")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"--n-max must be at least 1, got {self.n_max}")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {self.seed}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"--format must be json or csv, got {self.output_format}")
+
+    @property
+    def params(self) -> dict:
+        """The command's flags with their effective values, in table order."""
+        return {name: getattr(self, name) for name in COMMANDS[self.command].flags}
 
 
 @dataclass
@@ -188,21 +203,6 @@ def render(document: ReportDocument, output_format: str) -> str:
     return buf.getvalue()
 
 
-def _params_echo(config: RunConfig) -> dict:
-    params = {"alpha": config.alpha, "seed": config.seed}
-    if config.command in ("ground", "excited", "converge"):
-        params.update(n=config.n, kappa=config.kappa, mj=config.m_j)
-    if config.command == "excited":
-        params["xi"] = config.xi
-    if config.command in ("sweep", "peres-mermin", "measurability"):
-        params["n_max"] = config.n_max
-    if config.command in ("free-electron", "measurability"):
-        params["beta"] = config.beta
-    if config.command == "free-electron" and config.beta_grid is not None:
-        params["beta_grid"] = list(config.beta_grid)
-    return params
-
-
 def _state_parameters(qn: QuantumNumbers, a: float) -> dict:
     return {
         "a": a,
@@ -238,13 +238,13 @@ def _run_audit(config: RunConfig) -> list:
 
 
 def _run_ground(config: RunConfig) -> list:
-    qn = QuantumNumbers(n=1, kappa=1, m_j=config.m_j)
+    qn = QuantumNumbers(n=1, kappa=1, m_j=config.mj)
     obs, closed_form = _scenario(qn, config.alpha)
     return _chsh_on_states([qn], config.alpha, obs, [{"closed_form": closed_form}])
 
 
 def _run_excited(config: RunConfig) -> list:
-    qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.m_j)
+    qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
     xi_star, value_star = optimal_xi(qn, config.alpha)
     xi = config.xi if config.xi is not None else xi_star
     extra = {"xi": xi, "xi_star": xi_star, "closed_form": value_star}
@@ -252,8 +252,7 @@ def _run_excited(config: RunConfig) -> list:
 
 
 def _run_sweep(config: RunConfig) -> list:
-    n_max = config.n_max if config.n_max is not None else 3
-    states = list(valid_states(n_max))
+    states = list(valid_states(config.n_max))
     optima = [optimal_xi(qn, config.alpha) for qn in states]
     extras = [{"xi": xi, "xi_star": xi, "closed_form": value} for xi, value in optima]
     observables = excited_observables([xi for xi, _ in optima])
@@ -261,8 +260,7 @@ def _run_sweep(config: RunConfig) -> list:
 
 
 def _run_peres_mermin(config: RunConfig) -> list:
-    n_max = config.n_max if config.n_max is not None else 3
-    states = list(valid_states(n_max))
+    states = list(valid_states(config.n_max))
     rng = np.random.default_rng(config.seed)
     others = []
     for idx in range(100):
@@ -280,8 +278,7 @@ def _run_free_electron(config: RunConfig) -> list:
 
 
 def _run_measurability(config: RunConfig) -> list:
-    n_max = config.n_max if config.n_max is not None else 10
-    mus = [sommerfeld_mu(qn.n, qn.kappa, config.alpha) for qn in valid_states(n_max)]
+    mus = [sommerfeld_mu(qn.n, qn.kappa, config.alpha) for qn in valid_states(config.n_max)]
     results = [{
         "kind": "hydrogen_spectrum_positivity",
         "terms": {"min_mu": min(mus), "max_mu": max(mus)},
@@ -319,7 +316,7 @@ def _run_converge(config: RunConfig) -> list:
     # the one command that integrates spinor fields; n_tilde + 1 radial nodes
     # already integrate the density exactly, so every rung of the ladder sits
     # at the rounding floor of the closed form
-    qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.m_j)
+    qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
     observables, reference = _scenario(qn, config.alpha)
     state = eigenstate(qn, config.alpha)
     results = []
@@ -337,25 +334,64 @@ def _run_converge(config: RunConfig) -> list:
     return results
 
 
-_RUNNERS = {
-    "audit": _run_audit,
-    "ground": _run_ground,
-    "excited": _run_excited,
-    "sweep": _run_sweep,
-    "peres-mermin": _run_peres_mermin,
-    "free-electron": _run_free_electron,
-    "measurability": _run_measurability,
-    "converge": _run_converge,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner, its help line and its flags with their
+    defaults, in the order the report echoes them."""
+
+    run: Callable[[RunConfig], list]
+    help: str
+    flags: dict
+
+
+# flag -> (type, help); the option is --flag with "_" written "-", and the
+# RunConfig field and the params key are the flag itself
+FLAGS = {
+    "alpha": (float, "fine structure constant a, in (0, 1)"),
+    "seed": (int, "non-negative seed of the 100 random spinors"),
+    "n": (int, "principal quantum number"),
+    "kappa": (int, "Dirac quantum number: nonzero, |kappa| <= n, its sign picks the branch"),
+    "mj": (float, "magnetic quantum number m_j, a half-odd integer with |m_j| <= j"),
+    "xi": (float, "observable angle of the xi family; defaults to the optimal xi*"),
+    "n_max": (int, "evaluate every bound state with n up to this"),
+    "beta": (float, "velocity ratio v/c, in [0, 1)"),
+    "beta_grid": (str, "start:stop:count grid of velocity ratios, evaluated instead of --beta"),
+}
+
+COMMANDS = {
+    "audit": Command(
+        _run_audit, "exact gamma/family algebra and Peres-Mermin structure audit", {}),
+    "ground": Command(
+        _run_ground, "ground-state four-correlator violation",
+        {"alpha": FINE_STRUCTURE_ALPHA, "mj": 0.5}),
+    "excited": Command(
+        _run_excited, "one eigenstate with the xi-family observables",
+        {"alpha": FINE_STRUCTURE_ALPHA, "n": 2, "kappa": 1, "mj": 0.5, "xi": None}),
+    "sweep": Command(
+        _run_sweep, "all eigenstates up to --n-max at their optimal xi",
+        {"alpha": FINE_STRUCTURE_ALPHA, "n_max": 3}),
+    "peres-mermin": Command(
+        _run_peres_mermin, "state-independent Peres-Mermin value on states and random spinors",
+        {"alpha": FINE_STRUCTURE_ALPHA, "seed": 0, "n_max": 3}),
+    "free-electron": Command(
+        _run_free_electron, "free Dirac electron violation curve",
+        {"beta": 0.0, "beta_grid": None}),
+    "measurability": Command(
+        _run_measurability, "positive-spectrum vs negative-energy-mixing report",
+        {"alpha": FINE_STRUCTURE_ALPHA, "n_max": 10, "beta": 0.5}),
+    "converge": Command(
+        _run_converge, "radial node-count ladder from the exact n_tilde + 1 upward",
+        {"alpha": FINE_STRUCTURE_ALPHA, "n": 1, "kappa": 1, "mj": 0.5}),
 }
 
 
 def execute(config: RunConfig) -> ReportDocument:
     """Dispatch one command; deterministic given the config (incl. seed)."""
     start = time.perf_counter()
-    results = _RUNNERS[config.command](config)
+    results = COMMANDS[config.command].run(config)
     return ReportDocument(
         command=config.command,
-        params=_params_echo(config),
+        params=config.params,
         results=results,
         timing_seconds=time.perf_counter() - start,
     )
@@ -378,63 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noncontextuality-inequality reproductions for relativistic spin-1/2 states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "audit": "exact gamma/family algebra and Peres-Mermin structure audit",
-        "ground": "ground-state four-correlator violation",
-        "excited": "one eigenstate with the xi-family observables",
-        "sweep": "all eigenstates up to --n-max at their optimal xi",
-        "peres-mermin": "state-independent Peres-Mermin value on states and random spinors",
-        "free-electron": "free Dirac electron violation curve",
-        "measurability": "positive-spectrum vs negative-energy-mixing report",
-        "converge": "radial node-count ladder from the exact n_tilde + 1 upward",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--alpha", type=float, default=FINE_STRUCTURE_ALPHA,
-                       help="fine structure constant (default 1/137.036)")
-        p.add_argument("--seed", type=int, default=0, help="seed for random-state checks")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        if name in ("ground", "excited", "converge"):
-            p.add_argument("--mj", type=float, default=0.5)
-        if name in ("excited", "converge"):
-            p.add_argument("--n", type=int, default=2 if name == "excited" else 1)
-            p.add_argument("--kappa", type=int, default=1)
-            p.add_argument("--sign", type=int, choices=(1, -1), default=None,
-                           help="overrides the sign of --kappa")
-        if name == "excited":
-            p.add_argument("--xi", type=float, default=None,
-                           help="observable angle; defaults to the optimal xi*")
-        if name in ("sweep", "peres-mermin", "measurability"):
-            default_n_max = {"sweep": 3, "peres-mermin": 3, "measurability": 10}[name]
-            p.add_argument("--n-max", type=int, default=default_n_max)
-        if name in ("free-electron", "measurability"):
-            p.add_argument("--beta", type=float, default=0.5 if name == "measurability" else 0.0)
-        if name == "free-electron":
-            p.add_argument("--beta-grid", type=str, default=None,
-                           help="start:stop:count grid of velocity ratios")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, default in command.flags.items():
+            kind, text = FLAGS[flag]
+            if default is not None:
+                text = f"{text} (default {default:g})"
+            # an unset flag parses to None, which RunConfig fills from the table
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, help=text)
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="report format (default json)")
+        p.add_argument("--output", help="write the report here instead of stdout")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kappa = getattr(args, "kappa", 1)
-    sign = getattr(args, "sign", None)
-    if sign is not None:
-        kappa = sign * abs(kappa)
-    beta_grid = getattr(args, "beta_grid", None)
+    flags = {flag: getattr(args, flag) for flag in COMMANDS[args.command].flags}
+    if flags.get("beta_grid") is not None:
+        flags["beta_grid"] = _parse_beta_grid(flags["beta_grid"])
     return RunConfig(
-        command=args.command,
-        alpha=args.alpha,
-        n=getattr(args, "n", 1),
-        kappa=kappa,
-        m_j=getattr(args, "mj", 0.5),
-        xi=getattr(args, "xi", None),
-        n_max=getattr(args, "n_max", None),
-        beta=getattr(args, "beta", 0.0),
-        beta_grid=_parse_beta_grid(beta_grid) if beta_grid is not None else None,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.output,
+        command=args.command, output_format=args.format, output_path=args.output, **flags
     )
 
 

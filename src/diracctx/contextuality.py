@@ -132,13 +132,9 @@ def harmonic_coefficients(qn: QuantumNumbers, a: float) -> tuple[float, float]:
 def optimal_xi(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     """Maximizing angle and maximum value of the xi sweep for one state.
 
-    The two-term harmonic form peaks at xi* = atan2(s, c); the X = 0 tie-break
-    (xi* = pi/2) is unreachable for valid states since X carries a factor
-    2m + 1 with integer m.
+    The two-term harmonic form peaks at xi* = atan2(s, c).
     """
     c, s = harmonic_coefficients(qn, a)
-    if c == 0.0:
-        return math.pi / 2.0, 2.0 * abs(s)
     return math.atan2(s, c), 2.0 * math.hypot(c, s)
 
 

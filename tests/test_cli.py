@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -53,7 +54,7 @@ def test_ground_reproduces_headline_value():
 
 
 def test_ground_kramers_partner():
-    doc = _run("ground", m_j=-0.5)
+    doc = _run("ground", mj=-0.5)
     assert doc.results[0]["value"] == pytest.approx(2.828389469851504, abs=5e-5)
 
 
@@ -65,14 +66,14 @@ def test_sweep_all_rows_violated():
 
 
 def test_excited_uses_optimal_xi_by_default():
-    doc = _run("excited", n=2, kappa=-1, m_j=0.5)
+    doc = _run("excited", n=2, kappa=-1, mj=0.5)
     result = doc.results[0]
     assert result["parameters"]["xi"] == result["parameters"]["xi_star"]
     assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
 
 
 def test_excited_xi_override():
-    doc = _run("excited", n=2, kappa=1, m_j=0.5, xi=0.0)
+    doc = _run("excited", n=2, kappa=1, mj=0.5, xi=0.0)
     assert doc.results[0]["parameters"]["xi"] == 0.0
     assert abs(doc.results[0]["value"]) <= 2.0 + 1e-12
 
@@ -377,13 +378,12 @@ def test_render_json_rejects_what_json_cannot_hold(payload):
 def test_parser_builds_config():
     parser = build_parser()
     args = parser.parse_args(
-        ["excited", "--n", "3", "--kappa", "2", "--sign", "-1", "--mj", "-0.5",
-         "--format", "csv"]
+        ["excited", "--n", "3", "--kappa", "-2", "--mj", "-0.5", "--format", "csv"]
     )
     cfg = config_from_args(args)
     assert cfg.command == "excited"
     assert cfg.kappa == -2
-    assert cfg.m_j == -0.5
+    assert cfg.mj == -0.5
     assert cfg.output_format == "csv"
 
 
@@ -404,6 +404,66 @@ def test_beta_grid_without_points_exits_2(count, capsys):
     assert "--beta-grid" in captured.err
 
 
+def test_beta_with_beta_grid_exits_2(capsys):
+    assert main(["free-electron", "--beta", "0.9", "--beta-grid", "0:0.5:2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--beta and --beta-grid" in captured.err
+    with pytest.raises(ValueError, match="--beta and --beta-grid"):
+        RunConfig(command="free-electron", beta=0.0, beta_grid=(0.0, 0.5))
+
+
+COMMAND_NAMES = (
+    "audit", "ground", "excited", "sweep", "peres-mermin",
+    "free-electron", "measurability", "converge",
+)
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_library_and_cli_defaults_agree(command, capsys):
+    assert main([command]) == EXIT_OK
+    assert capsys.readouterr().out == render(execute(RunConfig(command=command)), "json")
+
+
+def test_command_rejects_flag_it_does_not_read(capsys):
+    for argv in (
+        ["sweep", "--seed", "1"],
+        ["audit", "--alpha", "0.5"],
+        ["free-electron", "--alpha", "0.5"],
+        ["excited", "--sign", "-1"],
+        ["converge", "--sign", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    for command, kwargs in (
+        ("sweep", {"seed": 1}),
+        ("audit", {"alpha": 0.5}),
+        ("free-electron", {"alpha": 0.5}),
+    ):
+        with pytest.raises(ValueError, match=f"{command} does not take --"):
+            RunConfig(command=command, **kwargs)
+    # --sign has no RunConfig field at all: the sign rides on kappa
+    for command in ("excited", "converge"):
+        with pytest.raises(TypeError):
+            RunConfig(command=command, sign=-1)
+
+
+def test_params_echo_is_the_subparser_flags():
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert tuple(subparsers.choices) == COMMAND_NAMES
+    for name, subparser in subparsers.choices.items():
+        dests = [
+            action.dest for action in subparser._actions
+            if action.dest not in ("help", "format", "output")
+        ]
+        assert list(RunConfig(command=name).params) == dests, name
+
+
 @pytest.mark.parametrize("xi", ["nan", "inf", "-inf"])
 def test_non_finite_xi_exits_2(xi, capsys):
     assert main(["excited", f"--xi={xi}"]) == EXIT_USAGE
@@ -421,7 +481,7 @@ def test_non_finite_mj_exits_2(command, mj, capsys):
     assert "m_j must be finite" in captured.err
 
 
-@pytest.mark.parametrize("command", ["peres-mermin", "sweep"])
+@pytest.mark.parametrize("command", ["peres-mermin"])
 def test_negative_seed_exits_2(command, capsys):
     assert main([command, "--seed", "-1"]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -194,6 +194,19 @@ def test_harmonic_coefficients_signs():
     assert c_neg == pytest.approx((2.0 - mu) / 3.0, rel=1e-14)
 
 
+def test_harmonic_c_never_vanishes():
+    # c = -+X with X = (2m+1) times a positive factor and 2m+1 odd, so optimal_xi
+    # needs no c = 0 tie-break anywhere in the documented domain
+    states = list(valid_states(40))
+    smallest = min(
+        abs(harmonic_coefficients(qn, a)[0])
+        for a in (1e-9, 1.0 / 137.036, 0.1, 0.5, 0.9, 0.99)
+        for qn in states
+    )
+    assert len(states) == 44_280
+    assert smallest > 0.01
+
+
 @pytest.mark.parametrize("n,kappa,m_j", [(2, 1, 0.5), (3, -2, -0.5), (4, 4, 3.5)])
 def test_quadrature_matches_closed_form(n, kappa, m_j):
     qn = QuantumNumbers(n, kappa, m_j)
