@@ -16,7 +16,9 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,8 +129,8 @@ class ReportDocument:
         }
 
 
-def _float_text(x: float) -> str:
-    """A float at 15 significant digits, as json.dumps writes float(f"{x:.15g}").
+def _float_texts(column: list) -> list[str]:
+    """Each float at 15 significant digits, as json.dumps writes float(f"{x:.15g}").
 
     .15g uses fixed notation only for decimal exponents -4 to 14. Every double
     there is normal, so a decimal of at most 15 digits round-trips (DBL_DIG)
@@ -136,50 +138,106 @@ def _float_text(x: float) -> str:
     the text is already the JSON of the rounded float, missing only ".0" on
     integral values. Exponent forms (subnormals, 1e15 <= |x| < 1e16, overflow
     to inf) and nan/inf contain an "e" or an "n" and take the exact path.
+    The whole column is formatted by one %; only a column that holds a text
+    to fix is then gone through text by text.
     """
-    s = f"{x:.15g}"
-    if "e" in s or "n" in s:
-        return json.dumps(float(s))
-    return s if "." in s else s + ".0"
+    text = "\n".join(["%.15g"] * len(column)) % tuple(column)
+    texts = text.split("\n")
+    if "e" in text or "n" in text or text.count(".") < len(texts):
+        texts = [
+            json.dumps(float(s)) if "e" in s or "n" in s else s if "." in s else s + ".0"
+            for s in texts
+        ]
+    return texts
 
 
-def _json_text(value, indent: str = "") -> str:
-    """JSON text of a report tree, byte-identical to json.dumps(..., indent=2)
-    of the tree with every float rounded to 15 significant digits."""
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _float_text(x: float) -> str:
+    """One float as _float_texts writes it."""
+    return _float_texts([x])[0]
+
+
+def _json_texts(values: list, indent: str) -> list[str]:
+    """The JSON text of each value as it sits at this indent level, matching
+    json.dumps(..., indent=2) of the values with every float rounded to 15
+    significant digits.
+
+    The values are rendered a column at a time: those of one type together,
+    dicts with the same keys in the same order as one column per key (each
+    row then filled by one % template), and lists by rendering their items
+    flattened into one column and splitting that again.
+    """
+    return _grouped(list(map(type, values)), values, _json_column, indent)
+
+
+def _grouped(labels: list, values: list, render, indent: str) -> list[str]:
+    """render(label, group, indent) over the values of each label, with the
+    texts returned in the order of values."""
+    if not values:
+        return []
+    if labels.count(labels[0]) == len(labels):
+        return render(labels[0], values, indent)
+    groups = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    texts = [""] * len(values)
+    for label, index in groups.items():
+        for i, text in zip(index, render(label, [values[i] for i in index], indent)):
+            texts[i] = text
+    return texts
+
+
+def _json_column(kind: type, values: list, indent: str) -> list[str]:
+    """_json_texts of values that all have the type kind."""
+    if issubclass(kind, float):
+        return _float_texts(values)
+    if issubclass(kind, str):
+        return list(map(encode_basestring_ascii, values))
+    if kind is type(None):
+        return ["null"] * len(values)
+    if kind is bool:
+        return ["true" if value else "false" for value in values]
+    if issubclass(kind, int):
+        return list(map(int.__repr__, values))
+    if issubclass(kind, dict):
+        return _grouped(list(map(tuple, values)), values, _json_dict_rows, indent)
+    if issubclass(kind, (list, tuple)):
+        inner = indent + "  "
+        items = _json_texts(list(chain.from_iterable(values)), inner)
+        separator = ",\n" + inner
+        texts, start = [], 0
+        for stop in accumulate(map(len, values)):
+            if stop == start:
+                texts.append("[]")
+                continue
+            # the brackets go onto the first and last item, so that the one
+            # join is the only copy of a long list's text
+            items[start] = "[\n" + inner + items[start]
+            items[stop - 1] += "\n" + indent + "]"
+            texts.append(separator.join(items[start:stop]))
+            start = stop
+        return texts
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_dict_rows(keys: tuple, rows: list, indent: str) -> list[str]:
+    """_json_texts of dicts whose keys are keys, in that order."""
+    if not keys:
+        return ["{}"] * len(rows)
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, got {type(key).__name__}")
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, got {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    template = "{\n" + inner + (",\n" + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    ) + "\n" + indent + "}"
+    columns = [_json_texts(list(map(itemgetter(key), rows)), inner) for key in keys]
+    return [template % row for row in zip(*columns)]
 
 
 def render(document: ReportDocument, output_format: str) -> str:
     """Serialize to the fixed JSON schema or the fixed-header CSV."""
     if output_format == "json":
-        return _json_text(document.to_dict()) + "\n"
+        return _json_texts([document.to_dict()], "")[0] + "\n"
     if output_format != "csv":
         raise ValueError(f"format must be json or csv, got {output_format!r}")
     buf = io.StringIO()

@@ -149,19 +149,14 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-# the two checks below run on every correlator call, so they return the
-# numpy scalar (a float subclass) without a conversion; both act on the last
-# two axes and broadcast over leading ones, so one call checks a whole stack
+# the check below runs on every correlator call, so it returns the numpy
+# scalar (a float subclass) without a conversion; it acts on the last two axes
+# and broadcasts over leading ones, so one call checks a whole stack
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entry of |a - a^dagger| over every matrix of the stack."""
     return np.abs(a - a.conj().swapaxes(-1, -2)).max()
-
-
-def commutator_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry of |[a, b]| over every matrix pair of the broadcast stacks."""
-    return np.abs(a @ b - b @ a).max()
 
 
 @dataclass(frozen=True)

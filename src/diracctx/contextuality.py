@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +25,13 @@ _GAMMA = build_family("Gamma")
 _GAMMA_PRIME = build_family("GammaPrime")
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """One evaluated inequality: labeled correlator terms, their signed sum,
-    the noncontextual bound, and the parameters that produced it."""
+    the noncontextual bound, and the parameters that produced it.
+
+    A named tuple, not a frozen dataclass: a curve builds one per row, and the
+    dataclass __init__ spends most of a row's time in object.__setattr__.
+    """
 
     kind: str
     terms: dict
@@ -72,12 +76,12 @@ def chsh_value(density: ReducedSpinDensity | np.ndarray, a, b, c, d,
     for (ab, bc, cd, da), p in zip(rows, parameters, strict=True):
         value = ab + bc + cd - da
         reports.append(InequalityReport(
-            kind="chsh_nc",
-            terms={"AB": ab, "BC": bc, "CD": cd, "DA": da},
-            value=value,
-            bound=CHSH_BOUND,
-            violated=value > CHSH_BOUND,
-            parameters=dict(p or {}),
+            "chsh_nc",
+            {"AB": ab, "BC": bc, "CD": cd, "DA": da},
+            value,
+            CHSH_BOUND,
+            value > CHSH_BOUND,
+            dict(p or {}),
         ))
     return reports if stacked else reports[0]
 

@@ -17,6 +17,10 @@ from .contextuality import InequalityReport, chsh_value
 
 _ALPHA_Z = alpha_matrices()[2]
 _BETA = beta_matrix()
+# g3 g5 and g1 g5: gamma^5 holds one +-1 per column, so scaling these products
+# gives the bits of scaling g3 and g1 first and multiplying by g5 after
+_G35 = gamma_matrix(3) @ gamma_matrix(5)
+_G15 = gamma_matrix(1) @ gamma_matrix(5)
 # beta points per vectorized pass of free_chsh_curve; bounds its (N, 4, 4) temporaries
 CURVE_BLOCK = 512
 
@@ -78,8 +82,7 @@ def _observables(thetas):
     """(A', B', C', D') with B' and D' as (N, 4, 4) stacks over the angles."""
     cos = np.array([math.cos(t) for t in thetas])[:, None, None]
     sin = np.array([math.sin(t) for t in thetas])[:, None, None]
-    g0, g1, g2, g3, g5 = (gamma_matrix(i) for i in (0, 1, 2, 3, 5))
-    return g0, (cos * g3 + sin * g1) @ g5, 1j * g2, (-cos * g3 + sin * g1) @ g5
+    return gamma_matrix(0), cos * _G35 + sin * _G15, 1j * gamma_matrix(2), -cos * _G35 + sin * _G15
 
 
 def free_observables(beta_v: float):

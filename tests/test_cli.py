@@ -27,7 +27,7 @@ from diracctx.cli import (
     render,
 )
 from diracctx.clifford import build_family
-from diracctx.contextuality import chsh_value, optimal_xi, peres_mermin_square, peres_mermin_value
+from diracctx.contextuality import optimal_xi, peres_mermin_square, peres_mermin_value
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, _spinor_terms, valid_states
 from diracctx.spindensity import (
     QuadratureError,
@@ -181,12 +181,16 @@ def _reference_density(qn, a):
 
 
 def _reference_sweep_row(qn, a):
-    """Per-state reference: one chsh_value call on single 4x4 matrices."""
+    """Per-state reference: the four terms as traces of single 4x4 products,
+    and their signed sum."""
     gamma, gamma_prime = build_family("Gamma"), build_family("GammaPrime")
     xi, _ = optimal_xi(qn, a)
     b = -math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
     d = math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
-    return chsh_value(_reference_density(qn, a), gamma.y, b, gamma.z, d)
+    rho = _reference_density(qn, a)
+    pairs = {"AB": (gamma.y, b), "BC": (b, gamma.z), "CD": (gamma.z, d), "DA": (d, gamma.y)}
+    terms = {k: float(np.trace(rho @ o1 @ o2).real) for k, (o1, o2) in pairs.items()}
+    return terms, terms["AB"] + terms["BC"] + terms["CD"] - terms["DA"]
 
 
 @pytest.mark.parametrize("alpha", [1.0 / 137.036, 0.6])
@@ -195,10 +199,10 @@ def test_sweep_rows_equal_per_state_evaluation(alpha):
     states = list(valid_states(8))
     assert len(doc.results) == len(states)
     for qn, row in zip(states, doc.results):
-        reference = _reference_sweep_row(qn, alpha)
+        terms, value = _reference_sweep_row(qn, alpha)
         assert (row["parameters"]["n"], row["parameters"]["kappa"]) == (qn.n, qn.kappa)
-        assert row["terms"] == reference.terms
-        assert row["value"] == reference.value
+        assert row["terms"] == terms
+        assert row["value"] == value
 
 
 def test_peres_mermin_stack_equals_per_density_evaluation():
@@ -348,6 +352,67 @@ _trees = st.recursive(
 @settings(max_examples=100)
 def test_render_json_matches_reference_writer(command, params, results):
     doc = ReportDocument(command=command, params=params, results=results)
+    assert render(doc, "json") == _reference_json(doc)
+
+
+# report-like tables for the column writer: rows of one random shape, where
+# a shape is a leaf kind, a one-item list [item shape] (a list of any length)
+# or a dict of shapes, and every dict of a row may be mutated on its own
+_LEAF_KINDS = {
+    "float": st.floats(),
+    "float64": st.floats().map(np.float64),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(max_size=4),
+}
+_shapes = st.recursive(
+    st.sampled_from(sorted(_LEAF_KINDS)),
+    lambda inner: inner.map(lambda item: [item])
+    | st.dictionaries(_keys, inner, min_size=1, max_size=4),
+    max_leaves=8,
+)
+_MUTATIONS = ("none", "none", "reorder", "drop", "retype")
+
+
+def _instance(draw, shape):
+    """One value of the shape; each dict in it keeps its keys and order, or
+    moves one key to the end, drops one, or gives it a leaf of any type."""
+    if isinstance(shape, str):
+        return draw(_LEAF_KINDS[shape])
+    if isinstance(shape, list):
+        return [_instance(draw, shape[0]) for _ in range(draw(st.integers(0, 3)))]
+    row = {key: _instance(draw, item) for key, item in shape.items()}
+    key = draw(st.sampled_from(sorted(shape)))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    if mutation == "reorder":
+        row[key] = row.pop(key)
+    elif mutation == "drop":
+        del row[key]
+    elif mutation == "retype":
+        row[key] = draw(_leaves)
+    return row
+
+
+@st.composite
+def _tables(draw):
+    """A shape and up to 20 rows of it."""
+    shape = draw(st.dictionaries(_keys, _shapes, min_size=1, max_size=5))
+    return shape, [_instance(draw, shape) for _ in range(draw(st.integers(0, 20)))]
+
+
+@given(_tables())
+@settings(max_examples=100)
+def test_render_json_of_tables_matches_reference_writer(table):
+    shape, rows = table
+    doc = ReportDocument(command="table", params=shape, results=rows)
+    assert render(doc, "json") == _reference_json(doc)
+
+
+def test_render_json_of_float_edges_in_one_column():
+    column = [*FLOAT_EDGES, *(-x for x in FLOAT_EDGES), math.inf, -math.inf, math.nan]
+    doc = ReportDocument(command="edges", params={"grid": column},
+                         results=[{"value": x} for x in column])
     assert render(doc, "json") == _reference_json(doc)
 
 

@@ -163,6 +163,21 @@ def test_report_serialization_round_trip():
     assert payload["parameters"]["n"] == 1
 
 
+def test_report_is_immutable_and_to_dict_copies():
+    parameters = {"a": ALPHA, "n": 1}
+    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=parameters)
+    with pytest.raises(AttributeError):
+        report.value = 0.0
+    terms = dict(report.terms)
+    payload = report.to_dict()
+    payload["terms"]["AB"] = 99.0
+    payload["terms"]["XY"] = 1.0
+    payload["parameters"]["n"] = 7
+    parameters["n"] = 8
+    assert report.terms == terms
+    assert report.parameters == {"a": ALPHA, "n": 1}
+
+
 # --- the xi sweep and its closed form --------------------------------------------
 
 def test_optimal_xi_ground_state_matches_both_routes():

@@ -132,11 +132,16 @@ def test_curve_strictly_decreasing_and_violating():
 
 
 def _pointwise_terms(beta_v):
-    """The four correlators of one velocity ratio on plain 4x4 matrices."""
+    """The four correlators of one velocity ratio on plain 4x4 matrices, with
+    B' and D' multiplied out from the gamma matrices as free_observables states them."""
     spinor = free_state(beta_v).spinor
     u = spinor / np.linalg.norm(spinor)
     rho = np.outer(u, u.conj())
-    a, b, c, d = free_observables(beta_v)
+    theta = observable_angle(beta_v)
+    g0, g1, g2, g3, g5 = (gamma_matrix(i) for i in (0, 1, 2, 3, 5))
+    a, c = g0, 1j * g2
+    b = (math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
+    d = (-math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
     pairs = {"AB": (a, b), "BC": (b, c), "CD": (c, d), "DA": (d, a)}
     return {k: float(np.trace(rho @ o1 @ o2).real) for k, (o1, o2) in pairs.items()}
 
@@ -150,8 +155,8 @@ def _stacks(betas):
 
 
 def test_batched_terms_equal_pointwise_reference():
-    # a grid longer than one block, so a block boundary is crossed
-    betas = [float(b) for b in np.linspace(0.0, 0.999, CURVE_BLOCK + 50)][::21]
+    # the benchmark's full 0:0.999:20000 grid, which crosses many block boundaries
+    betas = [float(b) for b in np.linspace(0.0, 0.999, 20000)]
     betas += [float(b) for b in np.random.default_rng(5).uniform(0.0, 0.999999, 50)]
     for beta_v, report in zip(betas, free_chsh_curve(betas), strict=True):
         assert report.terms == _pointwise_terms(beta_v)
