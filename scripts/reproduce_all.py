@@ -64,7 +64,8 @@ def main():
           f"value = 6 with spread {max(values) - min(values):.2e}")
 
     print("\n--- free Dirac electron, value = 2 sqrt(2 - beta^2) ---")
-    for r in results("free-electron", beta_grid=(0.0, 0.3, 0.6, 0.9, 0.999)):
+    for beta in (0.0, 0.3, 0.6, 0.9, 0.999):
+        (r,) = results("free-electron", beta=beta)
         p = r["parameters"]
         print(f"  beta={p['beta_v']:<6} value = {r['value']:.12f}   "
               f"closed form = {p['closed_form']:.12f}")

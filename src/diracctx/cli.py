@@ -72,7 +72,7 @@ class RunConfig:
     xi: float | None = None
     n_max: int | None = None
     beta: float | None = None
-    beta_grid: tuple | None = None
+    beta_grid: str | None = None
     seed: int | None = None
     output_format: str = "json"
     output_path: str | None = None
@@ -124,7 +124,7 @@ class ReportDocument:
         return {
             "command": self.command,
             "params": dict(self.params),
-            "results": [dict(r) for r in self.results],
+            "results": self.results,
             "version": self.version,
         }
 
@@ -331,7 +331,7 @@ def _run_peres_mermin(config: RunConfig) -> list:
 
 
 def _run_free_electron(config: RunConfig) -> list:
-    betas = config.beta_grid if config.beta_grid is not None else (config.beta,)
+    betas = (config.beta,) if config.beta_grid is None else _parse_beta_grid(config.beta_grid)
     return [report.to_dict() for report in free_chsh_curve(betas)]
 
 
@@ -488,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     flags = {flag: getattr(args, flag) for flag in COMMANDS[args.command].flags}
-    if flags.get("beta_grid") is not None:
-        flags["beta_grid"] = _parse_beta_grid(flags["beta_grid"])
     return RunConfig(
         command=args.command, output_format=args.format, output_path=args.output, **flags
     )

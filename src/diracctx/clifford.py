@@ -114,25 +114,11 @@ PERES_MERMIN_GRID = (
 )
 
 
-def build_family(label: str, basis: np.ndarray | None = None) -> ObservableTriple:
-    """Observable triple for one of the four families.
-
-    basis, if given, applies the global similarity transform M -> U M U^dag
-    to every component (sensitivity-analysis switch; default is the literal
-    representation).
-    """
+def build_family(label: str) -> ObservableTriple:
+    """Observable triple for one of the four families."""
     if label not in FAMILY_LABELS:
         raise ValueError(f"label must be one of {FAMILY_LABELS}, got {label!r}")
-    family = _FAMILIES[label]
-    if basis is None:
-        return family
-    u = np.asarray(basis, dtype=complex)
-    if u.shape != (4, 4):
-        raise ValueError("basis must be a 4x4 unitary")
-    if np.abs(u @ u.conj().T - np.eye(4)).max() > 1e-12:
-        raise ValueError("basis matrix is not unitary")
-    x, y, z = (u @ m @ u.conj().T for m in family.components())
-    return ObservableTriple(x=x, y=y, z=z, label=label)
+    return _FAMILIES[label]
 
 
 def direction_observable(family: ObservableTriple, n) -> np.ndarray:
@@ -180,15 +166,6 @@ class AlgebraAudit:
 
     def failures(self) -> tuple[AuditCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual}
-                for c in self.checks
-            ],
-        }
 
 
 def audit_algebra() -> AlgebraAudit:

@@ -30,46 +30,16 @@ def _check_beta_v(beta_v: float) -> None:
         raise ValueError(f"velocity ratio must lie in [0, 1), got {beta_v}")
 
 
-@dataclass(frozen=True)
-class FreeElectronState:
-    """Positive-energy plane-wave spinor at momentum k along z (natural units)."""
-
-    beta_v: float
-    k: float
-    energy: float
-    helicity: int
-    norm_const: float
-    spinor: np.ndarray
-
-
-def _plane_waves(betas: np.ndarray, helicity: int):
-    """Energies E = 1/sqrt(1 - beta^2), momenta k, constants N_e = 2E/(1+E)
-    and the real (N, 4) spinors (chi, k/(1+E) chi)/sqrt(N_e) at each velocity
-    ratio. The spinors stay float64 here: dividing complex ones by sqrt(N_e)
-    would round differently."""
+def _plane_waves(betas: np.ndarray) -> np.ndarray:
+    """The real (N, 4) positive-helicity spinors (1, 0, k/(1+E), 0)/sqrt(N_e) at
+    each velocity ratio, with E = 1/sqrt(1 - beta^2), k = beta E and
+    N_e = 2E/(1+E). The spinors stay float64 here: dividing complex ones by
+    sqrt(N_e) would round differently."""
     energy = 1.0 / np.sqrt(1.0 - betas * betas)
-    k = betas * energy
-    norm_const = 2.0 * energy / (1.0 + energy)
-    chi = np.array([1.0, 0.0]) if helicity == 1 else np.array([0.0, 1.0])
-    lower = (k / (1.0 + energy))[:, None] * chi
-    spinors = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=1)
-    return energy, k, norm_const, spinors / np.sqrt(norm_const)[:, None]
-
-
-def free_state(beta_v: float, helicity: int = 1) -> FreeElectronState:
-    """Spinor (chi, k/(1+E) chi)/sqrt(N_e) with E = 1/sqrt(1-beta^2), N_e = 2E/(1+E)."""
-    _check_beta_v(beta_v)
-    if helicity not in (1, -1):
-        raise ValueError(f"helicity must be +1 or -1, got {helicity}")
-    energy, k, norm_const, spinors = _plane_waves(np.array([beta_v]), helicity)
-    return FreeElectronState(
-        beta_v=beta_v,
-        k=float(k[0]),
-        energy=float(energy[0]),
-        helicity=helicity,
-        norm_const=float(norm_const[0]),
-        spinor=spinors[0].astype(complex),
-    )
+    spinors = np.zeros((len(betas), 4))
+    spinors[:, 0] = 1.0
+    spinors[:, 2] = betas * energy / (1.0 + energy)
+    return spinors / np.sqrt(2.0 * energy / (1.0 + energy))[:, None]
 
 
 def observable_angle(beta_v: float) -> float:
@@ -104,7 +74,7 @@ def free_chsh_curve(betas) -> list[InequalityReport]:
     for start in range(0, len(betas), CURVE_BLOCK):
         block = betas[start:start + CURVE_BLOCK]
         angles = thetas[start:start + CURVE_BLOCK]
-        spinors = _plane_waves(np.array(block), helicity=1)[3].astype(complex)
+        spinors = _plane_waves(np.array(block)).astype(complex)
         # normalized as ReducedSpinDensity.from_pure does for one spinor
         u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
         densities = u[:, :, None] * u.conj()[:, None, :]
@@ -139,43 +109,19 @@ def energy_projector(beta_v: float, sign: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergySplit:
-    """Positive/negative-energy projectors at fixed k and, for one observable,
-    the negative-energy weight of each of its eigenvectors."""
+    """For one observable at fixed k, the negative-energy weight of each of its
+    eigenvectors."""
 
-    beta_v: float
-    k: float
-    energy: float
-    projector_positive: np.ndarray
-    projector_negative: np.ndarray
-    observable_eigenvalues: np.ndarray
     negative_weights: np.ndarray
 
 
 def energy_split(beta_v: float, observable: np.ndarray) -> EnergySplit:
     """Diagonalize the observable and weigh each eigenvector against the
     negative-energy subspace of the fixed-k free Hamiltonian."""
-    _check_beta_v(beta_v)
+    proj_neg = energy_projector(beta_v, -1)
     obs = np.asarray(observable, dtype=complex)
     if hermiticity_defect(obs) > 1e-10:
         raise ValueError("observable must be Hermitian")
-    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
-    k = beta_v * energy
-    proj_pos = energy_projector(beta_v, 1)
-    proj_neg = energy_projector(beta_v, -1)
-    eigvals, eigvecs = np.linalg.eigh(obs)
+    eigvecs = np.linalg.eigh(obs)[1]
     weights = np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real
-    return EnergySplit(
-        beta_v=beta_v,
-        k=k,
-        energy=energy,
-        projector_positive=proj_pos,
-        projector_negative=proj_neg,
-        observable_eigenvalues=eigvals,
-        negative_weights=weights,
-    )
-
-
-def negative_weight_of_state(beta_v: float, spinor) -> float:
-    """Negative-energy weight <u|P-|u> of an arbitrary normalized spinor."""
-    u = np.asarray(spinor, dtype=complex).reshape(4)
-    return float((u.conj() @ energy_projector(beta_v, -1) @ u).real)
+    return EnergySplit(negative_weights=weights)

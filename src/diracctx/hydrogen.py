@@ -61,10 +61,6 @@ class QuantumNumbers:
             raise ValueError(f"|m_j| <= j = {self.j} required, got m_j={self.m_j}")
 
     @property
-    def abs_kappa(self) -> int:
-        return abs(self.kappa)
-
-    @property
     def sign(self) -> int:
         return 1 if self.kappa > 0 else -1
 
@@ -113,10 +109,8 @@ class RadialSolution:
     """Derived radial parameters plus the normalization
     N = integral rho^2 (f^2 + g^2) d rho."""
 
-    n_tilde: int
     nu: float
     mu: float
-    lam: float
     norm: float
 
     def __post_init__(self):
@@ -161,13 +155,7 @@ def radial_solution(qn: QuantumNumbers, a: float) -> RadialSolution:
     rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * nu)
     f, g = radial_fg(qn, a, rho)
     norm = float(np.sum(w * rho * rho * (f * f + g * g)))
-    return RadialSolution(
-        n_tilde=qn.n_tilde,
-        nu=nu,
-        mu=mu,
-        lam=1.0 / math.sqrt(1.0 - mu * mu),
-        norm=norm,
-    )
+    return RadialSolution(nu=nu, mu=mu, norm=norm)
 
 
 def _spinor_terms(part: str, l: int, m: int) -> tuple:
@@ -216,10 +204,6 @@ class SpinorField:
     qn: QuantumNumbers
     a: float
     radial: RadialSolution
-
-    @property
-    def mu(self) -> float:
-        return self.radial.mu
 
     def __call__(self, rho, theta, phi) -> np.ndarray:
         """Four complex amplitudes, shape (4,) + broadcast(rho, theta, phi)."""

@@ -52,16 +52,6 @@ class ReducedSpinDensity:
     def maximally_mixed(cls) -> "ReducedSpinDensity":
         return cls(matrix=np.eye(4, dtype=complex) / 4.0, label="maximally-mixed")
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(hermiticity_defect(self.matrix))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix).min())
-
 
 def state_label(qn: QuantumNumbers) -> str:
     """The label a bound state's density and Peres-Mermin report carry."""
@@ -85,11 +75,6 @@ def analytic_densities(states, a: float) -> np.ndarray:
     densities = np.zeros((len(states), 4, 4), dtype=complex)
     densities[:, range(4), range(4)] = diagonals
     return densities
-
-
-def analytic_density(qn: QuantumNumbers, a: float) -> ReducedSpinDensity:
-    """The closed-form spin density of one bound state, labeled as reduce labels it."""
-    return ReducedSpinDensity(matrix=analytic_densities([qn], a)[0], label=state_label(qn))
 
 
 def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDensity:

@@ -84,9 +84,9 @@ def test_free_electron_at_rest():
 
 
 def test_free_electron_grid():
-    doc = _run("free-electron", beta_grid=(0.0, 0.5, 0.9))
+    doc = _run("free-electron", beta_grid="0:0.9:3")
     assert len(doc.results) == 3
-    for beta, r in zip((0.0, 0.5, 0.9), doc.results):
+    for beta, r in zip((0.0, 0.45, 0.9), doc.results):
         assert r["parameters"]["beta_v"] == beta
         assert r["value"] == pytest.approx(2.0 * math.sqrt(2.0 - beta**2), rel=1e-12)
 
@@ -422,7 +422,7 @@ def test_render_json_of_float_edges_in_one_column():
     ("excited", {"n": 4, "kappa": -1}),
     ("sweep", {"n_max": 3}),
     ("peres-mermin", {"n_max": 2, "seed": 1}),
-    ("free-electron", {"beta_grid": _parse_beta_grid("0:0.999:2000")}),
+    ("free-electron", {"beta_grid": "0:0.999:2000"}),
     ("measurability", {}),
     ("converge", {"n": 3, "kappa": -2}),
 ])
@@ -456,9 +456,10 @@ def test_beta_grid_parsing():
     parser = build_parser()
     args = parser.parse_args(["free-electron", "--beta-grid", "0:0.9:4"])
     cfg = config_from_args(args)
-    assert cfg.beta_grid == (0.0, 0.3, 0.6, 0.9)
+    assert cfg.beta_grid == "0:0.9:4"
+    assert _parse_beta_grid(cfg.beta_grid) == (0.0, 0.3, 0.6, 0.9)
     with pytest.raises(ValueError):
-        config_from_args(parser.parse_args(["free-electron", "--beta-grid", "oops"]))
+        execute(config_from_args(parser.parse_args(["free-electron", "--beta-grid", "oops"])))
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
@@ -467,6 +468,8 @@ def test_beta_grid_without_points_exits_2(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--beta-grid" in captured.err
+    with pytest.raises(ValueError, match="--beta-grid"):
+        _run("free-electron", beta_grid=f"0:0.5:{count}")
 
 
 def test_beta_with_beta_grid_exits_2(capsys):
@@ -475,7 +478,15 @@ def test_beta_with_beta_grid_exits_2(capsys):
     assert captured.out == ""
     assert "--beta and --beta-grid" in captured.err
     with pytest.raises(ValueError, match="--beta and --beta-grid"):
-        RunConfig(command="free-electron", beta=0.0, beta_grid=(0.0, 0.5))
+        RunConfig(command="free-electron", beta=0.0, beta_grid="0:0.5:2")
+
+
+def test_beta_grid_echo_is_the_text(capsys):
+    assert main(["free-electron", "--beta-grid", "0:0.999:5"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"] == {"beta": 0.0, "beta_grid": "0:0.999:5"}
+    assert [r["parameters"]["beta_v"] for r in report["results"]] == list(
+        _parse_beta_grid("0:0.999:5"))
 
 
 COMMAND_NAMES = (

@@ -185,25 +185,6 @@ def test_direction_observables_reproduce_ground_choice():
     assert np.allclose(d, -(gamp.x + gamp.z) * s)
 
 
-def test_basis_transform_preserves_structure():
-    # similarity switch: a random unitary must keep involutions and commutators
-    rng = np.random.default_rng(3)
-    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u, _ = np.linalg.qr(raw)
-    gam = build_family("Gamma", basis=u)
-    gamp = build_family("GammaPrime", basis=u)
-    for m in (*gam.components(), *gamp.components()):
-        assert np.abs(m @ m - I4).max() < 1e-12
-    for a in gam.components():
-        for b in gamp.components():
-            assert np.abs(commutator(a, b)).max() < 1e-12
-
-
-def test_basis_transform_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        build_family("Gamma", basis=np.ones((4, 4)))
-
-
 # --- audit ---------------------------------------------------------------------
 
 def test_audit_passes_with_zero_residuals():
@@ -258,12 +239,6 @@ def test_audit_fails_on_a_perturbed_matrix(monkeypatch, attribute, patched, expe
     assert {c.name for c in audit.failures()} == expected
     assert all(c.residual == 2.0 for c in audit.failures())
     assert len(audit.checks) == 84
-
-
-def test_audit_serializes():
-    payload = audit_algebra().to_dict()
-    assert payload["passed"] is True
-    assert all(c["residual"] == 0.0 for c in payload["checks"])
 
 
 def test_observable_triple_component_access():

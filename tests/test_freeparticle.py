@@ -15,9 +15,9 @@ from diracctx.freeparticle import (
     free_chsh,
     free_chsh_curve,
     free_hamiltonian,
+    _plane_waves,
+    energy_projector,
     free_observables,
-    free_state,
-    negative_weight_of_state,
     observable_angle,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
@@ -30,48 +30,52 @@ SIGMA = build_family("Sigma")
 
 # --- states ------------------------------------------------------------------
 
+def _spinor(beta_v):
+    return _plane_waves(np.array([beta_v]))[0]
+
+
+def _energy_and_momentum(beta_v):
+    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
+    return energy, beta_v * energy
+
+
 def test_rest_frame_state_is_spin_up():
-    state = free_state(0.0, helicity=1)
-    assert np.allclose(state.spinor, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    assert state.k == 0.0 and state.energy == 1.0 and state.norm_const == 1.0
+    assert np.array_equal(_spinor(0.0), [1.0, 0.0, 0.0, 0.0])
 
 
 @given(st.floats(0.0, 0.999, allow_nan=False))
 @settings(max_examples=100)
 def test_state_normalized_for_any_velocity(beta_v):
-    for helicity in (1, -1):
-        state = free_state(beta_v, helicity)
-        assert np.linalg.norm(state.spinor) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(_spinor(beta_v)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_amplitude_ratio_at_beta_06():
     # k = 0.75, E = 1.25, lower/upper ratio k/(1+E) = 1/3
-    state = free_state(0.6, helicity=1)
-    assert state.k == pytest.approx(0.75, rel=1e-14)
-    assert state.energy == pytest.approx(1.25, rel=1e-14)
-    assert state.spinor[2] / state.spinor[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    energy, k = _energy_and_momentum(0.6)
+    assert k == pytest.approx(0.75, rel=1e-14)
+    assert energy == pytest.approx(1.25, rel=1e-14)
+    spinor = _spinor(0.6)
+    assert spinor[2] / spinor[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_superluminal_rejected():
     for bad in (1.0, 1.2, -0.1):
         with pytest.raises(ValueError):
-            free_state(bad)
-    with pytest.raises(ValueError):
-        free_state(0.5, helicity=0)
+            free_chsh(bad)
+        with pytest.raises(ValueError):
+            energy_projector(bad, -1)
 
 
-@pytest.mark.parametrize("helicity", [1, -1])
-def test_helicity_block_structure(helicity):
-    # Sigma_z acts as +-1 on both two-spinor blocks of the eigenstate
-    state = free_state(0.7, helicity)
-    out = SIGMA.z @ state.spinor
-    assert np.allclose(out, helicity * state.spinor, atol=1e-12)
+def test_helicity_block_structure():
+    # Sigma_z acts as +1 on both two-spinor blocks of the eigenstate
+    spinor = _spinor(0.7)
+    assert np.allclose(SIGMA.z @ spinor, spinor, atol=1e-12)
 
 
 def test_state_solves_fixed_k_hamiltonian():
-    state = free_state(0.6, helicity=1)
-    h = free_hamiltonian(state.k)
-    assert np.allclose(h @ state.spinor, state.energy * state.spinor, atol=1e-12)
+    energy, k = _energy_and_momentum(0.6)
+    spinor = _spinor(0.6)
+    assert np.allclose(free_hamiltonian(k) @ spinor, energy * spinor, atol=1e-12)
 
 
 # --- observables ---------------------------------------------------------------
@@ -134,7 +138,7 @@ def test_curve_strictly_decreasing_and_violating():
 def _pointwise_terms(beta_v):
     """The four correlators of one velocity ratio on plain 4x4 matrices, with
     B' and D' multiplied out from the gamma matrices as free_observables states them."""
-    spinor = free_state(beta_v).spinor
+    spinor = _spinor(beta_v).astype(complex)
     u = spinor / np.linalg.norm(spinor)
     rho = np.outer(u, u.conj())
     theta = observable_angle(beta_v)
@@ -147,7 +151,8 @@ def _pointwise_terms(beta_v):
 
 
 def _stacks(betas):
-    densities = np.stack([np.outer(u, u.conj()) for u in (free_state(b).spinor for b in betas)])
+    spinors = _plane_waves(np.array(betas)).astype(complex)
+    densities = np.stack([np.outer(u, u.conj()) for u in spinors])
     a, _, c, _ = free_observables(0.0)
     b = np.stack([free_observables(beta)[1] for beta in betas])
     d = np.stack([free_observables(beta)[3] for beta in betas])
@@ -210,8 +215,7 @@ def test_report_parameters_carry_closed_form():
 # --- energy split -----------------------------------------------------------------
 
 def test_projectors_complete_and_idempotent():
-    split = energy_split(0.5, free_observables(0.5)[0])
-    p, m = split.projector_positive, split.projector_negative
+    p, m = energy_projector(0.5, 1), energy_projector(0.5, -1)
     assert np.abs(p + m - I4).max() < 1e-12
     assert np.abs(p @ p - p).max() < 1e-12
     assert np.abs(m @ m - m).max() < 1e-12
@@ -220,18 +224,16 @@ def test_projectors_complete_and_idempotent():
 
 
 def test_projectors_commute_with_hamiltonian():
-    split = energy_split(0.5, free_observables(0.5)[1])
-    h = free_hamiltonian(split.k)
-    comm = split.projector_negative @ h - h @ split.projector_negative
+    h = free_hamiltonian(_energy_and_momentum(0.5)[1])
+    m = energy_projector(0.5, -1)
+    comm = m @ h - h @ m
     assert np.abs(comm).max() < 1e-12
 
 
 def test_plane_wave_state_is_purely_positive_energy():
     for beta_v in (0.0, 0.3, 0.8):
-        state = free_state(beta_v, helicity=1)
-        assert negative_weight_of_state(beta_v, state.spinor) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        u = _spinor(beta_v)
+        assert u @ energy_projector(beta_v, -1) @ u == pytest.approx(0.0, abs=1e-12)
 
 
 def test_each_observable_mixes_energy_signs_at_half_c():
@@ -259,8 +261,8 @@ def test_energy_split_rejects_non_hermitian():
 
 
 def test_observable_eigenvalues_are_dichotomic():
-    split = energy_split(0.5, free_observables(0.5)[3])
-    assert np.allclose(np.abs(split.observable_eigenvalues), 1.0, atol=1e-12)
+    eigenvalues = np.linalg.eigvalsh(free_observables(0.5)[3])
+    assert np.allclose(np.abs(eigenvalues), 1.0, atol=1e-12)
 
 
 # --- hydrogen contrast ---------------------------------------------------------------

@@ -29,7 +29,6 @@ def test_quantum_number_derived_fields():
     assert qn.m == -2
     assert qn.sign == -1
     assert qn.n_tilde == 1
-    assert qn.abs_kappa == 2
 
 
 @pytest.mark.parametrize(
@@ -165,11 +164,10 @@ def test_radial_pair_satisfies_first_order_system(n, kappa):
 def test_radial_solution_parameters():
     qn = QuantumNumbers(2, -1, 0.5)
     sol = radial_solution(qn, ALPHA)
-    assert sol.n_tilde == 1
     assert sol.nu == pytest.approx(math.sqrt(1 - ALPHA**2), rel=1e-15)
+    assert sol.mu == sommerfeld_mu(2, -1, ALPHA)
     assert 0.0 < sol.mu < 1.0
     assert sol.norm > 0.0 and math.isfinite(sol.norm)
-    assert sol.lam == pytest.approx(1.0 / math.sqrt(1.0 - sol.mu**2), rel=1e-15)
 
 
 def test_radial_normalization_self_consistency():

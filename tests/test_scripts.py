@@ -6,16 +6,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_all_prints_every_section():
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"), "--n-max", "2"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_reproduce_all_prints_every_section():
+    stdout = _run_script("reproduce_all.py", "--n-max", "2")
     sections = (
         "exact algebra audit: 84 checks, max residual 0.0, passed=True",
         "--- ground states, dedicated observables ---",
@@ -30,4 +35,14 @@ def test_reproduce_all_prints_every_section():
         "done in",
     )
     for line in sections:
-        assert line in proc.stdout
+        assert line in stdout
+
+
+def test_violation_curve_tabulates_the_closed_form():
+    header, *rows = _run_script("violation_curve.py", "--points", "3").splitlines()
+    assert header == "beta,theta,value,closed_form,violated"
+    table = [row.split(",") for row in rows]
+    assert [float(row[0]) for row in table] == [0.0, 0.4995, 0.999]
+    for _, _, value, closed_form, violated in table:
+        assert abs(float(value) - float(closed_form)) <= 1e-12
+        assert violated == "true"
