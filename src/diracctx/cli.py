@@ -28,6 +28,7 @@ from .contextuality import (
     chsh_value,
     excited_observables,
     ground_observables,
+    harmonic_coefficients,
     optimal_xi,
     peres_mermin_value,
 )
@@ -41,8 +42,8 @@ from .hydrogen import (
 )
 from .spindensity import (
     QuadratureError,
-    ReducedSpinDensity,
     analytic_densities,
+    pure_density,
     reduce,
     state_label,
 )
@@ -261,25 +262,25 @@ def render(document: ReportDocument, output_format: str) -> str:
     return buf.getvalue()
 
 
-def _state_parameters(qn: QuantumNumbers, a: float) -> dict:
-    return {
-        "a": a,
-        "n": qn.n,
-        "kappa": qn.kappa,
-        "mj": qn.m_j,
-        "sign": qn.sign,
-        "mu": sommerfeld_mu(qn.n, qn.kappa, a),
-    }
+def _columns(states: list, a: float) -> tuple:
+    """The columns (kappa, 2 m_j, delta) of the states, which the closed forms
+    take; delta = mu is computed here, once per state."""
+    return (
+        np.array([qn.kappa for qn in states]),
+        np.array([round(2 * qn.m_j) for qn in states]),
+        np.array([sommerfeld_mu(qn.n, qn.kappa, a) for qn in states]),
+    )
 
 
-def _chsh_on_states(states: list, a: float, observables, extra_params: list) -> list:
+def _chsh_on_states(states: list, a: float, columns: tuple, observables,
+                    extra_params: list) -> list:
     """One chsh_value pass over the closed-form densities of the states; the
     i-th state's report parameters gain extra_params[i]."""
     params = [
-        {**_state_parameters(qn, a), **extra}
-        for qn, extra in zip(states, extra_params, strict=True)
+        {"a": a, "n": qn.n, "kappa": qn.kappa, "mj": qn.m_j, "sign": qn.sign, "mu": mu, **extra}
+        for qn, mu, extra in zip(states, columns[2].tolist(), extra_params, strict=True)
     ]
-    reports = chsh_value(analytic_densities(states, a), *observables, parameters=params)
+    reports = chsh_value(analytic_densities(*columns), *observables, parameters=params)
     return [report.to_dict() for report in reports]
 
 
@@ -297,36 +298,45 @@ def _run_audit(config: RunConfig) -> list:
 
 def _run_ground(config: RunConfig) -> list:
     qn = QuantumNumbers(n=1, kappa=1, m_j=config.mj)
-    obs, closed_form = _scenario(qn, config.alpha)
-    return _chsh_on_states([qn], config.alpha, obs, [{"closed_form": closed_form}])
+    columns = _columns([qn], config.alpha)
+    obs, closed_form = _scenario(qn, columns)
+    return _chsh_on_states([qn], config.alpha, columns, obs, [{"closed_form": closed_form}])
 
 
 def _run_excited(config: RunConfig) -> list:
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    xi_star, value_star = optimal_xi(qn, config.alpha)
-    xi = config.xi if config.xi is not None else xi_star
-    extra = {"xi": xi, "xi_star": xi_star, "closed_form": value_star}
-    return _chsh_on_states([qn], config.alpha, excited_observables([xi]), [extra])
+    columns = _columns([qn], config.alpha)
+    xi_star, value_star = (v.item() for v in optimal_xi(*columns))
+    xi, closed_form = xi_star, value_star
+    if config.xi is not None:
+        c, s = (v.item() for v in harmonic_coefficients(*columns))
+        xi, closed_form = config.xi, 2.0 * (c * math.cos(config.xi) + s * math.sin(config.xi))
+    extra = {"xi": xi, "xi_star": xi_star, "closed_form": closed_form}
+    return _chsh_on_states([qn], config.alpha, columns, excited_observables([xi]), [extra])
 
 
 def _run_sweep(config: RunConfig) -> list:
     states = list(valid_states(config.n_max))
-    optima = [optimal_xi(qn, config.alpha) for qn in states]
-    extras = [{"xi": xi, "xi_star": xi, "closed_form": value} for xi, value in optima]
-    observables = excited_observables([xi for xi, _ in optima])
-    return _chsh_on_states(states, config.alpha, observables, extras)
+    columns = _columns(states, config.alpha)
+    xi_star, value_star = optimal_xi(*columns)
+    extras = [
+        {"xi": xi, "xi_star": xi, "closed_form": value}
+        for xi, value in zip(xi_star.tolist(), value_star.tolist())
+    ]
+    return _chsh_on_states(states, config.alpha, columns, excited_observables(xi_star), extras)
 
 
 def _run_peres_mermin(config: RunConfig) -> list:
     states = list(valid_states(config.n_max))
     rng = np.random.default_rng(config.seed)
-    others = []
-    for idx in range(100):
-        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        others.append(ReducedSpinDensity.from_pure(raw, label=f"random-{idx}"))
-    others.append(ReducedSpinDensity.maximally_mixed())
-    stack = np.concatenate([analytic_densities(states, config.alpha), [d.matrix for d in others]])
-    labels = [state_label(qn) for qn in states] + [d.label for d in others]
+    spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
+    stack = np.concatenate([
+        analytic_densities(*_columns(states, config.alpha)),
+        [pure_density(u) for u in spinors],
+        [np.eye(4) / 4.0],
+    ])
+    labels = [state_label(qn) for qn in states]
+    labels += [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
     return [report.to_dict() for report in peres_mermin_value(stack, labels)]
 
 
@@ -336,7 +346,7 @@ def _run_free_electron(config: RunConfig) -> list:
 
 
 def _run_measurability(config: RunConfig) -> list:
-    mus = [sommerfeld_mu(qn.n, qn.kappa, config.alpha) for qn in valid_states(config.n_max)]
+    mus = _columns(list(valid_states(config.n_max)), config.alpha)[2].tolist()
     results = [{
         "kind": "hydrogen_spectrum_positivity",
         "terms": {"min_mu": min(mus), "max_mu": max(mus)},
@@ -345,12 +355,10 @@ def _run_measurability(config: RunConfig) -> list:
         "violated": min(mus) > 0.0,
     }]
     for name, obs in zip("ABCD", free_observables(config.beta)):
-        split = energy_split(config.beta, obs)
-        terms = {
-            f"weight_{i}": float(w) for i, w in enumerate(split.negative_weights)
-        }
+        weights = energy_split(config.beta, obs)
+        terms = {f"weight_{i}": float(w) for i, w in enumerate(weights)}
         # mixing margin: how far the most mixed eigenvector sits inside (0, 1)
-        margin = float(max(min(w, 1.0 - w) for w in split.negative_weights))
+        margin = float(max(min(w, 1.0 - w) for w in weights))
         results.append({
             "kind": f"negative_energy_mixing_{name}",
             "terms": terms,
@@ -361,12 +369,13 @@ def _run_measurability(config: RunConfig) -> list:
     return results
 
 
-def _scenario(qn: QuantumNumbers, alpha: float):
-    """Observables and closed-form value for one state: the ground states use
-    the dedicated observable choice, everything else the optimal xi family."""
+def _scenario(qn: QuantumNumbers, columns: tuple):
+    """Observables and closed-form value for one state and its columns: the
+    ground states use the dedicated observable choice, everything else the
+    optimal xi family."""
     if qn.n == 1:
-        return ground_observables(qn.m_j), math.sqrt(2.0) * (1.0 + sommerfeld_mu(1, 1, alpha))
-    xi_star, value_star = optimal_xi(qn, alpha)
+        return ground_observables(qn.m_j), math.sqrt(2.0) * (1.0 + columns[2].item())
+    xi_star, value_star = (v.item() for v in optimal_xi(*columns))
     return excited_observables(xi_star), value_star
 
 
@@ -375,7 +384,7 @@ def _run_converge(config: RunConfig) -> list:
     # already integrate the density exactly, so every rung of the ladder sits
     # at the rounding floor of the closed form
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    observables, reference = _scenario(qn, config.alpha)
+    observables, reference = _scenario(qn, _columns([qn], config.alpha))
     state = eigenstate(qn, config.alpha)
     results = []
     for extra in (0, 1, 2, 4, 8, 16, 32):

@@ -1,4 +1,5 @@
-"""Dirac gamma matrices, the commuting observable families, and algebra audits.
+"""Dirac gamma matrices, the commuting observable families, the Peres-Mermin
+grid with its line table, and algebra audits.
 
 Every matrix is built once, as a read-only complex128 array, and the audit
 checks the very arrays the rest of the package consumes. The audit is exact,
@@ -114,6 +115,20 @@ PERES_MERMIN_GRID = (
 )
 
 
+def _lines(grid) -> tuple:
+    """The six lines of a Peres-Mermin grid: each line's name (R1-R3 for the
+    rows, C1-C3 for the columns), its three observables and the sign of their
+    product."""
+    rows = tuple((f"R{i + 1}", tuple(grid[i]), 1) for i in range(3))
+    columns = tuple(
+        (f"C{j + 1}", tuple(row[j] for row in grid), -1 if j == 2 else 1) for j in range(3)
+    )
+    return rows + columns
+
+
+PERES_MERMIN_LINES = _lines(PERES_MERMIN_GRID)
+
+
 def build_family(label: str) -> ObservableTriple:
     """Observable triple for one of the four families."""
     if label not in FAMILY_LABELS:
@@ -218,17 +233,13 @@ def audit_algebra() -> AlgebraAudit:
                 commutator(_FAMILIES["Gamma"].component(a),
                            _FAMILIES["GammaPrime"].component(b)))
 
-    # Peres-Mermin lines: pairwise commutation, products +-1 with only col 3 negative
-    grid = PERES_MERMIN_GRID
-    lines = [(f"row {i + 1}", grid[i], IDENTITY4) for i in range(3)]
-    lines += [
-        (f"col {j + 1}", [grid[i][j] for i in range(3)], -IDENTITY4 if j == 2 else IDENTITY4)
-        for j in range(3)
-    ]
-    for name, mats, expected in lines:
+    # Peres-Mermin lines: pairwise commutation, products +-1 with only col 3
+    # negative; the lines are taken from the grid as it is now
+    for line, mats, sign in _lines(PERES_MERMIN_GRID):
+        name = f"{'row' if line[0] == 'R' else 'col'} {line[1]}"
         for u in range(3):
             for v in range(u + 1, 3):
                 add(f"pm {name} entries {u + 1},{v + 1} commute", commutator(mats[u], mats[v]))
-        add(f"pm {name} product", mats[0] @ mats[1] @ mats[2] - expected)
+        add(f"pm {name} product", mats[0] @ mats[1] @ mats[2] - sign * IDENTITY4)
 
     return AlgebraAudit(checks=tuple(checks))

@@ -1,22 +1,22 @@
 """Observable constructions and noncontextuality-inequality evaluation.
 
-Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2 (evaluated on
-reduced spin densities) and the six-term Peres-Mermin inequality with
-noncontextual bound 4, plus the one-parameter xi family of observable choices
-whose maximum admits the closed form 2*sqrt(mu^2 + X^2).
+Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2 and the
+six-term Peres-Mermin inequality with noncontextual bound 4, both evaluated
+on spin densities given as (4, 4) arrays or (N, 4, 4) stacks, plus the
+one-parameter xi family of observable choices whose maximum admits the closed
+form 2*sqrt(delta^2 + X^2). The closed forms take the columns
+(kappa, 2 m_j, delta) of the states, delta = <beta>, and nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import PERES_MERMIN_GRID, build_family
-from .hydrogen import QuantumNumbers, sommerfeld_mu
-from .spindensity import ReducedSpinDensity, checked_observable, pair_correlator
+from .clifford import PERES_MERMIN_LINES, build_family
+from .spindensity import checked_observable, pair_correlator
 
 CHSH_BOUND = 2.0
 PERES_MERMIN_BOUND = 4.0
@@ -51,17 +51,17 @@ class InequalityReport(NamedTuple):
         }
 
 
-def chsh_value(density: ReducedSpinDensity | np.ndarray, a, b, c, d,
+def chsh_value(density, a, b, c, d,
                parameters=None) -> InequalityReport | list[InequalityReport]:
     """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2.
 
-    density is a ReducedSpinDensity or an array of density matrices, and any
+    density is a (4, 4) density matrix or an (N, 4, 4) stack of them, and any
     observable may be a (N, 4, 4) stack. Single matrices give one report with
     the parameters dict; a leading axis of length N gives a list of N reports,
     evaluated in one pass, with parameters a list of N dicts. Each observable
     is checked Hermitian once and each of the four pairs for commutation.
     """
-    rho = density.matrix if isinstance(density, ReducedSpinDensity) else np.asarray(density)
+    rho = np.asarray(density)
     a, b, c, d = (checked_observable(name, o) for name, o in zip("ABCD", (a, b, c, d)))
     rows = list(zip(*(
         np.ravel(pair_correlator(rho, o1, o2)).tolist()
@@ -116,86 +116,59 @@ def excited_observables(xi):
     return _GAMMA.y, b, _GAMMA.z, d
 
 
-def harmonic_coefficients(qn: QuantumNumbers, a: float) -> tuple[float, float]:
-    """Coefficients (c, s) of the xi sweep I(xi) = 2(c cos xi + s sin xi).
+def harmonic_coefficients(kappa, twice_mj, delta):
+    """Coefficients (c, s) of the xi sweep I(xi) = 2(c cos xi + s sin xi), as
+    arrays over the columns kappa, 2 m_j and delta.
 
-    c = -X on the kappa > 0 branch and +X on kappa < 0, with
-    X = (2m+1)(mu + 2l + 2)/(4l^2 + 8l + 3) resp. (2m+1)(2l + 2 - mu)/(...);
-    s = -mu on both branches.
+    With l = |kappa| - 1 and 2m + 1 = 2 m_j, c = -X on the kappa > 0 branch
+    and +X on kappa < 0, where
+    X = (2m+1)(delta + 2l + 2)/(4l^2 + 8l + 3) resp. (2m+1)(2l + 2 - delta)/(...);
+    s = -delta on both branches.
     """
-    mu = sommerfeld_mu(qn.n, qn.kappa, a)
-    l, m = qn.l, qn.m
+    kappa, twice_mj, delta = np.broadcast_arrays(kappa, twice_mj, delta)
+    l = np.abs(kappa) - 1
     denom = 4 * l * l + 8 * l + 3
-    if qn.kappa > 0:
-        x = (2 * m + 1) * (mu + 2 * l + 2) / denom
-        return -x, -mu
-    x = (2 * m + 1) * (2 * l + 2 - mu) / denom
-    return x, -mu
+    # each branch keeps its own order of operations: (2l + 2 + sign delta)
+    # rounds differently on some states
+    positive = twice_mj * (delta + 2 * l + 2) / denom
+    negative = twice_mj * (2 * l + 2 - delta) / denom
+    return np.where(kappa > 0, -positive, negative), -delta
 
 
-def optimal_xi(qn: QuantumNumbers, a: float) -> tuple[float, float]:
-    """Maximizing angle and maximum value of the xi sweep for one state.
+def optimal_xi(kappa, twice_mj, delta):
+    """Maximizing angle and maximum value of the xi sweep, as arrays over the
+    columns kappa, 2 m_j and delta.
 
-    The two-term harmonic form peaks at xi* = atan2(s, c).
+    The two-term harmonic form peaks at xi* = atan2(s, c) with the value
+    2 hypot(c, s). Both are taken from math per state: np.arctan2 and np.hypot
+    round the last bit differently on some states.
     """
-    c, s = harmonic_coefficients(qn, a)
-    return math.atan2(s, c), 2.0 * math.hypot(c, s)
+    c, s = harmonic_coefficients(kappa, twice_mj, delta)
+    pairs = list(zip(c.ravel().tolist(), s.ravel().tolist()))
+    xi = np.reshape([math.atan2(s, c) for c, s in pairs], c.shape)
+    value = np.reshape([2.0 * math.hypot(c, s) for c, s in pairs], c.shape)
+    return xi, value
 
 
-@dataclass(frozen=True)
-class PeresMerminSquare:
-    """3x3 grid of dichotomic observables with commuting rows/columns."""
-
-    grid: tuple
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.grid[i][j]
-
-    def row(self, i: int):
-        return self.grid[i]
-
-    def column(self, j: int):
-        return tuple(self.grid[i][j] for i in range(3))
-
-    def row_product(self, i: int) -> np.ndarray:
-        a, b, c = self.row(i)
-        return a @ b @ c
-
-    def column_product(self, j: int) -> np.ndarray:
-        a, b, c = self.column(j)
-        return a @ b @ c
-
-
-def peres_mermin_square() -> PeresMerminSquare:
-    """The nine-observable grid built from the Sigma and SigmaPrime families."""
-    return PeresMerminSquare(grid=PERES_MERMIN_GRID)
-
-
-_PM_SQUARE = peres_mermin_square()
-_PM_LINE_PRODUCTS = (
-    *((f"R{i + 1}", _PM_SQUARE.row_product(i)) for i in range(3)),
-    *((f"C{j + 1}", _PM_SQUARE.column_product(j)) for j in range(3)),
+_PM_LINE_PRODUCTS = tuple(
+    (name, a @ b @ c, sign) for name, (a, b, c), sign in PERES_MERMIN_LINES
 )
 
 
-def peres_mermin_value(density: ReducedSpinDensity | np.ndarray,
-                       labels=None) -> InequalityReport | list[InequalityReport]:
-    """Six line-product correlators, minus sign on the third column; bound 4.
+def peres_mermin_value(densities, labels) -> list[InequalityReport]:
+    """Six line-product correlators, each signed as its line's product; bound 4.
 
-    A ReducedSpinDensity gives one report. An (N, 4, 4) stack of density
-    matrices with a list of N labels gives N reports, from one trace per line
-    product over the whole stack.
+    An (N, 4, 4) stack of density matrices with a list of N labels gives N
+    reports, from one trace per line product over the whole stack.
     """
-    if isinstance(density, ReducedSpinDensity):
-        return peres_mermin_value(density.matrix[None], [density.label])[0]
     columns = [
-        np.trace(density @ product, axis1=-2, axis2=-1).real.tolist()
-        for _, product in _PM_LINE_PRODUCTS
+        np.trace(densities @ product, axis1=-2, axis2=-1).real.tolist()
+        for _, product, _ in _PM_LINE_PRODUCTS
     ]
     reports = []
     for values, label in zip(zip(*columns), labels, strict=True):
-        terms = {name: value for (name, _), value in zip(_PM_LINE_PRODUCTS, values)}
-        value = terms["R1"] + terms["R2"] + terms["R3"] + terms["C1"] + terms["C2"] - terms["C3"]
+        terms = {name: value for (name, _, _), value in zip(_PM_LINE_PRODUCTS, values)}
+        value = sum(sign * term for (_, _, sign), term in zip(_PM_LINE_PRODUCTS, values))
         reports.append(InequalityReport(
             kind="peres_mermin",
             terms=terms,

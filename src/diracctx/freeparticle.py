@@ -8,7 +8,6 @@ constant, so expectation values reduce to four-spinor contractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +74,7 @@ def free_chsh_curve(betas) -> list[InequalityReport]:
         block = betas[start:start + CURVE_BLOCK]
         angles = thetas[start:start + CURVE_BLOCK]
         spinors = _plane_waves(np.array(block)).astype(complex)
-        # normalized as ReducedSpinDensity.from_pure does for one spinor
+        # normalized as spindensity.pure_density does for one spinor
         u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
         densities = u[:, :, None] * u.conj()[:, None, :]
         parameters = [
@@ -107,21 +106,14 @@ def energy_projector(beta_v: float, sign: int) -> np.ndarray:
     return (np.eye(4) + sign * (free_hamiltonian(beta_v * energy) / energy)) / 2.0
 
 
-@dataclass(frozen=True)
-class EnergySplit:
-    """For one observable at fixed k, the negative-energy weight of each of its
-    eigenvectors."""
-
-    negative_weights: np.ndarray
-
-
-def energy_split(beta_v: float, observable: np.ndarray) -> EnergySplit:
-    """Diagonalize the observable and weigh each eigenvector against the
-    negative-energy subspace of the fixed-k free Hamiltonian."""
+def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:
+    """The negative-energy weight of each eigenvector of the observable at the
+    momentum of velocity ratio beta_v: diagonalize the observable and weigh
+    each eigenvector against the negative-energy subspace of the fixed-k free
+    Hamiltonian."""
     proj_neg = energy_projector(beta_v, -1)
     obs = np.asarray(observable, dtype=complex)
     if hermiticity_defect(obs) > 1e-10:
         raise ValueError("observable must be Hermitian")
     eigvecs = np.linalg.eigh(obs)[1]
-    weights = np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real
-    return EnergySplit(negative_weights=weights)
+    return np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real

@@ -73,10 +73,6 @@ class QuantumNumbers:
         return abs(self.kappa) - 1
 
     @property
-    def m(self) -> int:
-        return int(round(self.m_j - 0.5))
-
-    @property
     def n_tilde(self) -> int:
         return self.n - abs(self.kappa)
 

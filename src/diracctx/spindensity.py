@@ -1,22 +1,25 @@
-"""The 4x4 spin density of a bound state, and correlators as traces.
+"""The 4x4 spin density of a state as a plain matrix, and correlators as traces.
 
 All observables in play are spatially constant, so <O1 O2> factors exactly
 into trace(rho_spin . O1 . O2) against the single integrated density
-rho_spin[u][v] = integral psi_u conj(psi_v) rho^2 d rho dOmega.
-analytic_densities gives the densities of many states in closed form as one
-stack; reduce integrates a spinor field for one state, and serves as the
-independent quadrature oracle.
+rho_spin[u][v] = integral psi_u conj(psi_v) rho^2 d rho dOmega. A density is
+a (4, 4) complex array, and many of them are a (..., 4, 4) stack; the
+maximally mixed state is np.eye(4) / 4.
+
+analytic_densities gives the densities of many bound states in closed form,
+from the columns (kappa, 2 m_j, delta) alone: the potential enters only
+through delta = <beta>, which is mu for hydrogen. reduce integrates a spinor
+field for one state, and serves as the independent quadrature oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import hermiticity_defect
-from .hydrogen import QuantumNumbers, SpinorField, _spinor_terms, radial_fg, sommerfeld_mu
+from .hydrogen import QuantumNumbers, SpinorField, radial_fg, sommerfeld_mu
 from .specfun import quadrature_nodes, radial_nodes
 
 BLOCK_WEIGHT_TOLERANCE = 1e-8
@@ -31,53 +34,48 @@ class IncompatibleObservablesError(ValueError):
     """Correlator requested for a non-commuting observable pair."""
 
 
-@dataclass(frozen=True)
-class ReducedSpinDensity:
-    """Hermitian, positive, unit-trace 4x4 matrix with provenance metadata."""
-
-    matrix: np.ndarray
-    label: str
-
-    @classmethod
-    def from_pure(cls, spinor, label: str = "pure") -> "ReducedSpinDensity":
-        """Density |u><u| of a four-spinor, normalized if needed."""
-        u = np.asarray(spinor, dtype=complex).reshape(4)
-        nrm = np.linalg.norm(u)
-        if nrm == 0:
-            raise ValueError("cannot build a density from the zero spinor")
-        u = u / nrm
-        return cls(matrix=np.outer(u, u.conj()), label=label)
-
-    @classmethod
-    def maximally_mixed(cls) -> "ReducedSpinDensity":
-        return cls(matrix=np.eye(4, dtype=complex) / 4.0, label="maximally-mixed")
+def pure_density(spinor) -> np.ndarray:
+    """Density |u><u| of a four-spinor, normalized if needed."""
+    u = np.asarray(spinor, dtype=complex).reshape(4)
+    nrm = np.linalg.norm(u)
+    if nrm == 0:
+        raise ValueError("cannot build a density from the zero spinor")
+    u = u / nrm
+    return np.outer(u, u.conj())
 
 
 def state_label(qn: QuantumNumbers) -> str:
-    """The label a bound state's density and Peres-Mermin report carry."""
+    """The label a bound state's Peres-Mermin report and quadrature errors carry."""
     return f"n={qn.n} kappa={qn.kappa} mj={qn.m_j}"
 
 
-def analytic_densities(states, a: float) -> np.ndarray:
-    """The spin densities of the given bound states in closed form, as one
-    (N, 4, 4) complex stack in the order of states.
+def analytic_densities(kappa, twice_mj, delta) -> np.ndarray:
+    """The spin densities of bound states in closed form, as one (N, 4, 4)
+    complex stack over the columns kappa, 2 m_j and delta = <beta>.
 
-    Each is diagonal: the upper block weight (1 + mu)/2 and the lower one
-    (1 - mu)/2 times the squared Clebsch-Gordan coefficients of the block's
-    spinor harmonic (A in the upper block for kappa > 0, B for kappa < 0).
+    Each is diagonal: the upper block weight (1 + delta)/2 and the lower one
+    (1 - delta)/2 times the squared Clebsch-Gordan coefficients of the block's
+    spinor harmonic, with m = m_j - 1/2 and l = |kappa| - 1. They are the
+    rationals A = ((l+m+1), (l-m))/(2l+1) for the harmonic of orbital l and
+    B = ((l-m+1), (l+m+2))/(2l+3) for orbital l + 1; A sits in the upper
+    block for kappa > 0, B for kappa < 0.
     """
-    diagonals = np.zeros((len(states), 4))
-    for diagonal, qn in zip(diagonals, states):
-        upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
-        for offset, part, weight in zip((0, 2), (upper_part, lower_part), radial_weights(qn, a)):
-            for comp, _, _, coef in _spinor_terms(part, qn.l, qn.m):
-                diagonal[offset + comp] = weight * coef * coef
-    densities = np.zeros((len(states), 4, 4), dtype=complex)
-    densities[:, range(4), range(4)] = diagonals
+    kappa, twice_mj, delta = np.broadcast_arrays(kappa, twice_mj, delta)
+    l = np.abs(kappa) - 1
+    m = (twice_mj - 1) // 2
+    part_a = np.stack([(l + m + 1) / (2 * l + 1), (l - m) / (2 * l + 1)], axis=-1)
+    part_b = np.stack([(l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3)], axis=-1)
+    positive = (kappa > 0)[..., None]
+    diagonals = np.concatenate([
+        ((1.0 + delta) / 2.0)[..., None] * np.where(positive, part_a, part_b),
+        ((1.0 - delta) / 2.0)[..., None] * np.where(positive, part_b, part_a),
+    ], axis=-1)
+    densities = np.zeros(diagonals.shape + (4,), dtype=complex)
+    densities[..., range(4), range(4)] = diagonals
     return densities
 
 
-def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDensity:
+def reduce(state: SpinorField, radial_count: int | None = None) -> np.ndarray:
     """Integrate out space on the product rule that is exact for the state.
 
     Every density entry is rho^(2 nu) e^-rho times a polynomial of degree
@@ -106,15 +104,14 @@ def reduce(state: SpinorField, radial_count: int | None = None) -> ReducedSpinDe
     )
     # deterministic accumulation order: einsum over the fixed node layout
     mat = np.einsum("urtp,vrtp,rtp->uv", psi, psi.conj(), weight, optimize=True)
-    label = state_label(qn)
     blocks = (mat[0, 0] + mat[1, 1]).real, (mat[2, 2] + mat[3, 3]).real
     drift = max(abs(got - want) for got, want in zip(blocks, radial_weights(qn, state.a)))
     if drift > BLOCK_WEIGHT_TOLERANCE:
         raise QuadratureError(
-            f"{label}: a block weight departs from (1 +- mu)/2 by {drift:.3e} "
+            f"{state_label(qn)}: a block weight departs from (1 +- mu)/2 by {drift:.3e} "
             f"> {BLOCK_WEIGHT_TOLERANCE} on {count} radial nodes"
         )
-    return ReducedSpinDensity(matrix=mat, label=label)
+    return mat
 
 
 def checked_observable(name: str, o) -> np.ndarray:
@@ -147,15 +144,15 @@ def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarr
     return value.real
 
 
-def correlator(density: ReducedSpinDensity | np.ndarray, o1, o2):
+def correlator(density, o1, o2):
     """Real part of trace(rho . o1 . o2) for a commuting Hermitian pair.
 
-    density is a ReducedSpinDensity or an array of density matrices; any
-    argument may carry leading stack axes, which broadcast. A float for single
-    matrices, else an array over the leading axes.
+    Any argument may carry leading stack axes, which broadcast. A float for
+    single matrices, else an array over the leading axes.
     """
-    rho = density.matrix if isinstance(density, ReducedSpinDensity) else np.asarray(density)
-    value = pair_correlator(rho, checked_observable("O1", o1), checked_observable("O2", o2))
+    value = pair_correlator(
+        np.asarray(density), checked_observable("O1", o1), checked_observable("O2", o2)
+    )
     return float(value) if value.ndim == 0 else value
 
 

@@ -6,13 +6,12 @@ import time
 
 import numpy as np
 
-from diracctx.clifford import audit_algebra, build_family, commutator
+from diracctx.clifford import PERES_MERMIN_LINES, audit_algebra, build_family, commutator
 from diracctx.contextuality import (
     chsh_value,
     excited_observables,
     ground_observables,
     optimal_xi,
-    peres_mermin_square,
     peres_mermin_value,
 )
 from diracctx.freeparticle import energy_split, free_chsh, free_observables
@@ -25,16 +24,23 @@ from diracctx.hydrogen import (
     valid_states,
 )
 from diracctx.spindensity import (
-    ReducedSpinDensity,
+    pure_density,
     radial_weights,
     radial_weights_quadrature,
     reduce,
+    state_label,
 )
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def _optimal_xi(qn: QuantumNumbers):
+    """xi* and the closed-form maximum of one state, from its (kappa, 2 m_j, delta)."""
+    xi_star, value_star = optimal_xi(qn.kappa, 2 * qn.m_j, sommerfeld_mu(qn.n, qn.kappa, ALPHA))
+    return xi_star.item(), value_star.item()
 
 
 def _ground_pipeline(m_j: float) -> float:
@@ -69,7 +75,7 @@ def test_criterion_03_closed_form_agreement():
     worst = 0.0
     count = 0
     for qn in valid_states(4):
-        xi_star, value_star = optimal_xi(qn, ALPHA)
+        xi_star, value_star = _optimal_xi(qn)
         density = reduce(eigenstate(qn, ALPHA))
         value = chsh_value(density, *excited_observables(xi_star)).value
         worst = max(worst, abs(value - value_star) / value_star)
@@ -86,7 +92,7 @@ def test_criterion_04_every_state_violates():
     above_analytic_floor = True
     count = 0
     for qn in valid_states(5):
-        _, value_star = optimal_xi(qn, ALPHA)
+        _, value_star = _optimal_xi(qn)
         all_violate &= value_star > 2.0
         if qn.kappa > 0:
             lower = 2.0 * math.sqrt(1.0 + (1.0 - 4.0 * ALPHA**2) / (4.0 * (qn.l + 1) ** 2))
@@ -102,17 +108,17 @@ def test_criterion_05_peres_mermin_state_independence():
     bounds_ok = True
     count = 0
     for qn in valid_states(3):
-        report = peres_mermin_value(reduce(eigenstate(qn, ALPHA)))
+        report = peres_mermin_value(reduce(eigenstate(qn, ALPHA))[None], [state_label(qn)])[0]
         worst = max(worst, abs(report.value - 6.0))
         bounds_ok &= report.bound == 4.0
         count += 1
     rng = np.random.default_rng(2024)
     for _ in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        report = peres_mermin_value(ReducedSpinDensity.from_pure(raw))
+        report = peres_mermin_value(pure_density(raw)[None], ["random"])[0]
         worst = max(worst, abs(report.value - 6.0))
         bounds_ok &= report.bound == 4.0
-    report = peres_mermin_value(ReducedSpinDensity.maximally_mixed())
+    report = peres_mermin_value((np.eye(4) / 4.0)[None], ["maximally-mixed"])[0]
     worst = max(worst, abs(report.value - 6.0))
     _report(5, worst < 1e-10 and bounds_ok,
             f"{count} eigenstates n<=3, 100 seeded spinors, maximally mixed: "
@@ -147,14 +153,10 @@ def test_criterion_07_algebra_audit():
         for a in gam.components()
         for b in gamp.components()
     )
-    square = peres_mermin_square()
     eye = np.eye(4)
-    products_ok = (
-        all(np.array_equal(square.row_product(i), eye) for i in range(3))
-        and np.array_equal(square.column_product(0), eye)
-        and np.array_equal(square.column_product(1), eye)
-        and np.array_equal(square.column_product(2), -eye)
-    )
+    products_ok = all(
+        np.array_equal(a @ b @ c, sign * eye) for _, (a, b, c), sign in PERES_MERMIN_LINES
+    ) and [sign for _, _, sign in PERES_MERMIN_LINES] == [1, 1, 1, 1, 1, -1]
     ok = audit.passed and commutators_zero and products_ok
     _report(7, ok,
             f"{len(audit.checks)} exact checks, max residual {audit.max_residual}; "
@@ -197,7 +199,7 @@ def test_criterion_10_measurability_contrast():
     spectrum_positive = min(mus) > 0.0
     mixing_everywhere = True
     for obs in free_observables(0.5):
-        weights = energy_split(0.5, obs).negative_weights
+        weights = energy_split(0.5, obs)
         mixing_everywhere &= bool(np.any((weights > 0.0) & (weights < 1.0)))
     ok = spectrum_positive and mixing_everywhere
     _report(10, ok,

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,12 +29,13 @@ from diracctx.cli import (
     render,
 )
 from diracctx.clifford import build_family
-from diracctx.contextuality import optimal_xi, peres_mermin_square, peres_mermin_value
-from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, _spinor_terms, valid_states
+from diracctx.clifford import PERES_MERMIN_LINES
+from diracctx.contextuality import optimal_xi, peres_mermin_value
+from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, sommerfeld_mu, valid_states
 from diracctx.spindensity import (
     QuadratureError,
-    ReducedSpinDensity,
     analytic_densities,
+    pure_density,
     radial_weights,
     state_label,
 )
@@ -40,6 +43,15 @@ from diracctx.spindensity import (
 
 def _run(command, **kwargs):
     return execute(RunConfig(command=command, **kwargs))
+
+
+def _columns(states, a=FINE_STRUCTURE_ALPHA):
+    """The closed-form inputs (kappa, 2 m_j, delta) of the states, as lists."""
+    return (
+        [qn.kappa for qn in states],
+        [2 * qn.m_j for qn in states],
+        [sommerfeld_mu(qn.n, qn.kappa, a) for qn in states],
+    )
 
 
 # --- command behaviour ----------------------------------------------------------
@@ -65,6 +77,23 @@ def test_sweep_all_rows_violated():
     assert all(r["value"] > 2.0 for r in doc.results)
 
 
+def test_xi_family_stops_violating_at_large_alpha(capsys):
+    # sweep evaluates n = 1 with the xi family: 2 sqrt(mu^2 + (mu + 2)^2 / 9) > 2
+    # exactly when 10 mu^2 + 4 mu - 5 > 0, that is for alpha below 0.8449;
+    # ground uses its own observables, sqrt(2)(1 + mu), and still violates there
+    def sweep_rows(*argv):
+        assert main(["sweep", "--format", "csv", *argv]) == EXIT_OK
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    rows = sweep_rows("--n-max", "8", "--alpha", "0.6")
+    assert sum(row["violated"] == "false" for row in rows) == 24
+    assert {row["violated"] for row in sweep_rows("--n-max", "1", "--alpha", "0.84")} == {"true"}
+    assert {row["violated"] for row in sweep_rows("--n-max", "1", "--alpha", "0.85")} == {"false"}
+    assert main(["ground", "--alpha", "0.9"]) == EXIT_OK
+    ground = json.loads(capsys.readouterr().out)["results"][0]
+    assert ground["violated"] is True and ground["value"] > 2.0
+
+
 def test_excited_uses_optimal_xi_by_default():
     doc = _run("excited", n=2, kappa=-1, mj=0.5)
     result = doc.results[0]
@@ -76,6 +105,17 @@ def test_excited_xi_override():
     doc = _run("excited", n=2, kappa=1, mj=0.5, xi=0.0)
     assert doc.results[0]["parameters"]["xi"] == 0.0
     assert abs(doc.results[0]["value"]) <= 2.0 + 1e-12
+    # at xi = 0 the closed form 2(c cos xi + s sin xi) is 2c = -2X
+    mu = sommerfeld_mu(2, 1, FINE_STRUCTURE_ALPHA)
+    assert doc.results[0]["parameters"]["closed_form"] == pytest.approx(-2.0 * (mu + 2.0) / 3.0)
+
+
+@pytest.mark.parametrize("kappa,mj", [(1, 0.5), (-1, -0.5), (2, 1.5), (-2, -1.5)])
+def test_excited_closed_form_at_a_given_xi_is_its_value(kappa, mj):
+    for xi in (-3.0, -1.2, 0.0, 0.4, math.pi / 2.0, 2.5):
+        result = _run("excited", n=3, kappa=kappa, mj=mj, xi=xi).results[0]
+        assert result["parameters"]["xi"] == xi
+        assert abs(result["value"] - result["parameters"]["closed_form"]) < 1e-12
 
 
 def test_free_electron_at_rest():
@@ -142,7 +182,7 @@ def test_sweep_n_max_12_matches_closed_forms(capsys):
     assert len(rows) == sum(2 * n * n for n in range(1, 13))
     for row in rows:
         qn = QuantumNumbers(int(row[0]), int(row[1]), float(row[2]))
-        assert float(row[6]) == pytest.approx(optimal_xi(qn, FINE_STRUCTURE_ALPHA)[1], rel=1e-8)
+        assert float(row[6]) == pytest.approx(optimal_xi(*_columns([qn]))[1][0], rel=1e-8)
 
 
 def test_excited_at_n40_is_right_or_exits_3(capsys):
@@ -151,14 +191,19 @@ def test_excited_at_n40_is_right_or_exits_3(capsys):
     assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
 
 
+# the number of bound states each command evaluates
+STATES_EVALUATED = {"ground": 1, "excited": 1, "sweep": 408, "peres-mermin": 28}
+
+
 @pytest.mark.parametrize("argv", [
     ["ground"],
     ["excited", "--n", "3", "--kappa", "-2"],
-    ["sweep", "--n-max", "3"],
+    ["sweep", "--n-max", "8"],
     ["peres-mermin", "--n-max", "3"],
 ])
 def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
     import diracctx.cli as cli_module
+    import diracctx.hydrogen as hydrogen
     from diracctx.hydrogen import SpinorField
 
     def boom(*args, **kwargs):
@@ -167,16 +212,33 @@ def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli_module, "reduce", boom)
     monkeypatch.setattr(cli_module, "eigenstate", boom)
     monkeypatch.setattr(SpinorField, "__call__", boom)
+    # count every call, through whichever module binds the name
+    calls = Counter()
+    for name in ("sommerfeld_mu", "_spinor_terms"):
+        original = getattr(hydrogen, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("diracctx") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     assert main(argv) == EXIT_OK
+    # delta = mu once per state, and no Clebsch-Gordan square roots
+    assert calls["sommerfeld_mu"] == STATES_EVALUATED[argv[0]]
+    assert calls["_spinor_terms"] == 0
 
 
 def _reference_density(qn, a):
-    """Per-state reference: one state's diagonal density, built on its own."""
-    diagonal = np.zeros(4)
-    upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
-    for offset, part, weight in zip((0, 2), (upper_part, lower_part), radial_weights(qn, a)):
-        for comp, _, _, coef in _spinor_terms(part, qn.l, qn.m):
-            diagonal[offset + comp] = weight * coef * coef
+    """Per-state reference: one state's diagonal density, built on its own
+    from the block weights and the rational Clebsch-Gordan weights."""
+    l, m = qn.l, round(qn.m_j - 0.5)
+    up, down = radial_weights(qn, a)
+    part_a = ((l + m + 1) / (2 * l + 1), (l - m) / (2 * l + 1))
+    part_b = ((l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3))
+    upper, lower = (part_a, part_b) if qn.kappa > 0 else (part_b, part_a)
+    diagonal = [up * upper[0], up * upper[1], down * lower[0], down * lower[1]]
     return np.diag(diagonal).astype(complex)
 
 
@@ -184,7 +246,7 @@ def _reference_sweep_row(qn, a):
     """Per-state reference: the four terms as traces of single 4x4 products,
     and their signed sum."""
     gamma, gamma_prime = build_family("Gamma"), build_family("GammaPrime")
-    xi, _ = optimal_xi(qn, a)
+    xi = optimal_xi(*_columns([qn], a))[0].item()
     b = -math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
     d = math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
     rho = _reference_density(qn, a)
@@ -206,19 +268,13 @@ def test_sweep_rows_equal_per_state_evaluation(alpha):
 
 
 def test_peres_mermin_stack_equals_per_density_evaluation():
-    square = peres_mermin_square()
-    products = [square.row_product(i) for i in range(3)] + [
-        square.column_product(j) for j in range(3)
-    ]
+    products = [a @ b @ c for _, (a, b, c), _ in PERES_MERMIN_LINES]
     rng = np.random.default_rng(11)
     states = list(valid_states(8))
     spinors = rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))
-    densities = [
-        ReducedSpinDensity.from_pure(u, label=f"random-{i}") for i, u in enumerate(spinors)
-    ]
-    stack = np.concatenate([analytic_densities(states, FINE_STRUCTURE_ALPHA),
-                            [rho.matrix for rho in densities]])
-    labels = [state_label(qn) for qn in states] + [rho.label for rho in densities]
+    stack = np.concatenate([analytic_densities(*_columns(states)),
+                            [pure_density(u) for u in spinors]])
+    labels = [state_label(qn) for qn in states] + [f"random-{i}" for i in range(500)]
     reports = peres_mermin_value(stack, labels)
     assert len(reports) == len(stack) == len(states) + 500
     for matrix, label, report in zip(stack, labels, reports):
@@ -227,7 +283,7 @@ def test_peres_mermin_stack_equals_per_density_evaluation():
         assert list(report.terms.values()) == terms
         assert report.value == terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - terms[5]
         assert report.parameters == {"state": label}
-        single = peres_mermin_value(ReducedSpinDensity(matrix=matrix, label=label))
+        single = peres_mermin_value(matrix[None], [label])[0]
         assert single == report
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracctx.clifford import build_family, direction_observable
+from diracctx.clifford import (
+    PERES_MERMIN_GRID,
+    PERES_MERMIN_LINES,
+    build_family,
+    direction_observable,
+)
 from diracctx.contextuality import (
     CHSH_BOUND,
     PERES_MERMIN_BOUND,
@@ -14,12 +19,11 @@ from diracctx.contextuality import (
     ground_observables,
     harmonic_coefficients,
     optimal_xi,
-    peres_mermin_square,
     peres_mermin_value,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, valid_states
-from diracctx.spindensity import IncompatibleObservablesError, ReducedSpinDensity, reduce
+from diracctx.spindensity import IncompatibleObservablesError, pure_density, reduce, state_label
 
 GAMMA = build_family("Gamma")
 GAMMA_PRIME = build_family("GammaPrime")
@@ -33,6 +37,15 @@ GROUND_XI_ROUTE = 2.828376918331345
 
 def _density(n, kappa, m_j):
     return reduce(eigenstate(QuantumNumbers(n, kappa, m_j), ALPHA))
+
+
+def _columns(qn, a=ALPHA):
+    """The closed-form inputs (kappa, 2 m_j, delta) of one state."""
+    return qn.kappa, 2 * qn.m_j, sommerfeld_mu(qn.n, qn.kappa, a)
+
+
+def _peres_mermin(density, label="state"):
+    return peres_mermin_value(np.asarray(density)[None], [label])[0]
 
 
 # --- observable constructions ---------------------------------------------------
@@ -97,8 +110,8 @@ def test_excited_observables_stack_slices_equal_single_angles():
 
 def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
     states = [QuantumNumbers(2, 1, 0.5), QuantumNumbers(3, -2, -1.5), QuantumNumbers(4, 3, 2.5)]
-    densities = np.stack([_density(qn.n, qn.kappa, qn.m_j).matrix for qn in states])
-    a, b, c, d = excited_observables([optimal_xi(qn, ALPHA)[0] for qn in states])
+    densities = np.stack([_density(qn.n, qn.kappa, qn.m_j) for qn in states])
+    a, b, c, d = excited_observables([optimal_xi(*_columns(qn))[0] for qn in states])
     assert len(chsh_value(densities, a, b, c, d)) == 3
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
@@ -109,8 +122,7 @@ def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
 # --- CHSH-like inequality ---------------------------------------------------------
 
 def test_identity_observables_meet_bound_without_violation():
-    density = ReducedSpinDensity.maximally_mixed()
-    report = chsh_value(density, I4, I4, I4, I4)
+    report = chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4)
     assert report.value == pytest.approx(2.0, abs=1e-12)
     assert report.bound == CHSH_BOUND
     assert not report.violated
@@ -182,7 +194,7 @@ def test_report_is_immutable_and_to_dict_copies():
 
 def test_optimal_xi_ground_state_matches_both_routes():
     qn = QuantumNumbers(1, 1, 0.5)
-    xi_star, value_star = optimal_xi(qn, ALPHA)
+    xi_star, value_star = optimal_xi(*_columns(qn))
     assert value_star == pytest.approx(GROUND_XI_ROUTE, rel=1e-12)
     # the two observable constructions land on the same violation to ~1e-5
     assert value_star == pytest.approx(GROUND_CLOSED_FORM, abs=2e-5)
@@ -195,14 +207,14 @@ def test_closed_form_negative_branch_substitution():
     qn = QuantumNumbers(2, -1, 0.5)
     mu = sommerfeld_mu(2, -1, ALPHA)
     x = (2.0 - mu + 2.0 * 0.0) / 3.0
-    assert optimal_xi(qn, ALPHA)[1] == pytest.approx(
+    assert optimal_xi(*_columns(qn))[1] == pytest.approx(
         2.0 * math.hypot(mu, x), rel=1e-14
     )
 
 
 def test_harmonic_coefficients_signs():
-    c_pos, s_pos = harmonic_coefficients(QuantumNumbers(2, 1, 0.5), ALPHA)
-    c_neg, s_neg = harmonic_coefficients(QuantumNumbers(2, -1, 0.5), ALPHA)
+    c_pos, s_pos = harmonic_coefficients(*_columns(QuantumNumbers(2, 1, 0.5)))
+    c_neg, s_neg = harmonic_coefficients(*_columns(QuantumNumbers(2, -1, 0.5)))
     mu = sommerfeld_mu(2, 1, ALPHA)
     assert s_pos == s_neg == -mu
     assert c_pos == pytest.approx(-(mu + 2.0) / 3.0, rel=1e-14)
@@ -213,10 +225,13 @@ def test_harmonic_c_never_vanishes():
     # c = -+X with X = (2m+1) times a positive factor and 2m+1 odd, so optimal_xi
     # needs no c = 0 tie-break anywhere in the documented domain
     states = list(valid_states(40))
+    kappa = [qn.kappa for qn in states]
+    twice_mj = [2 * qn.m_j for qn in states]
     smallest = min(
-        abs(harmonic_coefficients(qn, a)[0])
+        np.abs(harmonic_coefficients(
+            kappa, twice_mj, [sommerfeld_mu(qn.n, qn.kappa, a) for qn in states]
+        )[0]).min()
         for a in (1e-9, 1.0 / 137.036, 0.1, 0.5, 0.9, 0.99)
-        for qn in states
     )
     assert len(states) == 44_280
     assert smallest > 0.01
@@ -225,7 +240,7 @@ def test_harmonic_c_never_vanishes():
 @pytest.mark.parametrize("n,kappa,m_j", [(2, 1, 0.5), (3, -2, -0.5), (4, 4, 3.5)])
 def test_quadrature_matches_closed_form(n, kappa, m_j):
     qn = QuantumNumbers(n, kappa, m_j)
-    xi_star, value_star = optimal_xi(qn, ALPHA)
+    xi_star, value_star = optimal_xi(*_columns(qn))
     report = chsh_value(_density(n, kappa, m_j), *excited_observables(xi_star))
     assert report.value == pytest.approx(value_star, rel=1e-10)
     assert value_star > 2.0
@@ -235,7 +250,7 @@ def test_quadrature_matches_closed_form(n, kappa, m_j):
 def test_xi_scan_confirms_optimality(n, kappa, m_j):
     qn = QuantumNumbers(n, kappa, m_j)
     density = _density(n, kappa, m_j)
-    xi_star, value_star = optimal_xi(qn, ALPHA)
+    xi_star, value_star = optimal_xi(*_columns(qn))
     xis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     values = [chsh_value(density, *excited_observables(xi)).value for xi in xis]
     scan_max = max(values)
@@ -246,7 +261,7 @@ def test_xi_scan_confirms_optimality(n, kappa, m_j):
 def test_full_shell_sweep_matches_closed_forms_to_n5():
     # every bound state through n = 5, both kappa signs, all m_j
     for qn in valid_states(5):
-        xi_star, value_star = optimal_xi(qn, ALPHA)
+        xi_star, value_star = optimal_xi(*_columns(qn))
         report = chsh_value(
             reduce(eigenstate(qn, ALPHA)), *excited_observables(xi_star)
         )
@@ -264,25 +279,26 @@ def test_xi_zero_degenerate_value_bounded():
 # --- Peres-Mermin -----------------------------------------------------------------
 
 def test_square_entries():
-    square = peres_mermin_square()
     sig = build_family("Sigma")
     sigp = build_family("SigmaPrime")
-    assert np.array_equal(square.entry(0, 0), sigp.z)
-    assert np.array_equal(square.entry(2, 2), sig.y @ sigp.y)
+    assert np.array_equal(PERES_MERMIN_GRID[0][0], sigp.z)
+    assert np.array_equal(PERES_MERMIN_GRID[2][2], sig.y @ sigp.y)
+    names = [name for name, _, _ in PERES_MERMIN_LINES]
+    assert names == ["R1", "R2", "R3", "C1", "C2", "C3"]
+    # the table holds the grid's own arrays: row 3 and column 3
+    assert all(m is g for m, g in zip(PERES_MERMIN_LINES[2][1], PERES_MERMIN_GRID[2]))
+    assert all(m is row[2] for m, row in zip(PERES_MERMIN_LINES[5][1], PERES_MERMIN_GRID))
 
 
 def test_square_line_products_are_signed_identities():
-    square = peres_mermin_square()
-    for i in range(3):
-        assert np.array_equal(square.row_product(i), I4)
-    assert np.array_equal(square.column_product(0), I4)
-    assert np.array_equal(square.column_product(1), I4)
-    assert np.array_equal(square.column_product(2), -I4)
+    signs = {name: sign for name, _, sign in PERES_MERMIN_LINES}
+    assert signs == {"R1": 1, "R2": 1, "R3": 1, "C1": 1, "C2": 1, "C3": -1}
+    for _, (a, b, c), sign in PERES_MERMIN_LINES:
+        assert np.array_equal(a @ b @ c, sign * I4)
 
 
 def test_square_lines_commute():
-    square = peres_mermin_square()
-    for line in [square.row(i) for i in range(3)] + [square.column(j) for j in range(3)]:
+    for _, line, _ in PERES_MERMIN_LINES:
         for u in range(3):
             for v in range(u + 1, 3):
                 comm = line[u] @ line[v] - line[v] @ line[u]
@@ -291,10 +307,11 @@ def test_square_lines_commute():
 
 def test_peres_mermin_constant_on_eigenstates():
     for qn in [QuantumNumbers(1, 1, 0.5), QuantumNumbers(3, -2, -0.5)]:
-        report = peres_mermin_value(reduce(eigenstate(qn, ALPHA)))
+        report = _peres_mermin(reduce(eigenstate(qn, ALPHA)), state_label(qn))
         assert report.value == pytest.approx(6.0, abs=1e-10)
         assert report.bound == PERES_MERMIN_BOUND
         assert report.violated
+        assert report.parameters == {"state": state_label(qn)}
 
 
 def test_peres_mermin_constant_on_random_spinors():
@@ -302,16 +319,20 @@ def test_peres_mermin_constant_on_random_spinors():
     values = []
     for _ in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        report = peres_mermin_value(ReducedSpinDensity.from_pure(raw))
-        values.append(report.value)
+        values.append(_peres_mermin(pure_density(raw)).value)
     values = np.asarray(values)
     assert np.abs(values - 6.0).max() < 1e-10
     assert values.max() - values.min() < 1e-10
 
 
 def test_peres_mermin_on_maximally_mixed():
-    report = peres_mermin_value(ReducedSpinDensity.maximally_mixed())
+    report = _peres_mermin(np.eye(4) / 4.0)
     assert report.value == pytest.approx(6.0, abs=1e-14)
     assert set(report.terms) == {"R1", "R2", "R3", "C1", "C2", "C3"}
     assert report.terms["C3"] == pytest.approx(-1.0, abs=1e-14)
 
+
+def test_peres_mermin_value_sums_the_signed_terms():
+    report = _peres_mermin(pure_density([1.0, 2.0, 0.5j, -1.0]))
+    t = report.terms
+    assert report.value == t["R1"] + t["R2"] + t["R3"] + t["C1"] + t["C2"] - t["C3"]

@@ -1,0 +1,136 @@
+"""The closed forms, derived exactly in rational arithmetic.
+
+Every ingredient of the correlation matrix T_ab = tr(rho Gamma_a Gamma'_b) is
+exact: the entries of Gamma_a Gamma'_b are Gaussian integers (the audit checks
+them with zero tolerance), the squared Clebsch-Gordan weights are rationals,
+and the bound-state density is affine in delta = <beta>. So T is affine in
+delta, and its values at delta = 0 and delta = 1 prove an identity for every
+delta. The plane wave is checked at rational points of E^2 - k^2 = 1.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from diracctx.clifford import AXES, build_family
+from diracctx.contextuality import harmonic_coefficients
+from diracctx.freeparticle import _plane_waves
+from diracctx.spindensity import analytic_densities, pure_density
+
+GAMMA = build_family("Gamma")
+GAMMA_PRIME = build_family("GammaPrime")
+KAPPA_MAX = 40
+TOLERANCE = Fraction(1, 10**15)
+
+
+def _gaussian_integer_parts(m):
+    """The real and imaginary parts of a Gaussian-integer matrix, as int lists."""
+    for part in (m.real, m.imag):
+        assert np.array_equal(part, np.round(part))
+    return m.real.astype(int).tolist(), m.imag.astype(int).tolist()
+
+
+# Gamma_a Gamma'_b for a, b in x, y, z; complex128 products of such matrices are exact
+PRODUCTS = {
+    (a, b): _gaussian_integer_parts(GAMMA.component(a) @ GAMMA_PRIME.component(b))
+    for a in AXES
+    for b in AXES
+}
+
+
+def _correlation_matrix(rho):
+    """T_ab = tr(rho Gamma_a Gamma'_b) of a real rational 4x4 rho, as
+    {(a, b): (real part, imaginary part)} in Fractions."""
+    entries = [(i, j, r) for i, row in enumerate(rho) for j, r in enumerate(row) if r]
+    return {
+        key: (sum(r * re[j][i] for i, j, r in entries), sum(r * im[j][i] for i, j, r in entries))
+        for key, (re, im) in PRODUCTS.items()
+    }
+
+
+def _bound_states():
+    """Every (kappa, 2 m_j) with |kappa| <= KAPPA_MAX."""
+    return [
+        (sign * abs_kappa, twice_mj)
+        for abs_kappa in range(1, KAPPA_MAX + 1)
+        for sign in (1, -1)
+        for twice_mj in range(1 - 2 * abs_kappa, 2 * abs_kappa, 2)
+    ]
+
+
+def _exact_diagonal(kappa, twice_mj, delta):
+    """The density diagonal: block weights (1 +- delta)/2 times the squared
+    Clebsch-Gordan weights A (orbital l) and B (orbital l + 1)."""
+    l, m = abs(kappa) - 1, (twice_mj - 1) // 2
+    part_a = (Fraction(l + m + 1, 2 * l + 1), Fraction(l - m, 2 * l + 1))
+    part_b = (Fraction(l - m + 1, 2 * l + 3), Fraction(l + m + 2, 2 * l + 3))
+    upper, lower = (part_a, part_b) if kappa > 0 else (part_b, part_a)
+    up, down = (1 + delta) / 2, (1 - delta) / 2
+    return [up * upper[0], up * upper[1], down * lower[0], down * lower[1]]
+
+
+def _exact_c(kappa, twice_mj, delta):
+    """c = -X on the kappa > 0 branch and +X on kappa < 0."""
+    l = abs(kappa) - 1
+    denom = 4 * l * l + 8 * l + 3
+    if kappa > 0:
+        return -Fraction(twice_mj) * (delta + 2 * l + 2) / denom
+    return Fraction(twice_mj) * (2 * l + 2 - delta) / denom
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
+def test_bound_state_correlation_matrix_is_diag_tx_delta_c(delta):
+    for kappa, twice_mj in _bound_states():
+        diagonal = _exact_diagonal(kappa, twice_mj, delta)
+        assert sum(diagonal) == 1
+        rho = [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
+        t = _correlation_matrix(rho)
+        assert all(imag == 0 for _, imag in t.values())
+        assert all(t[a, b][0] == 0 for a in AXES for b in AXES if a != b)
+        m_j, j = Fraction(twice_mj, 2), Fraction(2 * abs(kappa) - 1, 2)
+        t_x = m_j * (1 + 2 * kappa * delta) / (j * (2 * j + 2))
+        assert (t["x", "x"][0], t["y", "y"][0], t["z", "z"][0]) == (
+            t_x, delta, _exact_c(kappa, twice_mj, delta)
+        )
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
+def test_float_closed_forms_lie_within_1e_15_of_the_exact_values(delta):
+    states = _bound_states()
+    kappa = [k for k, _ in states]
+    twice_mj = [t for _, t in states]
+    densities = analytic_densities(kappa, twice_mj, [float(delta)] * len(states))
+    assert not densities[:, ~np.eye(4, dtype=bool)].any()
+    diagonals = np.diagonal(densities, axis1=-2, axis2=-1)
+    assert not diagonals.imag.any()
+    c, s = harmonic_coefficients(kappa, twice_mj, [float(delta)] * len(states))
+    assert np.array_equal(s, np.full(len(states), -float(delta)))
+    for (k, tm), diagonal, c_float in zip(states, diagonals.real.tolist(), c.tolist()):
+        exact = _exact_diagonal(k, tm, delta)
+        assert all(abs(Fraction(x) - e) <= TOLERANCE for x, e in zip(diagonal, exact))
+        assert abs(Fraction(c_float) - _exact_c(k, tm, delta)) <= TOLERANCE
+
+
+RATIONAL_T = ("1", "3/2", "2", "7/2", "10")
+
+
+@pytest.mark.parametrize("t", [Fraction(text) for text in RATIONAL_T], ids=RATIONAL_T)
+def test_plane_wave_correlation_matrix_is_diag_1_delta_minus_delta(t):
+    energy = (t * t + 1) / (2 * t)
+    k = (t * t - 1) / (2 * t)
+    assert energy * energy - k * k == 1
+    # |u><u| of u = (1, 0, k/(1+E), 0)/sqrt(N_e), N_e = 2E/(1+E) = |(1, 0, k/(1+E), 0)|^2
+    v = [Fraction(1), Fraction(0), k / (1 + energy), Fraction(0)]
+    norm = 2 * energy / (1 + energy)
+    assert sum(x * x for x in v) == norm
+    rho = [[x * y / norm for y in v] for x in v]
+    t_matrix = _correlation_matrix(rho)
+    delta = 1 / energy
+    expected = {("x", "x"): 1, ("y", "y"): delta, ("z", "z"): -delta}
+    for key, (real, imag) in t_matrix.items():
+        assert imag == 0
+        assert real == expected.get(key, 0)
+    # the package's plane-wave density at the same velocity ratio k/E
+    density = pure_density(_plane_waves(np.array([float(k / energy)]))[0])
+    assert np.abs(density - np.array(rho, dtype=float)).max() < 1e-15

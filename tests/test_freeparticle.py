@@ -10,7 +10,6 @@ from diracctx.clifford import build_family, gamma_matrix
 from diracctx.contextuality import chsh_value
 from diracctx.freeparticle import (
     CURVE_BLOCK,
-    EnergySplit,
     energy_split,
     free_chsh,
     free_chsh_curve,
@@ -238,11 +237,11 @@ def test_plane_wave_state_is_purely_positive_energy():
 
 def test_each_observable_mixes_energy_signs_at_half_c():
     for obs in free_observables(0.5):
-        split = energy_split(0.5, obs)
-        assert isinstance(split, EnergySplit)
-        assert np.all(split.negative_weights >= -1e-12)
-        assert np.all(split.negative_weights <= 1.0 + 1e-12)
-        interior = (split.negative_weights > 1e-10) & (split.negative_weights < 1.0 - 1e-10)
+        weights = energy_split(0.5, obs)
+        assert weights.shape == (4,)
+        assert np.all(weights >= -1e-12)
+        assert np.all(weights <= 1.0 + 1e-12)
+        interior = (weights > 1e-10) & (weights < 1.0 - 1e-10)
         assert interior.any()
 
 
@@ -251,7 +250,7 @@ def test_mixing_does_not_vanish_at_zero_momentum():
     # computed regression): at k = 0 every observable eigenvector is an even
     # superposition of the energy signs
     for obs in free_observables(0.0):
-        weights = energy_split(0.0, obs).negative_weights
+        weights = energy_split(0.0, obs)
         assert np.allclose(weights, 0.5, atol=1e-12)
 
 

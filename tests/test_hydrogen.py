@@ -26,7 +26,6 @@ def test_quantum_number_derived_fields():
     qn = QuantumNumbers(n=3, kappa=-2, m_j=-1.5)
     assert qn.j == 1.5
     assert qn.l == 1
-    assert qn.m == -2
     assert qn.sign == -1
     assert qn.n_tilde == 1
 

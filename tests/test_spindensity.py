@@ -11,9 +11,9 @@ from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, valid_s
 from diracctx.spindensity import (
     IncompatibleObservablesError,
     QuadratureError,
-    ReducedSpinDensity,
     analytic_densities,
     correlator,
+    pure_density,
     radial_weights,
     radial_weights_quadrature,
     reduce,
@@ -34,15 +34,15 @@ def test_ground_state_density_matches_hand_reduction():
     mu = sommerfeld_mu(1, 1, ALPHA)
     expected = np.diag([(1 + mu) / 2, 0.0, (1 - mu) / 6, (1 - mu) / 3])
     density = _ground_density()
-    assert np.abs(density.matrix - expected).max() < 1e-8
+    assert np.abs(density - expected).max() < 1e-8
 
 
 @pytest.mark.parametrize("n,kappa,m_j", [(1, 1, 0.5), (2, -1, 0.5), (3, 2, -1.5)])
 def test_density_invariants(n, kappa, m_j):
     density = reduce(eigenstate(QuantumNumbers(n, kappa, m_j), ALPHA))
-    assert np.trace(density.matrix).real == pytest.approx(1.0, abs=1e-10)
-    assert hermiticity_defect(density.matrix) < 1e-10
-    assert np.linalg.eigvalsh(density.matrix).min() > -1e-10
+    assert np.trace(density).real == pytest.approx(1.0, abs=1e-10)
+    assert hermiticity_defect(density) < 1e-10
+    assert np.linalg.eigvalsh(density).min() > -1e-10
 
 
 @pytest.mark.parametrize("n,kappa,m_j", [(2, 1, 0.5), (3, -2, 0.5), (4, 3, 2.5)])
@@ -50,7 +50,7 @@ def test_density_block_diagonal(n, kappa, m_j):
     # upper/lower spinor harmonics carry orbital l and l+1, so the cross
     # angular integrals vanish
     density = reduce(eigenstate(QuantumNumbers(n, kappa, m_j), ALPHA))
-    off = density.matrix[:2, 2:]
+    off = density[:2, 2:]
     assert np.linalg.norm(off) < 1e-8
 
 
@@ -89,8 +89,8 @@ def test_correlator_rejects_non_hermitian():
 def test_pure_density_invariant_under_global_phase(phase):
     rng = np.random.default_rng(5)
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-    base = ReducedSpinDensity.from_pure(raw).matrix
-    rotated = ReducedSpinDensity.from_pure(np.exp(1j * phase) * raw).matrix
+    base = pure_density(raw)
+    rotated = pure_density(np.exp(1j * phase) * raw)
     assert np.abs(base - rotated).max() < 1e-12
 
 
@@ -125,16 +125,18 @@ def test_radial_weights_quadrature_agrees_with_analytic(n):
 
 
 def test_from_pure_normalizes_and_rejects_zero():
-    density = ReducedSpinDensity.from_pure([2.0, 0.0, 0.0, 0.0])
-    assert np.trace(density.matrix).real == pytest.approx(1.0, rel=1e-15)
+    density = pure_density([2.0, 0.0, 0.0, 0.0])
+    assert density.shape == (4, 4)
+    assert np.trace(density).real == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ValueError):
-        ReducedSpinDensity.from_pure([0.0, 0.0, 0.0, 0.0])
+        pure_density([0.0, 0.0, 0.0, 0.0])
 
 
 def test_maximally_mixed():
-    density = ReducedSpinDensity.maximally_mixed()
-    assert np.trace(density.matrix).real == pytest.approx(1.0, rel=1e-15)
-    assert np.array_equal(density.matrix, np.eye(4) / 4.0)
+    # the even mixture of the pure densities of any orthonormal basis
+    density = sum(pure_density(u) for u in np.eye(4)) / 4.0
+    assert np.trace(density).real == pytest.approx(1.0, rel=1e-15)
+    assert np.array_equal(density, np.eye(4) / 4.0)
 
 
 def test_reduce_flags_non_convergent_quadrature():
@@ -147,9 +149,12 @@ def test_reduce_flags_non_convergent_quadrature():
 
 
 def test_reduce_metadata():
-    density = _ground_density()
-    assert "n=1" in density.label
-    assert state_label(QuantumNumbers(1, 1, 0.5)) == density.label
+    # reduce returns the bare matrix; the state's label names it in a failure
+    assert _ground_density().shape == (4, 4)
+    qn = QuantumNumbers(4, -2, 0.5)
+    assert state_label(qn) == "n=4 kappa=-2 mj=0.5"
+    with pytest.raises(QuadratureError, match=f"^{state_label(qn)}: "):
+        reduce(eigenstate(qn, ALPHA), qn.n_tilde)
 
 
 @st.composite
@@ -166,14 +171,15 @@ def _bound_states(draw):
 def test_density_is_the_closed_form_across_the_domain(qn, a):
     # diagonal: (1 +- mu)/2 times the Clebsch-Gordan weights of the A and B
     # harmonics, with the roles swapped for kappa < 0
-    l, m = qn.l, qn.m
+    l, m = qn.l, round(qn.m_j - 0.5)
     up, down = radial_weights(qn, a)
     part_a = ((l + m + 1) / (2 * l + 1), (l - m) / (2 * l + 1))
     part_b = ((l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3))
     upper, lower = (part_a, part_b) if qn.kappa > 0 else (part_b, part_a)
     expected = np.diag([up * upper[0], up * upper[1], down * lower[0], down * lower[1]])
-    assert np.abs(analytic_densities([qn], a)[0] - expected).max() < 1e-15
+    mu = sommerfeld_mu(qn.n, qn.kappa, a)
+    assert np.abs(analytic_densities([qn.kappa], [2 * qn.m_j], [mu])[0] - expected).max() < 1e-15
     density = reduce(eigenstate(qn, a))
-    assert np.abs(np.diag(density.matrix) - np.diag(expected)).max() < 1e-12
-    assert np.abs(density.matrix - np.diag(np.diag(density.matrix))).max() < 1e-12
-    assert np.trace(density.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(np.diag(density) - np.diag(expected)).max() < 1e-12
+    assert np.abs(density - np.diag(np.diag(density))).max() < 1e-12
+    assert np.trace(density).real == pytest.approx(1.0, abs=1e-12)
