@@ -20,10 +20,10 @@ def main():
     args = parser.parse_args()
 
     print("beta,theta,value,closed_form,violated")
-    for report in free_chsh_curve(np.linspace(args.beta_min, args.beta_max, args.points)):
-        p = report.parameters
-        print(f"{p['beta_v']:.15g},{p['theta']:.15g},{report.value:.15g},"
-              f"{p['closed_form']:.15g},{'true' if report.violated else 'false'}")
+    for row in free_chsh_curve(np.linspace(args.beta_min, args.beta_max, args.points)):
+        p = row["parameters"]
+        print(f"{p['beta_v']:.15g},{p['theta']:.15g},{row['value']:.15g},"
+              f"{p['closed_form']:.15g},{'true' if row['violated'] else 'false'}")
 
 
 if __name__ == "__main__":

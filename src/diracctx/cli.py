@@ -38,19 +38,15 @@ from .hydrogen import (
     QuantumNumbers,
     eigenstate,
     sommerfeld_mu,
-    valid_states,
+    state_columns,
 )
-from .spindensity import (
-    QuadratureError,
-    analytic_densities,
-    pure_density,
-    reduce,
-    state_label,
-)
+from .spindensity import QuadratureError, analytic_densities, pure_density, reduce
 
 SWEEP_CSV_HEADER = ("n", "kappa", "mj", "sign", "mu", "xi_star", "value", "bound", "violated")
 GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
 MIXING_THRESHOLD = 1e-10
+# report rows per piece of the streamed report; bounds the writer's temporaries
+REPORT_BLOCK = 512
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,7 +84,8 @@ class RunConfig:
         if self.beta is not None and self.beta_grid is not None:
             raise ValueError("--beta and --beta-grid exclude each other; pass one of them")
         for name, default in flags.items():
-            if getattr(self, name) is None:
+            # a grid replaces --beta, which then stays None and echoes null
+            if getattr(self, name) is None and (name != "beta" or self.beta_grid is None):
                 object.__setattr__(self, name, default)
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"--alpha must lie in (0, 1), got {self.alpha}")
@@ -235,53 +232,103 @@ def _json_dict_rows(keys: tuple, rows: list, indent: str) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
-def render(document: ReportDocument, output_format: str) -> str:
-    """Serialize to the fixed JSON schema or the fixed-header CSV."""
-    if output_format == "json":
-        return _json_texts([document.to_dict()], "")[0] + "\n"
-    if output_format != "csv":
-        raise ValueError(f"format must be json or csv, got {output_format!r}")
+def _blocks(rows: list):
+    """The rows in consecutive slices of REPORT_BLOCK."""
+    for start in range(0, len(rows), REPORT_BLOCK):
+        yield rows[start:start + REPORT_BLOCK]
+
+
+def _json_pieces(document: ReportDocument):
+    """The JSON report in pieces: the text up to the results, the results a
+    block of rows at a time, then the rest."""
+    text = "{"
+    for i, (key, value) in enumerate(document.to_dict().items()):
+        text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
+        if key != "results" or not value:
+            text += _json_texts([value], "  ")[0]
+            continue
+        separator = ",\n    "
+        prefix = text + "[\n    "
+        for block in _blocks(value):
+            yield prefix + separator.join(_json_texts(block, "    "))
+            prefix = separator
+        text = "\n  ]"
+    yield text + "\n}\n"
+
+
+def _csv_text(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if document.command == "sweep":
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in document.results:
-            p = r["parameters"]
-            writer.writerow([
-                p["n"], p["kappa"], f"{p['mj']:.15g}", p["sign"], f"{p['mu']:.15g}",
-                f"{p['xi_star']:.15g}", f"{r['value']:.15g}", f"{r['bound']:.15g}",
-                "true" if r["violated"] else "false",
-            ])
-    else:
-        writer.writerow(GENERIC_CSV_HEADER)
-        for r in document.results:
-            writer.writerow([
-                r["kind"], f"{r['value']:.15g}", f"{r['bound']:.15g}",
-                "true" if r["violated"] else "false",
-            ])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _columns(states: list, a: float) -> tuple:
-    """The columns (kappa, 2 m_j, delta) of the states, which the closed forms
-    take; delta = mu is computed here, once per state."""
-    return (
-        np.array([qn.kappa for qn in states]),
-        np.array([round(2 * qn.m_j) for qn in states]),
-        np.array([sommerfeld_mu(qn.n, qn.kappa, a) for qn in states]),
-    )
-
-
-def _chsh_on_states(states: list, a: float, columns: tuple, observables,
-                    extra_params: list) -> list:
-    """One chsh_value pass over the closed-form densities of the states; the
-    i-th state's report parameters gain extra_params[i]."""
-    params = [
-        {"a": a, "n": qn.n, "kappa": qn.kappa, "mj": qn.m_j, "sign": qn.sign, "mu": mu, **extra}
-        for qn, mu, extra in zip(states, columns[2].tolist(), extra_params, strict=True)
+def _sweep_csv_row(r: dict) -> list:
+    p = r["parameters"]
+    return [
+        p["n"], p["kappa"], f"{p['mj']:.15g}", p["sign"], f"{p['mu']:.15g}",
+        f"{p['xi_star']:.15g}", f"{r['value']:.15g}", f"{r['bound']:.15g}",
+        "true" if r["violated"] else "false",
     ]
-    reports = chsh_value(analytic_densities(*columns), *observables, parameters=params)
-    return [report.to_dict() for report in reports]
+
+
+def _generic_csv_row(r: dict) -> list:
+    return [
+        r["kind"], f"{r['value']:.15g}", f"{r['bound']:.15g}",
+        "true" if r["violated"] else "false",
+    ]
+
+
+def report_pieces(document: ReportDocument, output_format: str):
+    """The report as consecutive texts: the head, the results a block of
+    REPORT_BLOCK rows at a time, then the tail; their concatenation is the
+    fixed JSON schema or the fixed-header CSV."""
+    if output_format == "json":
+        yield from _json_pieces(document)
+        return
+    if output_format != "csv":
+        raise ValueError(f"format must be json or csv, got {output_format!r}")
+    if document.command == "sweep":
+        header, row = SWEEP_CSV_HEADER, _sweep_csv_row
+    else:
+        header, row = GENERIC_CSV_HEADER, _generic_csv_row
+    yield _csv_text([header])
+    for block in _blocks(document.results):
+        yield _csv_text(map(row, block))
+
+
+def render(document: ReportDocument, output_format: str) -> str:
+    """Serialize to the fixed JSON schema or the fixed-header CSV."""
+    return "".join(report_pieces(document, output_format))
+
+
+def _state_table(n, kappa, twice_mj, a: float) -> tuple:
+    """The columns (n, kappa, 2 m_j, delta) of the states; the closed forms
+    take the last three. delta = mu comes from one sommerfeld_mu call per
+    distinct (n, |kappa|), on which it alone depends."""
+    n, kappa, twice_mj = (np.asarray(column) for column in (n, kappa, twice_mj))
+    abs_kappa = np.abs(kappa)
+    _, first, inverse = np.unique(
+        n * (abs_kappa.max(initial=0) + 1) + abs_kappa, return_index=True, return_inverse=True
+    )
+    mus = [sommerfeld_mu(m, k, a) for m, k in zip(n[first].tolist(), abs_kappa[first].tolist())]
+    return n, kappa, twice_mj, np.array(mus, dtype=float)[inverse]
+
+
+def _one_state(qn: QuantumNumbers, a: float) -> tuple:
+    """_state_table of one validated state."""
+    return _state_table([qn.n], [qn.kappa], [round(2 * qn.m_j)], a)
+
+
+def _chsh_on_states(table: tuple, a: float, observables, extra_params: list) -> list:
+    """One chsh_value pass over the closed-form densities of the states of
+    the table; the i-th state's report parameters gain extra_params[i]."""
+    params = [
+        {"a": a, "n": n, "kappa": kappa, "mj": twice_mj / 2.0, "sign": 1 if kappa > 0 else -1,
+         "mu": mu, **extra}
+        for n, kappa, twice_mj, mu, extra in zip(
+            *(column.tolist() for column in table), extra_params, strict=True)
+    ]
+    return chsh_value(analytic_densities(*table[1:]), *observables, parameters=params)
 
 
 def _run_audit(config: RunConfig) -> list:
@@ -298,55 +345,58 @@ def _run_audit(config: RunConfig) -> list:
 
 def _run_ground(config: RunConfig) -> list:
     qn = QuantumNumbers(n=1, kappa=1, m_j=config.mj)
-    columns = _columns([qn], config.alpha)
-    obs, closed_form = _scenario(qn, columns)
-    return _chsh_on_states([qn], config.alpha, columns, obs, [{"closed_form": closed_form}])
+    table = _one_state(qn, config.alpha)
+    obs, closed_form = _scenario(qn, table)
+    return _chsh_on_states(table, config.alpha, obs, [{"closed_form": closed_form}])
 
 
 def _run_excited(config: RunConfig) -> list:
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    columns = _columns([qn], config.alpha)
-    xi_star, value_star = (v.item() for v in optimal_xi(*columns))
+    table = _one_state(qn, config.alpha)
+    xi_star, value_star = (v.item() for v in optimal_xi(*table[1:]))
     xi, closed_form = xi_star, value_star
     if config.xi is not None:
-        c, s = (v.item() for v in harmonic_coefficients(*columns))
+        c, s = (v.item() for v in harmonic_coefficients(*table[1:]))
         xi, closed_form = config.xi, 2.0 * (c * math.cos(config.xi) + s * math.sin(config.xi))
     extra = {"xi": xi, "xi_star": xi_star, "closed_form": closed_form}
-    return _chsh_on_states([qn], config.alpha, columns, excited_observables([xi]), [extra])
+    return _chsh_on_states(table, config.alpha, excited_observables([xi]), [extra])
 
 
 def _run_sweep(config: RunConfig) -> list:
-    states = list(valid_states(config.n_max))
-    columns = _columns(states, config.alpha)
-    xi_star, value_star = optimal_xi(*columns)
+    table = _state_table(*state_columns(config.n_max), config.alpha)
+    xi_star, value_star = optimal_xi(*table[1:])
     extras = [
         {"xi": xi, "xi_star": xi, "closed_form": value}
         for xi, value in zip(xi_star.tolist(), value_star.tolist())
     ]
-    return _chsh_on_states(states, config.alpha, columns, excited_observables(xi_star), extras)
+    return _chsh_on_states(table, config.alpha, excited_observables(xi_star), extras)
 
 
 def _run_peres_mermin(config: RunConfig) -> list:
-    states = list(valid_states(config.n_max))
+    n, kappa, twice_mj, delta = _state_table(*state_columns(config.n_max), config.alpha)
     rng = np.random.default_rng(config.seed)
     spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
     stack = np.concatenate([
-        analytic_densities(*_columns(states, config.alpha)),
+        analytic_densities(kappa, twice_mj, delta),
         [pure_density(u) for u in spinors],
         [np.eye(4) / 4.0],
     ])
-    labels = [state_label(qn) for qn in states]
+    # the text of spindensity.state_label
+    labels = [
+        f"n={m} kappa={k} mj={t / 2.0}"
+        for m, k, t in zip(n.tolist(), kappa.tolist(), twice_mj.tolist())
+    ]
     labels += [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
-    return [report.to_dict() for report in peres_mermin_value(stack, labels)]
+    return peres_mermin_value(stack, labels)
 
 
 def _run_free_electron(config: RunConfig) -> list:
     betas = (config.beta,) if config.beta_grid is None else _parse_beta_grid(config.beta_grid)
-    return [report.to_dict() for report in free_chsh_curve(betas)]
+    return free_chsh_curve(betas)
 
 
 def _run_measurability(config: RunConfig) -> list:
-    mus = _columns(list(valid_states(config.n_max)), config.alpha)[2].tolist()
+    mus = _state_table(*state_columns(config.n_max), config.alpha)[3].tolist()
     results = [{
         "kind": "hydrogen_spectrum_positivity",
         "terms": {"min_mu": min(mus), "max_mu": max(mus)},
@@ -369,13 +419,13 @@ def _run_measurability(config: RunConfig) -> list:
     return results
 
 
-def _scenario(qn: QuantumNumbers, columns: tuple):
-    """Observables and closed-form value for one state and its columns: the
+def _scenario(qn: QuantumNumbers, table: tuple):
+    """Observables and closed-form value for one state and its table: the
     ground states use the dedicated observable choice, everything else the
     optimal xi family."""
     if qn.n == 1:
-        return ground_observables(qn.m_j), math.sqrt(2.0) * (1.0 + columns[2].item())
-    xi_star, value_star = (v.item() for v in optimal_xi(*columns))
+        return ground_observables(qn.m_j), math.sqrt(2.0) * (1.0 + table[3].item())
+    xi_star, value_star = (v.item() for v in optimal_xi(*table[1:]))
     return excited_observables(xi_star), value_star
 
 
@@ -384,12 +434,12 @@ def _run_converge(config: RunConfig) -> list:
     # already integrate the density exactly, so every rung of the ladder sits
     # at the rounding floor of the closed form
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    observables, reference = _scenario(qn, _columns([qn], config.alpha))
+    observables, reference = _scenario(qn, _one_state(qn, config.alpha))
     state = eigenstate(qn, config.alpha)
     results = []
     for extra in (0, 1, 2, 4, 8, 16, 32):
         count = qn.n_tilde + 1 + extra
-        value = chsh_value(reduce(state, count), *observables).value
+        value = chsh_value(reduce(state, count), *observables)["value"]
         delta = abs(value - reference)
         results.append({
             "kind": "convergence",
@@ -514,16 +564,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = render(document, config.output_format)
+    pieces = report_pieces(document, config.output_format)
     if config.output_path is not None:
         try:
             with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     print(f"completed {config.command} in {document.timing_seconds:.3f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -11,7 +11,6 @@ form 2*sqrt(delta^2 + X^2). The closed forms take the columns
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,65 +24,42 @@ _GAMMA = build_family("Gamma")
 _GAMMA_PRIME = build_family("GammaPrime")
 
 
-class InequalityReport(NamedTuple):
-    """One evaluated inequality: labeled correlator terms, their signed sum,
-    the noncontextual bound, and the parameters that produced it.
-
-    A named tuple, not a frozen dataclass: a curve builds one per row, and the
-    dataclass __init__ spends most of a row's time in object.__setattr__.
-    """
-
-    kind: str
-    terms: dict
-    value: float
-    bound: float
-    violated: bool
-    parameters: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terms": dict(self.terms),
-            "value": self.value,
-            "bound": self.bound,
-            "violated": self.violated,
-            "parameters": dict(self.parameters),
-        }
-
-
-def chsh_value(density, a, b, c, d,
-               parameters=None) -> InequalityReport | list[InequalityReport]:
-    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2.
+def chsh_value(density, a, b, c, d, parameters=None) -> dict | list[dict]:
+    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2, as report
+    rows: dicts with the keys kind, terms, value, bound, violated, parameters.
 
     density is a (4, 4) density matrix or an (N, 4, 4) stack of them, and any
-    observable may be a (N, 4, 4) stack. Single matrices give one report with
-    the parameters dict; a leading axis of length N gives a list of N reports,
-    evaluated in one pass, with parameters a list of N dicts. Each observable
-    is checked Hermitian once and each of the four pairs for commutation.
+    observable may be a (N, 4, 4) stack. Single matrices give one row with
+    the parameters dict; a leading axis of length N gives a list of N rows,
+    evaluated in one pass, with parameters a list of N dicts. The rows take
+    ownership of the parameters dicts they are given: each is stored as is,
+    not copied. Each observable is checked Hermitian once and each of the four
+    pairs for commutation.
     """
     rho = np.asarray(density)
     a, b, c, d = (checked_observable(name, o) for name, o in zip("ABCD", (a, b, c, d)))
-    rows = list(zip(*(
+    ab, bc, cd, da = (
         np.ravel(pair_correlator(rho, o1, o2)).tolist()
         for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
-    )))
+    )
     stacked = np.broadcast_shapes(*(m.shape[:-2] for m in (rho, a, b, c, d))) != ()
     if not stacked:
-        parameters = [parameters]
+        parameters = [{} if parameters is None else parameters]
     elif parameters is None:
-        parameters = [None] * len(rows)
-    reports = []
-    for (ab, bc, cd, da), p in zip(rows, parameters, strict=True):
-        value = ab + bc + cd - da
-        reports.append(InequalityReport(
-            "chsh_nc",
-            {"AB": ab, "BC": bc, "CD": cd, "DA": da},
-            value,
-            CHSH_BOUND,
-            value > CHSH_BOUND,
-            dict(p or {}),
-        ))
-    return reports if stacked else reports[0]
+        parameters = [{} for _ in ab]
+    values = [x + y + z - w for x, y, z, w in zip(ab, bc, cd, da)]
+    rows = [
+        {
+            "kind": "chsh_nc",
+            "terms": {"AB": x, "BC": y, "CD": z, "DA": w},
+            "value": value,
+            "bound": CHSH_BOUND,
+            "violated": value > CHSH_BOUND,
+            "parameters": p,
+        }
+        for x, y, z, w, value, p in zip(ab, bc, cd, da, values, parameters, strict=True)
+    ]
+    return rows if stacked else rows[0]
 
 
 def ground_observables(m_j: float):
@@ -155,26 +131,25 @@ _PM_LINE_PRODUCTS = tuple(
 )
 
 
-def peres_mermin_value(densities, labels) -> list[InequalityReport]:
+def peres_mermin_value(densities, labels) -> list[dict]:
     """Six line-product correlators, each signed as its line's product; bound 4.
 
     An (N, 4, 4) stack of density matrices with a list of N labels gives N
-    reports, from one trace per line product over the whole stack.
+    report rows, from one trace per line product over the whole stack.
     """
     columns = [
         np.trace(densities @ product, axis1=-2, axis2=-1).real.tolist()
         for _, product, _ in _PM_LINE_PRODUCTS
     ]
-    reports = []
+    rows = []
     for values, label in zip(zip(*columns), labels, strict=True):
-        terms = {name: value for (name, _, _), value in zip(_PM_LINE_PRODUCTS, values)}
         value = sum(sign * term for (_, _, sign), term in zip(_PM_LINE_PRODUCTS, values))
-        reports.append(InequalityReport(
-            kind="peres_mermin",
-            terms=terms,
-            value=value,
-            bound=PERES_MERMIN_BOUND,
-            violated=value > PERES_MERMIN_BOUND,
-            parameters={"state": label},
-        ))
-    return reports
+        rows.append({
+            "kind": "peres_mermin",
+            "terms": {name: term for (name, _, _), term in zip(_PM_LINE_PRODUCTS, values)},
+            "value": value,
+            "bound": PERES_MERMIN_BOUND,
+            "violated": value > PERES_MERMIN_BOUND,
+            "parameters": {"state": label},
+        })
+    return rows

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .clifford import alpha_matrices, beta_matrix, gamma_matrix, hermiticity_defect
-from .contextuality import InequalityReport, chsh_value
+from .contextuality import chsh_value
 
 _ALPHA_Z = alpha_matrices()[2]
 _BETA = beta_matrix()
@@ -60,16 +60,17 @@ def free_observables(beta_v: float):
     return a, b[0], c, d[0]
 
 
-def free_chsh_curve(betas) -> list[InequalityReport]:
+def free_chsh_curve(betas) -> list[dict]:
     """Four-correlator inequality on the positive-helicity state at each
-    velocity ratio; the closed form is 2*sqrt(2 - beta^2).
+    velocity ratio, one report row per point; the closed form is
+    2*sqrt(2 - beta^2).
 
     The grid is evaluated in blocks of CURVE_BLOCK points, each one pass over
     (N, 4, 4) stacks of densities and of the B', D' observables.
     """
     betas = [float(b) for b in betas]
     thetas = [observable_angle(b) for b in betas]
-    reports = []
+    rows = []
     for start in range(0, len(betas), CURVE_BLOCK):
         block = betas[start:start + CURVE_BLOCK]
         angles = thetas[start:start + CURVE_BLOCK]
@@ -81,12 +82,12 @@ def free_chsh_curve(betas) -> list[InequalityReport]:
             {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
             for b, t in zip(block, angles)
         ]
-        reports += chsh_value(densities, *_observables(angles), parameters=parameters)
-    return reports
+        rows += chsh_value(densities, *_observables(angles), parameters=parameters)
+    return rows
 
 
-def free_chsh(beta_v: float) -> InequalityReport:
-    """The violation curve at one velocity ratio."""
+def free_chsh(beta_v: float) -> dict:
+    """The violation curve at one velocity ratio, as its report row."""
     return free_chsh_curve([beta_v])[0]
 
 

@@ -77,15 +77,23 @@ class QuantumNumbers:
         return self.n - abs(self.kappa)
 
 
+def state_columns(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int columns n, kappa and 2 m_j of all bound states with n <= n_max,
+    in deterministic order."""
+    rows = [
+        (n, s * abs_k, twice_mj)
+        for n in range(1, n_max + 1)
+        for abs_k in range(1, n + 1)
+        for s in ((1,) if abs_k == n else (1, -1))
+        for twice_mj in range(1 - 2 * abs_k, 2 * abs_k, 2)
+    ]
+    return tuple(np.array(rows, dtype=int).reshape(-1, 3).T)
+
+
 def valid_states(n_max: int) -> Iterator[QuantumNumbers]:
-    """All bound states with n <= n_max, in deterministic order."""
-    for n in range(1, n_max + 1):
-        for abs_k in range(1, n + 1):
-            signs = (1,) if abs_k == n else (1, -1)
-            for s in signs:
-                j = abs_k - 0.5
-                for twice_mj in range(-int(2 * j), int(2 * j) + 1, 2):
-                    yield QuantumNumbers(n=n, kappa=s * abs_k, m_j=twice_mj / 2.0)
+    """All bound states with n <= n_max, in the order of state_columns."""
+    for n, kappa, twice_mj in zip(*(column.tolist() for column in state_columns(n_max))):
+        yield QuantumNumbers(n=n, kappa=kappa, m_j=twice_mj / 2.0)
 
 
 def sommerfeld_mu(n: int, kappa: int, a: float) -> float:

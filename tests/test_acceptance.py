@@ -46,7 +46,7 @@ def _optimal_xi(qn: QuantumNumbers):
 def _ground_pipeline(m_j: float) -> float:
     state = eigenstate(QuantumNumbers(1, 1, m_j), ALPHA)
     density = reduce(state)
-    return chsh_value(density, *ground_observables(m_j)).value
+    return chsh_value(density, *ground_observables(m_j))["value"]
 
 
 def test_criterion_01_ground_state_violation():
@@ -77,7 +77,7 @@ def test_criterion_03_closed_form_agreement():
     for qn in valid_states(4):
         xi_star, value_star = _optimal_xi(qn)
         density = reduce(eigenstate(qn, ALPHA))
-        value = chsh_value(density, *excited_observables(xi_star)).value
+        value = chsh_value(density, *excited_observables(xi_star))["value"]
         worst = max(worst, abs(value - value_star) / value_star)
         count += 1
     elapsed = time.perf_counter() - start
@@ -109,17 +109,17 @@ def test_criterion_05_peres_mermin_state_independence():
     count = 0
     for qn in valid_states(3):
         report = peres_mermin_value(reduce(eigenstate(qn, ALPHA))[None], [state_label(qn)])[0]
-        worst = max(worst, abs(report.value - 6.0))
-        bounds_ok &= report.bound == 4.0
+        worst = max(worst, abs(report["value"] - 6.0))
+        bounds_ok &= report["bound"] == 4.0
         count += 1
     rng = np.random.default_rng(2024)
     for _ in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
         report = peres_mermin_value(pure_density(raw)[None], ["random"])[0]
-        worst = max(worst, abs(report.value - 6.0))
-        bounds_ok &= report.bound == 4.0
+        worst = max(worst, abs(report["value"] - 6.0))
+        bounds_ok &= report["bound"] == 4.0
     report = peres_mermin_value((np.eye(4) / 4.0)[None], ["maximally-mixed"])[0]
-    worst = max(worst, abs(report.value - 6.0))
+    worst = max(worst, abs(report["value"] - 6.0))
     _report(5, worst < 1e-10 and bounds_ok,
             f"{count} eigenstates n<=3, 100 seeded spinors, maximally mixed: "
             f"worst |value-6| = {worst:.2e} < 1e-10, bound reported 4")
@@ -130,10 +130,10 @@ def test_criterion_06_free_electron_curve():
     worst = 0.0
     min_value = math.inf
     for beta in betas:
-        value = free_chsh(float(beta)).value
+        value = free_chsh(float(beta))["value"]
         worst = max(worst, abs(value - 2.0 * math.sqrt(2.0 - beta * beta)))
         min_value = min(min_value, value)
-    at_rest = free_chsh(0.0).value
+    at_rest = free_chsh(0.0)["value"]
     ok = (
         worst < 1e-12
         and abs(at_rest - 2.0 * math.sqrt(2.0)) < 1e-12

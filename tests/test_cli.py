@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from diracctx.cli import (
     EXIT_QUADRATURE,
     EXIT_USAGE,
     GENERIC_CSV_HEADER,
+    REPORT_BLOCK,
     ReportDocument,
     RunConfig,
     SWEEP_CSV_HEADER,
@@ -27,6 +29,7 @@ from diracctx.cli import (
     _parse_beta_grid,
     main,
     render,
+    report_pieces,
 )
 from diracctx.clifford import build_family
 from diracctx.clifford import PERES_MERMIN_LINES
@@ -191,8 +194,9 @@ def test_excited_at_n40_is_right_or_exits_3(capsys):
     assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
 
 
-# the number of bound states each command evaluates
-STATES_EVALUATED = {"ground": 1, "excited": 1, "sweep": 408, "peres-mermin": 28}
+# the number of distinct (n, |kappa|) among the bound states each command
+# evaluates: mu depends on nothing else
+MU_VALUES_EVALUATED = {"ground": 1, "excited": 1, "sweep": 36, "peres-mermin": 6}
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,8 +229,8 @@ def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
             if key.startswith("diracctx") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert main(argv) == EXIT_OK
-    # delta = mu once per state, and no Clebsch-Gordan square roots
-    assert calls["sommerfeld_mu"] == STATES_EVALUATED[argv[0]]
+    # delta = mu once per distinct (n, |kappa|), and no Clebsch-Gordan square roots
+    assert calls["sommerfeld_mu"] == MU_VALUES_EVALUATED[argv[0]]
     assert calls["_spinor_terms"] == 0
 
 
@@ -280,9 +284,9 @@ def test_peres_mermin_stack_equals_per_density_evaluation():
     for matrix, label, report in zip(stack, labels, reports):
         # per-density reference: one 4x4 trace per line product
         terms = [float(np.trace(matrix @ product).real) for product in products]
-        assert list(report.terms.values()) == terms
-        assert report.value == terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - terms[5]
-        assert report.parameters == {"state": label}
+        assert list(report["terms"].values()) == terms
+        assert report["value"] == terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - terms[5]
+        assert report["parameters"] == {"state": label}
         single = peres_mermin_value(matrix[None], [label])[0]
         assert single == report
 
@@ -494,6 +498,89 @@ def test_render_json_rejects_what_json_cannot_hold(payload):
         render(doc, "json")
 
 
+def _reference_csv(doc):
+    """Reference writer: the whole CSV from one csv.writer, row after row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    sweep = doc.command == "sweep"
+    writer.writerow(SWEEP_CSV_HEADER if sweep else GENERIC_CSV_HEADER)
+    for r in doc.results:
+        head = [r["kind"]]
+        if sweep:
+            p = r["parameters"]
+            head = [p["n"], p["kappa"], f"{p['mj']:.15g}", p["sign"], f"{p['mu']:.15g}",
+                    f"{p['xi_star']:.15g}"]
+        writer.writerow(head + [f"{r['value']:.15g}", f"{r['bound']:.15g}",
+                                "true" if r["violated"] else "false"])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["free-electron", "--beta-grid", f"0:0.999:{count}"]
+      for count in (1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 2 * REPORT_BLOCK + 1)),
+    ["sweep", "--n-max", "8"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, capsys):
+    argv = [*argv, "--format", output_format]
+    doc = execute(config_from_args(build_parser().parse_args(argv)))
+    pieces = list(report_pieces(doc, output_format))
+    blocks = -(-len(doc.results) // REPORT_BLOCK)
+    # json: the head goes with the first block, then the tail; csv: the
+    # header, then the blocks
+    assert len(pieces) == blocks + 1
+    text = "".join(pieces)
+    assert text == render(doc, output_format)
+    reference = _reference_json if output_format == "json" else _reference_csv
+    assert text == reference(doc)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == text
+    assert main([*argv, "--output", str(tmp_path / "report")]) == EXIT_OK
+    assert (tmp_path / "report").read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("command, kwargs, source", [
+    ("ground", {}, "chsh_value"),
+    ("excited", {"n": 3, "kappa": -2}, "chsh_value"),
+    ("sweep", {"n_max": 3}, "chsh_value"),
+    ("free-electron", {"beta_grid": "0:0.9:1100"}, "chsh_value"),
+    ("peres-mermin", {"n_max": 2}, "peres_mermin_value"),
+])
+def test_report_rows_are_the_rows_built_once(monkeypatch, command, kwargs, source):
+    import diracctx.contextuality as contextuality_module
+
+    built = []
+    original = getattr(contextuality_module, source)
+
+    def recorded(*args, **kw):
+        out = original(*args, **kw)
+        built.extend(out if isinstance(out, list) else [out])
+        return out
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("diracctx") and getattr(module, source, None) is original:
+            monkeypatch.setattr(module, source, recorded)
+    results = _run(command, **kwargs).results
+    assert len(results) == len(built) > 0
+    assert all(row is made for row, made in zip(results, built))
+
+
+def test_free_curve_report_memory_stays_bounded(tmp_path):
+    # one 20,000-point report written to a file: the rows, built once, and one
+    # block of texts at a time peak near 18 MB; a second copy of the rows plus
+    # the whole 8 MB report text, as a writer that joins everything first
+    # holds them, peak near 40 MB
+    out = tmp_path / "curve.json"
+    tracemalloc.start()
+    try:
+        assert main(["free-electron", "--beta-grid", "0:0.999:20000", "--output", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 8_000_000
+    assert peak < 28e6
+
+
 # --- argument parsing and exit codes ----------------------------------------------
 
 def test_parser_builds_config():
@@ -540,9 +627,18 @@ def test_beta_with_beta_grid_exits_2(capsys):
 def test_beta_grid_echo_is_the_text(capsys):
     assert main(["free-electron", "--beta-grid", "0:0.999:5"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["params"] == {"beta": 0.0, "beta_grid": "0:0.999:5"}
+    assert report["params"] == {"beta": None, "beta_grid": "0:0.999:5"}
     assert [r["parameters"]["beta_v"] for r in report["results"]] == list(
         _parse_beta_grid("0:0.999:5"))
+
+
+def test_beta_grid_echoes_null_beta(capsys):
+    # the grid replaces --beta, so the report echoes no beta it did not evaluate
+    assert main(["free-electron", "--beta-grid", "0:0.5:2"]) == EXIT_OK
+    assert '"beta": null,' in capsys.readouterr().out.splitlines()[3]
+    assert RunConfig(command="free-electron", beta_grid="0:0.5:2").beta is None
+    assert RunConfig(command="free-electron").params == {"beta": 0.0, "beta_grid": None}
+    assert RunConfig(command="measurability").beta == 0.5
 
 
 COMMAND_NAMES = (

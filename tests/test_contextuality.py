@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -123,29 +124,29 @@ def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
 
 def test_identity_observables_meet_bound_without_violation():
     report = chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4)
-    assert report.value == pytest.approx(2.0, abs=1e-12)
-    assert report.bound == CHSH_BOUND
-    assert not report.violated
+    assert report["value"] == pytest.approx(2.0, abs=1e-12)
+    assert report["bound"] == CHSH_BOUND
+    assert not report["violated"]
 
 
 def test_ground_state_violation_value():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
-    assert report.value == pytest.approx(GROUND_CLOSED_FORM, abs=5e-5)
-    assert round(report.value, 5) == 2.82839
-    assert report.violated
+    assert report["value"] == pytest.approx(GROUND_CLOSED_FORM, abs=5e-5)
+    assert round(report["value"], 5) == 2.82839
+    assert report["violated"]
 
 
 def test_kramers_partner_same_violation():
     plus = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
     minus = chsh_value(_density(1, 1, -0.5), *ground_observables(-0.5))
-    assert minus.value == pytest.approx(plus.value, abs=5e-5)
+    assert minus["value"] == pytest.approx(plus["value"], abs=5e-5)
 
 
 def test_report_value_is_signed_term_sum():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
-    t = report.terms
-    assert report.value == pytest.approx(t["AB"] + t["BC"] + t["CD"] - t["DA"], abs=1e-14)
-    assert report.violated == (report.value > report.bound)
+    t = report["terms"]
+    assert report["value"] == pytest.approx(t["AB"] + t["BC"] + t["CD"] - t["DA"], abs=1e-14)
+    assert report["violated"] == (report["value"] > report["bound"])
 
 
 def test_chsh_checks_each_observable_once(monkeypatch):
@@ -165,29 +166,37 @@ def test_chsh_rejects_incompatible_context():
         chsh_value(_density(1, 1, 0.5), a, c, b, a)  # (A, C) share the family
 
 
+def test_report_row_has_the_schema_keys_in_order():
+    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
+                        parameters={"a": ALPHA, "n": 1})
+    assert type(report) is dict
+    assert list(report) == ["kind", "terms", "value", "bound", "violated", "parameters"]
+    assert report["kind"] == "chsh_nc"
+    assert list(report["terms"]) == ["AB", "BC", "CD", "DA"]
+    assert report["violated"] is True
+    assert report["parameters"]["n"] == 1
+
+
 def test_report_serialization_round_trip():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
                         parameters={"a": ALPHA, "n": 1})
-    payload = report.to_dict()
-    assert payload["kind"] == "chsh_nc"
-    assert set(payload["terms"]) == {"AB", "BC", "CD", "DA"}
-    assert payload["violated"] is True
-    assert payload["parameters"]["n"] == 1
+    assert json.loads(json.dumps(report)) == report
 
 
-def test_report_is_immutable_and_to_dict_copies():
+def test_chsh_rows_own_the_parameters_they_are_given():
+    # the rows store the caller's parameter dicts as they are, not copies
     parameters = {"a": ALPHA, "n": 1}
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=parameters)
-    with pytest.raises(AttributeError):
-        report.value = 0.0
-    terms = dict(report.terms)
-    payload = report.to_dict()
-    payload["terms"]["AB"] = 99.0
-    payload["terms"]["XY"] = 1.0
-    payload["parameters"]["n"] = 7
-    parameters["n"] = 8
-    assert report.terms == terms
-    assert report.parameters == {"a": ALPHA, "n": 1}
+    assert report["parameters"] is parameters
+    densities = np.stack([_density(1, 1, 0.5), _density(1, 1, -0.5)])
+    stacked = [{"m_j": 0.5}, {"m_j": -0.5}]
+    rows = chsh_value(densities, *ground_observables(0.5), parameters=stacked)
+    assert [row["parameters"] for row in rows] == stacked
+    assert all(row["parameters"] is p for row, p in zip(rows, stacked))
+    # without parameters each row gets a dict of its own
+    bare = chsh_value(densities, *ground_observables(0.5))
+    assert bare[0]["parameters"] == {} and bare[0]["parameters"] is not bare[1]["parameters"]
+    assert chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))["parameters"] == {}
 
 
 # --- the xi sweep and its closed form --------------------------------------------
@@ -199,7 +208,7 @@ def test_optimal_xi_ground_state_matches_both_routes():
     # the two observable constructions land on the same violation to ~1e-5
     assert value_star == pytest.approx(GROUND_CLOSED_FORM, abs=2e-5)
     report = chsh_value(_density(1, 1, 0.5), *excited_observables(xi_star))
-    assert report.value == pytest.approx(value_star, rel=1e-10)
+    assert report["value"] == pytest.approx(value_star, rel=1e-10)
 
 
 def test_closed_form_negative_branch_substitution():
@@ -242,7 +251,7 @@ def test_quadrature_matches_closed_form(n, kappa, m_j):
     qn = QuantumNumbers(n, kappa, m_j)
     xi_star, value_star = optimal_xi(*_columns(qn))
     report = chsh_value(_density(n, kappa, m_j), *excited_observables(xi_star))
-    assert report.value == pytest.approx(value_star, rel=1e-10)
+    assert report["value"] == pytest.approx(value_star, rel=1e-10)
     assert value_star > 2.0
 
 
@@ -252,7 +261,7 @@ def test_xi_scan_confirms_optimality(n, kappa, m_j):
     density = _density(n, kappa, m_j)
     xi_star, value_star = optimal_xi(*_columns(qn))
     xis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    values = [chsh_value(density, *excited_observables(xi)).value for xi in xis]
+    values = [chsh_value(density, *excited_observables(xi))["value"] for xi in xis]
     scan_max = max(values)
     assert scan_max <= value_star + 1e-6
     assert abs(scan_max - value_star) < 1e-4
@@ -265,15 +274,15 @@ def test_full_shell_sweep_matches_closed_forms_to_n5():
         report = chsh_value(
             reduce(eigenstate(qn, ALPHA)), *excited_observables(xi_star)
         )
-        assert report.value > 2.0
-        assert abs(report.value - value_star) / value_star < 1e-8
+        assert report["value"] > 2.0
+        assert abs(report["value"] - value_star) / value_star < 1e-8
 
 
 def test_xi_zero_degenerate_value_bounded():
     # B = D collapses the sweep to 2<C Gp_z>, which a compatible context bounds by 2
     for n, kappa, m_j in [(1, 1, 0.5), (2, -1, -0.5), (3, 2, 0.5)]:
         report = chsh_value(_density(n, kappa, m_j), *excited_observables(0.0))
-        assert abs(report.value) <= 2.0 + 1e-12
+        assert abs(report["value"]) <= 2.0 + 1e-12
 
 
 # --- Peres-Mermin -----------------------------------------------------------------
@@ -308,10 +317,10 @@ def test_square_lines_commute():
 def test_peres_mermin_constant_on_eigenstates():
     for qn in [QuantumNumbers(1, 1, 0.5), QuantumNumbers(3, -2, -0.5)]:
         report = _peres_mermin(reduce(eigenstate(qn, ALPHA)), state_label(qn))
-        assert report.value == pytest.approx(6.0, abs=1e-10)
-        assert report.bound == PERES_MERMIN_BOUND
-        assert report.violated
-        assert report.parameters == {"state": state_label(qn)}
+        assert report["value"] == pytest.approx(6.0, abs=1e-10)
+        assert report["bound"] == PERES_MERMIN_BOUND
+        assert report["violated"]
+        assert report["parameters"] == {"state": state_label(qn)}
 
 
 def test_peres_mermin_constant_on_random_spinors():
@@ -319,7 +328,7 @@ def test_peres_mermin_constant_on_random_spinors():
     values = []
     for _ in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        values.append(_peres_mermin(pure_density(raw)).value)
+        values.append(_peres_mermin(pure_density(raw))["value"])
     values = np.asarray(values)
     assert np.abs(values - 6.0).max() < 1e-10
     assert values.max() - values.min() < 1e-10
@@ -327,12 +336,12 @@ def test_peres_mermin_constant_on_random_spinors():
 
 def test_peres_mermin_on_maximally_mixed():
     report = _peres_mermin(np.eye(4) / 4.0)
-    assert report.value == pytest.approx(6.0, abs=1e-14)
-    assert set(report.terms) == {"R1", "R2", "R3", "C1", "C2", "C3"}
-    assert report.terms["C3"] == pytest.approx(-1.0, abs=1e-14)
+    assert report["value"] == pytest.approx(6.0, abs=1e-14)
+    assert set(report["terms"]) == {"R1", "R2", "R3", "C1", "C2", "C3"}
+    assert report["terms"]["C3"] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_peres_mermin_value_sums_the_signed_terms():
     report = _peres_mermin(pure_density([1.0, 2.0, 0.5j, -1.0]))
-    t = report.terms
-    assert report.value == t["R1"] + t["R2"] + t["R3"] + t["C1"] + t["C2"] - t["C3"]
+    t = report["terms"]
+    assert report["value"] == t["R1"] + t["R2"] + t["R3"] + t["C1"] + t["C2"] - t["C3"]

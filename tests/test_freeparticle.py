@@ -110,26 +110,26 @@ def test_observables_are_the_gamma_matrices():
 
 def test_rest_frame_reaches_tsirelson_like_value():
     report = free_chsh(0.0)
-    assert report.value == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
-    assert report.violated
+    assert report["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+    assert report["violated"]
 
 
 def test_curve_value_at_beta_06():
     # 2 sqrt(2 - 0.36) = 2 sqrt(1.64)
     report = free_chsh(0.6)
-    assert report.value == pytest.approx(2.5612496949731396, rel=1e-14)
+    assert report["value"] == pytest.approx(2.5612496949731396, rel=1e-14)
 
 
 def test_curve_matches_closed_form_on_grid():
     betas = np.linspace(0.0, 0.999, 200)
     for beta_v in betas:
         report = free_chsh(float(beta_v))
-        assert abs(report.value - 2.0 * math.sqrt(2.0 - beta_v**2)) < 1e-12
+        assert abs(report["value"] - 2.0 * math.sqrt(2.0 - beta_v**2)) < 1e-12
 
 
 def test_curve_strictly_decreasing_and_violating():
     betas = np.linspace(0.0, 0.999, 120)
-    values = [free_chsh(float(b)).value for b in betas]
+    values = [free_chsh(float(b))["value"] for b in betas]
     assert all(v > 2.0 for v in values)
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -163,9 +163,9 @@ def test_batched_terms_equal_pointwise_reference():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 20000)]
     betas += [float(b) for b in np.random.default_rng(5).uniform(0.0, 0.999999, 50)]
     for beta_v, report in zip(betas, free_chsh_curve(betas), strict=True):
-        assert report.terms == _pointwise_terms(beta_v)
-        t = report.terms
-        assert report.value == t["AB"] + t["BC"] + t["CD"] - t["DA"]
+        assert report["terms"] == _pointwise_terms(beta_v)
+        t = report["terms"]
+        assert report["value"] == t["AB"] + t["BC"] + t["CD"] - t["DA"]
 
 
 def test_free_chsh_is_a_row_of_the_curve():
@@ -183,7 +183,7 @@ def test_stack_with_one_bad_slice_is_rejected():
     betas = [0.1, 0.5, 0.9]
     densities, a, b, c, d = _stacks(betas)
     reports = chsh_value(densities, a, b, c, d)
-    assert correlator(densities, a, b).tolist() == [r.terms["AB"] for r in reports]
+    assert correlator(densities, a, b).tolist() == [r["terms"]["AB"] for r in reports]
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
@@ -205,10 +205,10 @@ def test_grid_reaching_the_speed_of_light_exits_2(capsys):
 
 def test_report_parameters_carry_closed_form():
     report = free_chsh(0.5)
-    assert report.parameters["closed_form"] == pytest.approx(
+    assert report["parameters"]["closed_form"] == pytest.approx(
         2.0 * math.sqrt(1.75), rel=1e-15
     )
-    assert report.parameters["beta_v"] == 0.5
+    assert report["parameters"]["beta_v"] == 0.5
 
 
 # --- energy split -----------------------------------------------------------------
