@@ -18,7 +18,7 @@ from diracctx.hydrogen import FINE_STRUCTURE_ALPHA
 
 
 def results(command: str, **knobs) -> list:
-    return execute(RunConfig(command=command, **knobs)).results
+    return execute(RunConfig(command=command, **knobs))["results"]
 
 
 def main():

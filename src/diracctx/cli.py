@@ -8,8 +8,6 @@ wall-clock timing goes to stderr only, never into the rendered report.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -44,6 +42,10 @@ from .spindensity import QuadratureError, analytic_densities, pure_density, redu
 
 SWEEP_CSV_HEADER = ("n", "kappa", "mj", "sign", "mu", "xi_star", "value", "bound", "violated")
 GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
+# one CSV row of each header; every field is a number or a fixed word, so
+# none needs quoting
+SWEEP_CSV_ROW = "%s,%s,%.15g,%s,%.15g,%.15g,%.15g,%.15g,%s\n"
+GENERIC_CSV_ROW = "%s,%.15g,%.15g,%s\n"
 MIXING_THRESHOLD = 1e-10
 # report rows per piece of the streamed report; bounds the writer's temporaries
 REPORT_BLOCK = 512
@@ -104,29 +106,6 @@ class RunConfig:
         return {name: getattr(self, name) for name in COMMANDS[self.command].flags}
 
 
-@dataclass
-class ReportDocument:
-    """Tool version, config echo, and the result payloads of one run.
-
-    timing_seconds is informational only and excluded from render() so that
-    identical configs produce byte-identical reports.
-    """
-
-    command: str
-    params: dict
-    results: list
-    version: str = __version__
-    timing_seconds: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": dict(self.params),
-            "results": self.results,
-            "version": self.version,
-        }
-
-
 def _float_texts(column: list) -> list[str]:
     """Each float at 15 significant digits, as json.dumps writes float(f"{x:.15g}").
 
@@ -147,11 +126,6 @@ def _float_texts(column: list) -> list[str]:
             for s in texts
         ]
     return texts
-
-
-def _float_text(x: float) -> str:
-    """One float as _float_texts writes it."""
-    return _float_texts([x])[0]
 
 
 def _json_texts(values: list, indent: str) -> list[str]:
@@ -238,11 +212,11 @@ def _blocks(rows: list):
         yield rows[start:start + REPORT_BLOCK]
 
 
-def _json_pieces(document: ReportDocument):
+def _json_pieces(document: dict):
     """The JSON report in pieces: the text up to the results, the results a
     block of rows at a time, then the rest."""
     text = "{"
-    for i, (key, value) in enumerate(document.to_dict().items()):
+    for i, (key, value) in enumerate(document.items()):
         text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
         if key != "results" or not value:
             text += _json_texts([value], "  ")[0]
@@ -256,29 +230,7 @@ def _json_pieces(document: ReportDocument):
     yield text + "\n}\n"
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def _sweep_csv_row(r: dict) -> list:
-    p = r["parameters"]
-    return [
-        p["n"], p["kappa"], f"{p['mj']:.15g}", p["sign"], f"{p['mu']:.15g}",
-        f"{p['xi_star']:.15g}", f"{r['value']:.15g}", f"{r['bound']:.15g}",
-        "true" if r["violated"] else "false",
-    ]
-
-
-def _generic_csv_row(r: dict) -> list:
-    return [
-        r["kind"], f"{r['value']:.15g}", f"{r['bound']:.15g}",
-        "true" if r["violated"] else "false",
-    ]
-
-
-def report_pieces(document: ReportDocument, output_format: str):
+def report_pieces(document: dict, output_format: str):
     """The report as consecutive texts: the head, the results a block of
     REPORT_BLOCK rows at a time, then the tail; their concatenation is the
     fixed JSON schema or the fixed-header CSV."""
@@ -287,16 +239,24 @@ def report_pieces(document: ReportDocument, output_format: str):
         return
     if output_format != "csv":
         raise ValueError(f"format must be json or csv, got {output_format!r}")
-    if document.command == "sweep":
-        header, row = SWEEP_CSV_HEADER, _sweep_csv_row
-    else:
-        header, row = GENERIC_CSV_HEADER, _generic_csv_row
-    yield _csv_text([header])
-    for block in _blocks(document.results):
-        yield _csv_text(map(row, block))
+    sweep = document["command"] == "sweep"
+    header, row = SWEEP_CSV_HEADER, SWEEP_CSV_ROW
+    if not sweep:
+        header, row = GENERIC_CSV_HEADER, GENERIC_CSV_ROW
+    yield ",".join(header) + "\n"
+    for block in _blocks(document["results"]):
+        fields = []
+        for r in block:
+            if sweep:
+                p = r["parameters"]
+                fields += (p["n"], p["kappa"], p["mj"], p["sign"], p["mu"], p["xi_star"])
+            else:
+                fields.append(r["kind"])
+            fields += (r["value"], r["bound"], "true" if r["violated"] else "false")
+        yield row * len(block) % tuple(fields)
 
 
-def render(document: ReportDocument, output_format: str) -> str:
+def render(document: dict, output_format: str) -> str:
     """Serialize to the fixed JSON schema or the fixed-header CSV."""
     return "".join(report_pieces(document, output_format))
 
@@ -332,14 +292,14 @@ def _chsh_on_states(table: tuple, a: float, observables, extra_params: list) -> 
 
 
 def _run_audit(config: RunConfig) -> list:
-    audit = audit_algebra()
-    terms = {c.name: c.residual for c in audit.checks}
+    residuals = audit_algebra()
     return [{
         "kind": "algebra_audit",
-        "terms": terms,
-        "value": audit.max_residual,
+        "terms": residuals,
+        "value": max(residuals.values()),
         "bound": 0.0,
-        "violated": not audit.passed,
+        # a check passes only at exactly 0; a nan residual fails too
+        "violated": any(r != 0.0 for r in residuals.values()),
     }]
 
 
@@ -502,16 +462,16 @@ COMMANDS = {
 }
 
 
-def execute(config: RunConfig) -> ReportDocument:
-    """Dispatch one command; deterministic given the config (incl. seed)."""
-    start = time.perf_counter()
-    results = COMMANDS[config.command].run(config)
-    return ReportDocument(
-        command=config.command,
-        params=config.params,
-        results=results,
-        timing_seconds=time.perf_counter() - start,
-    )
+def execute(config: RunConfig) -> dict:
+    """Dispatch one command and return the report document: the tool
+    version, the config echo and the result rows, as the dict the report
+    serializes. Deterministic given the config (incl. seed)."""
+    return {
+        "command": config.command,
+        "params": config.params,
+        "results": COMMANDS[config.command].run(config),
+        "version": __version__,
+    }
 
 
 def _parse_beta_grid(text: str) -> tuple:
@@ -557,7 +517,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        start = time.perf_counter()
         document = execute(config)
+        seconds = time.perf_counter() - start
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
@@ -574,7 +536,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.writelines(pieces)
-    print(f"completed {config.command} in {document.timing_seconds:.3f}s", file=sys.stderr)
+    print(f"completed {config.command} in {seconds:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -160,45 +160,22 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return np.abs(a - a.conj().swapaxes(-1, -2)).max()
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class AlgebraAudit:
-    checks: tuple[AuditCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        return max(c.residual for c in self.checks)
-
-    def failures(self) -> tuple[AuditCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def audit_algebra() -> AlgebraAudit:
-    """Exact structural audit of every algebraic claim the observables rely on.
+def audit_algebra() -> dict[str, float]:
+    """Exact structural audit of every algebraic claim the observables rely on:
+    each check's name and its residual, the largest entry modulus of the
+    difference, in a fixed order.
 
     It checks the complex128 arrays the package uses, and a check passes only
-    when its residual (the largest entry modulus of the difference) is exactly
-    0. Zero tolerance is sound because every entry is a Gaussian integer:
-    entries start in {0, +-1, +-i}, each product below multiplies at most four
-    matrices, so each real and imaginary part stays at most 64 in size, and
-    sums and products of such numbers are exact in IEEE double whatever order
-    BLAS uses.
+    when its residual is exactly 0. Zero tolerance is sound because every
+    entry is a Gaussian integer: entries start in {0, +-1, +-i}, each product
+    below multiplies at most four matrices, so each real and imaginary part
+    stays at most 64 in size, and sums and products of such numbers are exact
+    in IEEE double whatever order BLAS uses.
     """
-    checks: list[AuditCheck] = []
+    residuals: dict[str, float] = {}
 
     def add(name, delta):
-        residual = float(np.abs(delta).max())
-        checks.append(AuditCheck(name=name, passed=residual == 0.0, residual=residual))
+        residuals[name] = float(np.abs(delta).max())
 
     g = GAMMA
     # gamma anticommutation and squares
@@ -242,4 +219,4 @@ def audit_algebra() -> AlgebraAudit:
                 add(f"pm {name} entries {u + 1},{v + 1} commute", commutator(mats[u], mats[v]))
         add(f"pm {name} product", mats[0] @ mats[1] @ mats[2] - sign * IDENTITY4)
 
-    return AlgebraAudit(checks=tuple(checks))
+    return residuals

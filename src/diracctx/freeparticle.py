@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from .clifford import alpha_matrices, beta_matrix, gamma_matrix, hermiticity_defect
+from .clifford import alpha_matrices, beta_matrix, gamma_matrix
 from .contextuality import chsh_value
+from .spindensity import checked_observable
 
 _ALPHA_Z = alpha_matrices()[2]
 _BETA = beta_matrix()
@@ -113,8 +114,5 @@ def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:
     each eigenvector against the negative-energy subspace of the fixed-k free
     Hamiltonian."""
     proj_neg = energy_projector(beta_v, -1)
-    obs = np.asarray(observable, dtype=complex)
-    if hermiticity_defect(obs) > 1e-10:
-        raise ValueError("observable must be Hermitian")
-    eigvecs = np.linalg.eigh(obs)[1]
+    eigvecs = np.linalg.eigh(checked_observable("to split", observable))[1]
     return np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real

@@ -234,93 +234,38 @@ def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA) -> SpinorFie
     return SpinorField(qn=qn, a=a, radial=radial_solution(qn, a))
 
 
-# --- Dirac-operator eigencheck via ladder-operator action -------------------
-#
-# An angular 2-spinor is a coefficient table {(component, l, m): coef}; sigma.L
-# acts as [[Lz, L-], [L+, -Lz]] with L+- Y_lm = sqrt(l(l+1) - m(m+-1)) Y_l,m+-1.
-
-
-def _harmonic_table(part: str, j: float, m_j: float) -> dict:
-    l = int(round(j - 0.5))
-    m = int(round(m_j - 0.5))
-    return {(comp, l_eff, m_eff): coef for comp, l_eff, m_eff, coef in _spinor_terms(part, l, m)}
-
-
-def _apply_sigma_dot_l(table: dict) -> dict:
-    out: dict = {}
-
-    def accumulate(key, value):
-        if value != 0.0:
-            out[key] = out.get(key, 0.0) + value
-
-    for (comp, l, m), c in table.items():
-        # sigma_z L_z part
-        accumulate((comp, l, m), (m if comp == 0 else -m) * c)
-        if comp == 1:
-            # L- lifts lower into upper component
-            amp = l * (l + 1) - m * (m - 1)
-            if amp > 0:
-                accumulate((0, l, m - 1), math.sqrt(amp) * c)
-        else:
-            # L+ drops upper into lower component
-            amp = l * (l + 1) - m * (m + 1)
-            if amp > 0:
-                accumulate((1, l, m + 1), math.sqrt(amp) * c)
-    return out
-
-
-def _rayleigh(table_out: dict, table_in: dict) -> float:
-    num = sum(table_out.get(k, 0.0) * v for k, v in table_in.items())
-    den = sum(v * v for v in table_in.values())
-    return num / den
-
-
-def _residual(table_out: dict, table_in: dict, lam: float) -> float:
-    keys = set(table_out) | set(table_in)
-    return math.sqrt(
-        sum((table_out.get(k, 0.0) - lam * table_in.get(k, 0.0)) ** 2 for k in keys)
-    )
-
-
-@dataclass(frozen=True)
-class KCheckResult:
-    expected: int
-    computed: float
-    computed_squared: float
-    residual: float
-
-
-def apply_K_eigencheck(qn: QuantumNumbers) -> KCheckResult:
-    """Measure the Dirac-operator eigenvalue K = beta(Sigma.L + 1) on the state.
+def apply_K_eigencheck(qn: QuantumNumbers) -> tuple[float, float, float]:
+    """Measure the Dirac-operator eigenvalue K = beta(Sigma.L + 1) on the state:
+    its value, the value of K^2 and the larger residual |K v - k v| of the two
+    blocks.
 
     K acts blockwise: +(sigma.L + 1) on the upper angular spinor, -(sigma.L + 1)
     on the lower one; both blocks must give sign(kappa)*|kappa|, and the block
-    applied twice gives K^2 = j(j+1) + 1/4.
+    applied twice gives K^2 = j(j+1) + 1/4. A harmonic of orbital L with
+    m = m_j - 1/2 lies in the span of (Y_L,m, 0) and (0, Y_L,m+1), where
+    sigma.L = [[Lz, L-], [L+, -Lz]] is [[m, r], [r, -(m + 1)]] with
+    r = sqrt(L(L+1) - m(m+1)).
     """
     upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
-    values = []
-    residual = 0.0
-    squares = []
+    m = int(round(qn.m_j - 0.5))
+    values, squares, residual = [], [], 0.0
     for part, beta_sign in ((upper_part, 1.0), (lower_part, -1.0)):
-        table = _harmonic_table(part, qn.j, qn.m_j)
-        once = _apply_sigma_dot_l(table)
-        # (sigma.L + 1) then the beta sign of the block
-        k_table = {k: beta_sign * (once.get(k, 0.0) + table.get(k, 0.0))
-                   for k in set(once) | set(table)}
-        lam = _rayleigh(k_table, table)
-        values.append(lam)
-        residual = max(residual, _residual(k_table, table, lam))
-        twice = _apply_sigma_dot_l(once)
-        ksq_table = {
-            k: twice.get(k, 0.0) + 2.0 * once.get(k, 0.0) + table.get(k, 0.0)
-            for k in set(twice) | set(once) | set(table)
-        }
-        squares.append(_rayleigh(ksq_table, table))
+        orbital = qn.l if part == "A" else qn.l + 1
+        r = math.sqrt(orbital * (orbital + 1) - m * (m + 1))
+        v = np.zeros(2)
+        for comp, l_eff, m_eff, coef in _spinor_terms(part, qn.l, m):
+            if (l_eff, m_eff) != (orbital, m + comp):
+                raise AssertionError(
+                    f"harmonic {part} of {qn} has a term outside the sigma.L block: "
+                    f"component {comp}, Y_{l_eff},{m_eff}")
+            v[comp] = coef
+        # the block's K = beta_sign (sigma.L + 1) on the coefficient pair
+        block = beta_sign * np.array([[m + 1.0, r], [r, -m]])
+        once = block @ v
+        k = float(once @ v / (v @ v))
+        values.append(k)
+        squares.append(float(block @ once @ v / (v @ v)))
+        residual = max(residual, float(np.linalg.norm(once - k * v)))
     if abs(values[0] - values[1]) > 1e-12 or abs(squares[0] - squares[1]) > 1e-12:
         raise AssertionError(f"blockwise K eigenvalues disagree for {qn}: {values}")
-    return KCheckResult(
-        expected=qn.kappa,
-        computed=values[0],
-        computed_squared=squares[0],
-        residual=residual,
-    )
+    return values[0], squares[0], residual

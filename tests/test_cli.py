@@ -19,13 +19,12 @@ from diracctx.cli import (
     EXIT_USAGE,
     GENERIC_CSV_HEADER,
     REPORT_BLOCK,
-    ReportDocument,
     RunConfig,
     SWEEP_CSV_HEADER,
     build_parser,
     config_from_args,
     execute,
-    _float_text,
+    _float_texts,
     _parse_beta_grid,
     main,
     render,
@@ -48,6 +47,11 @@ def _run(command, **kwargs):
     return execute(RunConfig(command=command, **kwargs))
 
 
+def _document(command, params, results):
+    """A report document as execute returns it."""
+    return {"command": command, "params": params, "results": results, "version": __version__}
+
+
 def _columns(states, a=FINE_STRUCTURE_ALPHA):
     """The closed-form inputs (kappa, 2 m_j, delta) of the states, as lists."""
     return (
@@ -61,23 +65,23 @@ def _columns(states, a=FINE_STRUCTURE_ALPHA):
 
 def test_ground_reproduces_headline_value():
     doc = _run("ground")
-    result = doc.results[0]
+    result = doc["results"][0]
     assert round(result["value"], 5) == 2.82839
     assert result["violated"] is True
     assert result["bound"] == 2.0
-    assert doc.version == __version__
+    assert doc["version"] == __version__
 
 
 def test_ground_kramers_partner():
     doc = _run("ground", mj=-0.5)
-    assert doc.results[0]["value"] == pytest.approx(2.828389469851504, abs=5e-5)
+    assert doc["results"][0]["value"] == pytest.approx(2.828389469851504, abs=5e-5)
 
 
 def test_sweep_all_rows_violated():
     doc = _run("sweep", n_max=3)
-    assert len(doc.results) == 2 * (1 + 4 + 9)
-    assert all(r["violated"] for r in doc.results)
-    assert all(r["value"] > 2.0 for r in doc.results)
+    assert len(doc["results"]) == 2 * (1 + 4 + 9)
+    assert all(r["violated"] for r in doc["results"])
+    assert all(r["value"] > 2.0 for r in doc["results"])
 
 
 def test_xi_family_stops_violating_at_large_alpha(capsys):
@@ -99,44 +103,44 @@ def test_xi_family_stops_violating_at_large_alpha(capsys):
 
 def test_excited_uses_optimal_xi_by_default():
     doc = _run("excited", n=2, kappa=-1, mj=0.5)
-    result = doc.results[0]
+    result = doc["results"][0]
     assert result["parameters"]["xi"] == result["parameters"]["xi_star"]
     assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
 
 
 def test_excited_xi_override():
     doc = _run("excited", n=2, kappa=1, mj=0.5, xi=0.0)
-    assert doc.results[0]["parameters"]["xi"] == 0.0
-    assert abs(doc.results[0]["value"]) <= 2.0 + 1e-12
+    assert doc["results"][0]["parameters"]["xi"] == 0.0
+    assert abs(doc["results"][0]["value"]) <= 2.0 + 1e-12
     # at xi = 0 the closed form 2(c cos xi + s sin xi) is 2c = -2X
     mu = sommerfeld_mu(2, 1, FINE_STRUCTURE_ALPHA)
-    assert doc.results[0]["parameters"]["closed_form"] == pytest.approx(-2.0 * (mu + 2.0) / 3.0)
+    assert doc["results"][0]["parameters"]["closed_form"] == pytest.approx(-2.0 * (mu + 2.0) / 3.0)
 
 
 @pytest.mark.parametrize("kappa,mj", [(1, 0.5), (-1, -0.5), (2, 1.5), (-2, -1.5)])
 def test_excited_closed_form_at_a_given_xi_is_its_value(kappa, mj):
     for xi in (-3.0, -1.2, 0.0, 0.4, math.pi / 2.0, 2.5):
-        result = _run("excited", n=3, kappa=kappa, mj=mj, xi=xi).results[0]
+        result = _run("excited", n=3, kappa=kappa, mj=mj, xi=xi)["results"][0]
         assert result["parameters"]["xi"] == xi
         assert abs(result["value"] - result["parameters"]["closed_form"]) < 1e-12
 
 
 def test_free_electron_at_rest():
     doc = _run("free-electron", beta=0.0)
-    assert doc.results[0]["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+    assert doc["results"][0]["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_free_electron_grid():
     doc = _run("free-electron", beta_grid="0:0.9:3")
-    assert len(doc.results) == 3
-    for beta, r in zip((0.0, 0.45, 0.9), doc.results):
+    assert len(doc["results"]) == 3
+    for beta, r in zip((0.0, 0.45, 0.9), doc["results"]):
         assert r["parameters"]["beta_v"] == beta
         assert r["value"] == pytest.approx(2.0 * math.sqrt(2.0 - beta**2), rel=1e-12)
 
 
 def test_audit_command_reports_zero_residual():
     doc = _run("audit")
-    result = doc.results[0]
+    result = doc["results"][0]
     assert result["kind"] == "algebra_audit"
     assert result["value"] == 0.0
     assert result["violated"] is False
@@ -146,17 +150,17 @@ def test_audit_command_reports_zero_residual():
 def test_peres_mermin_command_is_state_independent():
     doc = _run("peres-mermin", n_max=2, seed=42)
     # 10 hydrogen states + 100 random spinors + maximally mixed
-    assert len(doc.results) == 10 + 100 + 1
-    assert all(abs(r["value"] - 6.0) < 1e-10 for r in doc.results)
-    assert all(r["bound"] == 4.0 for r in doc.results)
+    assert len(doc["results"]) == 10 + 100 + 1
+    assert all(abs(r["value"] - 6.0) < 1e-10 for r in doc["results"])
+    assert all(r["bound"] == 4.0 for r in doc["results"])
 
 
 def test_measurability_contrast():
     doc = _run("measurability", beta=0.5, n_max=10)
-    spectrum = doc.results[0]
+    spectrum = doc["results"][0]
     assert spectrum["kind"] == "hydrogen_spectrum_positivity"
     assert spectrum["value"] > 0.0 and spectrum["violated"]
-    mixing = doc.results[1:]
+    mixing = doc["results"][1:]
     assert len(mixing) == 4
     for row in mixing:
         assert row["violated"]  # every observable mixes energy signs
@@ -165,18 +169,18 @@ def test_measurability_contrast():
 
 def test_converge_ground_sits_at_rounding_floor():
     doc = _run("converge")
-    assert doc.results[0]["terms"]["radial_nodes"] == 1.0
-    assert all(r["value"] < 1e-12 for r in doc.results)
+    assert doc["results"][0]["terms"]["radial_nodes"] == 1.0
+    assert all(r["value"] < 1e-12 for r in doc["results"])
 
 
-def test_converge_excited_decreases_to_floor():
+def test_converge_excited_sits_at_rounding_floor():
     # the ladder starts at the exact count n_tilde + 1, so every rung already
     # sits at the floor; the one-node-short rule is the guard test's case
     doc = _run("converge", n=4, kappa=-2)
-    nodes = [r["terms"]["radial_nodes"] for r in doc.results]
+    nodes = [r["terms"]["radial_nodes"] for r in doc["results"]]
     assert nodes[0] == 3.0 and nodes == sorted(set(nodes))
-    assert all(r["value"] < 1e-12 for r in doc.results)
-    assert all(not r["violated"] for r in doc.results)
+    assert all(r["value"] < 1e-12 for r in doc["results"])
+    assert all(not r["violated"] for r in doc["results"])
 
 
 def test_sweep_n_max_12_matches_closed_forms(capsys):
@@ -188,7 +192,7 @@ def test_sweep_n_max_12_matches_closed_forms(capsys):
         assert float(row[6]) == pytest.approx(optimal_xi(*_columns([qn]))[1][0], rel=1e-8)
 
 
-def test_excited_at_n40_is_right_or_exits_3(capsys):
+def test_excited_at_n40_matches_its_closed_form(capsys):
     assert main(["excited", "--n", "40", "--kappa", "1", "--alpha", "0.5"]) == EXIT_OK
     result = json.loads(capsys.readouterr().out)["results"][0]
     assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
@@ -263,8 +267,8 @@ def _reference_sweep_row(qn, a):
 def test_sweep_rows_equal_per_state_evaluation(alpha):
     doc = _run("sweep", n_max=8, alpha=alpha)
     states = list(valid_states(8))
-    assert len(doc.results) == len(states)
-    for qn, row in zip(states, doc.results):
+    assert len(doc["results"]) == len(states)
+    for qn, row in zip(states, doc["results"]):
         terms, value = _reference_sweep_row(qn, alpha)
         assert (row["parameters"]["n"], row["parameters"]["kappa"]) == (qn.n, qn.kappa)
         assert row["terms"] == terms
@@ -316,7 +320,7 @@ def test_render_json_schema_and_round_trip():
 
 
 def test_render_empty_results_is_valid():
-    doc = ReportDocument(command="audit", params={}, results=[])
+    doc = _document("audit", {}, [])
     payload = json.loads(render(doc, "json"))
     assert payload["results"] == []
 
@@ -326,7 +330,7 @@ def test_sweep_csv_header_and_rows():
     text = render(doc, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(SWEEP_CSV_HEADER)
-    assert len(lines) == 1 + len(doc.results)
+    assert len(lines) == 1 + len(doc["results"])
     first = lines[1].split(",")
     assert first[0] == "1" and first[-1] == "true"
 
@@ -339,9 +343,7 @@ def test_generic_csv_header():
 
 
 def test_render_floats_capped_at_15_significant_digits():
-    doc = ReportDocument(
-        command="audit", params={"alpha": 1.0 / 137.036}, results=[]
-    )
+    doc = _document("audit", {"alpha": 1.0 / 137.036}, [])
     payload = json.loads(render(doc, "json"))
     assert payload["params"]["alpha"] == float(f"{1.0 / 137.036:.15g}")
 
@@ -353,7 +355,7 @@ def test_byte_identical_output_for_identical_config():
 
 def test_timing_never_serialized():
     doc = _run("ground")
-    assert doc.timing_seconds is not None
+    assert list(doc) == ["command", "params", "results", "version"]
     assert "timing" not in render(doc, "json")
 
 
@@ -369,7 +371,7 @@ def _sig15(x):
 
 
 def _reference_json(doc):
-    return json.dumps(_sig15(doc.to_dict()), indent=2) + "\n"
+    return json.dumps(_sig15(doc), indent=2) + "\n"
 
 
 FLOAT_EDGES = (
@@ -381,12 +383,12 @@ FLOAT_EDGES = (
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @settings(max_examples=500)
 def test_float_text_is_the_json_of_the_rounded_float(x):
-    assert _float_text(x) == json.dumps(float(f"{x:.15g}"))
+    assert _float_texts([x])[0] == json.dumps(float(f"{x:.15g}"))
 
 
 @pytest.mark.parametrize("x", FLOAT_EDGES + tuple(-x for x in FLOAT_EDGES))
 def test_float_text_at_edges(x):
-    assert _float_text(x) == json.dumps(float(f"{x:.15g}"))
+    assert _float_texts([x])[0] == json.dumps(float(f"{x:.15g}"))
 
 
 _keys = st.text(max_size=8)
@@ -411,7 +413,7 @@ _trees = st.recursive(
 )
 @settings(max_examples=100)
 def test_render_json_matches_reference_writer(command, params, results):
-    doc = ReportDocument(command=command, params=params, results=results)
+    doc = _document(command, params, results)
     assert render(doc, "json") == _reference_json(doc)
 
 
@@ -465,14 +467,13 @@ def _tables(draw):
 @settings(max_examples=100)
 def test_render_json_of_tables_matches_reference_writer(table):
     shape, rows = table
-    doc = ReportDocument(command="table", params=shape, results=rows)
+    doc = _document("table", shape, rows)
     assert render(doc, "json") == _reference_json(doc)
 
 
 def test_render_json_of_float_edges_in_one_column():
     column = [*FLOAT_EDGES, *(-x for x in FLOAT_EDGES), math.inf, -math.inf, math.nan]
-    doc = ReportDocument(command="edges", params={"grid": column},
-                         results=[{"value": x} for x in column])
+    doc = _document("edges", {"grid": column}, [{"value": x} for x in column])
     assert render(doc, "json") == _reference_json(doc)
 
 
@@ -493,7 +494,7 @@ def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
 
 @pytest.mark.parametrize("payload", [{1: 0.5}, {"x": np.int64(3)}, {"x": {2.0, 3.0}}])
 def test_render_json_rejects_what_json_cannot_hold(payload):
-    doc = ReportDocument(command="audit", params=payload, results=[])
+    doc = _document("audit", payload, [])
     with pytest.raises(TypeError):
         render(doc, "json")
 
@@ -502,9 +503,9 @@ def _reference_csv(doc):
     """Reference writer: the whole CSV from one csv.writer, row after row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    sweep = doc.command == "sweep"
+    sweep = doc["command"] == "sweep"
     writer.writerow(SWEEP_CSV_HEADER if sweep else GENERIC_CSV_HEADER)
-    for r in doc.results:
+    for r in doc["results"]:
         head = [r["kind"]]
         if sweep:
             p = r["parameters"]
@@ -519,13 +520,17 @@ def _reference_csv(doc):
     *(["free-electron", "--beta-grid", f"0:0.999:{count}"]
       for count in (1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 2 * REPORT_BLOCK + 1)),
     ["sweep", "--n-max", "8"],
+    ["audit"],
+    ["measurability"],
+    ["converge", "--n", "3", "--kappa", "-2"],
+    ["peres-mermin", "--n-max", "2"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, capsys):
     argv = [*argv, "--format", output_format]
     doc = execute(config_from_args(build_parser().parse_args(argv)))
     pieces = list(report_pieces(doc, output_format))
-    blocks = -(-len(doc.results) // REPORT_BLOCK)
+    blocks = -(-len(doc["results"]) // REPORT_BLOCK)
     # json: the head goes with the first block, then the tail; csv: the
     # header, then the blocks
     assert len(pieces) == blocks + 1
@@ -560,7 +565,7 @@ def test_report_rows_are_the_rows_built_once(monkeypatch, command, kwargs, sourc
     for key, module in list(sys.modules.items()):
         if key.startswith("diracctx") and getattr(module, source, None) is original:
             monkeypatch.setattr(module, source, recorded)
-    results = _run(command, **kwargs).results
+    results = _run(command, **kwargs)["results"]
     assert len(results) == len(built) > 0
     assert all(row is made for row, made in zip(results, built))
 

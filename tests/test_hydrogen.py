@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diracctx import hydrogen
 from diracctx.hydrogen import (
     FINE_STRUCTURE_ALPHA as ALPHA,
     QuantumNumbers,
@@ -289,22 +290,44 @@ def test_eigenstate_block_layout():
 # --- Dirac operator -----------------------------------------------------------
 
 def test_k_eigenvalue_ground_state():
-    result = apply_K_eigencheck(QuantumNumbers(1, 1, 0.5))
-    assert result.expected == 1
-    assert result.computed == pytest.approx(1.0, abs=1e-12)
+    k, _, _ = apply_K_eigencheck(QuantumNumbers(1, 1, 0.5))
+    assert k == pytest.approx(1.0, abs=1e-12)
 
 
 def test_k_eigenvalue_negative_branch():
-    result = apply_K_eigencheck(QuantumNumbers(2, -1, 0.5))
-    assert result.expected == -1
-    assert result.computed == pytest.approx(-1.0, abs=1e-12)
+    k, _, _ = apply_K_eigencheck(QuantumNumbers(2, -1, 0.5))
+    assert k == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_k_eigencheck_all_states_up_to_n3():
     for qn in valid_states(3):
-        result = apply_K_eigencheck(qn)
-        assert result.computed == pytest.approx(qn.kappa, abs=1e-10)
-        assert result.computed_squared == pytest.approx(
+        k, k_squared, residual = apply_K_eigencheck(qn)
+        assert k == pytest.approx(qn.kappa, abs=1e-10)
+        assert k_squared == pytest.approx(
             qn.j * (qn.j + 1.0) + 0.25, abs=1e-10
         )
-        assert result.residual < 1e-10
+        assert residual < 1e-10
+
+
+def test_k_eigencheck_every_kappa_and_mj_up_to_40():
+    for abs_kappa in range(1, 41):
+        j = abs_kappa - 0.5
+        for kappa in (abs_kappa, -abs_kappa):
+            for twice_mj in range(1 - 2 * abs_kappa, 2 * abs_kappa, 2):
+                # K does not see n: take the lowest n that has this kappa
+                qn = QuantumNumbers(abs_kappa + (kappa < 0), kappa, twice_mj / 2.0)
+                k, k_squared, residual = apply_K_eigencheck(qn)
+                assert k == pytest.approx(kappa, rel=1e-12)
+                assert k_squared == pytest.approx(j * (j + 1.0) + 0.25, rel=1e-12)
+                assert residual < 1e-12
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (lambda terms: (*terms[:-1], (*terms[-1][:3], -terms[-1][3])), "disagree"),
+    (lambda terms: tuple((comp, l, m + 1, coef) for comp, l, m, coef in terms), "outside"),
+], ids=["flip-last-sign", "shift-m"])
+def test_k_eigencheck_fails_on_a_perturbed_harmonic(monkeypatch, perturb, message):
+    original = hydrogen._spinor_terms
+    monkeypatch.setattr(hydrogen, "_spinor_terms", lambda *args: perturb(original(*args)))
+    with pytest.raises(AssertionError, match=message):
+        apply_K_eigencheck(QuantumNumbers(3, 2, 0.5))
