@@ -38,7 +38,7 @@ from .hydrogen import (
     sommerfeld_mu,
     state_columns,
 )
-from .spindensity import QuadratureError, analytic_densities, pure_density, reduce
+from .spindensity import QuadratureError, analytic_densities, pure_density, reduce, state_label
 
 SWEEP_CSV_HEADER = ("n", "kappa", "mj", "sign", "mu", "xi_star", "value", "bound", "violated")
 GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
@@ -341,10 +341,8 @@ def _run_peres_mermin(config: RunConfig) -> list:
         [pure_density(u) for u in spinors],
         [np.eye(4) / 4.0],
     ])
-    # the text of spindensity.state_label
     labels = [
-        f"n={m} kappa={k} mj={t / 2.0}"
-        for m, k, t in zip(n.tolist(), kappa.tolist(), twice_mj.tolist())
+        state_label(m, k, t / 2.0) for m, k, t in zip(n.tolist(), kappa.tolist(), twice_mj.tolist())
     ]
     labels += [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
     return peres_mermin_value(stack, labels)
@@ -390,25 +388,20 @@ def _scenario(qn: QuantumNumbers, table: tuple):
 
 
 def _run_converge(config: RunConfig) -> list:
-    # the one command that integrates spinor fields; n_tilde + 1 radial nodes
-    # already integrate the density exactly, so every rung of the ladder sits
-    # at the rounding floor of the closed form
+    # the one command that integrates spinor fields, on the state's exact rule
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
     observables, reference = _scenario(qn, _one_state(qn, config.alpha))
     state = eigenstate(qn, config.alpha)
-    results = []
-    for extra in (0, 1, 2, 4, 8, 16, 32):
-        count = qn.n_tilde + 1 + extra
-        value = chsh_value(reduce(state, count), *observables)["value"]
-        delta = abs(value - reference)
-        results.append({
-            "kind": "convergence",
-            "terms": {"value": value, "reference": reference, "radial_nodes": float(count)},
-            "value": delta,
-            "bound": 5e-5,
-            "violated": delta > 5e-5,
-        })
-    return results
+    value = chsh_value(reduce(state), *observables)["value"]
+    delta = abs(value - reference)
+    return [{
+        "kind": "convergence",
+        "terms": {"value": value, "reference": reference,
+                  "radial_nodes": float(len(state.rule[0]))},
+        "value": delta,
+        "bound": 5e-5,
+        "violated": delta > 5e-5,
+    }]
 
 
 @dataclass(frozen=True)
@@ -457,7 +450,7 @@ COMMANDS = {
         _run_measurability, "positive-spectrum vs negative-energy-mixing report",
         {"alpha": FINE_STRUCTURE_ALPHA, "n_max": 10, "beta": 0.5}),
     "converge": Command(
-        _run_converge, "radial node-count ladder from the exact n_tilde + 1 upward",
+        _run_converge, "one state integrated on its exact rule, against its closed form",
         {"alpha": FINE_STRUCTURE_ALPHA, "n": 1, "kappa": 1, "mj": 0.5}),
 }
 

@@ -15,7 +15,7 @@ differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -108,22 +108,6 @@ def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
     return (1.0 + (a / (n - abs(kappa) + nu)) ** 2) ** -0.5
 
 
-@dataclass(frozen=True)
-class RadialSolution:
-    """Derived radial parameters plus the normalization
-    N = integral rho^2 (f^2 + g^2) d rho."""
-
-    nu: float
-    mu: float
-    norm: float
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if not (self.norm > 0.0 and math.isfinite(self.norm)):
-            raise ValueError(f"normalization must be positive and finite, got {self.norm}")
-
-
 def radial_fg(qn: QuantumNumbers, a: float, rho):
     """Unnormalized radial pair (f, g) at dimensionless rho.
 
@@ -135,8 +119,10 @@ def radial_fg(qn: QuantumNumbers, a: float, rho):
     nt = qn.n_tilde
     nu = math.sqrt(qn.kappa * qn.kappa - a * a)
     mu = sommerfeld_mu(qn.n, qn.kappa, a)
-    lam = 1.0 / math.sqrt(1.0 - mu * mu)
-    coef = a * lam + qn.kappa
+    # the apparent principal quantum number N = (n_tilde + nu)/mu = a/sqrt(1 - mu^2);
+    # written through N, a/sqrt(1 - mu^2) and sqrt(1 - mu) do not cancel at small a
+    big_n = math.hypot(nt + nu, a)
+    coef = big_n + qn.kappa
     series = coef * hyp1f1_terminating(-nt, 2.0 * nu + 1.0, rho)
     f_series = series
     g_series = series
@@ -146,20 +132,8 @@ def radial_fg(qn: QuantumNumbers, a: float, rho):
         g_series = series + extra
     envelope = rho ** (nu - 1.0) * np.exp(-rho / 2.0)
     f = math.sqrt(1.0 + mu) * f_series * envelope
-    g = math.sqrt(1.0 - mu) * g_series * envelope
+    g = a / math.sqrt(big_n * (big_n + nt + nu)) * g_series * envelope
     return f, g
-
-
-def radial_solution(qn: QuantumNumbers, a: float) -> RadialSolution:
-    """Radial parameters with the normalization computed on the exact radial
-    rule: rho^2 (f^2 + g^2) is rho^(2 nu) e^-rho times a polynomial of degree
-    2 n_tilde, so n_tilde + 1 Gauss-Laguerre nodes integrate it exactly."""
-    mu = sommerfeld_mu(qn.n, qn.kappa, a)
-    nu = math.sqrt(qn.kappa * qn.kappa - a * a)
-    rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * nu)
-    f, g = radial_fg(qn, a, rho)
-    norm = float(np.sum(w * rho * rho * (f * f + g * g)))
-    return RadialSolution(nu=nu, mu=mu, norm=norm)
 
 
 def _spinor_terms(part: str, l: int, m: int) -> tuple:
@@ -207,7 +181,9 @@ class SpinorField:
 
     qn: QuantumNumbers
     a: float
-    radial: RadialSolution
+    # the radial rule (rho, weights) that is exact for the state; see eigenstate
+    rule: tuple = field(compare=False, repr=False)
+    norm: float
 
     def __call__(self, rho, theta, phi) -> np.ndarray:
         """Four complex amplitudes, shape (4,) + broadcast(rho, theta, phi)."""
@@ -218,7 +194,7 @@ class SpinorField:
         upper_part, lower_part = ("A", "B") if self.qn.kappa > 0 else ("B", "A")
         up = spinor_harmonic(upper_part, self.qn.j, self.qn.m_j, theta, phi)
         lo = spinor_harmonic(lower_part, self.qn.j, self.qn.m_j, theta, phi)
-        scale = 1.0 / math.sqrt(self.radial.norm)
+        scale = 1.0 / math.sqrt(self.norm)
         shape = np.broadcast(rho, theta, phi).shape
         out = np.empty((4,) + shape, dtype=complex)
         out[0] = 1j * f * up[0] * scale
@@ -230,8 +206,21 @@ class SpinorField:
 
 def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA) -> SpinorField:
     """Assembled bound state: (i f phi^A, g phi^B)/sqrt(N) for kappa > 0,
-    A and B swapped for kappa < 0."""
-    return SpinorField(qn=qn, a=a, radial=radial_solution(qn, a))
+    A and B swapped for kappa < 0.
+
+    rho^2 (f^2 + g^2) is rho^(2 nu) e^-rho times a polynomial of degree
+    2 n_tilde, so n_tilde + 1 Gauss-Laguerre nodes for that weight integrate
+    the normalization N = integral rho^2 (f^2 + g^2) d rho exactly; the state
+    keeps that rule.
+    """
+    _check_alpha(a)
+    rule = radial_nodes(qn.n_tilde + 1, 2.0 * math.sqrt(qn.kappa * qn.kappa - a * a))
+    rho, w = rule
+    f, g = radial_fg(qn, a, rho)
+    norm = float(np.sum(w * rho * rho * (f * f + g * g)))
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise ValueError(f"normalization must be positive and finite, got {norm}")
+    return SpinorField(qn=qn, a=a, rule=rule, norm=norm)
 
 
 def apply_K_eigencheck(qn: QuantumNumbers) -> tuple[float, float, float]:

@@ -7,7 +7,6 @@ coordinate rho, angular integration over (cos(theta), phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +74,6 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     return val if val.ndim else complex(val)
 
 
-@dataclass(frozen=True)
-class QuadratureNodes:
-    rho: np.ndarray
-    rho_weights: np.ndarray
-    cos_theta: np.ndarray
-    cos_theta_weights: np.ndarray
-    phi: np.ndarray
-    phi_weights: np.ndarray
-
-
 def radial_nodes(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalized Gauss-Laguerre rule of count nodes for the weight rho^alpha e^-rho.
 
@@ -109,10 +98,17 @@ def radial_nodes(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0)) / total
 
 
-def quadrature_nodes(radial: tuple[np.ndarray, np.ndarray], polar: int) -> QuadratureNodes:
-    """Product rule: the radial rule (rho, weights) that radial_nodes built,
-    polar Gauss-Legendre nodes in cos(theta), and the 2-point trapezoid in phi,
-    which is exact for e^(i k phi) with |k| <= 1."""
+def quadrature_nodes(radial: tuple[np.ndarray, np.ndarray], polar: int) -> tuple:
+    """Product rule on the (radial, polar, 2) grid: the radial rule (rho,
+    weights) that radial_nodes built, polar Gauss-Legendre nodes in
+    cos(theta), and the 2-point trapezoid in phi, which is exact for
+    e^(i k phi) with |k| <= 1.
+
+    Returns the node axes (rho, theta, phi), shaped to broadcast to the grid,
+    and the weight of each grid node with the rho^2 of the volume element.
+    """
     rho, wr = radial
     ct, wt = np.polynomial.legendre.leggauss(polar)
-    return QuadratureNodes(rho, wr, ct, wt, np.array([0.0, math.pi]), np.full(2, math.pi))
+    phi = np.array([0.0, math.pi])
+    weight = (wr * rho**2)[:, None, None] * wt[:, None] * np.full(2, math.pi)
+    return (rho[:, None, None], np.arccos(ct)[None, :, None], phi[None, None, :]), weight

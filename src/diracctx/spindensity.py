@@ -14,13 +14,11 @@ field for one state, and serves as the independent quadrature oracle.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .clifford import hermiticity_defect
-from .hydrogen import QuantumNumbers, SpinorField, radial_fg, sommerfeld_mu
-from .specfun import quadrature_nodes, radial_nodes
+from .hydrogen import QuantumNumbers, SpinorField, sommerfeld_mu
+from .specfun import quadrature_nodes
 
 BLOCK_WEIGHT_TOLERANCE = 1e-8
 COMMUTE_TOLERANCE = 1e-10
@@ -44,9 +42,9 @@ def pure_density(spinor) -> np.ndarray:
     return np.outer(u, u.conj())
 
 
-def state_label(qn: QuantumNumbers) -> str:
+def state_label(n: int, kappa: int, m_j: float) -> str:
     """The label a bound state's Peres-Mermin report and quadrature errors carry."""
-    return f"n={qn.n} kappa={qn.kappa} mj={qn.m_j}"
+    return f"n={n} kappa={kappa} mj={m_j}"
 
 
 def analytic_densities(kappa, twice_mj, delta) -> np.ndarray:
@@ -75,41 +73,31 @@ def analytic_densities(kappa, twice_mj, delta) -> np.ndarray:
     return densities
 
 
-def reduce(state: SpinorField, radial_count: int | None = None) -> np.ndarray:
+def reduce(state: SpinorField) -> np.ndarray:
     """Integrate out space on the product rule that is exact for the state.
 
     Every density entry is rho^(2 nu) e^-rho times a polynomial of degree
     2 n_tilde in rho, times a polynomial of degree <= 2l + 2 in cos(theta) and
-    e^(i k phi) with |k| <= 1; radial_count Gauss-Laguerre nodes (default
-    n_tilde + 1), l + 2 Gauss-Legendre nodes and the 2-point phi trapezoid
-    integrate that exactly.
+    e^(i k phi) with |k| <= 1; the state's radial rule of n_tilde + 1
+    Gauss-Laguerre nodes, l + 2 Gauss-Legendre nodes and the 2-point phi
+    trapezoid integrate that exactly.
 
     Raises QuadratureError if either block trace departs from its closed form
     (1 +- mu)/2 by more than 1e-8. The normalization and this integral use
-    the same exact rule by default, so the trace alone could not reveal an
-    inexact rule.
+    the same rule, so the trace alone could not reveal an inexact rule.
     """
     qn = state.qn
-    count = qn.n_tilde + 1 if radial_count is None else radial_count
-    nodes = quadrature_nodes(radial_nodes(count, 2.0 * state.radial.nu), qn.l + 2)
-    theta = np.arccos(nodes.cos_theta)
-    rho = nodes.rho[:, None, None]
-    th = theta[None, :, None]
-    ph = nodes.phi[None, None, :]
-    psi = state(rho, th, ph)
-    weight = (
-        (nodes.rho_weights * nodes.rho**2)[:, None, None]
-        * nodes.cos_theta_weights[None, :, None]
-        * nodes.phi_weights[None, None, :]
-    )
+    axes, weight = quadrature_nodes(state.rule, qn.l + 2)
+    psi = state(*axes)
     # deterministic accumulation order: einsum over the fixed node layout
     mat = np.einsum("urtp,vrtp,rtp->uv", psi, psi.conj(), weight, optimize=True)
     blocks = (mat[0, 0] + mat[1, 1]).real, (mat[2, 2] + mat[3, 3]).real
     drift = max(abs(got - want) for got, want in zip(blocks, radial_weights(qn, state.a)))
     if drift > BLOCK_WEIGHT_TOLERANCE:
         raise QuadratureError(
-            f"{state_label(qn)}: a block weight departs from (1 +- mu)/2 by {drift:.3e} "
-            f"> {BLOCK_WEIGHT_TOLERANCE} on {count} radial nodes"
+            f"{state_label(qn.n, qn.kappa, qn.m_j)}: a block weight departs from "
+            f"(1 +- mu)/2 by {drift:.3e} > {BLOCK_WEIGHT_TOLERANCE} "
+            f"on {len(state.rule[0])} radial nodes"
         )
     return mat
 
@@ -160,13 +148,3 @@ def radial_weights(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     """Analytic spatial weights of the upper/lower blocks: ((1+mu)/2, (1-mu)/2)."""
     mu = sommerfeld_mu(qn.n, qn.kappa, a)
     return (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
-
-
-def radial_weights_quadrature(qn: QuantumNumbers, a: float) -> tuple[float, float]:
-    """Companion check: the same weights from quadrature of f^2 and g^2."""
-    rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * math.sqrt(qn.kappa * qn.kappa - a * a))
-    f, g = radial_fg(qn, a, rho)
-    int_f = float(np.sum(w * rho * rho * f * f))
-    int_g = float(np.sum(w * rho * rho * g * g))
-    total = int_f + int_g
-    return int_f / total, int_g / total

@@ -174,13 +174,20 @@ def test_converge_ground_sits_at_rounding_floor():
 
 
 def test_converge_excited_sits_at_rounding_floor():
-    # the ladder starts at the exact count n_tilde + 1, so every rung already
-    # sits at the floor; the one-node-short rule is the guard test's case
+    # one integration, on the exact count n_tilde + 1; the one-node-short rule
+    # is the guard test's case
     doc = _run("converge", n=4, kappa=-2)
     nodes = [r["terms"]["radial_nodes"] for r in doc["results"]]
-    assert nodes[0] == 3.0 and nodes == sorted(set(nodes))
+    assert nodes == [3.0]
     assert all(r["value"] < 1e-12 for r in doc["results"])
     assert all(not r["violated"] for r in doc["results"])
+
+
+def test_converge_at_tiny_alpha(capsys):
+    # mu rounds to 1.0 here; the radial pair must neither divide by zero nor cancel
+    assert main(["converge", "--alpha", "1e-8"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)["results"]
+    assert row["value"] < 1e-12 and not row["violated"]
 
 
 def test_sweep_n_max_12_matches_closed_forms(capsys):
@@ -282,7 +289,8 @@ def test_peres_mermin_stack_equals_per_density_evaluation():
     spinors = rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))
     stack = np.concatenate([analytic_densities(*_columns(states)),
                             [pure_density(u) for u in spinors]])
-    labels = [state_label(qn) for qn in states] + [f"random-{i}" for i in range(500)]
+    labels = [state_label(qn.n, qn.kappa, qn.m_j) for qn in states]
+    labels += [f"random-{i}" for i in range(500)]
     reports = peres_mermin_value(stack, labels)
     assert len(reports) == len(stack) == len(states) + 500
     for matrix, label, report in zip(stack, labels, reports):

@@ -316,11 +316,12 @@ def test_square_lines_commute():
 
 def test_peres_mermin_constant_on_eigenstates():
     for qn in [QuantumNumbers(1, 1, 0.5), QuantumNumbers(3, -2, -0.5)]:
-        report = _peres_mermin(reduce(eigenstate(qn, ALPHA)), state_label(qn))
+        label = state_label(qn.n, qn.kappa, qn.m_j)
+        report = _peres_mermin(reduce(eigenstate(qn, ALPHA)), label)
         assert report["value"] == pytest.approx(6.0, abs=1e-10)
         assert report["bound"] == PERES_MERMIN_BOUND
         assert report["violated"]
-        assert report["parameters"] == {"state": state_label(qn)}
+        assert report["parameters"] == {"state": label}
 
 
 def test_peres_mermin_constant_on_random_spinors():

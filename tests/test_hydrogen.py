@@ -10,7 +10,6 @@ from diracctx.hydrogen import (
     apply_K_eigencheck,
     eigenstate,
     radial_fg,
-    radial_solution,
     sommerfeld_mu,
     spinor_harmonic,
     valid_states,
@@ -136,48 +135,56 @@ def test_positive_kappa_f_node_count_matches_n_tilde(n, kappa):
     assert sign_changes == qn.n_tilde
 
 
-@pytest.mark.parametrize(
-    "n,kappa", [(1, 1), (2, 1), (2, -1), (3, 2), (3, -2), (4, -1), (4, 4), (5, -3)]
-)
-def test_radial_pair_satisfies_first_order_system(n, kappa):
+@pytest.mark.parametrize("n,kappa,a", [
+    pytest.param(n, kappa, a, id=f"{n}-{kappa}" + ("" if a == ALPHA else f"-a{a:g}"))
+    for a in (ALPHA, 1e-4, 1e-7)
+    for n, kappa in [(1, 1), (2, 1), (2, -1), (3, 2), (3, -2), (4, -1), (4, 4), (5, -3)]
+])
+def test_radial_pair_satisfies_first_order_system(n, kappa, a):
     # signed-kappa radial equations in rho, derivatives by central differences:
     #   g' + (1+kappa) g/rho = [(mu-1)/c2 + a/rho] f
     #   f' + (1-kappa) f/rho = -[(mu+1)/c2 + a/rho] g
-    # with c2 = 2 sqrt(1 - mu^2); this pins the f-g relative sign independently
+    # with c2 = 2 sqrt(1 - mu^2); this pins the f-g relative sign independently.
+    # With N = sqrt((n_tilde + nu)^2 + a^2), mu = (n_tilde + nu)/N and c2 = 2a/N,
+    # so both coefficients have forms that do not cancel at small a
     qn = QuantumNumbers(n, kappa, 0.5)
-    mu = sommerfeld_mu(n, kappa, ALPHA)
-    c2 = 2.0 * math.sqrt(1.0 - mu * mu)
+    nu_n = qn.n_tilde + math.sqrt(kappa * kappa - a * a)
+    big_n = math.hypot(nu_n, a)
+    lower = -a / (2.0 * (big_n + nu_n))  # (mu - 1)/c2
+    upper = (big_n + nu_n) / (2.0 * a)  # (mu + 1)/c2
     rho = np.linspace(0.5, 40.0, 12)
     h = 1e-6
-    f_hi, g_hi = radial_fg(qn, ALPHA, rho + h)
-    f_lo, g_lo = radial_fg(qn, ALPHA, rho - h)
-    f, g = radial_fg(qn, ALPHA, rho)
+    f_hi, g_hi = radial_fg(qn, a, rho + h)
+    f_lo, g_lo = radial_fg(qn, a, rho - h)
+    f, g = radial_fg(qn, a, rho)
     fp = (f_hi - f_lo) / (2.0 * h)
     gp = (g_hi - g_lo) / (2.0 * h)
-    res1 = gp + (1 + kappa) * g / rho - ((mu - 1.0) / c2 + ALPHA / rho) * f
-    res2 = fp + (1 - kappa) * f / rho + ((mu + 1.0) / c2 + ALPHA / rho) * g
+    res1 = gp + (1 + kappa) * g / rho - (lower + a / rho) * f
+    res2 = fp + (1 - kappa) * f / rho + (upper + a / rho) * g
     scale = np.abs(f).max() + np.abs(g).max()
     assert np.abs(res1).max() / scale < 1e-8
     assert np.abs(res2).max() / scale < 1e-8
 
 
 def test_radial_solution_parameters():
+    # the state carries the n_tilde + 1 node rule for the weight rho^(2 nu) e^-rho
     qn = QuantumNumbers(2, -1, 0.5)
-    sol = radial_solution(qn, ALPHA)
-    assert sol.nu == pytest.approx(math.sqrt(1 - ALPHA**2), rel=1e-15)
-    assert sol.mu == sommerfeld_mu(2, -1, ALPHA)
-    assert 0.0 < sol.mu < 1.0
-    assert sol.norm > 0.0 and math.isfinite(sol.norm)
+    state = eigenstate(qn, ALPHA)
+    rho, w = state.rule
+    expected_rho, expected_w = radial_nodes(2, 2.0 * math.sqrt(1 - ALPHA**2))
+    assert np.allclose(rho, expected_rho, rtol=1e-15, atol=0.0)
+    assert np.allclose(w, expected_w, rtol=1e-15, atol=0.0)
+    assert state.norm > 0.0 and math.isfinite(state.norm)
 
 
 def test_radial_normalization_self_consistency():
     # the two block weights computed on the same rule sum to one exactly
     for qn in [QuantumNumbers(1, 1, 0.5), QuantumNumbers(4, -2, 1.5)]:
-        sol = radial_solution(qn, ALPHA)
-        rho, w = radial_nodes(qn.n_tilde + 1, 2.0 * sol.nu)
+        state = eigenstate(qn, ALPHA)
+        rho, w = state.rule
         f, g = radial_fg(qn, ALPHA, rho)
-        wf = np.sum(w * rho * rho * f * f) / sol.norm
-        wg = np.sum(w * rho * rho * g * g) / sol.norm
+        wf = np.sum(w * rho * rho * f * f) / state.norm
+        wg = np.sum(w * rho * rho * g * g) / state.norm
         assert wf + wg == pytest.approx(1.0, abs=1e-12)
 
 
@@ -212,10 +219,9 @@ def test_edge_mj_does_not_request_out_of_range_harmonics():
 @pytest.mark.parametrize("part", ["A", "B"])
 @pytest.mark.parametrize("j", [0.5, 1.5, 2.5])
 def test_spinor_harmonics_normalized_on_sphere(part, j):
-    nodes = quadrature_nodes(radial_nodes(1, 0.0), 24)
-    theta = np.arccos(nodes.cos_theta)[:, None]
-    phi = nodes.phi[None, :]
-    w = nodes.cos_theta_weights[:, None] * nodes.phi_weights[None, :]
+    # a one-node radial rule of unit weight at rho = 1 leaves the angular weights
+    (_, theta, phi), weight = quadrature_nodes((np.ones(1), np.ones(1)), 24)
+    theta, phi, w = theta[0], phi[0], weight[0]
     for twice_mj in range(-int(2 * j), int(2 * j) + 1, 2):
         chi = spinor_harmonic(part, j, twice_mj / 2.0, theta, phi)
         total = np.sum(w * (np.abs(chi[0]) ** 2 + np.abs(chi[1]) ** 2))
@@ -251,18 +257,8 @@ def test_spinor_harmonic_rejects_bad_part():
 )
 def test_eigenstate_unit_norm_in_3d(n, kappa, m_j):
     state = eigenstate(QuantumNumbers(n, kappa, m_j), ALPHA)
-    nodes = quadrature_nodes(
-        radial_nodes(state.qn.n_tilde + 1, 2.0 * state.radial.nu), state.qn.l + 2
-    )
-    rho = nodes.rho[:, None, None]
-    theta = np.arccos(nodes.cos_theta)[None, :, None]
-    phi = nodes.phi[None, None, :]
-    psi = state(rho, theta, phi)
-    w = (
-        (nodes.rho_weights * nodes.rho**2)[:, None, None]
-        * nodes.cos_theta_weights[None, :, None]
-        * nodes.phi_weights[None, None, :]
-    )
+    axes, w = quadrature_nodes(state.rule, state.qn.l + 2)
+    psi = state(*axes)
     total = np.sum(w * np.sum(np.abs(psi) ** 2, axis=0))
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -277,12 +273,12 @@ def test_eigenstate_block_layout():
     a = spinor_harmonic("A", 0.5, 0.5, theta, phi)
     b = spinor_harmonic("B", 0.5, 0.5, theta, phi)
     psi_plus = plus(rho, theta, phi)
-    scale = 1.0 / math.sqrt(plus.radial.norm)
+    scale = 1.0 / math.sqrt(plus.norm)
     assert psi_plus[0] == pytest.approx(1j * f[0] * a[0] * scale, rel=1e-12)
     assert psi_plus[2] == pytest.approx(g[0] * b[0] * scale, rel=1e-12)
     psi_minus = minus(rho, theta, phi)
     f2, g2 = radial_fg(minus.qn, ALPHA, np.array([rho]))
-    scale2 = 1.0 / math.sqrt(minus.radial.norm)
+    scale2 = 1.0 / math.sqrt(minus.norm)
     assert psi_minus[0] == pytest.approx(1j * f2[0] * b[0] * scale2, rel=1e-12)
     assert psi_minus[2] == pytest.approx(g2[0] * a[0] * scale2, rel=1e-12)
 

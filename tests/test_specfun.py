@@ -176,13 +176,17 @@ def test_radial_rule_reproduces_moments(alpha):
 
 
 def test_cos_theta_rule_polynomial_exactness():
-    nodes = quadrature_nodes(radial_nodes(1, 0.0), 2)
-    got = np.sum(nodes.cos_theta_weights * nodes.cos_theta**2)
-    assert got == pytest.approx(2.0 / 3.0, rel=1e-15)
+    # the grid weights over their sum average over the sphere: <cos^2> = 1/3
+    (_, theta, _), weight = quadrature_nodes(radial_nodes(1, 0.0), 2)
+    got = np.sum(weight * np.cos(theta) ** 2) / np.sum(weight)
+    assert got == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_phi_rule_kills_single_winding():
-    nodes = quadrature_nodes(radial_nodes(1, 0.0), 1)
-    got = np.sum(nodes.phi_weights * np.exp(1j * nodes.phi))
+    # one radial node of unit weight at rho = 1 and the one polar weight 2
+    # leave twice the phi weights
+    (_, _, phi), weight = quadrature_nodes((np.ones(1), np.ones(1)), 1)
+    phi_weights = weight[0, 0] / 2.0
+    got = np.sum(phi_weights * np.exp(1j * phi[0, 0]))
     assert abs(got) < 1e-14
-    assert np.sum(nodes.phi_weights) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert np.sum(phi_weights) == pytest.approx(2.0 * math.pi, rel=1e-15)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracctx.clifford import build_family, direction_observable, hermiticity_defect
@@ -15,10 +16,10 @@ from diracctx.spindensity import (
     correlator,
     pure_density,
     radial_weights,
-    radial_weights_quadrature,
     reduce,
     state_label,
 )
+from diracctx.specfun import radial_nodes
 
 GAMMA = build_family("Gamma")
 GAMMA_PRIME = build_family("GammaPrime")
@@ -119,7 +120,8 @@ def test_radial_weights_ground_substitution():
 def test_radial_weights_quadrature_agrees_with_analytic(n):
     for qn in (q for q in valid_states(n) if q.n == n and q.m_j == 0.5):
         analytic = radial_weights(qn, ALPHA)
-        numeric = radial_weights_quadrature(qn, ALPHA)
+        density = reduce(eigenstate(qn, ALPHA))
+        numeric = (density[0, 0] + density[1, 1]).real, (density[2, 2] + density[3, 3]).real
         assert numeric[0] == pytest.approx(analytic[0], abs=1e-8)
         assert numeric[1] == pytest.approx(analytic[1], abs=1e-8)
 
@@ -139,22 +141,31 @@ def test_maximally_mixed():
     assert np.array_equal(density, np.eye(4) / 4.0)
 
 
+def _one_node_short(state):
+    """The state with the exact normalization but a density rule one radial
+    node short of n_tilde + 1."""
+    qn = state.qn
+    nu = math.sqrt(qn.kappa * qn.kappa - state.a * state.a)
+    return dataclasses.replace(state, rule=radial_nodes(qn.n_tilde, 2.0 * nu))
+
+
 def test_reduce_flags_non_convergent_quadrature():
     # one radial node short of n_tilde + 1 leaves the degree-2 n_tilde radial
     # integrand inexact; the block-weight guard must fire
     state = eigenstate(QuantumNumbers(4, -2, 0.5), ALPHA)
-    reduce(state, state.qn.n_tilde + 1)
+    reduce(state)
     with pytest.raises(QuadratureError):
-        reduce(state, state.qn.n_tilde)
+        reduce(_one_node_short(state))
 
 
 def test_reduce_metadata():
     # reduce returns the bare matrix; the state's label names it in a failure
     assert _ground_density().shape == (4, 4)
     qn = QuantumNumbers(4, -2, 0.5)
-    assert state_label(qn) == "n=4 kappa=-2 mj=0.5"
-    with pytest.raises(QuadratureError, match=f"^{state_label(qn)}: "):
-        reduce(eigenstate(qn, ALPHA), qn.n_tilde)
+    label = state_label(qn.n, qn.kappa, qn.m_j)
+    assert label == "n=4 kappa=-2 mj=0.5"
+    with pytest.raises(QuadratureError, match=f"^{label}: .* on 2 radial nodes$"):
+        reduce(_one_node_short(eigenstate(qn, ALPHA)))
 
 
 @st.composite
@@ -166,7 +177,9 @@ def _bound_states(draw):
     return QuantumNumbers(n, sign * abs_kappa, twice_mj / 2.0)
 
 
-@given(qn=_bound_states(), a=st.floats(1e-6, 0.99))
+@given(qn=_bound_states(), a=st.floats(0.0, 0.99, exclude_min=True))
+@example(qn=QuantumNumbers(3, -2, 0.5), a=1e-8)
+@example(qn=QuantumNumbers(3, -2, 0.5), a=5e-324)
 @settings(max_examples=200, deadline=None)
 def test_density_is_the_closed_form_across_the_domain(qn, a):
     # diagonal: (1 +- mu)/2 times the Clebsch-Gordan weights of the A and B
