@@ -18,7 +18,8 @@ from diracctx.hydrogen import FINE_STRUCTURE_ALPHA
 
 
 def results(command: str, **knobs) -> list:
-    return execute(RunConfig(command=command, **knobs))["results"]
+    """The report rows of one command, read from execute's one-shot results."""
+    return list(execute(RunConfig(command=command, **knobs))["results"])
 
 
 def main():

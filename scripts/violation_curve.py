@@ -7,9 +7,7 @@ Usage:
 
 import argparse
 
-import numpy as np
-
-from diracctx.freeparticle import free_chsh_curve
+from diracctx.cli import RunConfig, execute
 
 
 def main():
@@ -19,8 +17,11 @@ def main():
     parser.add_argument("--points", type=int, default=200)
     args = parser.parse_args()
 
+    # the CLI's --beta-grid stream: the rows come a block at a time
+    grid = f"{args.beta_min!r}:{args.beta_max!r}:{args.points}"
+    rows = execute(RunConfig(command="free-electron", beta_grid=grid))["results"]
     print("beta,theta,value,closed_form,violated")
-    for row in free_chsh_curve(np.linspace(args.beta_min, args.beta_max, args.points)):
+    for row in rows:
         p = row["parameters"]
         print(f"{p['beta_v']:.15g},{p['theta']:.15g},{row['value']:.15g},"
               f"{p['closed_form']:.15g},{'true' if row['violated'] else 'false'}")

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -30,7 +31,7 @@ from .contextuality import (
     optimal_xi,
     peres_mermin_value,
 )
-from .freeparticle import energy_split, free_chsh_curve, free_observables
+from .freeparticle import check_beta_v, energy_split, free_chsh_curve, free_observables
 from .hydrogen import (
     FINE_STRUCTURE_ALPHA,
     QuantumNumbers,
@@ -47,10 +48,12 @@ GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
 SWEEP_CSV_ROW = "%s,%s,%.15g,%s,%.15g,%.15g,%.15g,%.15g,%s\n"
 GENERIC_CSV_ROW = "%s,%.15g,%.15g,%s\n"
 MIXING_THRESHOLD = 1e-10
-# report rows per piece of the streamed report; bounds the writer's temporaries
+# report rows evaluated and written per piece of the streamed report; bounds
+# the rows, stacks and texts held at once
 REPORT_BLOCK = 512
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_USAGE = 2
 EXIT_QUADRATURE = 3
 
@@ -91,6 +94,8 @@ class RunConfig:
                 object.__setattr__(self, name, default)
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"--alpha must lie in (0, 1), got {self.alpha}")
+        if self.beta is not None:
+            check_beta_v(self.beta)
         if self.xi is not None and not math.isfinite(self.xi):
             raise ValueError(f"--xi must be finite, got {self.xi}")
         if self.n_max is not None and self.n_max < 1:
@@ -206,10 +211,11 @@ def _json_dict_rows(keys: tuple, rows: list, indent: str) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
-def _blocks(rows: list):
-    """The rows in consecutive slices of REPORT_BLOCK."""
-    for start in range(0, len(rows), REPORT_BLOCK):
-        yield rows[start:start + REPORT_BLOCK]
+def _blocks(rows: Iterable):
+    """The rows in consecutive lists of REPORT_BLOCK, read as each is needed."""
+    rows = iter(rows)
+    while block := list(islice(rows, REPORT_BLOCK)):
+        yield block
 
 
 def _json_pieces(document: dict):
@@ -218,7 +224,7 @@ def _json_pieces(document: dict):
     text = "{"
     for i, (key, value) in enumerate(document.items()):
         text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
-        if key != "results" or not value:
+        if key != "results":
             text += _json_texts([value], "  ")[0]
             continue
         separator = ",\n    "
@@ -226,7 +232,8 @@ def _json_pieces(document: dict):
         for block in _blocks(value):
             yield prefix + separator.join(_json_texts(block, "    "))
             prefix = separator
-        text = "\n  ]"
+        # the prefix is still the opening bracket when the results were empty
+        text = "\n  ]" if prefix is separator else text + "[]"
     yield text + "\n}\n"
 
 
@@ -279,6 +286,14 @@ def _one_state(qn: QuantumNumbers, a: float) -> tuple:
     return _state_table([qn.n], [qn.kappa], [round(2 * qn.m_j)], a)
 
 
+def _in_blocks(count: int, rows_of: Callable[[slice], list]) -> Iterable[dict]:
+    """The rows of count entries, one-shot: rows_of(entries) makes those of
+    each REPORT_BLOCK slice of entries when the report reads that block."""
+    return chain.from_iterable(
+        rows_of(slice(start, start + REPORT_BLOCK)) for start in range(0, count, REPORT_BLOCK)
+    )
+
+
 def _chsh_on_states(table: tuple, a: float, observables, extra_params: list) -> list:
     """One chsh_value pass over the closed-form densities of the states of
     the table; the i-th state's report parameters gain extra_params[i]."""
@@ -322,35 +337,45 @@ def _run_excited(config: RunConfig) -> list:
     return _chsh_on_states(table, config.alpha, excited_observables([xi]), [extra])
 
 
-def _run_sweep(config: RunConfig) -> list:
+def _run_sweep(config: RunConfig) -> Iterable[dict]:
     table = _state_table(*state_columns(config.n_max), config.alpha)
-    xi_star, value_star = optimal_xi(*table[1:])
-    extras = [
-        {"xi": xi, "xi_star": xi, "closed_form": value}
-        for xi, value in zip(xi_star.tolist(), value_star.tolist())
-    ]
-    return _chsh_on_states(table, config.alpha, excited_observables(xi_star), extras)
+
+    def rows(states: slice) -> list:
+        block = tuple(column[states] for column in table)
+        xi_star, value_star = optimal_xi(*block[1:])
+        extras = [
+            {"xi": xi, "xi_star": xi, "closed_form": value}
+            for xi, value in zip(xi_star.tolist(), value_star.tolist())
+        ]
+        return _chsh_on_states(block, config.alpha, excited_observables(xi_star), extras)
+
+    return _in_blocks(len(table[0]), rows)
 
 
-def _run_peres_mermin(config: RunConfig) -> list:
+def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
+    """The bound states, then the 100 seeded random spinors, then the
+    maximally mixed state, a block of rows at a time."""
     n, kappa, twice_mj, delta = _state_table(*state_columns(config.n_max), config.alpha)
     rng = np.random.default_rng(config.seed)
     spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
-    stack = np.concatenate([
-        analytic_densities(kappa, twice_mj, delta),
-        [pure_density(u) for u in spinors],
-        [np.eye(4) / 4.0],
-    ])
-    labels = [
-        state_label(m, k, t / 2.0) for m, k, t in zip(n.tolist(), kappa.tolist(), twice_mj.tolist())
-    ]
-    labels += [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
-    return peres_mermin_value(stack, labels)
+    others = np.array([pure_density(u) for u in spinors] + [np.eye(4) / 4.0])
+    other_labels = [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
+    count = len(n)
+
+    def rows(entries: slice) -> list:
+        # the slice of the states clamps to them; the rest is what follows
+        states = n[entries], kappa[entries], twice_mj[entries]
+        rest = slice(max(entries.start - count, 0), max(entries.stop - count, 0))
+        labels = [state_label(m, k, t / 2.0) for m, k, t in zip(*(c.tolist() for c in states))]
+        stack = np.concatenate([analytic_densities(*states[1:], delta[entries]), others[rest]])
+        return peres_mermin_value(stack, labels + other_labels[rest])
+
+    return _in_blocks(count + len(others), rows)
 
 
-def _run_free_electron(config: RunConfig) -> list:
+def _run_free_electron(config: RunConfig) -> Iterable[dict]:
     betas = (config.beta,) if config.beta_grid is None else _parse_beta_grid(config.beta_grid)
-    return free_chsh_curve(betas)
+    return _in_blocks(len(betas), lambda points: free_chsh_curve(betas[points]))
 
 
 def _run_measurability(config: RunConfig) -> list:
@@ -409,7 +434,7 @@ class Command:
     """One subcommand: its runner, its help line and its flags with their
     defaults, in the order the report echoes them."""
 
-    run: Callable[[RunConfig], list]
+    run: Callable[[RunConfig], Iterable[dict]]
     help: str
     flags: dict
 
@@ -458,7 +483,9 @@ COMMANDS = {
 def execute(config: RunConfig) -> dict:
     """Dispatch one command and return the report document: the tool
     version, the config echo and the result rows, as the dict the report
-    serializes. Deterministic given the config (incl. seed)."""
+    serializes. Deterministic given the config (incl. seed). The set-up
+    runs here; the rows are a one-shot iterable, evaluated a block at a time
+    as they are read."""
     return {
         "command": config.command,
         "params": config.params,
@@ -475,7 +502,10 @@ def _parse_beta_grid(text: str) -> tuple:
         raise ValueError(f"--beta-grid must be start:stop:count, got {text!r}") from exc
     if len(grid) < 1:
         raise ValueError(f"--beta-grid needs a count of at least 1, got {text!r}")
-    return tuple(float(b) for b in grid)
+    betas = tuple(float(b) for b in grid)
+    for beta in betas:
+        check_beta_v(beta)
+    return betas
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,24 +541,30 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         start = time.perf_counter()
-        document = execute(config)
+        # the rows are evaluated as the report is written: the time covers both
+        pieces = report_pieces(execute(config), config.output_format)
+        if config.output_path is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
         seconds = time.perf_counter() - start
+    except BrokenPipeError:
+        # evaluate no further block; with stdout on devnull the interpreter's
+        # last flush cannot fail again (the recipe of the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("report output closed by its reader", file=sys.stderr)
+        return EXIT_CLOSED_OUTPUT
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    pieces = report_pieces(document, config.output_format)
-    if config.output_path is not None:
-        try:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.writelines(pieces)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"completed {config.command} in {seconds:.3f}s", file=sys.stderr)
     return EXIT_OK
 

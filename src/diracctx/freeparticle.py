@@ -21,11 +21,10 @@ _BETA = beta_matrix()
 # gives the bits of scaling g3 and g1 first and multiplying by g5 after
 _G35 = gamma_matrix(3) @ gamma_matrix(5)
 _G15 = gamma_matrix(1) @ gamma_matrix(5)
-# beta points per vectorized pass of free_chsh_curve; bounds its (N, 4, 4) temporaries
-CURVE_BLOCK = 512
 
 
-def _check_beta_v(beta_v: float) -> None:
+def check_beta_v(beta_v: float) -> None:
+    """Raise ValueError unless the velocity ratio lies in [0, 1)."""
     if not 0.0 <= beta_v < 1.0:
         raise ValueError(f"velocity ratio must lie in [0, 1), got {beta_v}")
 
@@ -44,7 +43,7 @@ def _plane_waves(betas: np.ndarray) -> np.ndarray:
 
 def observable_angle(beta_v: float) -> float:
     """theta = arctan(1/E) = arctan(sqrt(1 - beta^2))."""
-    _check_beta_v(beta_v)
+    check_beta_v(beta_v)
     return math.atan(math.sqrt(1.0 - beta_v * beta_v))
 
 
@@ -66,25 +65,23 @@ def free_chsh_curve(betas) -> list[dict]:
     velocity ratio, one report row per point; the closed form is
     2*sqrt(2 - beta^2).
 
-    The grid is evaluated in blocks of CURVE_BLOCK points, each one pass over
-    (N, 4, 4) stacks of densities and of the B', D' observables.
+    The points are evaluated in one pass over (N, 4, 4) stacks of densities
+    and of the B', D' observables; a caller with a long grid passes it a
+    block at a time.
     """
     betas = [float(b) for b in betas]
+    if not betas:
+        return []
     thetas = [observable_angle(b) for b in betas]
-    rows = []
-    for start in range(0, len(betas), CURVE_BLOCK):
-        block = betas[start:start + CURVE_BLOCK]
-        angles = thetas[start:start + CURVE_BLOCK]
-        spinors = _plane_waves(np.array(block)).astype(complex)
-        # normalized as spindensity.pure_density does for one spinor
-        u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
-        densities = u[:, :, None] * u.conj()[:, None, :]
-        parameters = [
-            {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
-            for b, t in zip(block, angles)
-        ]
-        rows += chsh_value(densities, *_observables(angles), parameters=parameters)
-    return rows
+    spinors = _plane_waves(np.array(betas)).astype(complex)
+    # normalized as spindensity.pure_density does for one spinor
+    u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
+    densities = u[:, :, None] * u.conj()[:, None, :]
+    parameters = [
+        {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
+        for b, t in zip(betas, thetas)
+    ]
+    return chsh_value(densities, *_observables(thetas), parameters=parameters)
 
 
 def free_chsh(beta_v: float) -> dict:
@@ -103,7 +100,7 @@ def energy_projector(beta_v: float, sign: int) -> np.ndarray:
 
     H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is exact.
     """
-    _check_beta_v(beta_v)
+    check_beta_v(beta_v)
     energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
     return (np.eye(4) + sign * (free_hamiltonian(beta_v * energy) / energy)) / 2.0
 

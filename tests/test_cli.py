@@ -3,9 +3,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from diracctx.cli import (
 )
 from diracctx.clifford import build_family
 from diracctx.clifford import PERES_MERMIN_LINES
-from diracctx.contextuality import optimal_xi, peres_mermin_value
+from diracctx.contextuality import chsh_value, excited_observables, optimal_xi, peres_mermin_value
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, sommerfeld_mu, valid_states
 from diracctx.spindensity import (
     QuadratureError,
@@ -44,7 +47,9 @@ from diracctx.spindensity import (
 
 
 def _run(command, **kwargs):
-    return execute(RunConfig(command=command, **kwargs))
+    """execute's document with its one-shot results read into a list."""
+    doc = execute(RunConfig(command=command, **kwargs))
+    return {**doc, "results": list(doc["results"])}
 
 
 def _document(command, params, results):
@@ -536,8 +541,10 @@ def _reference_csv(doc):
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, capsys):
     argv = [*argv, "--format", output_format]
-    doc = execute(config_from_args(build_parser().parse_args(argv)))
-    pieces = list(report_pieces(doc, output_format))
+    config = config_from_args(build_parser().parse_args(argv))
+    pieces = list(report_pieces(execute(config), output_format))
+    doc = execute(config)
+    doc["results"] = list(doc["results"])
     blocks = -(-len(doc["results"]) // REPORT_BLOCK)
     # json: the head goes with the first block, then the tail; csv: the
     # header, then the blocks
@@ -578,20 +585,96 @@ def test_report_rows_are_the_rows_built_once(monkeypatch, command, kwargs, sourc
     assert all(row is made for row, made in zip(results, built))
 
 
+def _stacked_rows(command, n_max):
+    """The rows of the whole table at the default alpha and seed, from one
+    stacked chsh_value or peres_mermin_value pass; the sweep rows carry no
+    report parameters."""
+    states = list(valid_states(n_max))
+    kappa, twice_mj, delta = _columns(states)
+    densities = analytic_densities(kappa, twice_mj, delta)
+    if command == "sweep":
+        return chsh_value(densities, *excited_observables(optimal_xi(kappa, twice_mj, delta)[0]))
+    rng = np.random.default_rng(0)
+    spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
+    stack = np.concatenate([densities, [pure_density(u) for u in spinors], [np.eye(4) / 4.0]])
+    labels = [state_label(qn.n, qn.kappa, qn.m_j) for qn in states]
+    labels += [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
+    return peres_mermin_value(stack, labels)
+
+
+@pytest.mark.parametrize("command, n_max, source", [
+    # block edges among the states: 570 and 1,300 sweep rows, 570 states + 101
+    ("sweep", 9, "chsh_value"),
+    ("sweep", 12, "chsh_value"),
+    ("peres-mermin", 9, "peres_mermin_value"),
+    # the edge at 1,024 falls among the random spinors: 1,012 states + 101
+    ("peres-mermin", 11, "peres_mermin_value"),
+])
+def test_streamed_blocks_equal_one_stacked_pass(monkeypatch, command, n_max, source):
+    import diracctx.contextuality as contextuality_module
+
+    calls = []
+    original = getattr(contextuality_module, source)
+
+    def recorded(densities, *args, **kw):
+        calls.append(len(densities))
+        return original(densities, *args, **kw)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("diracctx") and getattr(module, source, None) is original:
+            monkeypatch.setattr(module, source, recorded)
+    results = execute(RunConfig(command=command, n_max=n_max))["results"]
+    # nothing is evaluated until the report reads the rows
+    assert calls == []
+    streamed = list(results)
+    monkeypatch.undo()
+    whole = _stacked_rows(command, n_max)
+    count = len(whole)
+    assert count > REPORT_BLOCK
+    assert calls == [min(REPORT_BLOCK, count - start) for start in range(0, count, REPORT_BLOCK)]
+    if command == "peres-mermin":
+        assert streamed == whole
+        return
+    assert [(r["terms"], r["value"], r["violated"]) for r in streamed] == [
+        (r["terms"], r["value"], r["violated"]) for r in whole]
+    states = list(valid_states(n_max))
+    delta = _columns(states)[2]
+    xi_star, value_star = optimal_xi(*_columns(states))
+    params = [r["parameters"] for r in streamed]
+    assert [(p["n"], p["kappa"], p["mj"]) for p in params] == [
+        (qn.n, qn.kappa, qn.m_j) for qn in states]
+    assert [(p["mu"], p["xi_star"], p["closed_form"]) for p in params] == list(
+        zip(delta, xi_star.tolist(), value_star.tolist()))
+
+
 def test_free_curve_report_memory_stays_bounded(tmp_path):
-    # one 20,000-point report written to a file: the rows, built once, and one
-    # block of texts at a time peak near 18 MB; a second copy of the rows plus
-    # the whole 8 MB report text, as a writer that joins everything first
-    # holds them, peak near 40 MB
-    out = tmp_path / "curve.json"
+    # the 20,000-point curve: one block of rows and texts at a time peaks near
+    # 2.4 MB; building every row before the first byte is written peaks near
+    # 18 MB
+    _assert_report_memory_bounded(
+        ["free-electron", "--beta-grid", "0:0.999:20000"], 8_000_000, tmp_path)
+
+
+@pytest.mark.parametrize("argv, min_bytes", [
+    # 5,740 states: near 2.2 MB streamed, 13.4 MB with every row held
+    (["sweep", "--n-max", "20", "--format", "csv"], 400_000),
+    # 5,740 states + 101: near 2.6 MB streamed, 8.8 MB with every row held
+    (["peres-mermin", "--n-max", "20"], 1_500_000),
+], ids=["sweep", "peres-mermin"])
+def test_state_report_memory_stays_bounded(argv, min_bytes, tmp_path):
+    _assert_report_memory_bounded(argv, min_bytes, tmp_path)
+
+
+def _assert_report_memory_bounded(argv, min_bytes, tmp_path):
+    out = tmp_path / "report"
     tracemalloc.start()
     try:
-        assert main(["free-electron", "--beta-grid", "0:0.999:20000", "--output", str(out)]) == EXIT_OK
+        assert main([*argv, "--output", str(out)]) == EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.stat().st_size > 8_000_000
-    assert peak < 28e6
+    assert out.stat().st_size > min_bytes
+    assert peak < 6e6
 
 
 # --- argument parsing and exit codes ----------------------------------------------
@@ -788,6 +871,41 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["ground", "--output", str(target)]) == EXIT_USAGE
     assert "cannot write report" in capsys.readouterr().err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, first_bad", [
+    # point 1,333 is the first at or past 1, in the grid's third block
+    (["free-electron", "--beta-grid", "0:1.5:2000"], float(np.linspace(0.0, 1.5, 2000)[1333])),
+    (["free-electron", "--beta", "1.5"], 1.5),
+], ids=["beta-grid", "beta"])
+def test_velocity_out_of_range_exits_2_before_the_first_byte(argv, first_bad, tmp_path, capsys):
+    assert np.linspace(0.0, 1.5, 2000)[1332] < 1.0 <= first_bad
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"velocity ratio must lie in [0, 1), got {first_bad}" in captured.err
+    target = tmp_path / "report.json"
+    assert main([*argv, "--output", str(target)]) == EXIT_USAGE
+    assert not target.exists()
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the 8 MB report overflows the pipe long before it is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diracctx.cli", "free-electron", "--beta-grid", "0:0.999:20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b'{\n  "command": "free-electron"')
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "completed" not in err
 
 
 def test_run_config_validation():

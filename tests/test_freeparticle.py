@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracctx.cli import EXIT_USAGE, main
+from diracctx.cli import EXIT_USAGE, REPORT_BLOCK, main
 from diracctx.clifford import build_family, gamma_matrix
 from diracctx.contextuality import chsh_value
 from diracctx.freeparticle import (
-    CURVE_BLOCK,
     energy_split,
     free_chsh,
     free_chsh_curve,
@@ -169,9 +168,9 @@ def test_batched_terms_equal_pointwise_reference():
 
 
 def test_free_chsh_is_a_row_of_the_curve():
-    betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * CURVE_BLOCK + 3)]
+    betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
     curve = free_chsh_curve(betas)
-    for i in (0, 1, CURVE_BLOCK - 1, CURVE_BLOCK, CURVE_BLOCK + 1, len(betas) - 1):
+    for i in (0, 1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, len(betas) - 1):
         assert free_chsh(betas[i]) == curve[i]
 
 
