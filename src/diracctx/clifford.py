@@ -57,12 +57,6 @@ def gamma_matrix(index: int) -> np.ndarray:
     return GAMMA[index]
 
 
-def pauli_matrix(axis: str) -> np.ndarray:
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _PAULI[axis]
-
-
 def alpha_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The alpha = sigma_x (x) sigma vector of the Dirac Hamiltonian."""
     return _ALPHA
@@ -81,10 +75,6 @@ class ObservableTriple:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    label: str
-
-    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.x, self.y, self.z)
 
     def component(self, axis: str) -> np.ndarray:
         if axis not in AXES:
@@ -92,17 +82,15 @@ class ObservableTriple:
         return getattr(self, axis)
 
 
-def _triple(label: str, x, y, z) -> ObservableTriple:
-    return ObservableTriple(x=_frozen(x), y=_frozen(y), z=_frozen(z), label=label)
+def _triple(x, y, z) -> ObservableTriple:
+    return ObservableTriple(x=_frozen(x), y=_frozen(y), z=_frozen(z))
 
 
 _FAMILIES = {
-    "Gamma": _triple("Gamma", GAMMA[0], GAMMA[2] @ GAMMA[0], 1j * GAMMA[2]),
-    "GammaPrime": _triple(
-        "GammaPrime", GAMMA[3] @ GAMMA[5], 1j * (GAMMA[3] @ GAMMA[1]), GAMMA[5] @ GAMMA[1]
-    ),
-    "Sigma": _triple("Sigma", *(np.kron(_I2, _PAULI[ax]) for ax in AXES)),
-    "SigmaPrime": _triple("SigmaPrime", *(np.kron(_PAULI[ax], _I2) for ax in AXES)),
+    "Gamma": _triple(GAMMA[0], GAMMA[2] @ GAMMA[0], 1j * GAMMA[2]),
+    "GammaPrime": _triple(GAMMA[3] @ GAMMA[5], 1j * (GAMMA[3] @ GAMMA[1]), GAMMA[5] @ GAMMA[1]),
+    "Sigma": _triple(*(np.kron(_I2, _PAULI[ax]) for ax in AXES)),
+    "SigmaPrime": _triple(*(np.kron(_PAULI[ax], _I2) for ax in AXES)),
 }
 
 # the Peres-Mermin grid: products along each row and down the first two

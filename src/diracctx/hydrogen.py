@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -34,8 +33,7 @@ def _check_alpha(a: float, allow_zero: bool = False) -> None:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Bound-state labels (n, kappa, m_j); j, l, m and the Kramers sign derive
-    from kappa."""
+    """Bound-state labels (n, kappa, m_j); j and l derive from kappa."""
 
     n: int
     kappa: int
@@ -61,10 +59,6 @@ class QuantumNumbers:
             raise ValueError(f"|m_j| <= j = {self.j} required, got m_j={self.m_j}")
 
     @property
-    def sign(self) -> int:
-        return 1 if self.kappa > 0 else -1
-
-    @property
     def j(self) -> float:
         return abs(self.kappa) - 0.5
 
@@ -77,25 +71,6 @@ class QuantumNumbers:
         return self.n - abs(self.kappa)
 
 
-def state_columns(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The int columns n, kappa and 2 m_j of all bound states with n <= n_max,
-    in deterministic order."""
-    rows = [
-        (n, s * abs_k, twice_mj)
-        for n in range(1, n_max + 1)
-        for abs_k in range(1, n + 1)
-        for s in ((1,) if abs_k == n else (1, -1))
-        for twice_mj in range(1 - 2 * abs_k, 2 * abs_k, 2)
-    ]
-    return tuple(np.array(rows, dtype=int).reshape(-1, 3).T)
-
-
-def valid_states(n_max: int) -> Iterator[QuantumNumbers]:
-    """All bound states with n <= n_max, in the order of state_columns."""
-    for n, kappa, twice_mj in zip(*(column.tolist() for column in state_columns(n_max))):
-        yield QuantumNumbers(n=n, kappa=kappa, m_j=twice_mj / 2.0)
-
-
 def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
     """Bound-state energy mu = E/Mc^2; depends on kappa only through |kappa|.
 
@@ -106,6 +81,22 @@ def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
         raise ValueError(f"invalid (n, kappa) = ({n}, {kappa})")
     nu = math.sqrt(kappa * kappa - a * a)
     return (1.0 + (a / (n - abs(kappa) + nu)) ** 2) ** -0.5
+
+
+def state_table(n_max: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns n, kappa, 2 m_j (ints) and delta = mu (floats) of all bound
+    states with n <= n_max, in deterministic order. mu depends only on
+    (n, |kappa|), so sommerfeld_mu runs once for each of them."""
+    rows, deltas = [], []
+    for n in range(1, n_max + 1):
+        for abs_k in range(1, n + 1):
+            mu = sommerfeld_mu(n, abs_k, a)
+            for kappa in (abs_k,) if abs_k == n else (abs_k, -abs_k):
+                for twice_mj in range(1 - 2 * abs_k, 2 * abs_k, 2):
+                    rows.append((n, kappa, twice_mj))
+                    deltas.append(mu)
+    n, kappa, twice_mj = np.array(rows, dtype=int).reshape(-1, 3).T
+    return n, kappa, twice_mj, np.array(deltas, dtype=float)
 
 
 def radial_fg(qn: QuantumNumbers, a: float, rho):
@@ -222,39 +213,3 @@ def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA) -> SpinorFie
         raise ValueError(f"normalization must be positive and finite, got {norm}")
     return SpinorField(qn=qn, a=a, rule=rule, norm=norm)
 
-
-def apply_K_eigencheck(qn: QuantumNumbers) -> tuple[float, float, float]:
-    """Measure the Dirac-operator eigenvalue K = beta(Sigma.L + 1) on the state:
-    its value, the value of K^2 and the larger residual |K v - k v| of the two
-    blocks.
-
-    K acts blockwise: +(sigma.L + 1) on the upper angular spinor, -(sigma.L + 1)
-    on the lower one; both blocks must give sign(kappa)*|kappa|, and the block
-    applied twice gives K^2 = j(j+1) + 1/4. A harmonic of orbital L with
-    m = m_j - 1/2 lies in the span of (Y_L,m, 0) and (0, Y_L,m+1), where
-    sigma.L = [[Lz, L-], [L+, -Lz]] is [[m, r], [r, -(m + 1)]] with
-    r = sqrt(L(L+1) - m(m+1)).
-    """
-    upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
-    m = int(round(qn.m_j - 0.5))
-    values, squares, residual = [], [], 0.0
-    for part, beta_sign in ((upper_part, 1.0), (lower_part, -1.0)):
-        orbital = qn.l if part == "A" else qn.l + 1
-        r = math.sqrt(orbital * (orbital + 1) - m * (m + 1))
-        v = np.zeros(2)
-        for comp, l_eff, m_eff, coef in _spinor_terms(part, qn.l, m):
-            if (l_eff, m_eff) != (orbital, m + comp):
-                raise AssertionError(
-                    f"harmonic {part} of {qn} has a term outside the sigma.L block: "
-                    f"component {comp}, Y_{l_eff},{m_eff}")
-            v[comp] = coef
-        # the block's K = beta_sign (sigma.L + 1) on the coefficient pair
-        block = beta_sign * np.array([[m + 1.0, r], [r, -m]])
-        once = block @ v
-        k = float(once @ v / (v @ v))
-        values.append(k)
-        squares.append(float(block @ once @ v / (v @ v)))
-        residual = max(residual, float(np.linalg.norm(once - k * v)))
-    if abs(values[0] - values[1]) > 1e-12 or abs(squares[0] - squares[1]) > 1e-12:
-        raise AssertionError(f"blockwise K eigenvalues disagree for {qn}: {values}")
-    return values[0], squares[0], residual

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bound_states import valid_states
 from diracctx import __version__
 from diracctx.cli import (
+    CONVERGE_BOUND,
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_USAGE,
@@ -36,7 +38,7 @@ from diracctx.cli import (
 from diracctx.clifford import build_family
 from diracctx.clifford import PERES_MERMIN_LINES
 from diracctx.contextuality import chsh_value, excited_observables, optimal_xi, peres_mermin_value
-from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, sommerfeld_mu, valid_states
+from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, sommerfeld_mu
 from diracctx.spindensity import (
     QuadratureError,
     analytic_densities,
@@ -195,6 +197,42 @@ def test_converge_at_tiny_alpha(capsys):
     assert row["value"] < 1e-12 and not row["violated"]
 
 
+@st.composite
+def _domain_states(draw):
+    """One bound state (n, kappa, m_j) with n <= 40."""
+    n = draw(st.integers(1, 40))
+    abs_kappa = draw(st.integers(1, n))
+    kappa = abs_kappa if abs_kappa == n else draw(st.sampled_from((abs_kappa, -abs_kappa)))
+    return n, kappa, draw(st.integers(-abs_kappa, abs_kappa - 1)) + 0.5
+
+
+# alpha next to both ends of (0, 1): the smallest subnormal, 1e-8 (where mu
+# rounds to 1), and the two where the ground state's mu is 1.4e-3 and 1.5e-8
+DOMAIN_EDGES = (5e-324, 1e-8, 0.999999, 1.0 - 2.0**-53)
+
+
+def _with_domain_edges(test):
+    for alpha in DOMAIN_EDGES:
+        for state in ((1, 1, -0.5), (40, 1, 0.5), (40, -39, 20.5), (40, 40, -39.5)):
+            test = example(state, alpha)(test)
+    return test
+
+
+@_with_domain_edges
+@given(_domain_states(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_documented_domain_through_execute(state, alpha):
+    n, kappa, mj = state
+    (ground,) = _run("ground", alpha=alpha, mj=math.copysign(0.5, mj))["results"]
+    (excited,) = _run("excited", alpha=alpha, n=n, kappa=kappa, mj=mj)["results"]
+    for row in (ground, excited):
+        closed_form = row["parameters"]["closed_form"]
+        assert abs(row["value"] - closed_form) <= 2e-15 * closed_form
+    (converge,) = _run("converge", alpha=alpha, n=n, kappa=kappa, mj=mj)["results"]
+    assert converge["bound"] == CONVERGE_BOUND == 1e-12
+    assert converge["value"] <= CONVERGE_BOUND and not converge["violated"]
+
+
 def test_sweep_n_max_12_matches_closed_forms(capsys):
     assert main(["sweep", "--n-max", "12", "--format", "csv"]) == EXIT_OK
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
@@ -211,7 +249,8 @@ def test_excited_at_n40_matches_its_closed_form(capsys):
 
 
 # the number of distinct (n, |kappa|) among the bound states each command
-# evaluates: mu depends on nothing else
+# evaluates: mu depends on nothing else, and state_table (sweep, peres-mermin)
+# and _one_state (ground, excited) evaluate it once for each
 MU_VALUES_EVALUATED = {"ground": 1, "excited": 1, "sweep": 36, "peres-mermin": 6}
 
 
@@ -232,18 +271,18 @@ def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli_module, "reduce", boom)
     monkeypatch.setattr(cli_module, "eigenstate", boom)
     monkeypatch.setattr(SpinorField, "__call__", boom)
-    # count every call, through whichever module binds the name
+    # count every call where the report path makes it: sommerfeld_mu in
+    # hydrogen.state_table and cli._one_state, _spinor_terms in hydrogen
     calls = Counter()
-    for name in ("sommerfeld_mu", "_spinor_terms"):
-        original = getattr(hydrogen, name)
+    for module, name in ((hydrogen, "sommerfeld_mu"), (cli_module, "sommerfeld_mu"),
+                         (hydrogen, "_spinor_terms")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for key, module in list(sys.modules.items()):
-            if key.startswith("diracctx") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert main(argv) == EXIT_OK
     # delta = mu once per distinct (n, |kappa|), and no Clebsch-Gordan square roots
     assert calls["sommerfeld_mu"] == MU_VALUES_EVALUATED[argv[0]]
@@ -409,14 +448,9 @@ _leaves = (
     st.text(max_size=8) | st.integers() | st.booleans() | st.none()
     | st.floats() | st.floats().map(np.float64)
 )
+# a report holds dicts and leaves; a list or tuple is rejected
 _trees = st.recursive(
-    _leaves,
-    lambda inner: (
-        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(_keys, inner, max_size=4)
-    ),
-    max_leaves=12,
-)
+    _leaves, lambda inner: st.dictionaries(_keys, inner, max_size=4), max_leaves=12)
 
 
 @given(
@@ -431,8 +465,8 @@ def test_render_json_matches_reference_writer(command, params, results):
 
 
 # report-like tables for the column writer: rows of one random shape, where
-# a shape is a leaf kind, a one-item list [item shape] (a list of any length)
-# or a dict of shapes, and every dict of a row may be mutated on its own
+# a shape is a leaf kind or a dict of shapes, and every dict of a row may be
+# mutated on its own
 _LEAF_KINDS = {
     "float": st.floats(),
     "float64": st.floats().map(np.float64),
@@ -443,8 +477,7 @@ _LEAF_KINDS = {
 }
 _shapes = st.recursive(
     st.sampled_from(sorted(_LEAF_KINDS)),
-    lambda inner: inner.map(lambda item: [item])
-    | st.dictionaries(_keys, inner, min_size=1, max_size=4),
+    lambda inner: st.dictionaries(_keys, inner, min_size=1, max_size=4),
     max_leaves=8,
 )
 _MUTATIONS = ("none", "none", "reorder", "drop", "retype")
@@ -455,8 +488,6 @@ def _instance(draw, shape):
     moves one key to the end, drops one, or gives it a leaf of any type."""
     if isinstance(shape, str):
         return draw(_LEAF_KINDS[shape])
-    if isinstance(shape, list):
-        return [_instance(draw, shape[0]) for _ in range(draw(st.integers(0, 3)))]
     row = {key: _instance(draw, item) for key, item in shape.items()}
     key = draw(st.sampled_from(sorted(shape)))
     mutation = draw(st.sampled_from(_MUTATIONS))
@@ -486,7 +517,7 @@ def test_render_json_of_tables_matches_reference_writer(table):
 
 def test_render_json_of_float_edges_in_one_column():
     column = [*FLOAT_EDGES, *(-x for x in FLOAT_EDGES), math.inf, -math.inf, math.nan]
-    doc = _document("edges", {"grid": column}, [{"value": x} for x in column])
+    doc = _document("edges", {}, [{"value": x} for x in column])
     assert render(doc, "json") == _reference_json(doc)
 
 
@@ -505,7 +536,9 @@ def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
     assert render(doc, "json") == _reference_json(doc)
 
 
-@pytest.mark.parametrize("payload", [{1: 0.5}, {"x": np.int64(3)}, {"x": {2.0, 3.0}}])
+@pytest.mark.parametrize("payload", [
+    {1: 0.5}, {"x": np.int64(3)}, {"x": {2.0, 3.0}}, {"x": [2.0, 3.0]}, {"x": (2.0, 3.0)},
+])
 def test_render_json_rejects_what_json_cannot_hold(payload):
     doc = _document("audit", payload, [])
     with pytest.raises(TypeError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bound_states import valid_states
 from diracctx.clifford import (
     PERES_MERMIN_GRID,
     PERES_MERMIN_LINES,
@@ -23,7 +24,7 @@ from diracctx.contextuality import (
     peres_mermin_value,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
-from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, valid_states
+from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
 from diracctx.spindensity import IncompatibleObservablesError, pure_density, reduce, state_label
 
 GAMMA = build_family("Gamma")

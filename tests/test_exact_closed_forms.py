@@ -8,13 +8,19 @@ delta, and its values at delta = 0 and delta = 1 prove an identity for every
 delta. The plane wave is checked at rational points of E^2 - k^2 = 1.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from diracctx.clifford import AXES, build_family
-from diracctx.contextuality import harmonic_coefficients
+from diracctx.contextuality import (
+    chsh_value,
+    excited_observables,
+    ground_observables,
+    harmonic_coefficients,
+)
 from diracctx.freeparticle import _plane_waves
 from diracctx.spindensity import analytic_densities, pure_density
 
@@ -39,14 +45,18 @@ PRODUCTS = {
 }
 
 
+def _exact_trace(rho, parts):
+    """tr(rho m) of a real rational 4x4 rho and a Gaussian-integer matrix m
+    given by its int parts, as (real part, imaginary part) in Fractions."""
+    re, im = parts
+    entries = [(i, j, r) for i, row in enumerate(rho) for j, r in enumerate(row) if r]
+    return sum(r * re[j][i] for i, j, r in entries), sum(r * im[j][i] for i, j, r in entries)
+
+
 def _correlation_matrix(rho):
     """T_ab = tr(rho Gamma_a Gamma'_b) of a real rational 4x4 rho, as
     {(a, b): (real part, imaginary part)} in Fractions."""
-    entries = [(i, j, r) for i, row in enumerate(rho) for j, r in enumerate(row) if r]
-    return {
-        key: (sum(r * re[j][i] for i, j, r in entries), sum(r * im[j][i] for i, j, r in entries))
-        for key, (re, im) in PRODUCTS.items()
-    }
+    return {key: _exact_trace(rho, parts) for key, parts in PRODUCTS.items()}
 
 
 def _bound_states():
@@ -70,6 +80,12 @@ def _exact_diagonal(kappa, twice_mj, delta):
     return [up * upper[0], up * upper[1], down * lower[0], down * lower[1]]
 
 
+def _exact_density(kappa, twice_mj, delta):
+    """The bound-state density as a 4x4 list of Fractions."""
+    diagonal = _exact_diagonal(kappa, twice_mj, delta)
+    return [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
+
+
 def _exact_c(kappa, twice_mj, delta):
     """c = -X on the kappa > 0 branch and +X on kappa < 0."""
     l = abs(kappa) - 1
@@ -82,9 +98,8 @@ def _exact_c(kappa, twice_mj, delta):
 @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
 def test_bound_state_correlation_matrix_is_diag_tx_delta_c(delta):
     for kappa, twice_mj in _bound_states():
-        diagonal = _exact_diagonal(kappa, twice_mj, delta)
-        assert sum(diagonal) == 1
-        rho = [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
+        rho = _exact_density(kappa, twice_mj, delta)
+        assert sum(rho[i][i] for i in range(4)) == 1
         t = _correlation_matrix(rho)
         assert all(imag == 0 for _, imag in t.values())
         assert all(t[a, b][0] == 0 for a in AXES for b in AXES if a != b)
@@ -110,6 +125,64 @@ def test_float_closed_forms_lie_within_1e_15_of_the_exact_values(delta):
         exact = _exact_diagonal(k, tm, delta)
         assert all(abs(Fraction(x) - e) <= TOLERANCE for x, e in zip(diagonal, exact))
         assert abs(Fraction(c_float) - _exact_c(k, tm, delta)) <= TOLERANCE
+
+
+# each CHSH term <O1 O2> of the xi family as the pair (p, q) of
+# p cos xi + q sin xi, read from T: A = Gamma.y, C = Gamma.z,
+# B = cos xi Gamma'.z - sin xi Gamma'.y and D = cos xi Gamma'.z + sin xi Gamma'.y.
+# Every Gamma commutes with every Gamma' (the audit checks it exactly), so
+# each product is a Gamma_a Gamma'_b.
+XI_TERMS = {
+    "AB": lambda t: (t["y", "z"], -t["y", "y"]),
+    "BC": lambda t: (t["z", "z"], -t["z", "y"]),
+    "CD": lambda t: (t["z", "z"], t["z", "y"]),
+    "DA": lambda t: (t["y", "z"], t["y", "y"]),
+}
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
+def test_xi_family_value_is_2_c_cos_xi_minus_2_delta_sin_xi(delta):
+    states = _bound_states()
+    # the package's terms: p at xi = 0 and, up to cos(pi/2) p, q at xi = pi/2
+    densities = analytic_densities(*zip(*states), [float(delta)] * len(states))
+    at_0, at_right_angle = (
+        chsh_value(densities, *excited_observables(xi)) for xi in (0.0, math.pi / 2.0))
+    for (kappa, twice_mj), row_0, row_right_angle in zip(states, at_0, at_right_angle):
+        t = {key: real for key, (real, _) in _correlation_matrix(
+            _exact_density(kappa, twice_mj, delta)).items()}
+        terms = {name: read(t) for name, read in XI_TERMS.items()}
+        for name, (p, q) in terms.items():
+            assert abs(Fraction(row_0["terms"][name]) - p) <= TOLERANCE
+            assert abs(Fraction(row_right_angle["terms"][name]) - q) <= TOLERANCE
+        total = [terms["AB"][i] + terms["BC"][i] + terms["CD"][i] - terms["DA"][i]
+                 for i in range(2)]
+        # the (c, s) of harmonic_coefficients, in I(xi) = 2 (c cos xi + s sin xi)
+        assert total == [2 * _exact_c(kappa, twice_mj, delta), -2 * delta]
+
+
+def _gaussian_integer(m):
+    """m rounded to the Gaussian-integer matrix it lies within 1e-15 of."""
+    rounded = np.round(m.real) + 1j * np.round(m.imag)
+    assert np.abs(m - rounded).max() < 1e-15
+    return rounded
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
+@pytest.mark.parametrize("twice_mj", [1, -1])
+def test_ground_value_over_sqrt2_is_1_plus_delta(twice_mj, delta):
+    a, b, c, d = ground_observables(twice_mj / 2)
+    # B and D carry 1/sqrt 2: with it factored out, every product is a
+    # Gaussian-integer matrix and the value is (AB + BC + CD - DA)/sqrt 2
+    b, d = (_gaussian_integer(math.sqrt(2.0) * o) for o in (b, d))
+    rho = _exact_density(1, twice_mj, delta)
+    terms = [
+        _exact_trace(rho, _gaussian_integer_parts(o1 @ o2))
+        for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
+    ]
+    assert all(imag == 0 for _, imag in terms)
+    (ab, _), (bc, _), (cd, _), (da, _) = terms
+    # value / sqrt 2 = (AB + BC + CD - DA) / 2
+    assert (ab + bc + cd - da) / 2 == 1 + delta
 
 
 RATIONAL_T = ("1", "3/2", "2", "7/2", "10")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bound_states import valid_states
 from diracctx.cli import EXIT_USAGE, REPORT_BLOCK, main
 from diracctx.clifford import build_family, gamma_matrix
 from diracctx.contextuality import chsh_value
@@ -19,7 +20,7 @@ from diracctx.freeparticle import (
     observable_angle,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
-from diracctx.hydrogen import sommerfeld_mu, valid_states
+from diracctx.hydrogen import sommerfeld_mu
 from diracctx.spindensity import IncompatibleObservablesError, correlator
 
 I4 = np.eye(4, dtype=complex)

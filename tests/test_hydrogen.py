@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bound_states import valid_states
 from diracctx import hydrogen
 from diracctx.hydrogen import (
     FINE_STRUCTURE_ALPHA as ALPHA,
     QuantumNumbers,
-    apply_K_eigencheck,
     eigenstate,
     radial_fg,
     sommerfeld_mu,
     spinor_harmonic,
-    valid_states,
+    state_table,
 )
 from diracctx.specfun import quadrature_nodes, radial_nodes
 
@@ -26,7 +26,6 @@ def test_quantum_number_derived_fields():
     qn = QuantumNumbers(n=3, kappa=-2, m_j=-1.5)
     assert qn.j == 1.5
     assert qn.l == 1
-    assert qn.sign == -1
     assert qn.n_tilde == 1
 
 
@@ -46,11 +45,43 @@ def test_quantum_number_validation(kwargs):
         QuantumNumbers(**kwargs)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 8, 40])
 def test_state_count_is_twice_n_squared_per_shell(n_max):
+    # N(N+1)(2N+1)/3 states up to shell N: 408 at N = 8, 44,280 at N = 40
+    count = n_max * (n_max + 1) * (2 * n_max + 1) // 3
+    assert count == {8: 408, 40: 44_280}.get(n_max, count)
     states = list(valid_states(n_max))
-    assert len(states) == sum(2 * n * n for n in range(1, n_max + 1))
+    assert len(states) == sum(2 * n * n for n in range(1, n_max + 1)) == count
     assert len(set(states)) == len(states)
+    assert {len(column) for column in state_table(n_max, ALPHA)} == {count}
+
+
+def test_state_table_rows_at_n_max_2():
+    n, kappa, twice_mj, delta = state_table(2, ALPHA)
+    assert list(zip(n.tolist(), kappa.tolist(), twice_mj.tolist())) == [
+        (1, 1, -1), (1, 1, 1),
+        (2, 1, -1), (2, 1, 1), (2, -1, -1), (2, -1, 1),
+        (2, 2, -3), (2, 2, -1), (2, 2, 1), (2, 2, 3),
+    ]
+    assert [n.dtype.kind, kappa.dtype.kind, twice_mj.dtype.kind, delta.dtype] == [
+        "i", "i", "i", np.float64]
+
+
+@pytest.mark.parametrize("a", [ALPHA, 0.5, 0.999999])
+def test_state_table_delta_is_sommerfeld_mu(a):
+    n, kappa, _, delta = state_table(12, a)
+    assert delta.tolist() == [
+        sommerfeld_mu(m, k, a) for m, k in zip(n.tolist(), kappa.tolist())]
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 40])
+def test_state_table_evaluates_mu_once_per_n_and_abs_kappa(monkeypatch, n_max):
+    calls = []
+    original = hydrogen.sommerfeld_mu
+    monkeypatch.setattr(hydrogen, "sommerfeld_mu",
+                        lambda n, kappa, a: calls.append((n, kappa)) or original(n, kappa, a))
+    state_table(n_max, ALPHA)
+    assert len(calls) == len(set(calls)) == n_max * (n_max + 1) // 2
 
 
 # --- Sommerfeld spectrum -------------------------------------------------------
@@ -284,6 +315,44 @@ def test_eigenstate_block_layout():
 
 
 # --- Dirac operator -----------------------------------------------------------
+
+def apply_K_eigencheck(qn: QuantumNumbers) -> tuple[float, float, float]:
+    """Measure the Dirac-operator eigenvalue K = beta(Sigma.L + 1) on the state:
+    its value, the value of K^2 and the larger residual |K v - k v| of the two
+    blocks.
+
+    K acts blockwise: +(sigma.L + 1) on the upper angular spinor, -(sigma.L + 1)
+    on the lower one; both blocks must give sign(kappa)*|kappa|, and the block
+    applied twice gives K^2 = j(j+1) + 1/4. A harmonic of orbital L with
+    m = m_j - 1/2 lies in the span of (Y_L,m, 0) and (0, Y_L,m+1), where
+    sigma.L = [[Lz, L-], [L+, -Lz]] is [[m, r], [r, -(m + 1)]] with
+    r = sqrt(L(L+1) - m(m+1)). The harmonic's terms come from
+    hydrogen._spinor_terms, looked up at each call.
+    """
+    upper_part, lower_part = ("A", "B") if qn.kappa > 0 else ("B", "A")
+    m = int(round(qn.m_j - 0.5))
+    values, squares, residual = [], [], 0.0
+    for part, beta_sign in ((upper_part, 1.0), (lower_part, -1.0)):
+        orbital = qn.l if part == "A" else qn.l + 1
+        r = math.sqrt(orbital * (orbital + 1) - m * (m + 1))
+        v = np.zeros(2)
+        for comp, l_eff, m_eff, coef in hydrogen._spinor_terms(part, qn.l, m):
+            if (l_eff, m_eff) != (orbital, m + comp):
+                raise AssertionError(
+                    f"harmonic {part} of {qn} has a term outside the sigma.L block: "
+                    f"component {comp}, Y_{l_eff},{m_eff}")
+            v[comp] = coef
+        # the block's K = beta_sign (sigma.L + 1) on the coefficient pair
+        block = beta_sign * np.array([[m + 1.0, r], [r, -m]])
+        once = block @ v
+        k = float(once @ v / (v @ v))
+        values.append(k)
+        squares.append(float(block @ once @ v / (v @ v)))
+        residual = max(residual, float(np.linalg.norm(once - k * v)))
+    if abs(values[0] - values[1]) > 1e-12 or abs(squares[0] - squares[1]) > 1e-12:
+        raise AssertionError(f"blockwise K eigenvalues disagree for {qn}: {values}")
+    return values[0], squares[0], residual
+
 
 def test_k_eigenvalue_ground_state():
     k, _, _ = apply_K_eigencheck(QuantumNumbers(1, 1, 0.5))

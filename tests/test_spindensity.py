@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bound_states import valid_states
 from diracctx.clifford import build_family, direction_observable, hermiticity_defect
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
-from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, valid_states
+from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
 from diracctx.spindensity import (
     IncompatibleObservablesError,
     QuadratureError,
