@@ -31,7 +31,13 @@ from .contextuality import (
     optimal_xi,
     peres_mermin_value,
 )
-from .freeparticle import check_beta_v, energy_split, free_chsh_curve, free_observables
+from .freeparticle import (
+    check_beta_v,
+    check_betas,
+    energy_split,
+    free_chsh_curve,
+    free_observables,
+)
 from .hydrogen import (
     FINE_STRUCTURE_ALPHA,
     QuantumNumbers,
@@ -467,7 +473,8 @@ def execute(config: RunConfig) -> dict:
     }
 
 
-def _parse_beta_grid(text: str) -> tuple:
+def _parse_beta_grid(text: str) -> np.ndarray:
+    """The float64 grid of a start:stop:count text, checked in one pass."""
     try:
         start, stop, count = text.split(":")
         grid = np.linspace(float(start), float(stop), int(count))
@@ -475,10 +482,8 @@ def _parse_beta_grid(text: str) -> tuple:
         raise ValueError(f"--beta-grid must be start:stop:count, got {text!r}") from exc
     if len(grid) < 1:
         raise ValueError(f"--beta-grid needs a count of at least 1, got {text!r}")
-    betas = tuple(float(b) for b in grid)
-    for beta in betas:
-        check_beta_v(beta)
-    return betas
+    check_betas(grid)
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,15 +18,26 @@ from .spindensity import checked_observable
 _ALPHA_Z = alpha_matrices()[2]
 _BETA = beta_matrix()
 # g3 g5 and g1 g5: gamma^5 holds one +-1 per column, so scaling these products
-# gives the bits of scaling g3 and g1 first and multiplying by g5 after
-_G35 = gamma_matrix(3) @ gamma_matrix(5)
-_G15 = gamma_matrix(1) @ gamma_matrix(5)
+# gives the bits of scaling g3 and g1 first and multiplying by g5 after. All
+# four matrices here are real in the Weyl basis, so the curve runs in float64
+_G35 = (gamma_matrix(3) @ gamma_matrix(5)).real.copy()
+_G15 = (gamma_matrix(1) @ gamma_matrix(5)).real.copy()
+_G0 = gamma_matrix(0).real.copy()
+_IG2 = (1j * gamma_matrix(2)).real.copy()
 
 
 def check_beta_v(beta_v: float) -> None:
     """Raise ValueError unless the velocity ratio lies in [0, 1)."""
     if not 0.0 <= beta_v < 1.0:
         raise ValueError(f"velocity ratio must lie in [0, 1), got {beta_v}")
+
+
+def check_betas(betas: np.ndarray) -> None:
+    """check_beta_v on a float64 array in one pass: the error, if any, names
+    the first point outside [0, 1), NaN included."""
+    bad = ~((betas >= 0.0) & (betas < 1.0))
+    if bad.any():
+        check_beta_v(float(betas[bad.argmax()]))
 
 
 def _plane_waves(betas: np.ndarray) -> np.ndarray:
@@ -48,16 +59,18 @@ def observable_angle(beta_v: float) -> float:
 
 
 def _observables(thetas):
-    """(A', B', C', D') with B' and D' as (N, 4, 4) stacks over the angles."""
+    """(A', B', C', D') as float64, with B' and D' as (N, 4, 4) stacks over
+    the angles: every entry is real."""
     cos = np.array([math.cos(t) for t in thetas])[:, None, None]
     sin = np.array([math.sin(t) for t in thetas])[:, None, None]
-    return gamma_matrix(0), cos * _G35 + sin * _G15, 1j * gamma_matrix(2), -cos * _G35 + sin * _G15
+    return _G0, cos * _G35 + sin * _G15, _IG2, -cos * _G35 + sin * _G15
 
 
 def free_observables(beta_v: float):
-    """(A', B', C', D') = (g0, (cos(t) g3 + sin(t) g1) g5, i g2, (-cos(t) g3 + sin(t) g1) g5)."""
+    """(A', B', C', D') = (g0, (cos(t) g3 + sin(t) g1) g5, i g2, (-cos(t) g3 + sin(t) g1) g5),
+    as complex matrices."""
     a, b, c, d = _observables([observable_angle(beta_v)])
-    return a, b[0], c, d[0]
+    return tuple(m.astype(complex) for m in (a, b[0], c, d[0]))
 
 
 def free_chsh_curve(betas) -> list[dict]:
@@ -65,21 +78,24 @@ def free_chsh_curve(betas) -> list[dict]:
     velocity ratio, one report row per point; the closed form is
     2*sqrt(2 - beta^2).
 
-    The points are evaluated in one pass over (N, 4, 4) stacks of densities
-    and of the B', D' observables; a caller with a long grid passes it a
-    block at a time.
+    The points are evaluated in one pass over (N, 4, 4) float64 stacks of
+    densities and of the B', D' observables; a caller with a long grid passes
+    it a block at a time.
     """
-    betas = [float(b) for b in betas]
-    if not betas:
+    betas = np.asarray(betas, dtype=float)
+    if not len(betas):
         return []
-    thetas = [observable_angle(b) for b in betas]
-    spinors = _plane_waves(np.array(betas)).astype(complex)
-    # normalized as spindensity.pure_density does for one spinor
+    check_betas(betas)
+    values = betas.tolist()
+    thetas = [math.atan(math.sqrt(1.0 - b * b)) for b in values]
+    spinors = _plane_waves(betas).astype(complex)
+    # normalized in complex as spindensity.pure_density does for one spinor,
+    # which the report's bits follow; the imaginary parts are exactly 0
     u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
-    densities = u[:, :, None] * u.conj()[:, None, :]
+    densities = (u[:, :, None] * u.conj()[:, None, :]).real
     parameters = [
         {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
-        for b, t in zip(betas, thetas)
+        for b, t in zip(values, thetas)
     ]
     return chsh_value(densities, *_observables(thetas), parameters=parameters)
 

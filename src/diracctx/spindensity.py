@@ -3,8 +3,8 @@
 All observables in play are spatially constant, so <O1 O2> factors exactly
 into trace(rho_spin . O1 . O2) against the single integrated density
 rho_spin[u][v] = integral psi_u conj(psi_v) rho^2 d rho dOmega. A density is
-a (4, 4) complex array, and many of them are a (..., 4, 4) stack; the
-maximally mixed state is np.eye(4) / 4.
+a (4, 4) array, complex or, when every entry is real, float64, and many of
+them are a (..., 4, 4) stack; the maximally mixed state is np.eye(4) / 4.
 
 analytic_densities gives the densities of many bound states in closed form,
 from the columns (kappa, 2 m_j, delta) alone: the potential enters only
@@ -103,19 +103,34 @@ def reduce(state: SpinorField) -> np.ndarray:
 
 
 def checked_observable(name: str, o) -> np.ndarray:
-    """o as a complex matrix, or a (..., 4, 4) stack, once it is Hermitian."""
-    o = np.asarray(o, dtype=complex)
+    """o as a matrix, or a (..., 4, 4) stack, once it is Hermitian: float64
+    when o is real, complex128 otherwise."""
+    o = np.asarray(o)
+    o = o.astype(float if np.isrealobj(o) else complex, copy=False)
     if hermiticity_defect(o) > COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(f"observable {name} is not Hermitian")
     return o
+
+
+def _matmul(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    """o1 @ o2. When one side is a single matrix m and the other a stack,
+    it is one 2D product over the stacked rows: stack @ m as
+    stack.reshape(-1, 4) @ m, and m @ stack through the transposes,
+    (stack^T @ m^T)^T."""
+    if o1.ndim == 2 and o2.ndim > 2:
+        rows = o2.swapaxes(-1, -2).reshape(-1, o2.shape[-2]) @ o1.T
+        return rows.reshape(o2.shape).swapaxes(-1, -2)
+    if o2.ndim == 2 and o1.ndim > 2:
+        return (o1.reshape(-1, o1.shape[-1]) @ o2).reshape(o1.shape)
+    return o1 @ o2
 
 
 def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
     """Real part of trace(rho . o1 . o2) for observables that checked_observable
     passed, over the broadcast leading axes of the density matrices and both
     observables. Raises if any pair of the stacks does not commute."""
-    product = o1 @ o2
-    comm = np.abs(product - o2 @ o1).max()
+    product = _matmul(o1, o2)
+    comm = np.abs(product - _matmul(o2, o1)).max()
     if comm > COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(
             f"observables do not commute (largest entry {comm:.3e}); "

@@ -729,9 +729,21 @@ def test_beta_grid_parsing():
     args = parser.parse_args(["free-electron", "--beta-grid", "0:0.9:4"])
     cfg = config_from_args(args)
     assert cfg.beta_grid == "0:0.9:4"
-    assert _parse_beta_grid(cfg.beta_grid) == (0.0, 0.3, 0.6, 0.9)
+    assert _parse_beta_grid(cfg.beta_grid).tolist() == [0.0, 0.3, 0.6, 0.9]
     with pytest.raises(ValueError):
         execute(config_from_args(parser.parse_args(["free-electron", "--beta-grid", "oops"])))
+
+
+def test_beta_grid_is_one_checked_float64_array(capsys):
+    grid = _parse_beta_grid("0:0.999:2000")
+    assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
+    assert grid.tobytes() == np.linspace(0.0, 0.999, 2000).tobytes()
+    # NaN is outside [0, 1) too; the message names the first bad point
+    for text, first_bad in (("0:nan:3", "nan"), ("-0.5:0.5:3", "-0.5")):
+        assert main(["free-electron", f"--beta-grid={text}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"velocity ratio must lie in [0, 1), got {first_bad}" in captured.err
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -110,6 +110,18 @@ def test_bound_state_correlation_matrix_is_diag_tx_delta_c(delta):
         )
 
 
+def test_ground_state_reaches_2_exactly_at_delta_2_5():
+    # the threshold delta* = 2/5 of the ground state: there t_x = 3/5 and
+    # c = -4/5, so t_x^2 + c^2 = 1 and the (t_x, c) optimum 2 sqrt(t_x^2 + c^2) is 2
+    delta = Fraction(2, 5)
+    t = _correlation_matrix(_exact_density(1, 1, delta))
+    diagonal = tuple(t[axis, axis] for axis in AXES)
+    assert diagonal == ((Fraction(3, 5), 0), (delta, 0), (Fraction(-4, 5), 0))
+    t_x, _, c = (real for real, _ in diagonal)
+    assert c == _exact_c(1, 1, delta)
+    assert t_x * t_x + c * c == 1
+
+
 @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
 def test_float_closed_forms_lie_within_1e_15_of_the_exact_values(delta):
     states = _bound_states()

@@ -14,6 +14,7 @@ from diracctx.freeparticle import (
     free_chsh,
     free_chsh_curve,
     free_hamiltonian,
+    _observables,
     _plane_waves,
     energy_projector,
     free_observables,
@@ -21,7 +22,7 @@ from diracctx.freeparticle import (
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import sommerfeld_mu
-from diracctx.spindensity import IncompatibleObservablesError, correlator
+from diracctx.spindensity import IncompatibleObservablesError, correlator, pure_density
 
 I4 = np.eye(4, dtype=complex)
 SIGMA = build_family("Sigma")
@@ -190,6 +191,45 @@ def test_stack_with_one_bad_slice_is_rejected():
         chsh_value(densities, a, non_hermitian, c, d)
     with pytest.raises(IncompatibleObservablesError, match="observable O2 is not Hermitian"):
         correlator(densities, a, non_hermitian)
+    non_commuting = d.copy()
+    non_commuting[2] = a  # commutes with A' but not with C' = i g2
+    with pytest.raises(IncompatibleObservablesError, match="do not commute"):
+        chsh_value(densities, a, b, c, non_commuting)
+
+
+def _real_stacks(betas):
+    """The curve's float64 stacks: densities |u><u| and (A', B', C', D')."""
+    densities = np.stack([pure_density(u).real for u in _plane_waves(np.array(betas))])
+    return (densities, *_observables([observable_angle(b) for b in betas]))
+
+
+def test_real_stacks_give_the_rows_of_their_complex_casts():
+    betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
+    stacks = _real_stacks(betas)
+    assert all(m.dtype == np.float64 for m in stacks)
+    complex_rows = chsh_value(*(m.astype(complex) for m in stacks))
+    assert chsh_value(*stacks) == complex_rows
+    # the curve, a block at a time as the CLI streams it, gives the same terms
+    curve = [
+        row
+        for start in range(0, len(betas), REPORT_BLOCK)
+        for row in free_chsh_curve(betas[start:start + REPORT_BLOCK])
+    ]
+    assert [row["terms"] for row in curve] == [row["terms"] for row in complex_rows]
+
+
+def test_free_observables_stay_complex():
+    for beta_v in (0.0, 0.5, 0.9):
+        assert [m.dtype for m in free_observables(beta_v)] == [np.complex128] * 4
+    assert all(m.dtype == np.float64 for m in _observables([0.3]))
+
+
+def test_real_stack_with_one_bad_slice_is_rejected():
+    densities, a, b, c, d = _real_stacks([0.1, 0.5, 0.9])
+    non_symmetric = b.copy()
+    non_symmetric[1, 0, 1] += 0.5
+    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
+        chsh_value(densities, a, non_symmetric, c, d)
     non_commuting = d.copy()
     non_commuting[2] = a  # commutes with A' but not with C' = i g2
     with pytest.raises(IncompatibleObservablesError, match="do not commute"):
