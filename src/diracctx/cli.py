@@ -54,8 +54,9 @@ GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
 SWEEP_CSV_ROW = "%s,%s,%.15g,%s,%.15g,%.15g,%.15g,%.15g,%s\n"
 GENERIC_CSV_ROW = "%s,%.15g,%.15g,%s\n"
 MIXING_THRESHOLD = 1e-10
-# converge's largest accepted gap to the closed form: on the exact rule every
-# state of the documented domain sits at the rounding floor, near 1e-13 at worst
+# converge's largest accepted entry gap between the integrated density and its
+# closed form: on the exact rule every state of the documented domain sits at
+# the rounding floor, about 4e-14 at worst
 CONVERGE_BOUND = 1e-12
 # report rows evaluated and written per piece of the streamed report; bounds
 # the rows, stacks and texts held at once
@@ -297,38 +298,36 @@ def _run_audit(config: RunConfig) -> list:
     }]
 
 
+def _xi_rows(table: tuple, a: float, xi: float | None = None) -> list:
+    """The xi-family rows of the states of the table: each at its optimal xi*,
+    or, given xi, all at xi with the closed form 2(c cos xi + s sin xi)."""
+    xi_star, closed_forms = (v.tolist() for v in optimal_xi(*table[1:]))
+    xis = xi_star
+    if xi is not None:
+        c, s = harmonic_coefficients(*table[1:])
+        xis = [xi] * len(xi_star)
+        closed_forms = (2.0 * (c * math.cos(xi) + s * math.sin(xi))).tolist()
+    extras = [{"xi": x, "xi_star": x_star, "closed_form": value}
+              for x, x_star, value in zip(xis, xi_star, closed_forms)]
+    return _chsh_on_states(table, a, excited_observables(xis), extras)
+
+
 def _run_ground(config: RunConfig) -> list:
-    qn = QuantumNumbers(n=1, kappa=1, m_j=config.mj)
-    table = _one_state(qn, config.alpha)
-    obs, closed_form = _scenario(qn, table)
-    return _chsh_on_states(table, config.alpha, obs, [{"closed_form": closed_form}])
+    table = _one_state(QuantumNumbers(n=1, kappa=1, m_j=config.mj), config.alpha)
+    extra = {"closed_form": math.sqrt(2.0) * (1.0 + table[3].item())}
+    return _chsh_on_states(table, config.alpha, ground_observables(config.mj), [extra])
 
 
 def _run_excited(config: RunConfig) -> list:
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    table = _one_state(qn, config.alpha)
-    xi_star, value_star = (v.item() for v in optimal_xi(*table[1:]))
-    xi, closed_form = xi_star, value_star
-    if config.xi is not None:
-        c, s = (v.item() for v in harmonic_coefficients(*table[1:]))
-        xi, closed_form = config.xi, 2.0 * (c * math.cos(config.xi) + s * math.sin(config.xi))
-    extra = {"xi": xi, "xi_star": xi_star, "closed_form": closed_form}
-    return _chsh_on_states(table, config.alpha, excited_observables([xi]), [extra])
+    return _xi_rows(_one_state(qn, config.alpha), config.alpha, config.xi)
 
 
 def _run_sweep(config: RunConfig) -> Iterable[dict]:
     table = state_table(config.n_max, config.alpha)
-
-    def rows(states: slice) -> list:
-        block = tuple(column[states] for column in table)
-        xi_star, value_star = optimal_xi(*block[1:])
-        extras = [
-            {"xi": xi, "xi_star": xi, "closed_form": value}
-            for xi, value in zip(xi_star.tolist(), value_star.tolist())
-        ]
-        return _chsh_on_states(block, config.alpha, excited_observables(xi_star), extras)
-
-    return _in_blocks(len(table[0]), rows)
+    return _in_blocks(
+        len(table[0]),
+        lambda states: _xi_rows(tuple(column[states] for column in table), config.alpha))
 
 
 def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
@@ -381,30 +380,20 @@ def _run_measurability(config: RunConfig) -> list:
     return results
 
 
-def _scenario(qn: QuantumNumbers, table: tuple):
-    """Observables and closed-form value for one state and its table: the
-    ground states use the dedicated observable choice, everything else the
-    optimal xi family."""
-    if qn.n == 1:
-        return ground_observables(qn.m_j), math.sqrt(2.0) * (1.0 + table[3].item())
-    xi_star, value_star = (v.item() for v in optimal_xi(*table[1:]))
-    return excited_observables(xi_star), value_star
-
-
 def _run_converge(config: RunConfig) -> list:
-    # the one command that integrates spinor fields, on the state's exact rule
+    # the one command that integrates spinor fields, on the state's exact rule;
+    # its value is the largest entry of the density minus its closed form
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    observables, reference = _scenario(qn, _one_state(qn, config.alpha))
     state = eigenstate(qn, config.alpha)
-    value = chsh_value(reduce(state), *observables)["value"]
-    delta = abs(value - reference)
+    closed_form = analytic_densities(*_one_state(qn, config.alpha)[1:])[0]
+    gap = float(np.abs(reduce(state) - closed_form).max())
     return [{
         "kind": "convergence",
-        "terms": {"value": value, "reference": reference,
-                  "radial_nodes": float(len(state.rule[0]))},
-        "value": delta,
+        "terms": {"radial_nodes": float(len(state.rule[0]))},
+        "value": gap,
         "bound": CONVERGE_BOUND,
-        "violated": delta > CONVERGE_BOUND,
+        # a nan gap fails too
+        "violated": not gap <= CONVERGE_BOUND,
     }]
 
 
@@ -454,7 +443,7 @@ COMMANDS = {
         _run_measurability, "positive-spectrum vs negative-energy-mixing report",
         {"alpha": FINE_STRUCTURE_ALPHA, "n_max": 10, "beta": 0.5}),
     "converge": Command(
-        _run_converge, "one state integrated on its exact rule, against its closed form",
+        _run_converge, "one state's density integrated on its exact rule, against its closed form",
         {"alpha": FINE_STRUCTURE_ALPHA, "n": 1, "kappa": 1, "mj": 0.5}),
 }
 

@@ -128,7 +128,8 @@ def _matmul(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
 def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
     """Real part of trace(rho . o1 . o2) for observables that checked_observable
     passed, over the broadcast leading axes of the density matrices and both
-    observables. Raises if any pair of the stacks does not commute."""
+    observables. Raises if any pair of the stacks does not commute, and
+    ValueError if a density is not Hermitian (the trace has an imaginary part)."""
     product = _matmul(o1, o2)
     comm = np.abs(product - _matmul(o2, o1)).max()
     if comm > COMMUTE_TOLERANCE:
@@ -143,7 +144,8 @@ def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarr
     spurious = np.abs(value.imag)
     if spurious.max() > COMMUTE_TOLERANCE:
         worst = np.ravel(value.imag)[np.ravel(spurious).argmax()]
-        raise QuadratureError(f"correlator has spurious imaginary part {worst:.3e}")
+        raise ValueError(
+            f"density is not Hermitian: its correlator has imaginary part {worst:.3e}")
     return value.real
 
 

@@ -197,6 +197,45 @@ def test_converge_at_tiny_alpha(capsys):
     assert row["value"] < 1e-12 and not row["violated"]
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+@pytest.mark.parametrize("kwargs", [{}, {"n": 3, "kappa": -2}])
+@pytest.mark.parametrize("error", ["identity", "off-diagonal"])
+def test_converge_flags_a_wrong_density(monkeypatch, eps, kwargs, error):
+    # every Gamma_a Gamma'_b is traceless, so eps * I moves no CHSH value, and
+    # neither error moves a block weight past reduce's 1e-8 guard; the entry
+    # gap sees both
+    import diracctx.cli as cli_module
+
+    shift = eps * np.eye(4, dtype=complex)
+    if error == "off-diagonal":
+        shift = np.zeros((4, 4), dtype=complex)
+        shift[0, 3], shift[3, 0] = 1j * eps, -1j * eps
+    exact_reduce = cli_module.reduce
+    monkeypatch.setattr(cli_module, "reduce", lambda state: exact_reduce(state) + shift)
+    (row,) = _run("converge", **kwargs)["results"]
+    assert row["violated"]
+    assert abs(row["value"] - eps) <= 1e-15
+
+
+def test_converge_flags_a_nan_density(monkeypatch):
+    import diracctx.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "reduce", lambda state: np.full((4, 4), np.nan))
+    (row,) = _run("converge")["results"]
+    assert math.isnan(row["value"]) and row["violated"]
+
+
+def test_excited_at_its_optimal_xi_is_the_sweep_row():
+    # one xi-family row path: the one-state table of excited and the rows of
+    # sweep's blocks, on both sides of the first block edge
+    sweep = _run("sweep", n_max=9, alpha=0.3)["results"]
+    assert len(sweep) == 570
+    for i in (0, 1, REPORT_BLOCK - 2, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 569):
+        p = sweep[i]["parameters"]
+        (row,) = _run("excited", alpha=0.3, n=p["n"], kappa=p["kappa"], mj=p["mj"])["results"]
+        assert row == sweep[i]
+
+
 @st.composite
 def _domain_states(draw):
     """One bound state (n, kappa, m_j) with n <= 40."""

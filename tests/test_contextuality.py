@@ -167,6 +167,15 @@ def test_chsh_rejects_incompatible_context():
         chsh_value(_density(1, 1, 0.5), a, c, b, a)  # (A, C) share the family
 
 
+def test_chsh_rejects_a_non_hermitian_density():
+    # trace(rho A B) = i trace((AB)^+ AB) / 4 = i, as AB is unitary: the
+    # density is at fault, not a quadrature
+    a, b, c, d = excited_observables(0.4)
+    rho = 1j * (a @ b).conj().T / 4
+    with pytest.raises(ValueError, match="^density is not Hermitian: .* imaginary part 1.000e"):
+        chsh_value(rho, a, b, c, d)
+
+
 def test_report_row_has_the_schema_keys_in_order():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
                         parameters={"a": ALPHA, "n": 1})
