@@ -32,7 +32,6 @@ from .contextuality import (
     peres_mermin_value,
 )
 from .freeparticle import (
-    check_beta_v,
     check_betas,
     energy_split,
     free_chsh_curve,
@@ -105,7 +104,7 @@ class RunConfig:
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"--alpha must lie in (0, 1), got {self.alpha}")
         if self.beta is not None:
-            check_beta_v(self.beta)
+            check_betas(self.beta)
         if self.xi is not None and not math.isfinite(self.xi):
             raise ValueError(f"--xi must be finite, got {self.xi}")
         if self.n_max is not None and self.n_max < 1:
@@ -148,26 +147,15 @@ def _json_texts(values: list, indent: str) -> list[str]:
     json.dumps(..., indent=2) of the values with every float rounded to 15
     significant digits.
 
-    The values are rendered a column at a time: those of one type together,
-    and dicts with the same keys in the same order as one column per key (each
-    row then filled by one % template). A report holds no lists.
+    Values (at least one) of one type are rendered as one column, and dicts
+    with the same keys in the same order as one column per key (each row then
+    filled by one % template); any other list is rendered value by value. A
+    report holds no lists.
     """
-    return _grouped(list(map(type, values)), values, _json_column, indent)
-
-
-def _grouped(labels: list, values: list, render, indent: str) -> list[str]:
-    """render(label, group, indent) over the values (at least one) of each
-    label, with the texts returned in the order of values."""
-    if labels.count(labels[0]) == len(labels):
-        return render(labels[0], values, indent)
-    groups = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    texts = [""] * len(values)
-    for label, index in groups.items():
-        for i, text in zip(index, render(label, [values[i] for i in index], indent)):
-            texts[i] = text
-    return texts
+    kinds = list(map(type, values))
+    if kinds.count(kinds[0]) == len(kinds):
+        return _json_column(kinds[0], values, indent)
+    return [_json_column(type(value), [value], indent)[0] for value in values]
 
 
 def _json_column(kind: type, values: list, indent: str) -> list[str]:
@@ -183,7 +171,10 @@ def _json_column(kind: type, values: list, indent: str) -> list[str]:
     if issubclass(kind, int):
         return list(map(int.__repr__, values))
     if issubclass(kind, dict):
-        return _grouped(list(map(tuple, values)), values, _json_dict_rows, indent)
+        keys = list(map(tuple, values))
+        if keys.count(keys[0]) == len(keys):
+            return _json_dict_rows(keys[0], values, indent)
+        return [_json_dict_rows(key, [value], indent)[0] for key, value in zip(keys, values)]
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -336,7 +327,7 @@ def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
     n, kappa, twice_mj, delta = state_table(config.n_max, config.alpha)
     rng = np.random.default_rng(config.seed)
     spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
-    others = np.array([pure_density(u) for u in spinors] + [np.eye(4) / 4.0])
+    others = np.concatenate([pure_density(spinors), [np.eye(4) / 4.0]])
     other_labels = [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
     count = len(n)
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .clifford import PERES_MERMIN_LINES, build_family
-from .spindensity import checked_observable, pair_correlator
+from .spindensity import checked_observable, expectation, pair_correlator
 
 CHSH_BOUND = 2.0
 PERES_MERMIN_BOUND = 4.0
@@ -135,12 +135,10 @@ def peres_mermin_value(densities, labels) -> list[dict]:
     """Six line-product correlators, each signed as its line's product; bound 4.
 
     An (N, 4, 4) stack of density matrices with a list of N labels gives N
-    report rows, from one trace per line product over the whole stack.
+    report rows, from one trace per line product over the whole stack. Raises
+    ValueError as spindensity.expectation does for a non-Hermitian density.
     """
-    columns = [
-        np.trace(densities @ product, axis1=-2, axis2=-1).real.tolist()
-        for _, product, _ in _PM_LINE_PRODUCTS
-    ]
+    columns = [expectation(densities, product).tolist() for _, product, _ in _PM_LINE_PRODUCTS]
     rows = []
     for values, label in zip(zip(*columns), labels, strict=True):
         value = sum(sign * term for (_, _, sign), term in zip(_PM_LINE_PRODUCTS, values))

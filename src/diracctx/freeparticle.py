@@ -11,33 +11,30 @@ import math
 
 import numpy as np
 
-from .clifford import alpha_matrices, beta_matrix, gamma_matrix
+from .clifford import alpha_matrices, beta_matrix, build_family
 from .contextuality import chsh_value
-from .spindensity import checked_observable
+from .spindensity import checked_observable, pure_density
 
 _ALPHA_Z = alpha_matrices()[2]
 _BETA = beta_matrix()
-# g3 g5 and g1 g5: gamma^5 holds one +-1 per column, so scaling these products
-# gives the bits of scaling g3 and g1 first and multiplying by g5 after. All
-# four matrices here are real in the Weyl basis, so the curve runs in float64
-_G35 = (gamma_matrix(3) @ gamma_matrix(5)).real.copy()
-_G15 = (gamma_matrix(1) @ gamma_matrix(5)).real.copy()
-_G0 = gamma_matrix(0).real.copy()
-_IG2 = (1j * gamma_matrix(2)).real.copy()
+# g0, i g2, g3 g5 and g1 g5 are Gamma.x, Gamma.z, GammaPrime.x and
+# -GammaPrime.z, since g1 g5 = -g5 g1; "0.0 -" keeps every zero +0.0. All four
+# are real in the Weyl basis, so the curve runs in float64
+_GAMMA, _GAMMA_PRIME = build_family("Gamma"), build_family("GammaPrime")
+_G0 = _GAMMA.x.real.copy()
+_IG2 = _GAMMA.z.real.copy()
+_G35 = _GAMMA_PRIME.x.real.copy()
+_G15 = 0.0 - _GAMMA_PRIME.z.real
 
 
-def check_beta_v(beta_v: float) -> None:
-    """Raise ValueError unless the velocity ratio lies in [0, 1)."""
-    if not 0.0 <= beta_v < 1.0:
-        raise ValueError(f"velocity ratio must lie in [0, 1), got {beta_v}")
-
-
-def check_betas(betas: np.ndarray) -> None:
-    """check_beta_v on a float64 array in one pass: the error, if any, names
-    the first point outside [0, 1), NaN included."""
+def check_betas(betas) -> None:
+    """Raise ValueError unless every velocity ratio of betas, a float or an
+    array, lies in [0, 1): the error names the first point outside, NaN
+    included."""
+    betas = np.ravel(betas)
     bad = ~((betas >= 0.0) & (betas < 1.0))
     if bad.any():
-        check_beta_v(float(betas[bad.argmax()]))
+        raise ValueError(f"velocity ratio must lie in [0, 1), got {float(betas[bad.argmax()])}")
 
 
 def _plane_waves(betas: np.ndarray) -> np.ndarray:
@@ -54,7 +51,7 @@ def _plane_waves(betas: np.ndarray) -> np.ndarray:
 
 def observable_angle(beta_v: float) -> float:
     """theta = arctan(1/E) = arctan(sqrt(1 - beta^2))."""
-    check_beta_v(beta_v)
+    check_betas(beta_v)
     return math.atan(math.sqrt(1.0 - beta_v * beta_v))
 
 
@@ -88,11 +85,9 @@ def free_chsh_curve(betas) -> list[dict]:
     check_betas(betas)
     values = betas.tolist()
     thetas = [math.atan(math.sqrt(1.0 - b * b)) for b in values]
-    spinors = _plane_waves(betas).astype(complex)
-    # normalized in complex as spindensity.pure_density does for one spinor,
-    # which the report's bits follow; the imaginary parts are exactly 0
-    u = spinors / np.linalg.norm(spinors, axis=-1, keepdims=True)
-    densities = (u[:, :, None] * u.conj()[:, None, :]).real
+    # normalized in complex by pure_density, which the report's bits follow;
+    # the imaginary parts are exactly 0
+    densities = pure_density(_plane_waves(betas)).real
     parameters = [
         {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
         for b, t in zip(values, thetas)
@@ -116,7 +111,7 @@ def energy_projector(beta_v: float, sign: int) -> np.ndarray:
 
     H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is exact.
     """
-    check_beta_v(beta_v)
+    check_betas(beta_v)
     energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
     return (np.eye(4) + sign * (free_hamiltonian(beta_v * energy) / energy)) / 2.0
 

@@ -1,4 +1,4 @@
-"""The 4x4 spin density of a state as a plain matrix, and correlators as traces.
+"""The 4x4 spin density of a state as a plain matrix, and expectations as traces.
 
 All observables in play are spatially constant, so <O1 O2> factors exactly
 into trace(rho_spin . O1 . O2) against the single integrated density
@@ -32,14 +32,21 @@ class IncompatibleObservablesError(ValueError):
     """Correlator requested for a non-commuting observable pair."""
 
 
-def pure_density(spinor) -> np.ndarray:
-    """Density |u><u| of a four-spinor, normalized if needed."""
-    u = np.asarray(spinor, dtype=complex).reshape(4)
-    nrm = np.linalg.norm(u)
-    if nrm == 0:
+def pure_density(spinors) -> np.ndarray:
+    """Density |u><u| of a four-spinor (4,), or of each spinor of a (..., 4)
+    stack as a (..., 4, 4) stack, each normalized in complex if needed.
+
+    Each norm is sqrt(re.re + im.im), every part one (1, 4) @ (4, 1) product:
+    the bits of np.linalg.norm on one spinor.
+    """
+    u = np.asarray(spinors, dtype=complex)
+    u = u.reshape(u.shape[:-1] + (4,))
+    re, im = u.real[..., None, :], u.imag[..., None, :]
+    nrm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    if (nrm == 0).any():
         raise ValueError("cannot build a density from the zero spinor")
     u = u / nrm
-    return np.outer(u, u.conj())
+    return u[..., :, None] * u.conj()[..., None, :]
 
 
 def state_label(n: int, kappa: int, m_j: float) -> str:
@@ -92,8 +99,9 @@ def reduce(state: SpinorField) -> np.ndarray:
     # deterministic accumulation order: einsum over the fixed node layout
     mat = np.einsum("urtp,vrtp,rtp->uv", psi, psi.conj(), weight, optimize=True)
     blocks = (mat[0, 0] + mat[1, 1]).real, (mat[2, 2] + mat[3, 3]).real
-    drift = max(abs(got - want) for got, want in zip(blocks, radial_weights(qn, state.a)))
-    if drift > BLOCK_WEIGHT_TOLERANCE:
+    # np.max keeps a nan, which then fails the guard too
+    drift = np.abs(np.subtract(blocks, radial_weights(qn, state.a))).max()
+    if not drift <= BLOCK_WEIGHT_TOLERANCE:
         raise QuadratureError(
             f"{state_label(qn.n, qn.kappa, qn.m_j)}: a block weight departs from "
             f"(1 +- mu)/2 by {drift:.3e} > {BLOCK_WEIGHT_TOLERANCE} "
@@ -129,7 +137,7 @@ def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarr
     """Real part of trace(rho . o1 . o2) for observables that checked_observable
     passed, over the broadcast leading axes of the density matrices and both
     observables. Raises if any pair of the stacks does not commute, and
-    ValueError if a density is not Hermitian (the trace has an imaginary part)."""
+    ValueError as expectation does."""
     product = _matmul(o1, o2)
     comm = np.abs(product - _matmul(o2, o1)).max()
     if comm > COMMUTE_TOLERANCE:
@@ -137,15 +145,22 @@ def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarr
             f"observables do not commute (largest entry {comm:.3e}); "
             "the correlator is only defined on compatible pairs"
         )
-    # the diagonal of rho . product, then its sum, gives the bits of
+    return expectation(rho, product)
+
+
+def expectation(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Real part of trace(rho . op) over the broadcast leading axes of the
+    densities and the operator. Raises ValueError if a density is not
+    Hermitian (the trace of a Hermitian op then has an imaginary part)."""
+    # the diagonal of rho . op, then its sum, gives the bits of
     # trace(rho @ o1 @ o2) on the free-electron grid and the sweep stacks; the
     # one-step "...ij,...ji->..." contraction moves the last bit of some terms
-    value = np.einsum("...ij,...ji->...i", rho, product).sum(-1)
+    value = np.einsum("...ij,...ji->...i", rho, op).sum(-1)
     spurious = np.abs(value.imag)
     if spurious.max() > COMMUTE_TOLERANCE:
         worst = np.ravel(value.imag)[np.ravel(spurious).argmax()]
         raise ValueError(
-            f"density is not Hermitian: its correlator has imaginary part {worst:.3e}")
+            f"density is not Hermitian: its trace has imaginary part {worst:.3e}")
     return value.real
 
 

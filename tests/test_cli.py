@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from diracctx.cli import (
 from diracctx.clifford import build_family
 from diracctx.clifford import PERES_MERMIN_LINES
 from diracctx.contextuality import chsh_value, excited_observables, optimal_xi, peres_mermin_value
-from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, sommerfeld_mu
+from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, eigenstate, sommerfeld_mu
 from diracctx.spindensity import (
     QuadratureError,
     analytic_densities,
@@ -946,6 +947,21 @@ def test_main_quadrature_failure_exit_3(monkeypatch, capsys):
         raise QuadratureError("forced")
 
     monkeypatch.setattr(cli_module, "reduce", boom)
+    assert main(["converge"]) == EXIT_QUADRATURE
+    assert "quadrature failure" in capsys.readouterr().err
+
+
+def test_converge_on_nan_rule_weights_exits_3(monkeypatch, capsys):
+    # the state's own rule with nan weights: reduce's guard fires on the nan
+    # drift, so converge exits 3 instead of reporting a nan gap
+    import diracctx.cli as cli_module
+
+    def nan_weights(qn, a):
+        state = eigenstate(qn, a)
+        rho, w = state.rule
+        return dataclasses.replace(state, rule=(rho, w * np.nan))
+
+    monkeypatch.setattr(cli_module, "eigenstate", nan_weights)
     assert main(["converge"]) == EXIT_QUADRATURE
     assert "quadrature failure" in capsys.readouterr().err
 

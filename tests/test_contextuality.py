@@ -176,6 +176,13 @@ def test_chsh_rejects_a_non_hermitian_density():
         chsh_value(rho, a, b, c, d)
 
 
+def test_peres_mermin_rejects_a_non_hermitian_density():
+    # every line product is +-1, so each trace is +-(1 + 0.5j)
+    rho = np.eye(4)[None] / 4 * (1 + 0.5j)
+    with pytest.raises(ValueError, match="^density is not Hermitian: .* imaginary part [-]?5.000e-01"):
+        peres_mermin_value(rho, ["x"])
+
+
 def test_report_row_has_the_schema_keys_in_order():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
                         parameters={"a": ALPHA, "n": 1})

@@ -10,6 +10,7 @@ from diracctx.cli import EXIT_USAGE, REPORT_BLOCK, main
 from diracctx.clifford import build_family, gamma_matrix
 from diracctx.contextuality import chsh_value
 from diracctx.freeparticle import (
+    check_betas,
     energy_split,
     free_chsh,
     free_chsh_curve,
@@ -234,6 +235,16 @@ def test_real_stack_with_one_bad_slice_is_rejected():
     non_commuting[2] = a  # commutes with A' but not with C' = i g2
     with pytest.raises(IncompatibleObservablesError, match="do not commute"):
         chsh_value(densities, a, b, c, non_commuting)
+
+
+@pytest.mark.parametrize("beta", [1.0, -0.1, math.nan])
+def test_check_betas_names_a_float_as_its_one_element_array(beta):
+    messages = []
+    for value in (beta, np.array([beta])):
+        with pytest.raises(ValueError) as exc:
+            check_betas(value)
+        messages.append(str(exc.value))
+    assert messages == [f"velocity ratio must lie in [0, 1), got {beta}"] * 2
 
 
 def test_grid_reaching_the_speed_of_light_exits_2(capsys):

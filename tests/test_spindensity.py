@@ -187,6 +187,25 @@ def test_from_pure_normalizes_and_rejects_zero():
         pure_density([0.0, 0.0, 0.0, 0.0])
 
 
+def test_pure_density_of_a_stack_is_each_spinor_alone():
+    rng = np.random.default_rng(19)
+    spinors = rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))
+    stack = pure_density(spinors)
+    assert stack.shape == (500, 4, 4)
+    assert np.array_equal(stack, np.array([pure_density(u) for u in spinors]))
+    assert np.array_equal(pure_density(spinors.reshape(25, 20, 4)), stack.reshape(25, 20, 4, 4))
+
+
+def test_pure_density_rejects_a_zero_row_and_other_shapes():
+    spinors = np.ones((6, 4))
+    spinors[3] = 0.0
+    with pytest.raises(ValueError, match="zero spinor"):
+        pure_density(spinors)
+    for shape in ((3,), (2, 5)):
+        with pytest.raises(ValueError):
+            pure_density(np.ones(shape))
+
+
 def test_maximally_mixed():
     # the even mixture of the pure densities of any orthonormal basis
     density = sum(pure_density(u) for u in np.eye(4)) / 4.0
@@ -209,6 +228,14 @@ def test_reduce_flags_non_convergent_quadrature():
     reduce(state)
     with pytest.raises(QuadratureError):
         reduce(_one_node_short(state))
+
+
+def test_reduce_flags_nan_block_weights():
+    # a nan drift compares false with the tolerance, and must fail all the same
+    state = eigenstate(QuantumNumbers(2, -1, 0.5), ALPHA)
+    rho, w = state.rule
+    with pytest.raises(QuadratureError, match="by nan"):
+        reduce(dataclasses.replace(state, rule=(rho, w * np.nan)))
 
 
 def test_reduce_metadata():
