@@ -8,6 +8,7 @@ wall-clock timing goes to stderr only, never into the rendered report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -466,7 +467,9 @@ def _parse_beta_grid(text: str) -> np.ndarray:
     return grid
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: its options write the RunConfig fields."""
     parser = argparse.ArgumentParser(
         prog="diracctx",
         description="Noncontextuality-inequality reproductions for relativistic spin-1/2 states",
@@ -481,23 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
             # an unset flag parses to None, which RunConfig fills from the table
             p.add_argument("--" + flag.replace("_", "-"), type=kind, help=text)
         p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="report format (default json)")
-        p.add_argument("--output", help="write the report here instead of stdout")
+                       dest="output_format", help="report format (default json)")
+        p.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                       help="write the report here instead of stdout")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = {flag: getattr(args, flag) for flag in COMMANDS[args.command].flags}
-    return RunConfig(
-        command=args.command, output_format=args.format, output_path=args.output, **flags
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = RunConfig(**vars(args))
         start = time.perf_counter()
         # the rows are evaluated as the report is written: the time covers both
         pieces = report_pieces(execute(config), config.output_format)

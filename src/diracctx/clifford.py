@@ -45,26 +45,10 @@ GAMMA.update(
 )
 GAMMA[5] = _frozen(1j * (GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]))
 
-# the alpha = sigma_x (x) sigma vector and beta = sigma_z (x) identity
-_ALPHA = tuple(_frozen(np.kron(_PAULI["x"], _PAULI[ax])) for ax in AXES)
-_BETA = _frozen(np.kron(_PAULI["z"], _I2))
-
-
-def gamma_matrix(index: int) -> np.ndarray:
-    """Weyl-basis gamma matrix; index 5 is the product i*g0*g1*g2*g3."""
-    if index not in GAMMA:
-        raise ValueError(f"gamma index must be one of 0,1,2,3,5, got {index}")
-    return GAMMA[index]
-
-
-def alpha_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The alpha = sigma_x (x) sigma vector of the Dirac Hamiltonian."""
-    return _ALPHA
-
-
-def beta_matrix() -> np.ndarray:
-    """beta = sigma_z (x) identity = diag(1, 1, -1, -1)."""
-    return _BETA
+# the alpha = sigma_x (x) sigma vector and beta = sigma_z (x) identity =
+# diag(1, 1, -1, -1) of the Dirac Hamiltonian
+ALPHA = tuple(_frozen(np.kron(_PAULI["x"], _PAULI[ax])) for ax in AXES)
+BETA = _frozen(np.kron(_PAULI["z"], _I2))
 
 
 @dataclass(frozen=True)
@@ -75,11 +59,6 @@ class ObservableTriple:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-
-    def component(self, axis: str) -> np.ndarray:
-        if axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-        return getattr(self, axis)
 
 
 def _triple(x, y, z) -> ObservableTriple:
@@ -184,19 +163,19 @@ def audit_algebra() -> dict[str, float]:
     for label in FAMILY_LABELS:
         fam = _FAMILIES[label]
         for ax in AXES:
-            m = fam.component(ax)
+            m = getattr(fam, ax)
             add(f"{label}.{ax} hermitian", m - m.conj().T)
             add(f"{label}.{ax}^2 = 1", m @ m - IDENTITY4)
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             add(f"{label}.{a}*{b} = i*{c}",
-                fam.component(a) @ fam.component(b) - 1j * fam.component(c))
+                getattr(fam, a) @ getattr(fam, b) - 1j * getattr(fam, c))
 
     # the nine cross-family commutators
     for a in AXES:
         for b in AXES:
             add(f"[Gamma.{a}, GammaPrime.{b}] = 0",
-                commutator(_FAMILIES["Gamma"].component(a),
-                           _FAMILIES["GammaPrime"].component(b)))
+                commutator(getattr(_FAMILIES["Gamma"], a),
+                           getattr(_FAMILIES["GammaPrime"], b)))
 
     # Peres-Mermin lines: pairwise commutation, products +-1 with only col 3
     # negative; the lines are taken from the grid as it is now

@@ -24,14 +24,14 @@ _GAMMA = build_family("Gamma")
 _GAMMA_PRIME = build_family("GammaPrime")
 
 
-def chsh_value(density, a, b, c, d, parameters=None) -> dict | list[dict]:
+def chsh_value(density, a, b, c, d, parameters) -> list[dict]:
     """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2, as report
     rows: dicts with the keys kind, terms, value, bound, violated, parameters.
 
     density is a (4, 4) density matrix or an (N, 4, 4) stack of them, and any
-    observable may be a (N, 4, 4) stack. Single matrices give one row with
-    the parameters dict; a leading axis of length N gives a list of N rows,
-    evaluated in one pass, with parameters a list of N dicts. The rows take
+    observable may be a (N, 4, 4) stack. Gives one row per entry of the
+    broadcast leading axes, evaluated in one pass (a list of one row for
+    single matrices), with parameters one dict per row. The rows take
     ownership of the parameters dicts they are given: each is stored as is,
     not copied. Each observable is checked Hermitian once and each of the four
     pairs for commutation.
@@ -42,13 +42,8 @@ def chsh_value(density, a, b, c, d, parameters=None) -> dict | list[dict]:
         np.ravel(pair_correlator(rho, o1, o2)).tolist()
         for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
     )
-    stacked = np.broadcast_shapes(*(m.shape[:-2] for m in (rho, a, b, c, d))) != ()
-    if not stacked:
-        parameters = [{} if parameters is None else parameters]
-    elif parameters is None:
-        parameters = [{} for _ in ab]
     values = [x + y + z - w for x, y, z, w in zip(ab, bc, cd, da)]
-    rows = [
+    return [
         {
             "kind": "chsh_nc",
             "terms": {"AB": x, "BC": y, "CD": z, "DA": w},
@@ -59,7 +54,6 @@ def chsh_value(density, a, b, c, d, parameters=None) -> dict | list[dict]:
         }
         for x, y, z, w, value, p in zip(ab, bc, cd, da, values, parameters, strict=True)
     ]
-    return rows if stacked else rows[0]
 
 
 def ground_observables(m_j: float):
@@ -74,22 +68,17 @@ def ground_observables(m_j: float):
     raise ValueError(f"ground state has m_j in {{+1/2, -1/2}}, got {m_j}")
 
 
-def excited_observables(xi):
+def excited_observables(xis):
     """The xi family valid on both kappa branches:
     (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z).
 
-    One angle gives four 4x4 matrices; a sequence of N angles gives B and D
-    as (N, 4, 4) stacks, each slice equal to the matrix of its angle.
+    A sequence of N angles gives B and D as (N, 4, 4) stacks, each slice the
+    matrix of its angle.
     """
-    xis = np.ravel(xi).tolist()
     sin = np.array([math.sin(x) for x in xis])[:, None, None]
     cos = np.array([math.cos(x) for x in xis])[:, None, None]
     gpy, gpz = _GAMMA_PRIME.y, _GAMMA_PRIME.z
-    b = -sin * gpy + cos * gpz
-    d = sin * gpy + cos * gpz
-    if np.ndim(xi) == 0:
-        b, d = b[0], d[0]
-    return _GAMMA.y, b, _GAMMA.z, d
+    return _GAMMA.y, -sin * gpy + cos * gpz, _GAMMA.z, sin * gpy + cos * gpz
 
 
 def harmonic_coefficients(kappa, twice_mj, delta):

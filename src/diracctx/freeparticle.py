@@ -11,12 +11,10 @@ import math
 
 import numpy as np
 
-from .clifford import alpha_matrices, beta_matrix, build_family
+from .clifford import ALPHA, BETA, build_family
 from .contextuality import chsh_value
 from .spindensity import checked_observable, pure_density
 
-_ALPHA_Z = alpha_matrices()[2]
-_BETA = beta_matrix()
 # g0, i g2, g3 g5 and g1 g5 are Gamma.x, Gamma.z, GammaPrime.x and
 # -GammaPrime.z, since g1 g5 = -g5 g1; "0.0 -" keeps every zero +0.0. All four
 # are real in the Weyl basis, so the curve runs in float64
@@ -49,24 +47,21 @@ def _plane_waves(betas: np.ndarray) -> np.ndarray:
     return spinors / np.sqrt(2.0 * energy / (1.0 + energy))[:, None]
 
 
-def observable_angle(beta_v: float) -> float:
-    """theta = arctan(1/E) = arctan(sqrt(1 - beta^2))."""
-    check_betas(beta_v)
-    return math.atan(math.sqrt(1.0 - beta_v * beta_v))
-
-
-def _observables(thetas):
-    """(A', B', C', D') as float64, with B' and D' as (N, 4, 4) stacks over
-    the angles: every entry is real."""
+def _observables(betas: list):
+    """The angles theta = arctan(1/E) = arctan(sqrt(1 - beta^2)) at the
+    velocity ratios, and (A', B', C', D') as float64, with B' and D' as
+    (N, 4, 4) stacks over the angles: every entry is real."""
+    thetas = [math.atan(math.sqrt(1.0 - b * b)) for b in betas]
     cos = np.array([math.cos(t) for t in thetas])[:, None, None]
     sin = np.array([math.sin(t) for t in thetas])[:, None, None]
-    return _G0, cos * _G35 + sin * _G15, _IG2, -cos * _G35 + sin * _G15
+    return thetas, (_G0, cos * _G35 + sin * _G15, _IG2, -cos * _G35 + sin * _G15)
 
 
 def free_observables(beta_v: float):
     """(A', B', C', D') = (g0, (cos(t) g3 + sin(t) g1) g5, i g2, (-cos(t) g3 + sin(t) g1) g5),
     as complex matrices."""
-    a, b, c, d = _observables([observable_angle(beta_v)])
+    check_betas(beta_v)
+    a, b, c, d = _observables([beta_v])[1]
     return tuple(m.astype(complex) for m in (a, b[0], c, d[0]))
 
 
@@ -84,7 +79,7 @@ def free_chsh_curve(betas) -> list[dict]:
         return []
     check_betas(betas)
     values = betas.tolist()
-    thetas = [math.atan(math.sqrt(1.0 - b * b)) for b in values]
+    thetas, observables = _observables(values)
     # normalized in complex by pure_density, which the report's bits follow;
     # the imaginary parts are exactly 0
     densities = pure_density(_plane_waves(betas)).real
@@ -92,7 +87,7 @@ def free_chsh_curve(betas) -> list[dict]:
         {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
         for b, t in zip(values, thetas)
     ]
-    return chsh_value(densities, *_observables(thetas), parameters=parameters)
+    return chsh_value(densities, *observables, parameters=parameters)
 
 
 def free_chsh(beta_v: float) -> dict:
@@ -100,27 +95,16 @@ def free_chsh(beta_v: float) -> dict:
     return free_chsh_curve([beta_v])[0]
 
 
-def free_hamiltonian(k: float) -> np.ndarray:
-    """Fixed-momentum free Hamiltonian k*alpha_z + beta; squares to (1 + k^2)."""
-    return k * _ALPHA_Z + _BETA
-
-
-def energy_projector(beta_v: float, sign: int) -> np.ndarray:
-    """Projector (1 + sign H/E)/2 onto the positive (sign = 1) or negative
-    (sign = -1) energy subspace at the momentum of velocity ratio beta_v.
-
-    H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is exact.
-    """
-    check_betas(beta_v)
-    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
-    return (np.eye(4) + sign * (free_hamiltonian(beta_v * energy) / energy)) / 2.0
-
-
 def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:
     """The negative-energy weight of each eigenvector of the observable at the
-    momentum of velocity ratio beta_v: diagonalize the observable and weigh
-    each eigenvector against the negative-energy subspace of the fixed-k free
-    Hamiltonian."""
-    proj_neg = energy_projector(beta_v, -1)
+    momentum k = beta E of velocity ratio beta_v: diagonalize the observable
+    and weigh each eigenvector with the projector (1 - H/E)/2 onto the
+    negative-energy subspace of the fixed-k free Hamiltonian H = k alpha_z +
+    beta. H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is
+    exact."""
+    check_betas(beta_v)
+    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
+    hamiltonian = beta_v * energy * ALPHA[2] + BETA
+    proj_neg = (np.eye(4) - hamiltonian / energy) / 2.0
     eigvecs = np.linalg.eigh(checked_observable("to split", observable))[1]
     return np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real

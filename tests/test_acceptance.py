@@ -45,7 +45,7 @@ def _optimal_xi(qn: QuantumNumbers):
 def _ground_pipeline(m_j: float) -> float:
     state = eigenstate(QuantumNumbers(1, 1, m_j), ALPHA)
     density = reduce(state)
-    return chsh_value(density, *ground_observables(m_j))["value"]
+    return chsh_value(density, *ground_observables(m_j), [{}])[0]["value"]
 
 
 def test_criterion_01_ground_state_violation():
@@ -76,7 +76,7 @@ def test_criterion_03_closed_form_agreement():
     for qn in valid_states(4):
         xi_star, value_star = _optimal_xi(qn)
         density = reduce(eigenstate(qn, ALPHA))
-        value = chsh_value(density, *excited_observables(xi_star))["value"]
+        value = chsh_value(density, *excited_observables([xi_star]), [{}])[0]["value"]
         worst = max(worst, abs(value - value_star) / value_star)
         count += 1
     elapsed = time.perf_counter() - start

@@ -28,7 +28,6 @@ from diracctx.cli import (
     RunConfig,
     SWEEP_CSV_HEADER,
     build_parser,
-    config_from_args,
     execute,
     _float_texts,
     _parse_beta_grid,
@@ -614,7 +613,7 @@ def _reference_csv(doc):
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, capsys):
     argv = [*argv, "--format", output_format]
-    config = config_from_args(build_parser().parse_args(argv))
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     pieces = list(report_pieces(execute(config), output_format))
     doc = execute(config)
     doc["results"] = list(doc["results"])
@@ -666,7 +665,8 @@ def _stacked_rows(command, n_max):
     kappa, twice_mj, delta = _columns(states)
     densities = analytic_densities(kappa, twice_mj, delta)
     if command == "sweep":
-        return chsh_value(densities, *excited_observables(optimal_xi(kappa, twice_mj, delta)[0]))
+        observables = excited_observables(optimal_xi(kappa, twice_mj, delta)[0])
+        return chsh_value(densities, *observables, [{} for _ in states])
     rng = np.random.default_rng(0)
     spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
     stack = np.concatenate([densities, [pure_density(u) for u in spinors], [np.eye(4) / 4.0]])
@@ -757,21 +757,35 @@ def test_parser_builds_config():
     args = parser.parse_args(
         ["excited", "--n", "3", "--kappa", "-2", "--mj", "-0.5", "--format", "csv"]
     )
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(args))
     assert cfg.command == "excited"
     assert cfg.kappa == -2
     assert cfg.mj == -0.5
     assert cfg.output_format == "csv"
 
 
+def test_parser_namespace_is_the_run_config():
+    # argparse writes RunConfig's own field names, so main builds the config
+    # from the namespace as it is, for every command
+    parser = build_parser()
+    for name in COMMAND_NAMES:
+        assert RunConfig(**vars(parser.parse_args([name]))) == RunConfig(command=name)
+    args = parser.parse_args(["sweep", "--format", "csv", "--output", "x"])
+    assert (args.output_format, args.output_path) == ("csv", "x")
+    config = RunConfig(**vars(args))
+    assert (config.output_format, config.output_path) == ("csv", "x")
+    # built once per process
+    assert build_parser() is parser
+
+
 def test_beta_grid_parsing():
     parser = build_parser()
     args = parser.parse_args(["free-electron", "--beta-grid", "0:0.9:4"])
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(args))
     assert cfg.beta_grid == "0:0.9:4"
     assert _parse_beta_grid(cfg.beta_grid).tolist() == [0.0, 0.3, 0.6, 0.9]
     with pytest.raises(ValueError):
-        execute(config_from_args(parser.parse_args(["free-electron", "--beta-grid", "oops"])))
+        execute(RunConfig(**vars(parser.parse_args(["free-electron", "--beta-grid", "oops"]))))
 
 
 def test_beta_grid_is_one_checked_float64_array(capsys):
@@ -868,7 +882,7 @@ def test_params_echo_is_the_subparser_flags():
     for name, subparser in subparsers.choices.items():
         dests = [
             action.dest for action in subparser._actions
-            if action.dest not in ("help", "format", "output")
+            if action.dest not in ("help", "output_format", "output_path")
         ]
         assert list(RunConfig(command=name).params) == dests, name
 

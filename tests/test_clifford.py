@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from diracctx import clifford
 from diracctx.clifford import (
+    ALPHA,
     AXES,
+    BETA,
     FAMILY_LABELS,
     GAMMA,
     IDENTITY4,
     PERES_MERMIN_GRID,
     ObservableTriple,
-    alpha_matrices,
     audit_algebra,
-    beta_matrix,
     build_family,
     commutator,
     direction_observable,
-    gamma_matrix,
 )
 
 I4 = np.eye(4)
@@ -33,61 +32,63 @@ PAULI = {
 
 def test_gamma0_is_offdiagonal_identity_blocks():
     expected = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-    assert np.array_equal(gamma_matrix(0), expected)
+    assert np.array_equal(GAMMA[0], expected)
 
 
 def test_gamma5_is_block_diagonal_sign():
     # derived by multiplying out i*g0*g1*g2*g3
-    assert np.array_equal(gamma_matrix(5), np.diag([-1, -1, 1, 1]).astype(complex))
+    assert np.array_equal(GAMMA[5], np.diag([-1, -1, 1, 1]).astype(complex))
 
 
 def test_spatial_gammas_anticommute():
-    g1, g2 = gamma_matrix(1), gamma_matrix(2)
+    g1, g2 = GAMMA[1], GAMMA[2]
     assert np.array_equal(g1 @ g2, -(g2 @ g1))
 
 
 def test_gamma_squares():
-    assert np.array_equal(gamma_matrix(0) @ gamma_matrix(0), I4)
+    assert np.array_equal(GAMMA[0] @ GAMMA[0], I4)
     for i in (1, 2, 3):
-        assert np.array_equal(gamma_matrix(i) @ gamma_matrix(i), -I4)
+        assert np.array_equal(GAMMA[i] @ GAMMA[i], -I4)
 
 
 def test_invalid_gamma_index():
-    with pytest.raises(ValueError):
-        gamma_matrix(4)
+    # the Weyl-basis table holds gamma^0..gamma^3 and gamma^5 only
+    assert sorted(GAMMA) == [0, 1, 2, 3, 5]
+    with pytest.raises(KeyError):
+        GAMMA[4]
 
 
 def test_gamma_matrices_are_read_only():
     with pytest.raises(ValueError):
-        gamma_matrix(0)[0, 0] = 9.0
+        GAMMA[0][0, 0] = 9.0
 
 
 def test_adjoint_is_involutive():
     for idx in (0, 1, 2, 3, 5):
-        m = gamma_matrix(idx)
+        m = GAMMA[idx]
         assert np.array_equal(m.conj().T.conj().T, m)
 
 
 def test_gamma_family_definition():
     fam = build_family("Gamma")
-    assert np.array_equal(fam.x, gamma_matrix(0))
-    assert np.array_equal(fam.y, gamma_matrix(2) @ gamma_matrix(0))
-    assert np.array_equal(fam.z, 1j * gamma_matrix(2))
+    assert np.array_equal(fam.x, GAMMA[0])
+    assert np.array_equal(fam.y, GAMMA[2] @ GAMMA[0])
+    assert np.array_equal(fam.z, 1j * GAMMA[2])
 
 
 def test_gamma_prime_family_definition():
     fam = build_family("GammaPrime")
-    assert np.array_equal(fam.x, gamma_matrix(3) @ gamma_matrix(5))
-    assert np.array_equal(fam.y, 1j * gamma_matrix(3) @ gamma_matrix(1))
-    assert np.array_equal(fam.z, gamma_matrix(5) @ gamma_matrix(1))
+    assert np.array_equal(fam.x, GAMMA[3] @ GAMMA[5])
+    assert np.array_equal(fam.y, 1j * GAMMA[3] @ GAMMA[1])
+    assert np.array_equal(fam.z, GAMMA[5] @ GAMMA[1])
 
 
 def test_sigma_families_are_kron_products():
     sig = build_family("Sigma")
     sigp = build_family("SigmaPrime")
     for ax in AXES:
-        assert np.array_equal(sig.component(ax), np.kron(np.eye(2), PAULI[ax]))
-        assert np.array_equal(sigp.component(ax), np.kron(PAULI[ax], np.eye(2)))
+        assert np.array_equal(getattr(sig, ax), np.kron(np.eye(2), PAULI[ax]))
+        assert np.array_equal(getattr(sigp, ax), np.kron(PAULI[ax], np.eye(2)))
 
 
 def test_cross_family_commutators_vanish_exactly():
@@ -99,7 +100,7 @@ def test_cross_family_commutators_vanish_exactly():
 
 
 def test_self_commutator_is_zero():
-    g0 = gamma_matrix(0)
+    g0 = GAMMA[0]
     assert np.array_equal(commutator(g0, g0), np.zeros((4, 4)))
 
 
@@ -132,13 +133,14 @@ def test_unknown_family_label():
 
 
 def test_alpha_beta_shapes():
-    beta = beta_matrix()
-    assert np.array_equal(beta, np.diag([1, 1, -1, -1]).astype(complex))
-    for alpha in alpha_matrices():
+    assert np.array_equal(BETA, np.diag([1, 1, -1, -1]).astype(complex))
+    assert len(ALPHA) == 3
+    for alpha in ALPHA:
         assert np.array_equal(alpha, alpha.conj().T)
         assert np.array_equal(alpha @ alpha, I4)
         # beta anticommutes with every alpha
-        assert np.array_equal(alpha @ beta, -(beta @ alpha))
+        assert np.array_equal(alpha @ BETA, -(BETA @ alpha))
+    assert not any(m.flags.writeable for m in (BETA, *ALPHA))
 
 
 # --- direction observables ----------------------------------------------------
@@ -210,7 +212,7 @@ def test_audit_covers_expected_claims():
 def test_audited_matrices_have_unit_gaussian_integer_entries():
     # the premise of the zero-tolerance audit: entries in {0, +-1, +-i}
     mats = [*GAMMA.values(), IDENTITY4]
-    mats += [build_family(label).component(ax) for label in FAMILY_LABELS for ax in AXES]
+    mats += [getattr(build_family(label), ax) for label in FAMILY_LABELS for ax in AXES]
     mats += [m for row in PERES_MERMIN_GRID for m in row]
     for m in mats:
         parts = np.concatenate([m.real.ravel(), m.imag.ravel()])
@@ -220,7 +222,7 @@ def test_audited_matrices_have_unit_gaussian_integer_entries():
 
 def _flip_family(label, axis):
     fam = build_family(label)
-    mats = {ax: fam.component(ax) for ax in AXES}
+    mats = {ax: getattr(fam, ax) for ax in AXES}
     mats[axis] = -mats[axis]
     return {**clifford._FAMILIES, label: ObservableTriple(**mats)}
 
@@ -246,10 +248,3 @@ def test_audit_fails_on_a_perturbed_matrix(monkeypatch, attribute, patched, expe
     assert all(r == 2.0 for r in failures.values())
     assert len(audit) == 84
 
-
-def test_observable_triple_component_access():
-    fam = build_family("Sigma")
-    assert isinstance(fam, ObservableTriple)
-    assert np.array_equal(fam.component("y"), fam.y)
-    with pytest.raises(ValueError):
-        fam.component("w")

@@ -77,7 +77,8 @@ def test_ground_observables_reject_other_mj():
 
 
 def test_excited_observables_xi_zero_degenerates():
-    a, b, c, d = excited_observables(0.0)
+    a, b, c, d = excited_observables([0.0])
+    b, d = b[0], d[0]
     assert np.array_equal(b, d)
     assert np.allclose(b, GAMMA_PRIME.z, atol=1e-15)
     assert np.array_equal(a, GAMMA.y)
@@ -85,7 +86,8 @@ def test_excited_observables_xi_zero_degenerates():
 
 
 def test_excited_observables_xi_half_pi():
-    _, b, _, d = excited_observables(math.pi / 2.0)
+    _, b, _, d = excited_observables([math.pi / 2.0])
+    b, d = b[0], d[0]
     assert np.allclose(b, -GAMMA_PRIME.y, atol=1e-15)
     assert np.allclose(d, GAMMA_PRIME.y, atol=1e-15)
 
@@ -93,7 +95,8 @@ def test_excited_observables_xi_half_pi():
 @given(st.floats(-math.pi, math.pi, allow_nan=False))
 @settings(max_examples=80)
 def test_excited_observables_structure_any_xi(xi):
-    a, b, c, d = excited_observables(xi)
+    a, b, c, d = excited_observables([xi])
+    b, d = b[0], d[0]
     for obs in (a, b, c, d):
         assert np.abs(obs @ obs - I4).max() < 1e-12
     for pair in ((a, b), (b, c), (c, d), (d, a)):
@@ -105,46 +108,47 @@ def test_excited_observables_stack_slices_equal_single_angles():
     a, b, c, d = excited_observables(xis)
     assert b.shape == d.shape == (len(xis), 4, 4)
     for i, xi in enumerate(xis):
-        single = excited_observables(xi)
-        assert b[i].tobytes() == single[1].tobytes()
-        assert d[i].tobytes() == single[3].tobytes()
+        single = excited_observables([xi])
+        assert b[i].tobytes() == single[1][0].tobytes()
+        assert d[i].tobytes() == single[3][0].tobytes()
 
 
 def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
     states = [QuantumNumbers(2, 1, 0.5), QuantumNumbers(3, -2, -1.5), QuantumNumbers(4, 3, 2.5)]
     densities = np.stack([_density(qn.n, qn.kappa, qn.m_j) for qn in states])
     a, b, c, d = excited_observables([optimal_xi(*_columns(qn))[0] for qn in states])
-    assert len(chsh_value(densities, a, b, c, d)) == 3
+    parameters = [{} for _ in states]
+    assert len(chsh_value(densities, a, b, c, d, parameters)) == 3
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(densities, a, non_hermitian, c, d)
+        chsh_value(densities, a, non_hermitian, c, d, parameters)
 
 
 # --- CHSH-like inequality ---------------------------------------------------------
 
 def test_identity_observables_meet_bound_without_violation():
-    report = chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4)
+    report = chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4, [{}])[0]
     assert report["value"] == pytest.approx(2.0, abs=1e-12)
     assert report["bound"] == CHSH_BOUND
     assert not report["violated"]
 
 
 def test_ground_state_violation_value():
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
+    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])[0]
     assert report["value"] == pytest.approx(GROUND_CLOSED_FORM, abs=5e-5)
     assert round(report["value"], 5) == 2.82839
     assert report["violated"]
 
 
 def test_kramers_partner_same_violation():
-    plus = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
-    minus = chsh_value(_density(1, 1, -0.5), *ground_observables(-0.5))
+    plus = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])[0]
+    minus = chsh_value(_density(1, 1, -0.5), *ground_observables(-0.5), [{}])[0]
     assert minus["value"] == pytest.approx(plus["value"], abs=5e-5)
 
 
 def test_report_value_is_signed_term_sum():
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
+    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])[0]
     t = report["terms"]
     assert report["value"] == pytest.approx(t["AB"] + t["BC"] + t["CD"] - t["DA"], abs=1e-14)
     assert report["violated"] == (report["value"] > report["bound"])
@@ -157,23 +161,24 @@ def test_chsh_checks_each_observable_once(monkeypatch):
     original = spindensity.hermiticity_defect
     monkeypatch.setattr(spindensity, "hermiticity_defect",
                         lambda o: checked.append(o) or original(o))
-    chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))
+    chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])
     assert len(checked) == 4
 
 
 def test_chsh_rejects_incompatible_context():
     a, b, c, _ = ground_observables(0.5)
     with pytest.raises(IncompatibleObservablesError):
-        chsh_value(_density(1, 1, 0.5), a, c, b, a)  # (A, C) share the family
+        chsh_value(_density(1, 1, 0.5), a, c, b, a, [{}])  # (A, C) share the family
 
 
 def test_chsh_rejects_a_non_hermitian_density():
     # trace(rho A B) = i trace((AB)^+ AB) / 4 = i, as AB is unitary: the
     # density is at fault, not a quadrature
-    a, b, c, d = excited_observables(0.4)
+    a, b, c, d = excited_observables([0.4])
+    b, d = b[0], d[0]
     rho = 1j * (a @ b).conj().T / 4
     with pytest.raises(ValueError, match="^density is not Hermitian: .* imaginary part 1.000e"):
-        chsh_value(rho, a, b, c, d)
+        chsh_value(rho, a, b, c, d, [{}])
 
 
 def test_peres_mermin_rejects_a_non_hermitian_density():
@@ -185,7 +190,7 @@ def test_peres_mermin_rejects_a_non_hermitian_density():
 
 def test_report_row_has_the_schema_keys_in_order():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
-                        parameters={"a": ALPHA, "n": 1})
+                        parameters=[{"a": ALPHA, "n": 1}])[0]
     assert type(report) is dict
     assert list(report) == ["kind", "terms", "value", "bound", "violated", "parameters"]
     assert report["kind"] == "chsh_nc"
@@ -196,24 +201,24 @@ def test_report_row_has_the_schema_keys_in_order():
 
 def test_report_serialization_round_trip():
     report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
-                        parameters={"a": ALPHA, "n": 1})
+                        parameters=[{"a": ALPHA, "n": 1}])[0]
     assert json.loads(json.dumps(report)) == report
 
 
 def test_chsh_rows_own_the_parameters_they_are_given():
     # the rows store the caller's parameter dicts as they are, not copies
     parameters = {"a": ALPHA, "n": 1}
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=parameters)
-    assert report["parameters"] is parameters
+    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=[parameters])
+    assert len(report) == 1 and report[0]["parameters"] is parameters
     densities = np.stack([_density(1, 1, 0.5), _density(1, 1, -0.5)])
     stacked = [{"m_j": 0.5}, {"m_j": -0.5}]
     rows = chsh_value(densities, *ground_observables(0.5), parameters=stacked)
     assert [row["parameters"] for row in rows] == stacked
     assert all(row["parameters"] is p for row, p in zip(rows, stacked))
-    # without parameters each row gets a dict of its own
-    bare = chsh_value(densities, *ground_observables(0.5))
-    assert bare[0]["parameters"] == {} and bare[0]["parameters"] is not bare[1]["parameters"]
-    assert chsh_value(_density(1, 1, 0.5), *ground_observables(0.5))["parameters"] == {}
+    # one dict per row, no fewer and no more
+    for wrong in (stacked[:1], stacked + [{}]):
+        with pytest.raises(ValueError):
+            chsh_value(densities, *ground_observables(0.5), parameters=wrong)
 
 
 # --- the xi sweep and its closed form --------------------------------------------
@@ -224,7 +229,7 @@ def test_optimal_xi_ground_state_matches_both_routes():
     assert value_star == pytest.approx(GROUND_XI_ROUTE, rel=1e-12)
     # the two observable constructions land on the same violation to ~1e-5
     assert value_star == pytest.approx(GROUND_CLOSED_FORM, abs=2e-5)
-    report = chsh_value(_density(1, 1, 0.5), *excited_observables(xi_star))
+    report = chsh_value(_density(1, 1, 0.5), *excited_observables([xi_star]), [{}])[0]
     assert report["value"] == pytest.approx(value_star, rel=1e-10)
 
 
@@ -267,7 +272,7 @@ def test_harmonic_c_never_vanishes():
 def test_quadrature_matches_closed_form(n, kappa, m_j):
     qn = QuantumNumbers(n, kappa, m_j)
     xi_star, value_star = optimal_xi(*_columns(qn))
-    report = chsh_value(_density(n, kappa, m_j), *excited_observables(xi_star))
+    report = chsh_value(_density(n, kappa, m_j), *excited_observables([xi_star]), [{}])[0]
     assert report["value"] == pytest.approx(value_star, rel=1e-10)
     assert value_star > 2.0
 
@@ -278,7 +283,7 @@ def test_xi_scan_confirms_optimality(n, kappa, m_j):
     density = _density(n, kappa, m_j)
     xi_star, value_star = optimal_xi(*_columns(qn))
     xis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    values = [chsh_value(density, *excited_observables(xi))["value"] for xi in xis]
+    values = [chsh_value(density, *excited_observables([xi]), [{}])[0]["value"] for xi in xis]
     scan_max = max(values)
     assert scan_max <= value_star + 1e-6
     assert abs(scan_max - value_star) < 1e-4
@@ -289,8 +294,8 @@ def test_full_shell_sweep_matches_closed_forms_to_n5():
     for qn in valid_states(5):
         xi_star, value_star = optimal_xi(*_columns(qn))
         report = chsh_value(
-            reduce(eigenstate(qn, ALPHA)), *excited_observables(xi_star)
-        )
+            reduce(eigenstate(qn, ALPHA)), *excited_observables([xi_star]), [{}]
+        )[0]
         assert report["value"] > 2.0
         assert abs(report["value"] - value_star) / value_star < 1e-8
 
@@ -298,7 +303,7 @@ def test_full_shell_sweep_matches_closed_forms_to_n5():
 def test_xi_zero_degenerate_value_bounded():
     # B = D collapses the sweep to 2<C Gp_z>, which a compatible context bounds by 2
     for n, kappa, m_j in [(1, 1, 0.5), (2, -1, -0.5), (3, 2, 0.5)]:
-        report = chsh_value(_density(n, kappa, m_j), *excited_observables(0.0))
+        report = chsh_value(_density(n, kappa, m_j), *excited_observables([0.0]), [{}])[0]
         assert abs(report["value"]) <= 2.0 + 1e-12
 
 

@@ -39,7 +39,7 @@ def _gaussian_integer_parts(m):
 
 # Gamma_a Gamma'_b for a, b in x, y, z; complex128 products of such matrices are exact
 PRODUCTS = {
-    (a, b): _gaussian_integer_parts(GAMMA.component(a) @ GAMMA_PRIME.component(b))
+    (a, b): _gaussian_integer_parts(getattr(GAMMA, a) @ getattr(GAMMA_PRIME, b))
     for a in AXES
     for b in AXES
 }
@@ -158,7 +158,8 @@ def test_xi_family_value_is_2_c_cos_xi_minus_2_delta_sin_xi(delta):
     # the package's terms: p at xi = 0 and, up to cos(pi/2) p, q at xi = pi/2
     densities = analytic_densities(*zip(*states), [float(delta)] * len(states))
     at_0, at_right_angle = (
-        chsh_value(densities, *excited_observables(xi)) for xi in (0.0, math.pi / 2.0))
+        chsh_value(densities, *excited_observables([xi]), [{} for _ in states])
+        for xi in (0.0, math.pi / 2.0))
     for (kappa, twice_mj), row_0, row_right_angle in zip(states, at_0, at_right_angle):
         t = {key: real for key, (real, _) in _correlation_matrix(
             _exact_density(kappa, twice_mj, delta)).items()}

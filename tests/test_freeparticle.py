@@ -7,19 +7,17 @@ from hypothesis import strategies as st
 
 from bound_states import valid_states
 from diracctx.cli import EXIT_USAGE, REPORT_BLOCK, main
-from diracctx.clifford import build_family, gamma_matrix
+from diracctx.clifford import ALPHA as ALPHA_MATRICES
+from diracctx.clifford import BETA, GAMMA, build_family
 from diracctx.contextuality import chsh_value
 from diracctx.freeparticle import (
     check_betas,
     energy_split,
     free_chsh,
     free_chsh_curve,
-    free_hamiltonian,
     _observables,
     _plane_waves,
-    energy_projector,
     free_observables,
-    observable_angle,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import sommerfeld_mu
@@ -38,6 +36,18 @@ def _spinor(beta_v):
 def _energy_and_momentum(beta_v):
     energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
     return energy, beta_v * energy
+
+
+def _hamiltonian(k):
+    """The fixed-momentum free Hamiltonian k alpha_z + beta, written out here."""
+    return k * ALPHA_MATRICES[2] + BETA
+
+
+def _projector(beta_v, sign):
+    """(1 + sign H/E)/2 onto the positive (sign = 1) or negative (sign = -1)
+    energy subspace at the momentum of velocity ratio beta_v."""
+    energy, k = _energy_and_momentum(beta_v)
+    return (I4 + sign * _hamiltonian(k) / energy) / 2.0
 
 
 def test_rest_frame_state_is_spin_up():
@@ -64,7 +74,7 @@ def test_superluminal_rejected():
         with pytest.raises(ValueError):
             free_chsh(bad)
         with pytest.raises(ValueError):
-            energy_projector(bad, -1)
+            energy_split(bad, I4)
 
 
 def test_helicity_block_structure():
@@ -76,20 +86,22 @@ def test_helicity_block_structure():
 def test_state_solves_fixed_k_hamiltonian():
     energy, k = _energy_and_momentum(0.6)
     spinor = _spinor(0.6)
-    assert np.allclose(free_hamiltonian(k) @ spinor, energy * spinor, atol=1e-12)
+    assert np.allclose(_hamiltonian(k) @ spinor, energy * spinor, atol=1e-12)
 
 
 # --- observables ---------------------------------------------------------------
 
 def test_observable_angle_limits():
-    assert observable_angle(0.0) == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert observable_angle(0.9999999) < 5e-4
+    rest, fast = (row["parameters"]["theta"] for row in free_chsh_curve([0.0, 0.9999999]))
+    assert rest == pytest.approx(math.pi / 4.0, rel=1e-15)
+    assert fast < 5e-4
+    assert _observables([0.0, 0.9999999])[0] == [rest, fast]
 
 
 def test_high_velocity_limit_of_b():
     # theta -> 0 turns B' into g3 g5
     _, b, _, _ = free_observables(0.99999999)
-    assert np.abs(b - gamma_matrix(3) @ gamma_matrix(5)).max() < 3e-4
+    assert np.abs(b - GAMMA[3] @ GAMMA[5]).max() < 3e-4
 
 
 @pytest.mark.parametrize("beta_v", [0.0, 0.3, 0.6, 0.9])
@@ -104,8 +116,8 @@ def test_observables_structure(beta_v):
 
 def test_observables_are_the_gamma_matrices():
     a, _, c, _ = free_observables(0.42)
-    assert np.array_equal(a, gamma_matrix(0))
-    assert np.array_equal(c, 1j * gamma_matrix(2))
+    assert np.array_equal(a, GAMMA[0])
+    assert np.array_equal(c, 1j * GAMMA[2])
 
 
 # --- the violation curve ----------------------------------------------------------
@@ -142,8 +154,8 @@ def _pointwise_terms(beta_v):
     spinor = _spinor(beta_v).astype(complex)
     u = spinor / np.linalg.norm(spinor)
     rho = np.outer(u, u.conj())
-    theta = observable_angle(beta_v)
-    g0, g1, g2, g3, g5 = (gamma_matrix(i) for i in (0, 1, 2, 3, 5))
+    theta = math.atan(math.sqrt(1.0 - beta_v * beta_v))
+    g0, g1, g2, g3, g5 = (GAMMA[i] for i in (0, 1, 2, 3, 5))
     a, c = g0, 1j * g2
     b = (math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
     d = (-math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
@@ -184,32 +196,33 @@ def test_empty_curve_is_empty():
 def test_stack_with_one_bad_slice_is_rejected():
     betas = [0.1, 0.5, 0.9]
     densities, a, b, c, d = _stacks(betas)
-    reports = chsh_value(densities, a, b, c, d)
+    parameters = [{} for _ in betas]
+    reports = chsh_value(densities, a, b, c, d, parameters)
     assert correlator(densities, a, b).tolist() == [r["terms"]["AB"] for r in reports]
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(densities, a, non_hermitian, c, d)
+        chsh_value(densities, a, non_hermitian, c, d, parameters)
     with pytest.raises(IncompatibleObservablesError, match="observable O2 is not Hermitian"):
         correlator(densities, a, non_hermitian)
     non_commuting = d.copy()
     non_commuting[2] = a  # commutes with A' but not with C' = i g2
     with pytest.raises(IncompatibleObservablesError, match="do not commute"):
-        chsh_value(densities, a, b, c, non_commuting)
+        chsh_value(densities, a, b, c, non_commuting, parameters)
 
 
 def _real_stacks(betas):
     """The curve's float64 stacks: densities |u><u| and (A', B', C', D')."""
     densities = np.stack([pure_density(u).real for u in _plane_waves(np.array(betas))])
-    return (densities, *_observables([observable_angle(b) for b in betas]))
+    return (densities, *_observables(betas)[1])
 
 
 def test_real_stacks_give_the_rows_of_their_complex_casts():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
     stacks = _real_stacks(betas)
     assert all(m.dtype == np.float64 for m in stacks)
-    complex_rows = chsh_value(*(m.astype(complex) for m in stacks))
-    assert chsh_value(*stacks) == complex_rows
+    complex_rows = chsh_value(*(m.astype(complex) for m in stacks), [{} for _ in betas])
+    assert chsh_value(*stacks, [{} for _ in betas]) == complex_rows
     # the curve, a block at a time as the CLI streams it, gives the same terms
     curve = [
         row
@@ -222,19 +235,20 @@ def test_real_stacks_give_the_rows_of_their_complex_casts():
 def test_free_observables_stay_complex():
     for beta_v in (0.0, 0.5, 0.9):
         assert [m.dtype for m in free_observables(beta_v)] == [np.complex128] * 4
-    assert all(m.dtype == np.float64 for m in _observables([0.3]))
+    assert all(m.dtype == np.float64 for m in _observables([0.3])[1])
 
 
 def test_real_stack_with_one_bad_slice_is_rejected():
     densities, a, b, c, d = _real_stacks([0.1, 0.5, 0.9])
+    parameters = [{}, {}, {}]
     non_symmetric = b.copy()
     non_symmetric[1, 0, 1] += 0.5
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(densities, a, non_symmetric, c, d)
+        chsh_value(densities, a, non_symmetric, c, d, parameters)
     non_commuting = d.copy()
     non_commuting[2] = a  # commutes with A' but not with C' = i g2
     with pytest.raises(IncompatibleObservablesError, match="do not commute"):
-        chsh_value(densities, a, b, c, non_commuting)
+        chsh_value(densities, a, b, c, non_commuting, parameters)
 
 
 @pytest.mark.parametrize("beta", [1.0, -0.1, math.nan])
@@ -265,17 +279,22 @@ def test_report_parameters_carry_closed_form():
 # --- energy split -----------------------------------------------------------------
 
 def test_projectors_complete_and_idempotent():
-    p, m = energy_projector(0.5, 1), energy_projector(0.5, -1)
+    p, m = _projector(0.5, 1), _projector(0.5, -1)
     assert np.abs(p + m - I4).max() < 1e-12
     assert np.abs(p @ p - p).max() < 1e-12
     assert np.abs(m @ m - m).max() < 1e-12
     assert np.abs(p - p.conj().T).max() < 1e-12
     assert np.abs(p @ m).max() < 1e-12
+    # energy_split weighs each eigenvector with this same P_-
+    for obs in free_observables(0.5):
+        vecs = np.linalg.eigh(obs)[1]
+        expected = [(v.conj() @ m @ v).real for v in vecs.T]
+        assert np.abs(energy_split(0.5, obs) - expected).max() < 1e-12
 
 
 def test_projectors_commute_with_hamiltonian():
-    h = free_hamiltonian(_energy_and_momentum(0.5)[1])
-    m = energy_projector(0.5, -1)
+    h = _hamiltonian(_energy_and_momentum(0.5)[1])
+    m = _projector(0.5, -1)
     comm = m @ h - h @ m
     assert np.abs(comm).max() < 1e-12
 
@@ -283,7 +302,10 @@ def test_projectors_commute_with_hamiltonian():
 def test_plane_wave_state_is_purely_positive_energy():
     for beta_v in (0.0, 0.3, 0.8):
         u = _spinor(beta_v)
-        assert u @ energy_projector(beta_v, -1) @ u == pytest.approx(0.0, abs=1e-12)
+        assert u @ _projector(beta_v, -1) @ u == pytest.approx(0.0, abs=1e-12)
+        # energy_split weighs the density's one eigenvector of eigenvalue 1, u
+        # itself, with the same projector
+        assert energy_split(beta_v, pure_density(u))[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_each_observable_mixes_energy_signs_at_half_c():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bound_states import valid_states
 from diracctx.clifford import build_family, direction_observable, hermiticity_defect
 from diracctx.contextuality import excited_observables, optimal_xi
-from diracctx.freeparticle import _observables, observable_angle
+from diracctx.freeparticle import _observables
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, state_table
 from diracctx.spindensity import (
@@ -96,7 +96,7 @@ def _report_observables(family):
     observables on 2,000 velocity ratios."""
     if family == "xi":
         return excited_observables(optimal_xi(*state_table(8, ALPHA)[1:])[0])
-    return _observables([observable_angle(b) for b in np.linspace(0.0, 0.999, 2000).tolist()])
+    return _observables(np.linspace(0.0, 0.999, 2000).tolist())[1]
 
 
 @pytest.mark.parametrize("family", ["xi", "free"])
