@@ -17,14 +17,15 @@ def main():
     parser.add_argument("--points", type=int, default=200)
     args = parser.parse_args()
 
-    # the CLI's --beta-grid stream: the rows come a block at a time
+    # the CLI's --beta-grid stream: the rows come a block of columns at a time
     grid = f"{args.beta_min!r}:{args.beta_max!r}:{args.points}"
-    rows = execute(RunConfig(command="free-electron", beta_grid=grid))["results"]
+    blocks = execute(RunConfig(command="free-electron", beta_grid=grid))["results"]
     print("beta,theta,value,closed_form,violated")
-    for row in rows:
-        p = row["parameters"]
-        print(f"{p['beta_v']:.15g},{p['theta']:.15g},{row['value']:.15g},"
-              f"{p['closed_form']:.15g},{'true' if row['violated'] else 'false'}")
+    for block in blocks:
+        p = block["parameters"]
+        violated = ["true" if v else "false" for v in block["violated"]]
+        rows = zip(p["beta_v"], p["theta"], block["value"], p["closed_form"], violated)
+        print("".join("%.15g,%.15g,%.15g,%.15g,%s\n" % row for row in rows), end="")
 
 
 if __name__ == "__main__":

@@ -16,9 +16,7 @@ import sys
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -58,8 +56,8 @@ MIXING_THRESHOLD = 1e-10
 # closed form: on the exact rule every state of the documented domain sits at
 # the rounding floor, about 4e-14 at worst
 CONVERGE_BOUND = 1e-12
-# report rows evaluated and written per piece of the streamed report; bounds
-# the rows, stacks and texts held at once
+# the most rows of a report block, evaluated and written as one piece of the
+# streamed report; bounds the columns, stacks and texts held at once
 REPORT_BLOCK = 512
 
 EXIT_OK = 0
@@ -143,24 +141,15 @@ def _float_texts(column: list) -> list[str]:
     return texts
 
 
-def _json_texts(values: list, indent: str) -> list[str]:
-    """The JSON text of each value as it sits at this indent level, matching
-    json.dumps(..., indent=2) of the values with every float rounded to 15
-    significant digits.
-
-    Values (at least one) of one type are rendered as one column, and dicts
-    with the same keys in the same order as one column per key (each row then
-    filled by one % template); any other list is rendered value by value. A
-    report holds no lists.
-    """
-    kinds = list(map(type, values))
-    if kinds.count(kinds[0]) == len(kinds):
-        return _json_column(kinds[0], values, indent)
-    return [_json_column(type(value), [value], indent)[0] for value in values]
-
-
-def _json_column(kind: type, values: list, indent: str) -> list[str]:
-    """_json_texts of values that all have the type kind."""
+def _json_column(values: list) -> list[str]:
+    """The JSON text of each value of a column, all of one type, matching
+    json.dumps of the value with every float rounded to 15 significant digits."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        raise TypeError(f"a report column mixes the types {sorted(k.__name__ for k in kinds)}")
+    if not kinds:
+        return []
+    kind = kinds.pop()
     if issubclass(kind, float):
         return _float_texts(values)
     if issubclass(kind, str):
@@ -171,59 +160,74 @@ def _json_column(kind: type, values: list, indent: str) -> list[str]:
         return ["true" if value else "false" for value in values]
     if issubclass(kind, int):
         return list(map(int.__repr__, values))
-    if issubclass(kind, dict):
-        keys = list(map(tuple, values))
-        if keys.count(keys[0]) == len(keys):
-            return _json_dict_rows(keys[0], values, indent)
-        return [_json_dict_rows(key, [value], indent)[0] for key, value in zip(keys, values)]
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _json_dict_rows(keys: tuple, rows: list, indent: str) -> list[str]:
-    """_json_texts of dicts whose keys are keys, in that order."""
-    if not keys:
-        return ["{}"] * len(rows)
-    for key in keys:
+def _json_template(block: dict, indent: str, columns: list) -> str:
+    """The JSON text of one row of the block at this indent level, as
+    json.dumps(..., indent=2) writes it, with %s for each column; the texts of
+    the columns are appended to columns in the order of their %s."""
+    if not block:
+        return "{}"
+    inner = indent + "  "
+    items = []
+    for key, entry in block.items():
         if not isinstance(key, str):
             raise TypeError(f"report keys must be str, got {type(key).__name__}")
-    inner = indent + "  "
-    template = "{\n" + inner + (",\n" + inner).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-    ) + "\n" + indent + "}"
-    columns = [_json_texts(list(map(itemgetter(key), rows)), inner) for key in keys]
-    return [template % row for row in zip(*columns)]
+        if isinstance(entry, dict):
+            text = _json_template(entry, inner, columns)
+        elif isinstance(entry, list):
+            columns.append(_json_column(entry))
+            text = "%s"
+        else:
+            raise TypeError(f"a report block holds lists and blocks, got {type(entry).__name__}")
+        items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
-def _blocks(rows: Iterable):
-    """The rows in consecutive lists of REPORT_BLOCK, read as each is needed."""
-    rows = iter(rows)
-    while block := list(islice(rows, REPORT_BLOCK)):
-        yield block
+def _json_rows(block: dict, indent: str) -> list[str]:
+    """The JSON text of each row of the block, at this indent level: one
+    template filled by % from the formatted columns. A block without columns
+    is one row, as the head's empty params is."""
+    columns = []
+    template = _json_template(block, indent, columns)
+    if not columns:
+        return [template % ()]
+    return [template % row for row in zip(*columns, strict=True)]
+
+
+def _one_row(row: dict) -> dict:
+    """The one-row block of a row dict."""
+    return {key: _one_row(v) if isinstance(v, dict) else [v] for key, v in row.items()}
 
 
 def _json_pieces(document: dict):
     """The JSON report in pieces: the text up to the results, the results a
-    block of rows at a time, then the rest."""
+    block at a time, then the rest."""
     text = "{"
     for i, (key, value) in enumerate(document.items()):
         text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
         if key != "results":
-            text += _json_texts([value], "  ")[0]
+            # the head's params is one row of a block, the other entries one-entry columns
+            text += (_json_rows(_one_row(value), "  ") if isinstance(value, dict)
+                     else _json_column([value]))[0]
             continue
         separator = ",\n    "
         prefix = text + "[\n    "
-        for block in _blocks(value):
-            yield prefix + separator.join(_json_texts(block, "    "))
-            prefix = separator
+        for block in value:
+            rows = _json_rows(block, "    ")
+            if rows:
+                yield prefix + separator.join(rows)
+                prefix = separator
         # the prefix is still the opening bracket when the results were empty
         text = "\n  ]" if prefix is separator else text + "[]"
     yield text + "\n}\n"
 
 
 def report_pieces(document: dict, output_format: str):
-    """The report as consecutive texts: the head, the results a block of
-    REPORT_BLOCK rows at a time, then the tail; their concatenation is the
-    fixed JSON schema or the fixed-header CSV."""
+    """The report as consecutive texts: the head, the results a block at a
+    time, then the tail; their concatenation is the fixed JSON schema or the
+    fixed-header CSV."""
     if output_format == "json":
         yield from _json_pieces(document)
         return
@@ -234,16 +238,14 @@ def report_pieces(document: dict, output_format: str):
     if not sweep:
         header, row = GENERIC_CSV_HEADER, GENERIC_CSV_ROW
     yield ",".join(header) + "\n"
-    for block in _blocks(document["results"]):
-        fields = []
-        for r in block:
-            if sweep:
-                p = r["parameters"]
-                fields += (p["n"], p["kappa"], p["mj"], p["sign"], p["mu"], p["xi_star"])
-            else:
-                fields.append(r["kind"])
-            fields += (r["value"], r["bound"], "true" if r["violated"] else "false")
-        yield row * len(block) % tuple(fields)
+    for block in document["results"]:
+        head = [block["kind"]]
+        if sweep:
+            p = block["parameters"]
+            head = [p["n"], p["kappa"], p["mj"], p["sign"], p["mu"], p["xi_star"]]
+        rows = zip(*head, block["value"], block["bound"], _json_column(block["violated"]),
+                   strict=True)
+        yield "".join([row % fields for fields in rows])
 
 
 def render(document: dict, output_format: str) -> str:
@@ -258,61 +260,58 @@ def _one_state(qn: QuantumNumbers, a: float) -> tuple:
     return np.array([qn.n]), np.array([qn.kappa]), np.array([round(2 * qn.m_j)]), np.array([mu])
 
 
-def _in_blocks(count: int, rows_of: Callable[[slice], list]) -> Iterable[dict]:
-    """The rows of count entries, one-shot: rows_of(entries) makes those of
-    each REPORT_BLOCK slice of entries when the report reads that block."""
-    return chain.from_iterable(
-        rows_of(slice(start, start + REPORT_BLOCK)) for start in range(0, count, REPORT_BLOCK)
-    )
+def _in_blocks(count: int, block_of: Callable[[slice], dict]) -> Iterable[dict]:
+    """The blocks of count rows, one-shot: block_of(entries) makes the block of
+    each REPORT_BLOCK slice of entries when the report reads it."""
+    return (block_of(slice(start, start + REPORT_BLOCK)) for start in range(0, count, REPORT_BLOCK))
 
 
-def _chsh_on_states(table: tuple, a: float, observables, extra_params: list) -> list:
+def _chsh_on_states(table: tuple, a: float, observables, extra_params: dict) -> dict:
     """One chsh_value pass over the closed-form densities of the states of
-    the table; the i-th state's report parameters gain extra_params[i]."""
-    params = [
-        {"a": a, "n": n, "kappa": kappa, "mj": twice_mj / 2.0, "sign": 1 if kappa > 0 else -1,
-         "mu": mu, **extra}
-        for n, kappa, twice_mj, mu, extra in zip(
-            *(column.tolist() for column in table), extra_params, strict=True)
-    ]
-    return chsh_value(analytic_densities(*table[1:]), *observables, parameters=params)
+    the table; the report parameters gain the columns of extra_params."""
+    n, kappa, twice_mj, mu = table
+    params = {
+        "a": [a] * len(n), "n": n.tolist(), "kappa": kappa.tolist(),
+        "mj": (twice_mj / 2.0).tolist(), "sign": np.where(kappa > 0, 1, -1).tolist(),
+        "mu": mu.tolist(), **extra_params,
+    }
+    return chsh_value(analytic_densities(kappa, twice_mj, mu), *observables, parameters=params)
 
 
 def _run_audit(config: RunConfig) -> list:
     residuals = audit_algebra()
     return [{
-        "kind": "algebra_audit",
-        "terms": residuals,
-        "value": max(residuals.values()),
-        "bound": 0.0,
+        "kind": ["algebra_audit"],
+        "terms": _one_row(residuals),
+        "value": [max(residuals.values())],
+        "bound": [0.0],
         # a check passes only at exactly 0; a nan residual fails too
-        "violated": any(r != 0.0 for r in residuals.values()),
+        "violated": [any(r != 0.0 for r in residuals.values())],
     }]
 
 
-def _xi_rows(table: tuple, a: float, xi: float | None = None) -> list:
-    """The xi-family rows of the states of the table: each at its optimal xi*,
-    or, given xi, all at xi with the closed form 2(c cos xi + s sin xi)."""
+def _xi_rows(table: tuple, a: float, xi: float | None = None) -> dict:
+    """The xi-family block of the states of the table: each at its optimal
+    xi*, or, given xi, all at xi with the closed form 2(c cos xi + s sin xi)."""
     xi_star, closed_forms = (v.tolist() for v in optimal_xi(*table[1:]))
     xis = xi_star
     if xi is not None:
         c, s = harmonic_coefficients(*table[1:])
         xis = [xi] * len(xi_star)
         closed_forms = (2.0 * (c * math.cos(xi) + s * math.sin(xi))).tolist()
-    extras = [{"xi": x, "xi_star": x_star, "closed_form": value}
-              for x, x_star, value in zip(xis, xi_star, closed_forms)]
+    extras = {"xi": xis, "xi_star": xi_star, "closed_form": closed_forms}
     return _chsh_on_states(table, a, excited_observables(xis), extras)
 
 
 def _run_ground(config: RunConfig) -> list:
     table = _one_state(QuantumNumbers(n=1, kappa=1, m_j=config.mj), config.alpha)
-    extra = {"closed_form": math.sqrt(2.0) * (1.0 + table[3].item())}
-    return _chsh_on_states(table, config.alpha, ground_observables(config.mj), [extra])
+    extra = {"closed_form": [math.sqrt(2.0) * (1.0 + table[3].item())]}
+    return [_chsh_on_states(table, config.alpha, ground_observables(config.mj), extra)]
 
 
 def _run_excited(config: RunConfig) -> list:
     qn = QuantumNumbers(n=config.n, kappa=config.kappa, m_j=config.mj)
-    return _xi_rows(_one_state(qn, config.alpha), config.alpha, config.xi)
+    return [_xi_rows(_one_state(qn, config.alpha), config.alpha, config.xi)]
 
 
 def _run_sweep(config: RunConfig) -> Iterable[dict]:
@@ -324,7 +323,7 @@ def _run_sweep(config: RunConfig) -> Iterable[dict]:
 
 def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
     """The bound states, then the 100 seeded random spinors, then the
-    maximally mixed state, a block of rows at a time."""
+    maximally mixed state, a block at a time."""
     n, kappa, twice_mj, delta = state_table(config.n_max, config.alpha)
     rng = np.random.default_rng(config.seed)
     spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
@@ -332,7 +331,7 @@ def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
     other_labels = [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
     count = len(n)
 
-    def rows(entries: slice) -> list:
+    def block(entries: slice) -> dict:
         # the slice of the states clamps to them; the rest is what follows
         states = n[entries], kappa[entries], twice_mj[entries]
         rest = slice(max(entries.start - count, 0), max(entries.stop - count, 0))
@@ -340,7 +339,7 @@ def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
         stack = np.concatenate([analytic_densities(*states[1:], delta[entries]), others[rest]])
         return peres_mermin_value(stack, labels + other_labels[rest])
 
-    return _in_blocks(count + len(others), rows)
+    return _in_blocks(count + len(others), block)
 
 
 def _run_free_electron(config: RunConfig) -> Iterable[dict]:
@@ -350,26 +349,25 @@ def _run_free_electron(config: RunConfig) -> Iterable[dict]:
 
 def _run_measurability(config: RunConfig) -> list:
     mus = state_table(config.n_max, config.alpha)[3].tolist()
-    results = [{
-        "kind": "hydrogen_spectrum_positivity",
-        "terms": {"min_mu": min(mus), "max_mu": max(mus)},
-        "value": min(mus),
-        "bound": 0.0,
-        "violated": min(mus) > 0.0,
-    }]
-    for name, obs in zip("ABCD", free_observables(config.beta)):
-        weights = energy_split(config.beta, obs)
-        terms = {f"weight_{i}": float(w) for i, w in enumerate(weights)}
-        # mixing margin: how far the most mixed eigenvector sits inside (0, 1)
-        margin = float(max(min(w, 1.0 - w) for w in weights))
-        results.append({
-            "kind": f"negative_energy_mixing_{name}",
-            "terms": terms,
-            "value": margin,
-            "bound": MIXING_THRESHOLD,
-            "violated": margin > MIXING_THRESHOLD,
-        })
-    return results
+    spectrum = {
+        "kind": ["hydrogen_spectrum_positivity"],
+        "terms": {"min_mu": [min(mus)], "max_mu": [max(mus)]},
+        "value": [min(mus)],
+        "bound": [0.0],
+        "violated": [min(mus) > 0.0],
+    }
+    # one row per observable, each with the weights of its four eigenvectors
+    weights = np.array([energy_split(config.beta, obs) for obs in free_observables(config.beta)])
+    # mixing margin: how far the most mixed eigenvector sits inside (0, 1)
+    margins = np.minimum(weights, 1.0 - weights).max(axis=1)
+    mixing = {
+        "kind": [f"negative_energy_mixing_{name}" for name in "ABCD"],
+        "terms": {f"weight_{i}": column.tolist() for i, column in enumerate(weights.T)},
+        "value": margins.tolist(),
+        "bound": [MIXING_THRESHOLD] * len(margins),
+        "violated": (margins > MIXING_THRESHOLD).tolist(),
+    }
+    return [spectrum, mixing]
 
 
 def _run_converge(config: RunConfig) -> list:
@@ -380,12 +378,12 @@ def _run_converge(config: RunConfig) -> list:
     closed_form = analytic_densities(*_one_state(qn, config.alpha)[1:])[0]
     gap = float(np.abs(reduce(state) - closed_form).max())
     return [{
-        "kind": "convergence",
-        "terms": {"radial_nodes": float(len(state.rule[0]))},
-        "value": gap,
-        "bound": CONVERGE_BOUND,
+        "kind": ["convergence"],
+        "terms": {"radial_nodes": [float(len(state.rule[0]))]},
+        "value": [gap],
+        "bound": [CONVERGE_BOUND],
         # a nan gap fails too
-        "violated": not gap <= CONVERGE_BOUND,
+        "violated": [not gap <= CONVERGE_BOUND],
     }]
 
 
@@ -442,10 +440,11 @@ COMMANDS = {
 
 def execute(config: RunConfig) -> dict:
     """Dispatch one command and return the report document: the tool
-    version, the config echo and the result rows, as the dict the report
+    version, the config echo and the results, as the dict the report
     serializes. Deterministic given the config (incl. seed). The set-up
-    runs here; the rows are a one-shot iterable, evaluated a block at a time
-    as they are read."""
+    runs here; the results are a one-shot iterable of report blocks of at
+    most REPORT_BLOCK rows (see contextuality.chsh_value), each evaluated
+    as it is read."""
     return {
         "command": config.command,
         "params": config.params,

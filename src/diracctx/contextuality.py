@@ -24,36 +24,42 @@ _GAMMA = build_family("Gamma")
 _GAMMA_PRIME = build_family("GammaPrime")
 
 
-def chsh_value(density, a, b, c, d, parameters) -> list[dict]:
-    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2, as report
-    rows: dicts with the keys kind, terms, value, bound, violated, parameters.
+def chsh_value(density, a, b, c, d, parameters: dict) -> dict:
+    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2, as a report
+    block: the keys kind, terms, value, bound, violated, parameters, each a
+    list with one entry per row or, for terms and parameters, a dict of them.
 
     density is a (4, 4) density matrix or an (N, 4, 4) stack of them, and any
     observable may be a (N, 4, 4) stack. Gives one row per entry of the
-    broadcast leading axes, evaluated in one pass (a list of one row for
-    single matrices), with parameters one dict per row. The rows take
-    ownership of the parameters dicts they are given: each is stored as is,
-    not copied. Each observable is checked Hermitian once and each of the four
-    pairs for commutation.
+    broadcast leading axes, evaluated in one pass. parameters is a dict of
+    columns, stored in the block as is; a column that is not one entry per row
+    raises ValueError. Each observable is checked Hermitian once and each of
+    the four pairs for commutation.
     """
     rho = np.asarray(density)
     a, b, c, d = (checked_observable(name, o) for name, o in zip("ABCD", (a, b, c, d)))
     ab, bc, cd, da = (
-        np.ravel(pair_correlator(rho, o1, o2)).tolist()
-        for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
+        np.ravel(pair_correlator(rho, o1, o2)) for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
     )
-    values = [x + y + z - w for x, y, z, w in zip(ab, bc, cd, da)]
-    return [
-        {
-            "kind": "chsh_nc",
-            "terms": {"AB": x, "BC": y, "CD": z, "DA": w},
-            "value": value,
-            "bound": CHSH_BOUND,
-            "violated": value > CHSH_BOUND,
-            "parameters": p,
-        }
-        for x, y, z, w, value, p in zip(ab, bc, cd, da, values, parameters, strict=True)
-    ]
+    value = ab + bc + cd - da
+    return _block("chsh_nc", {"AB": ab, "BC": bc, "CD": cd, "DA": da}, value, CHSH_BOUND,
+                  parameters)
+
+
+def _block(kind: str, terms: dict, value: np.ndarray, bound: float, parameters: dict) -> dict:
+    """The report block of the term and value arrays of len(value) rows."""
+    rows = len(value)
+    for name, column in parameters.items():
+        if len(column) != rows:
+            raise ValueError(f"parameter {name} has {len(column)} entries for {rows} rows")
+    return {
+        "kind": [kind] * rows,
+        "terms": {name: term.tolist() for name, term in terms.items()},
+        "value": value.tolist(),
+        "bound": [bound] * rows,
+        "violated": (value > bound).tolist(),
+        "parameters": parameters,
+    }
 
 
 def ground_observables(m_j: float):
@@ -120,23 +126,15 @@ _PM_LINE_PRODUCTS = tuple(
 )
 
 
-def peres_mermin_value(densities, labels) -> list[dict]:
+def peres_mermin_value(densities, labels: list) -> dict:
     """Six line-product correlators, each signed as its line's product; bound 4.
 
-    An (N, 4, 4) stack of density matrices with a list of N labels gives N
-    report rows, from one trace per line product over the whole stack. Raises
-    ValueError as spindensity.expectation does for a non-Hermitian density.
+    An (N, 4, 4) stack of density matrices with a list of N labels gives a
+    report block of N rows, from one trace per line product over the whole
+    stack; labels of another length raise ValueError, as
+    spindensity.expectation does for a non-Hermitian density.
     """
-    columns = [expectation(densities, product).tolist() for _, product, _ in _PM_LINE_PRODUCTS]
-    rows = []
-    for values, label in zip(zip(*columns), labels, strict=True):
-        value = sum(sign * term for (_, _, sign), term in zip(_PM_LINE_PRODUCTS, values))
-        rows.append({
-            "kind": "peres_mermin",
-            "terms": {name: term for (name, _, _), term in zip(_PM_LINE_PRODUCTS, values)},
-            "value": value,
-            "bound": PERES_MERMIN_BOUND,
-            "violated": value > PERES_MERMIN_BOUND,
-            "parameters": {"state": label},
-        })
-    return rows
+    terms = {name: expectation(densities, product) for name, product, _ in _PM_LINE_PRODUCTS}
+    # one signed sum from +0.0: a first term of -0.0 then gives 0.0, as from int 0
+    value = sum((sign * terms[name] for name, _, sign in _PM_LINE_PRODUCTS), 0.0)
+    return _block("peres_mermin", terms, value, PERES_MERMIN_BOUND, {"state": labels})

@@ -65,34 +65,33 @@ def free_observables(beta_v: float):
     return tuple(m.astype(complex) for m in (a, b[0], c, d[0]))
 
 
-def free_chsh_curve(betas) -> list[dict]:
+def free_chsh_curve(betas) -> dict:
     """Four-correlator inequality on the positive-helicity state at each
-    velocity ratio, one report row per point; the closed form is
-    2*sqrt(2 - beta^2).
+    velocity ratio, as a report block of one row per point; the closed form
+    is 2*sqrt(2 - beta^2).
 
     The points are evaluated in one pass over (N, 4, 4) float64 stacks of
     densities and of the B', D' observables; a caller with a long grid passes
     it a block at a time.
     """
     betas = np.asarray(betas, dtype=float)
-    if not len(betas):
-        return []
     check_betas(betas)
     values = betas.tolist()
     thetas, observables = _observables(values)
     # normalized in complex by pure_density, which the report's bits follow;
     # the imaginary parts are exactly 0
     densities = pure_density(_plane_waves(betas)).real
-    parameters = [
-        {"beta_v": b, "theta": t, "closed_form": 2.0 * math.sqrt(2.0 - b * b)}
-        for b, t in zip(values, thetas)
-    ]
+    parameters = {
+        "beta_v": values,
+        "theta": thetas,
+        "closed_form": (2.0 * np.sqrt(2.0 - betas * betas)).tolist(),
+    }
     return chsh_value(densities, *observables, parameters=parameters)
 
 
 def free_chsh(beta_v: float) -> dict:
-    """The violation curve at one velocity ratio, as its report row."""
-    return free_chsh_curve([beta_v])[0]
+    """The violation curve at one velocity ratio, as its one-row report block."""
+    return free_chsh_curve([beta_v])
 
 
 def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:

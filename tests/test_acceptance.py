@@ -28,6 +28,7 @@ from diracctx.spindensity import (
     reduce,
     state_label,
 )
+from report_blocks import block_rows
 from test_hydrogen import apply_K_eigencheck
 
 
@@ -45,7 +46,7 @@ def _optimal_xi(qn: QuantumNumbers):
 def _ground_pipeline(m_j: float) -> float:
     state = eigenstate(QuantumNumbers(1, 1, m_j), ALPHA)
     density = reduce(state)
-    return chsh_value(density, *ground_observables(m_j), [{}])[0]["value"]
+    return chsh_value(density, *ground_observables(m_j), {})["value"][0]
 
 
 def test_criterion_01_ground_state_violation():
@@ -76,7 +77,7 @@ def test_criterion_03_closed_form_agreement():
     for qn in valid_states(4):
         xi_star, value_star = _optimal_xi(qn)
         density = reduce(eigenstate(qn, ALPHA))
-        value = chsh_value(density, *excited_observables([xi_star]), [{}])[0]["value"]
+        value = chsh_value(density, *excited_observables([xi_star]), {})["value"][0]
         worst = max(worst, abs(value - value_star) / value_star)
         count += 1
     elapsed = time.perf_counter() - start
@@ -107,18 +108,18 @@ def test_criterion_05_peres_mermin_state_independence():
     bounds_ok = True
     count = 0
     for qn in valid_states(3):
-        report = peres_mermin_value(
-            reduce(eigenstate(qn, ALPHA))[None], [state_label(qn.n, qn.kappa, qn.m_j)])[0]
+        (report,) = block_rows(peres_mermin_value(
+            reduce(eigenstate(qn, ALPHA))[None], [state_label(qn.n, qn.kappa, qn.m_j)]))
         worst = max(worst, abs(report["value"] - 6.0))
         bounds_ok &= report["bound"] == 4.0
         count += 1
     rng = np.random.default_rng(2024)
     for _ in range(100):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        report = peres_mermin_value(pure_density(raw)[None], ["random"])[0]
+        (report,) = block_rows(peres_mermin_value(pure_density(raw)[None], ["random"]))
         worst = max(worst, abs(report["value"] - 6.0))
         bounds_ok &= report["bound"] == 4.0
-    report = peres_mermin_value((np.eye(4) / 4.0)[None], ["maximally-mixed"])[0]
+    (report,) = block_rows(peres_mermin_value((np.eye(4) / 4.0)[None], ["maximally-mixed"]))
     worst = max(worst, abs(report["value"] - 6.0))
     _report(5, worst < 1e-10 and bounds_ok,
             f"{count} eigenstates n<=3, 100 seeded spinors, maximally mixed: "
@@ -130,10 +131,10 @@ def test_criterion_06_free_electron_curve():
     worst = 0.0
     min_value = math.inf
     for beta in betas:
-        value = free_chsh(float(beta))["value"]
+        value = free_chsh(float(beta))["value"][0]
         worst = max(worst, abs(value - 2.0 * math.sqrt(2.0 - beta * beta)))
         min_value = min(min_value, value)
-    at_rest = free_chsh(0.0)["value"]
+    at_rest = free_chsh(0.0)["value"][0]
     ok = (
         worst < 1e-12
         and abs(at_rest - 2.0 * math.sqrt(2.0)) < 1e-12

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from bound_states import valid_states
 from diracctx import __version__
 from diracctx.cli import (
+    COMMANDS,
     CONVERGE_BOUND,
     EXIT_OK,
     EXIT_QUADRATURE,
@@ -46,12 +47,18 @@ from diracctx.spindensity import (
     radial_weights,
     state_label,
 )
+from report_blocks import block_rows, report_rows
 
 
 def _run(command, **kwargs):
-    """execute's document with its one-shot results read into a list."""
+    """execute's document with its one-shot results read into a list of blocks."""
     doc = execute(RunConfig(command=command, **kwargs))
     return {**doc, "results": list(doc["results"])}
+
+
+def _rows(command, **kwargs):
+    """The report rows of one command, read back from its blocks."""
+    return report_rows(_run(command, **kwargs)["results"])
 
 
 def _document(command, params, results):
@@ -72,7 +79,7 @@ def _columns(states, a=FINE_STRUCTURE_ALPHA):
 
 def test_ground_reproduces_headline_value():
     doc = _run("ground")
-    result = doc["results"][0]
+    (result,) = report_rows(doc["results"])
     assert round(result["value"], 5) == 2.82839
     assert result["violated"] is True
     assert result["bound"] == 2.0
@@ -80,15 +87,15 @@ def test_ground_reproduces_headline_value():
 
 
 def test_ground_kramers_partner():
-    doc = _run("ground", mj=-0.5)
-    assert doc["results"][0]["value"] == pytest.approx(2.828389469851504, abs=5e-5)
+    (result,) = _rows("ground", mj=-0.5)
+    assert result["value"] == pytest.approx(2.828389469851504, abs=5e-5)
 
 
 def test_sweep_all_rows_violated():
-    doc = _run("sweep", n_max=3)
-    assert len(doc["results"]) == 2 * (1 + 4 + 9)
-    assert all(r["violated"] for r in doc["results"])
-    assert all(r["value"] > 2.0 for r in doc["results"])
+    rows = _rows("sweep", n_max=3)
+    assert len(rows) == 2 * (1 + 4 + 9)
+    assert all(r["violated"] for r in rows)
+    assert all(r["value"] > 2.0 for r in rows)
 
 
 def test_xi_family_stops_violating_at_large_alpha(capsys):
@@ -109,45 +116,43 @@ def test_xi_family_stops_violating_at_large_alpha(capsys):
 
 
 def test_excited_uses_optimal_xi_by_default():
-    doc = _run("excited", n=2, kappa=-1, mj=0.5)
-    result = doc["results"][0]
+    (result,) = _rows("excited", n=2, kappa=-1, mj=0.5)
     assert result["parameters"]["xi"] == result["parameters"]["xi_star"]
     assert result["value"] == pytest.approx(result["parameters"]["closed_form"], rel=1e-8)
 
 
 def test_excited_xi_override():
-    doc = _run("excited", n=2, kappa=1, mj=0.5, xi=0.0)
-    assert doc["results"][0]["parameters"]["xi"] == 0.0
-    assert abs(doc["results"][0]["value"]) <= 2.0 + 1e-12
+    (result,) = _rows("excited", n=2, kappa=1, mj=0.5, xi=0.0)
+    assert result["parameters"]["xi"] == 0.0
+    assert abs(result["value"]) <= 2.0 + 1e-12
     # at xi = 0 the closed form 2(c cos xi + s sin xi) is 2c = -2X
     mu = sommerfeld_mu(2, 1, FINE_STRUCTURE_ALPHA)
-    assert doc["results"][0]["parameters"]["closed_form"] == pytest.approx(-2.0 * (mu + 2.0) / 3.0)
+    assert result["parameters"]["closed_form"] == pytest.approx(-2.0 * (mu + 2.0) / 3.0)
 
 
 @pytest.mark.parametrize("kappa,mj", [(1, 0.5), (-1, -0.5), (2, 1.5), (-2, -1.5)])
 def test_excited_closed_form_at_a_given_xi_is_its_value(kappa, mj):
     for xi in (-3.0, -1.2, 0.0, 0.4, math.pi / 2.0, 2.5):
-        result = _run("excited", n=3, kappa=kappa, mj=mj, xi=xi)["results"][0]
+        (result,) = _rows("excited", n=3, kappa=kappa, mj=mj, xi=xi)
         assert result["parameters"]["xi"] == xi
         assert abs(result["value"] - result["parameters"]["closed_form"]) < 1e-12
 
 
 def test_free_electron_at_rest():
-    doc = _run("free-electron", beta=0.0)
-    assert doc["results"][0]["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+    (result,) = _rows("free-electron", beta=0.0)
+    assert result["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_free_electron_grid():
-    doc = _run("free-electron", beta_grid="0:0.9:3")
-    assert len(doc["results"]) == 3
-    for beta, r in zip((0.0, 0.45, 0.9), doc["results"]):
+    rows = _rows("free-electron", beta_grid="0:0.9:3")
+    assert len(rows) == 3
+    for beta, r in zip((0.0, 0.45, 0.9), rows):
         assert r["parameters"]["beta_v"] == beta
         assert r["value"] == pytest.approx(2.0 * math.sqrt(2.0 - beta**2), rel=1e-12)
 
 
 def test_audit_command_reports_zero_residual():
-    doc = _run("audit")
-    result = doc["results"][0]
+    (result,) = _rows("audit")
     assert result["kind"] == "algebra_audit"
     assert result["value"] == 0.0
     assert result["violated"] is False
@@ -155,19 +160,17 @@ def test_audit_command_reports_zero_residual():
 
 
 def test_peres_mermin_command_is_state_independent():
-    doc = _run("peres-mermin", n_max=2, seed=42)
+    rows = _rows("peres-mermin", n_max=2, seed=42)
     # 10 hydrogen states + 100 random spinors + maximally mixed
-    assert len(doc["results"]) == 10 + 100 + 1
-    assert all(abs(r["value"] - 6.0) < 1e-10 for r in doc["results"])
-    assert all(r["bound"] == 4.0 for r in doc["results"])
+    assert len(rows) == 10 + 100 + 1
+    assert all(abs(r["value"] - 6.0) < 1e-10 for r in rows)
+    assert all(r["bound"] == 4.0 for r in rows)
 
 
 def test_measurability_contrast():
-    doc = _run("measurability", beta=0.5, n_max=10)
-    spectrum = doc["results"][0]
+    spectrum, *mixing = _rows("measurability", beta=0.5, n_max=10)
     assert spectrum["kind"] == "hydrogen_spectrum_positivity"
     assert spectrum["value"] > 0.0 and spectrum["violated"]
-    mixing = doc["results"][1:]
     assert len(mixing) == 4
     for row in mixing:
         assert row["violated"]  # every observable mixes energy signs
@@ -175,19 +178,18 @@ def test_measurability_contrast():
 
 
 def test_converge_ground_sits_at_rounding_floor():
-    doc = _run("converge")
-    assert doc["results"][0]["terms"]["radial_nodes"] == 1.0
-    assert all(r["value"] < 1e-12 for r in doc["results"])
+    (row,) = _rows("converge")
+    assert row["terms"]["radial_nodes"] == 1.0
+    assert row["value"] < 1e-12
 
 
 def test_converge_excited_sits_at_rounding_floor():
     # one integration, on the exact count n_tilde + 1; the one-node-short rule
     # is the guard test's case
-    doc = _run("converge", n=4, kappa=-2)
-    nodes = [r["terms"]["radial_nodes"] for r in doc["results"]]
-    assert nodes == [3.0]
-    assert all(r["value"] < 1e-12 for r in doc["results"])
-    assert all(not r["violated"] for r in doc["results"])
+    (row,) = _rows("converge", n=4, kappa=-2)
+    assert row["terms"]["radial_nodes"] == 3.0
+    assert row["value"] < 1e-12
+    assert not row["violated"]
 
 
 def test_converge_at_tiny_alpha(capsys):
@@ -212,7 +214,7 @@ def test_converge_flags_a_wrong_density(monkeypatch, eps, kwargs, error):
         shift[0, 3], shift[3, 0] = 1j * eps, -1j * eps
     exact_reduce = cli_module.reduce
     monkeypatch.setattr(cli_module, "reduce", lambda state: exact_reduce(state) + shift)
-    (row,) = _run("converge", **kwargs)["results"]
+    (row,) = _rows("converge", **kwargs)
     assert row["violated"]
     assert abs(row["value"] - eps) <= 1e-15
 
@@ -221,18 +223,18 @@ def test_converge_flags_a_nan_density(monkeypatch):
     import diracctx.cli as cli_module
 
     monkeypatch.setattr(cli_module, "reduce", lambda state: np.full((4, 4), np.nan))
-    (row,) = _run("converge")["results"]
+    (row,) = _rows("converge")
     assert math.isnan(row["value"]) and row["violated"]
 
 
 def test_excited_at_its_optimal_xi_is_the_sweep_row():
     # one xi-family row path: the one-state table of excited and the rows of
     # sweep's blocks, on both sides of the first block edge
-    sweep = _run("sweep", n_max=9, alpha=0.3)["results"]
+    sweep = _rows("sweep", n_max=9, alpha=0.3)
     assert len(sweep) == 570
     for i in (0, 1, REPORT_BLOCK - 2, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 569):
         p = sweep[i]["parameters"]
-        (row,) = _run("excited", alpha=0.3, n=p["n"], kappa=p["kappa"], mj=p["mj"])["results"]
+        (row,) = _rows("excited", alpha=0.3, n=p["n"], kappa=p["kappa"], mj=p["mj"])
         assert row == sweep[i]
 
 
@@ -262,12 +264,12 @@ def _with_domain_edges(test):
 @settings(max_examples=300, deadline=None)
 def test_documented_domain_through_execute(state, alpha):
     n, kappa, mj = state
-    (ground,) = _run("ground", alpha=alpha, mj=math.copysign(0.5, mj))["results"]
-    (excited,) = _run("excited", alpha=alpha, n=n, kappa=kappa, mj=mj)["results"]
+    (ground,) = _rows("ground", alpha=alpha, mj=math.copysign(0.5, mj))
+    (excited,) = _rows("excited", alpha=alpha, n=n, kappa=kappa, mj=mj)
     for row in (ground, excited):
         closed_form = row["parameters"]["closed_form"]
         assert abs(row["value"] - closed_form) <= 2e-15 * closed_form
-    (converge,) = _run("converge", alpha=alpha, n=n, kappa=kappa, mj=mj)["results"]
+    (converge,) = _rows("converge", alpha=alpha, n=n, kappa=kappa, mj=mj)
     assert converge["bound"] == CONVERGE_BOUND == 1e-12
     assert converge["value"] <= CONVERGE_BOUND and not converge["violated"]
 
@@ -355,10 +357,10 @@ def _reference_sweep_row(qn, a):
 
 @pytest.mark.parametrize("alpha", [1.0 / 137.036, 0.6])
 def test_sweep_rows_equal_per_state_evaluation(alpha):
-    doc = _run("sweep", n_max=8, alpha=alpha)
+    rows = _rows("sweep", n_max=8, alpha=alpha)
     states = list(valid_states(8))
-    assert len(doc["results"]) == len(states)
-    for qn, row in zip(states, doc["results"]):
+    assert len(rows) == len(states)
+    for qn, row in zip(states, rows):
         terms, value = _reference_sweep_row(qn, alpha)
         assert (row["parameters"]["n"], row["parameters"]["kappa"]) == (qn.n, qn.kappa)
         assert row["terms"] == terms
@@ -374,7 +376,7 @@ def test_peres_mermin_stack_equals_per_density_evaluation():
                             [pure_density(u) for u in spinors]])
     labels = [state_label(qn.n, qn.kappa, qn.m_j) for qn in states]
     labels += [f"random-{i}" for i in range(500)]
-    reports = peres_mermin_value(stack, labels)
+    reports = block_rows(peres_mermin_value(stack, labels))
     assert len(reports) == len(stack) == len(states) + 500
     for matrix, label, report in zip(stack, labels, reports):
         # per-density reference: one 4x4 trace per line product
@@ -382,8 +384,7 @@ def test_peres_mermin_stack_equals_per_density_evaluation():
         assert list(report["terms"].values()) == terms
         assert report["value"] == terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - terms[5]
         assert report["parameters"] == {"state": label}
-        single = peres_mermin_value(matrix[None], [label])[0]
-        assert single == report
+        assert block_rows(peres_mermin_value(matrix[None], [label])) == [report]
 
 
 def test_sweep_checks_each_observable_once(monkeypatch, capsys):
@@ -421,7 +422,7 @@ def test_sweep_csv_header_and_rows():
     text = render(doc, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(SWEEP_CSV_HEADER)
-    assert len(lines) == 1 + len(doc["results"])
+    assert len(lines) == 1 + len(report_rows(doc["results"]))
     first = lines[1].split(",")
     assert first[0] == "1" and first[-1] == "true"
 
@@ -461,8 +462,11 @@ def _sig15(x):
     return x
 
 
-def _reference_json(doc):
-    return json.dumps(_sig15(doc), indent=2) + "\n"
+def _reference_json(doc, rows=None):
+    """The document with its results as rows, by default those read back from
+    its blocks, through the reference writer."""
+    rows = report_rows(doc["results"]) if rows is None else rows
+    return json.dumps(_sig15({**doc, "results": rows}), indent=2) + "\n"
 
 
 FLOAT_EDGES = (
@@ -483,29 +487,6 @@ def test_float_text_at_edges(x):
 
 
 _keys = st.text(max_size=8)
-_leaves = (
-    st.text(max_size=8) | st.integers() | st.booleans() | st.none()
-    | st.floats() | st.floats().map(np.float64)
-)
-# a report holds dicts and leaves; a list or tuple is rejected
-_trees = st.recursive(
-    _leaves, lambda inner: st.dictionaries(_keys, inner, max_size=4), max_leaves=12)
-
-
-@given(
-    st.text(max_size=8),
-    st.dictionaries(_keys, _trees, max_size=3),
-    st.lists(st.dictionaries(_keys, _trees, max_size=3), max_size=3),
-)
-@settings(max_examples=100)
-def test_render_json_matches_reference_writer(command, params, results):
-    doc = _document(command, params, results)
-    assert render(doc, "json") == _reference_json(doc)
-
-
-# report-like tables for the column writer: rows of one random shape, where
-# a shape is a leaf kind or a dict of shapes, and every dict of a row may be
-# mutated on its own
 _LEAF_KINDS = {
     "float": st.floats(),
     "float64": st.floats().map(np.float64),
@@ -514,50 +495,65 @@ _LEAF_KINDS = {
     "none": st.none(),
     "str": st.text(max_size=4),
 }
-_shapes = st.recursive(
-    st.sampled_from(sorted(_LEAF_KINDS)),
-    lambda inner: st.dictionaries(_keys, inner, min_size=1, max_size=4),
-    max_leaves=8,
-)
-_MUTATIONS = ("none", "none", "reorder", "drop", "retype")
+# a params echo: a dict of leaves and dicts, written as one row
+_trees = st.recursive(
+    st.one_of(*_LEAF_KINDS.values()), lambda inner: st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=12)
+# the shape of a block: a leaf kind for each column, and a dict of shapes
+# (an empty one too) for each nested block; its top level holds a column
+_kinds = st.sampled_from(sorted(_LEAF_KINDS))
+_nested = st.recursive(
+    _kinds, lambda inner: st.dictionaries(_keys, inner, min_size=1, max_size=4) | st.just({}),
+    max_leaves=8)
+_shapes = st.builds(
+    lambda rest, key, kind: {**rest, key: kind},
+    st.dictionaries(_keys, _nested, max_size=4), _keys, _kinds)
 
 
-def _instance(draw, shape):
-    """One value of the shape; each dict in it keeps its keys and order, or
-    moves one key to the end, drops one, or gives it a leaf of any type."""
+def _block_of(draw, shape, count):
+    """A block of count rows of the shape: a column of count values of its
+    kind for each leaf, and a nested block for each dict."""
     if isinstance(shape, str):
-        return draw(_LEAF_KINDS[shape])
-    row = {key: _instance(draw, item) for key, item in shape.items()}
-    key = draw(st.sampled_from(sorted(shape)))
-    mutation = draw(st.sampled_from(_MUTATIONS))
-    if mutation == "reorder":
-        row[key] = row.pop(key)
-    elif mutation == "drop":
-        del row[key]
-    elif mutation == "retype":
-        row[key] = draw(_leaves)
-    return row
+        return draw(st.lists(_LEAF_KINDS[shape], min_size=count, max_size=count))
+    return {key: _block_of(draw, item, count) for key, item in shape.items()}
 
 
 @st.composite
-def _tables(draw):
-    """A shape and up to 20 rows of it."""
-    shape = draw(st.dictionaries(_keys, _shapes, min_size=1, max_size=5))
-    return shape, [_instance(draw, shape) for _ in range(draw(st.integers(0, 20)))]
+def _tables(draw, shapes):
+    """Up to three blocks of 0 to 20 rows, with the rows the test builds from
+    them; shapes draws the shape of each block."""
+    blocks, rows = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        count = draw(st.integers(0, 20))
+        block = _block_of(draw, draw(shapes), count)
+        blocks.append(block)
+        rows += block_rows(block, count)
+    return blocks, rows
 
 
-@given(_tables())
+@given(st.text(max_size=8), st.dictionaries(_keys, _trees, max_size=3), _tables(_shapes))
 @settings(max_examples=100)
-def test_render_json_of_tables_matches_reference_writer(table):
-    shape, rows = table
-    doc = _document("table", shape, rows)
-    assert render(doc, "json") == _reference_json(doc)
+def test_render_json_matches_reference_writer(command, params, table):
+    # each block of its own shape
+    blocks, rows = table
+    doc = _document(command, params, blocks)
+    assert render(doc, "json") == _reference_json(doc, rows)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_render_json_of_tables_matches_reference_writer(data):
+    # every block of one shape, as a command streams them
+    shape = data.draw(_shapes)
+    blocks, rows = data.draw(_tables(st.just(shape)))
+    doc = _document("table", {}, blocks)
+    assert render(doc, "json") == _reference_json(doc, rows)
 
 
 def test_render_json_of_float_edges_in_one_column():
     column = [*FLOAT_EDGES, *(-x for x in FLOAT_EDGES), math.inf, -math.inf, math.nan]
-    doc = _document("edges", {}, [{"value": x} for x in column])
-    assert render(doc, "json") == _reference_json(doc)
+    doc = _document("edges", {}, [{"value": column}])
+    assert render(doc, "json") == _reference_json(doc, [{"value": x} for x in column])
 
 
 @pytest.mark.parametrize("command, kwargs", [
@@ -576,21 +572,30 @@ def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
 
 
 @pytest.mark.parametrize("payload", [
-    {1: 0.5}, {"x": np.int64(3)}, {"x": {2.0, 3.0}}, {"x": [2.0, 3.0]}, {"x": (2.0, 3.0)},
+    {"params": {1: 0.5}},
+    {"params": {"x": np.int64(3)}},
+    {"params": {"x": {2.0, 3.0}}},
+    {"params": {"x": [2.0, 3.0]}},
+    {"params": {"x": (2.0, 3.0)}},
+    # a column holds one type, and a list is no column entry
+    {"results": [{"value": [1.0, None]}]},
+    {"results": [{"violated": [True, 1]}]},
+    {"results": [{"terms": {"x": [[2.0, 3.0]]}}]},
 ])
 def test_render_json_rejects_what_json_cannot_hold(payload):
-    doc = _document("audit", payload, [])
+    doc = {**_document("audit", {}, []), **payload}
     with pytest.raises(TypeError):
         render(doc, "json")
 
 
 def _reference_csv(doc):
-    """Reference writer: the whole CSV from one csv.writer, row after row."""
+    """Reference writer: the whole CSV from one csv.writer, row after row of
+    the rows read back from the blocks."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     sweep = doc["command"] == "sweep"
     writer.writerow(SWEEP_CSV_HEADER if sweep else GENERIC_CSV_HEADER)
-    for r in doc["results"]:
+    for r in report_rows(doc["results"]):
         head = [r["kind"]]
         if sweep:
             p = r["parameters"]
@@ -617,10 +622,9 @@ def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, 
     pieces = list(report_pieces(execute(config), output_format))
     doc = execute(config)
     doc["results"] = list(doc["results"])
-    blocks = -(-len(doc["results"]) // REPORT_BLOCK)
     # json: the head goes with the first block, then the tail; csv: the
     # header, then the blocks
-    assert len(pieces) == blocks + 1
+    assert len(pieces) == len(doc["results"]) + 1
     text = "".join(pieces)
     assert text == render(doc, output_format)
     reference = _reference_json if output_format == "json" else _reference_csv
@@ -631,6 +635,44 @@ def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, 
     assert (tmp_path / "report").read_text(encoding="utf-8") == text
 
 
+SCHEMA = ("kind", "terms", "value", "bound", "violated", "parameters")
+
+
+def _columns_of(block):
+    """Every list of a block, nested blocks included."""
+    for entry in block.values():
+        yield from _columns_of(entry) if isinstance(entry, dict) else [entry]
+
+
+@pytest.mark.parametrize("command, kwargs", [
+    *((command, {}) for command in COMMANDS),
+    ("sweep", {"n_max": 9}),
+    ("peres-mermin", {"n_max": 11}),
+    ("free-electron", {"beta_grid": "0:0.999:1025"}),
+])
+def test_every_block_keeps_the_block_contract(command, kwargs):
+    blocks = _run(command, **kwargs)["results"]
+    assert blocks
+    for block in blocks:
+        count = len(block["kind"])
+        assert 1 <= count <= REPORT_BLOCK
+        # the schema's keys in its order; only the few-row checks have no parameters
+        assert list(block) == list(SCHEMA[:len(block)]) and len(block) >= 5
+        for column in _columns_of(block):
+            assert type(column) is list and len(column) == count
+            assert len(set(map(type, column))) == 1
+
+
+def _joined(blocks):
+    """The blocks as one block: each list the concatenation of theirs."""
+    first = blocks[0]
+    return {
+        key: _joined([b[key] for b in blocks]) if isinstance(entry, dict)
+        else [x for b in blocks for x in b[key]]
+        for key, entry in first.items()
+    }
+
+
 @pytest.mark.parametrize("command, kwargs, source", [
     ("ground", {}, "chsh_value"),
     ("excited", {"n": 3, "kappa": -2}, "chsh_value"),
@@ -639,34 +681,43 @@ def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, 
     ("peres-mermin", {"n_max": 2}, "peres_mermin_value"),
 ])
 def test_report_rows_are_the_rows_built_once(monkeypatch, command, kwargs, source):
+    # the blocks the kernel returns are the blocks the writer formats, uncopied
+    import diracctx.cli as cli_module
     import diracctx.contextuality as contextuality_module
 
-    built = []
+    built, written = [], []
     original = getattr(contextuality_module, source)
 
     def recorded(*args, **kw):
-        out = original(*args, **kw)
-        built.extend(out if isinstance(out, list) else [out])
-        return out
+        built.append(original(*args, **kw))
+        return built[-1]
 
     for key, module in list(sys.modules.items()):
         if key.startswith("diracctx") and getattr(module, source, None) is original:
             monkeypatch.setattr(module, source, recorded)
-    results = _run(command, **kwargs)["results"]
-    assert len(results) == len(built) > 0
-    assert all(row is made for row, made in zip(results, built))
+    json_rows = cli_module._json_rows
+
+    def writes(block, indent):
+        if indent == "    ":  # the result blocks, not the params of the head
+            written.append(block)
+        return json_rows(block, indent)
+
+    monkeypatch.setattr(cli_module, "_json_rows", writes)
+    render(execute(RunConfig(command=command, **kwargs)), "json")
+    assert len(written) == len(built) > 0
+    assert all(block is made for block, made in zip(written, built))
 
 
-def _stacked_rows(command, n_max):
-    """The rows of the whole table at the default alpha and seed, from one
-    stacked chsh_value or peres_mermin_value pass; the sweep rows carry no
+def _stacked_block(command, n_max):
+    """The block of the whole table at the default alpha and seed, from one
+    stacked chsh_value or peres_mermin_value pass; the sweep block carries no
     report parameters."""
     states = list(valid_states(n_max))
     kappa, twice_mj, delta = _columns(states)
     densities = analytic_densities(kappa, twice_mj, delta)
     if command == "sweep":
         observables = excited_observables(optimal_xi(kappa, twice_mj, delta)[0])
-        return chsh_value(densities, *observables, [{} for _ in states])
+        return chsh_value(densities, *observables, {})
     rng = np.random.default_rng(0)
     spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
     stack = np.concatenate([densities, [pure_density(u) for u in spinors], [np.eye(4) / 4.0]])
@@ -697,27 +748,25 @@ def test_streamed_blocks_equal_one_stacked_pass(monkeypatch, command, n_max, sou
         if key.startswith("diracctx") and getattr(module, source, None) is original:
             monkeypatch.setattr(module, source, recorded)
     results = execute(RunConfig(command=command, n_max=n_max))["results"]
-    # nothing is evaluated until the report reads the rows
+    # nothing is evaluated until the report reads the blocks
     assert calls == []
-    streamed = list(results)
+    streamed = _joined(list(results))
     monkeypatch.undo()
-    whole = _stacked_rows(command, n_max)
-    count = len(whole)
+    whole = _stacked_block(command, n_max)
+    count = len(whole["value"])
     assert count > REPORT_BLOCK
     assert calls == [min(REPORT_BLOCK, count - start) for start in range(0, count, REPORT_BLOCK)]
     if command == "peres-mermin":
         assert streamed == whole
         return
-    assert [(r["terms"], r["value"], r["violated"]) for r in streamed] == [
-        (r["terms"], r["value"], r["violated"]) for r in whole]
+    assert {key: streamed[key] for key in SCHEMA[:5]} == {key: whole[key] for key in SCHEMA[:5]}
     states = list(valid_states(n_max))
-    delta = _columns(states)[2]
     xi_star, value_star = optimal_xi(*_columns(states))
-    params = [r["parameters"] for r in streamed]
-    assert [(p["n"], p["kappa"], p["mj"]) for p in params] == [
-        (qn.n, qn.kappa, qn.m_j) for qn in states]
-    assert [(p["mu"], p["xi_star"], p["closed_form"]) for p in params] == list(
-        zip(delta, xi_star.tolist(), value_star.tolist()))
+    p = streamed["parameters"]
+    assert list(zip(p["n"], p["kappa"], p["mj"])) == [(qn.n, qn.kappa, qn.m_j) for qn in states]
+    assert p["mu"] == _columns(states)[2]
+    assert p["xi_star"] == xi_star.tolist()
+    assert p["closed_form"] == value_star.tolist()
 
 
 def test_free_curve_report_memory_stays_bounded(tmp_path):

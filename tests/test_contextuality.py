@@ -26,6 +26,7 @@ from diracctx.contextuality import (
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
 from diracctx.spindensity import IncompatibleObservablesError, pure_density, reduce, state_label
+from report_blocks import block_rows
 
 GAMMA = build_family("Gamma")
 GAMMA_PRIME = build_family("GammaPrime")
@@ -47,7 +48,7 @@ def _columns(qn, a=ALPHA):
 
 
 def _peres_mermin(density, label="state"):
-    return peres_mermin_value(np.asarray(density)[None], [label])[0]
+    return block_rows(peres_mermin_value(np.asarray(density)[None], [label]))[0]
 
 
 # --- observable constructions ---------------------------------------------------
@@ -117,8 +118,8 @@ def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
     states = [QuantumNumbers(2, 1, 0.5), QuantumNumbers(3, -2, -1.5), QuantumNumbers(4, 3, 2.5)]
     densities = np.stack([_density(qn.n, qn.kappa, qn.m_j) for qn in states])
     a, b, c, d = excited_observables([optimal_xi(*_columns(qn))[0] for qn in states])
-    parameters = [{} for _ in states]
-    assert len(chsh_value(densities, a, b, c, d, parameters)) == 3
+    parameters = {"state": ["a", "b", "c"]}
+    assert len(chsh_value(densities, a, b, c, d, parameters)["value"]) == 3
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
@@ -128,27 +129,27 @@ def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
 # --- CHSH-like inequality ---------------------------------------------------------
 
 def test_identity_observables_meet_bound_without_violation():
-    report = chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4, [{}])[0]
+    report = block_rows(chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4, {}))[0]
     assert report["value"] == pytest.approx(2.0, abs=1e-12)
     assert report["bound"] == CHSH_BOUND
     assert not report["violated"]
 
 
 def test_ground_state_violation_value():
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])[0]
+    report = block_rows(chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), {}))[0]
     assert report["value"] == pytest.approx(GROUND_CLOSED_FORM, abs=5e-5)
     assert round(report["value"], 5) == 2.82839
     assert report["violated"]
 
 
 def test_kramers_partner_same_violation():
-    plus = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])[0]
-    minus = chsh_value(_density(1, 1, -0.5), *ground_observables(-0.5), [{}])[0]
+    plus = block_rows(chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), {}))[0]
+    minus = block_rows(chsh_value(_density(1, 1, -0.5), *ground_observables(-0.5), {}))[0]
     assert minus["value"] == pytest.approx(plus["value"], abs=5e-5)
 
 
 def test_report_value_is_signed_term_sum():
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])[0]
+    report = block_rows(chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), {}))[0]
     t = report["terms"]
     assert report["value"] == pytest.approx(t["AB"] + t["BC"] + t["CD"] - t["DA"], abs=1e-14)
     assert report["violated"] == (report["value"] > report["bound"])
@@ -161,14 +162,14 @@ def test_chsh_checks_each_observable_once(monkeypatch):
     original = spindensity.hermiticity_defect
     monkeypatch.setattr(spindensity, "hermiticity_defect",
                         lambda o: checked.append(o) or original(o))
-    chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), [{}])
+    chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), {})
     assert len(checked) == 4
 
 
 def test_chsh_rejects_incompatible_context():
     a, b, c, _ = ground_observables(0.5)
     with pytest.raises(IncompatibleObservablesError):
-        chsh_value(_density(1, 1, 0.5), a, c, b, a, [{}])  # (A, C) share the family
+        chsh_value(_density(1, 1, 0.5), a, c, b, a, {})  # (A, C) share the family
 
 
 def test_chsh_rejects_a_non_hermitian_density():
@@ -178,7 +179,7 @@ def test_chsh_rejects_a_non_hermitian_density():
     b, d = b[0], d[0]
     rho = 1j * (a @ b).conj().T / 4
     with pytest.raises(ValueError, match="^density is not Hermitian: .* imaginary part 1.000e"):
-        chsh_value(rho, a, b, c, d, [{}])
+        chsh_value(rho, a, b, c, d, {})
 
 
 def test_peres_mermin_rejects_a_non_hermitian_density():
@@ -189,36 +190,48 @@ def test_peres_mermin_rejects_a_non_hermitian_density():
 
 
 def test_report_row_has_the_schema_keys_in_order():
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
-                        parameters=[{"a": ALPHA, "n": 1}])[0]
-    assert type(report) is dict
-    assert list(report) == ["kind", "terms", "value", "bound", "violated", "parameters"]
-    assert report["kind"] == "chsh_nc"
-    assert list(report["terms"]) == ["AB", "BC", "CD", "DA"]
-    assert report["violated"] is True
-    assert report["parameters"]["n"] == 1
+    block = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
+                       parameters={"a": [ALPHA], "n": [1]})
+    assert type(block) is dict
+    assert list(block) == ["kind", "terms", "value", "bound", "violated", "parameters"]
+    assert block["kind"] == ["chsh_nc"]
+    assert list(block["terms"]) == ["AB", "BC", "CD", "DA"]
+    assert block["violated"] == [True]
+    assert block["parameters"]["n"] == [1]
+    # every column a list of Python scalars of one type, as the report writer takes it
+    columns = [block[key] for key in ("kind", "value", "bound", "violated")]
+    columns += list(block["terms"].values())
+    assert all(type(column) is list and len({type(x) for x in column}) == 1 for column in columns)
 
 
 def test_report_serialization_round_trip():
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
-                        parameters=[{"a": ALPHA, "n": 1}])[0]
-    assert json.loads(json.dumps(report)) == report
+    block = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
+                       parameters={"a": [ALPHA], "n": [1]})
+    assert json.loads(json.dumps(block)) == block
 
 
 def test_chsh_rows_own_the_parameters_they_are_given():
-    # the rows store the caller's parameter dicts as they are, not copies
-    parameters = {"a": ALPHA, "n": 1}
-    report = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=[parameters])
-    assert len(report) == 1 and report[0]["parameters"] is parameters
+    # the block stores the caller's parameter columns as they are, not copies
+    parameters = {"a": [ALPHA], "n": [1]}
+    block = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=parameters)
+    assert block["parameters"] is parameters
     densities = np.stack([_density(1, 1, 0.5), _density(1, 1, -0.5)])
-    stacked = [{"m_j": 0.5}, {"m_j": -0.5}]
-    rows = chsh_value(densities, *ground_observables(0.5), parameters=stacked)
-    assert [row["parameters"] for row in rows] == stacked
-    assert all(row["parameters"] is p for row, p in zip(rows, stacked))
-    # one dict per row, no fewer and no more
-    for wrong in (stacked[:1], stacked + [{}]):
-        with pytest.raises(ValueError):
+    stacked = {"m_j": [0.5, -0.5]}
+    rows = block_rows(chsh_value(densities, *ground_observables(0.5), parameters=stacked))
+    assert [row["parameters"] for row in rows] == [{"m_j": 0.5}, {"m_j": -0.5}]
+    # one entry per row in every column, no fewer and no more
+    for wrong in ({"m_j": [0.5]}, {"m_j": [0.5, -0.5, 0.5]}, {"m_j": [0.5, -0.5], "n": []}):
+        with pytest.raises(ValueError, match="entries for 2 rows"):
             chsh_value(densities, *ground_observables(0.5), parameters=wrong)
+
+
+def test_peres_mermin_labels_are_one_per_row():
+    densities = np.stack([np.eye(4) / 4.0] * 3)
+    assert block_rows(peres_mermin_value(densities, ["x", "y", "z"]))[2]["parameters"] == {
+        "state": "z"}
+    for wrong in (["x", "y"], ["x", "y", "z", "w"]):
+        with pytest.raises(ValueError, match="entries for 3 rows"):
+            peres_mermin_value(densities, wrong)
 
 
 # --- the xi sweep and its closed form --------------------------------------------
@@ -229,7 +242,7 @@ def test_optimal_xi_ground_state_matches_both_routes():
     assert value_star == pytest.approx(GROUND_XI_ROUTE, rel=1e-12)
     # the two observable constructions land on the same violation to ~1e-5
     assert value_star == pytest.approx(GROUND_CLOSED_FORM, abs=2e-5)
-    report = chsh_value(_density(1, 1, 0.5), *excited_observables([xi_star]), [{}])[0]
+    report = block_rows(chsh_value(_density(1, 1, 0.5), *excited_observables([xi_star]), {}))[0]
     assert report["value"] == pytest.approx(value_star, rel=1e-10)
 
 
@@ -272,7 +285,7 @@ def test_harmonic_c_never_vanishes():
 def test_quadrature_matches_closed_form(n, kappa, m_j):
     qn = QuantumNumbers(n, kappa, m_j)
     xi_star, value_star = optimal_xi(*_columns(qn))
-    report = chsh_value(_density(n, kappa, m_j), *excited_observables([xi_star]), [{}])[0]
+    report = block_rows(chsh_value(_density(n, kappa, m_j), *excited_observables([xi_star]), {}))[0]
     assert report["value"] == pytest.approx(value_star, rel=1e-10)
     assert value_star > 2.0
 
@@ -283,7 +296,7 @@ def test_xi_scan_confirms_optimality(n, kappa, m_j):
     density = _density(n, kappa, m_j)
     xi_star, value_star = optimal_xi(*_columns(qn))
     xis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    values = [chsh_value(density, *excited_observables([xi]), [{}])[0]["value"] for xi in xis]
+    values = [chsh_value(density, *excited_observables([xi]), {})["value"][0] for xi in xis]
     scan_max = max(values)
     assert scan_max <= value_star + 1e-6
     assert abs(scan_max - value_star) < 1e-4
@@ -293,9 +306,9 @@ def test_full_shell_sweep_matches_closed_forms_to_n5():
     # every bound state through n = 5, both kappa signs, all m_j
     for qn in valid_states(5):
         xi_star, value_star = optimal_xi(*_columns(qn))
-        report = chsh_value(
-            reduce(eigenstate(qn, ALPHA)), *excited_observables([xi_star]), [{}]
-        )[0]
+        report = block_rows(chsh_value(
+            reduce(eigenstate(qn, ALPHA)), *excited_observables([xi_star]), {}
+        ))[0]
         assert report["value"] > 2.0
         assert abs(report["value"] - value_star) / value_star < 1e-8
 
@@ -303,7 +316,7 @@ def test_full_shell_sweep_matches_closed_forms_to_n5():
 def test_xi_zero_degenerate_value_bounded():
     # B = D collapses the sweep to 2<C Gp_z>, which a compatible context bounds by 2
     for n, kappa, m_j in [(1, 1, 0.5), (2, -1, -0.5), (3, 2, 0.5)]:
-        report = chsh_value(_density(n, kappa, m_j), *excited_observables([0.0]), [{}])[0]
+        report = block_rows(chsh_value(_density(n, kappa, m_j), *excited_observables([0.0]), {}))[0]
         assert abs(report["value"]) <= 2.0 + 1e-12
 
 

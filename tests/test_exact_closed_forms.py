@@ -23,6 +23,7 @@ from diracctx.contextuality import (
 )
 from diracctx.freeparticle import _plane_waves
 from diracctx.spindensity import analytic_densities, pure_density
+from report_blocks import block_rows
 
 GAMMA = build_family("Gamma")
 GAMMA_PRIME = build_family("GammaPrime")
@@ -158,7 +159,7 @@ def test_xi_family_value_is_2_c_cos_xi_minus_2_delta_sin_xi(delta):
     # the package's terms: p at xi = 0 and, up to cos(pi/2) p, q at xi = pi/2
     densities = analytic_densities(*zip(*states), [float(delta)] * len(states))
     at_0, at_right_angle = (
-        chsh_value(densities, *excited_observables([xi]), [{} for _ in states])
+        block_rows(chsh_value(densities, *excited_observables([xi]), {}))
         for xi in (0.0, math.pi / 2.0))
     for (kappa, twice_mj), row_0, row_right_angle in zip(states, at_0, at_right_angle):
         t = {key: real for key, (real, _) in _correlation_matrix(

@@ -22,6 +22,7 @@ from diracctx.freeparticle import (
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import sommerfeld_mu
 from diracctx.spindensity import IncompatibleObservablesError, correlator, pure_density
+from report_blocks import block_rows
 
 I4 = np.eye(4, dtype=complex)
 SIGMA = build_family("Sigma")
@@ -92,7 +93,7 @@ def test_state_solves_fixed_k_hamiltonian():
 # --- observables ---------------------------------------------------------------
 
 def test_observable_angle_limits():
-    rest, fast = (row["parameters"]["theta"] for row in free_chsh_curve([0.0, 0.9999999]))
+    rest, fast = free_chsh_curve([0.0, 0.9999999])["parameters"]["theta"]
     assert rest == pytest.approx(math.pi / 4.0, rel=1e-15)
     assert fast < 5e-4
     assert _observables([0.0, 0.9999999])[0] == [rest, fast]
@@ -123,27 +124,27 @@ def test_observables_are_the_gamma_matrices():
 # --- the violation curve ----------------------------------------------------------
 
 def test_rest_frame_reaches_tsirelson_like_value():
-    report = free_chsh(0.0)
+    (report,) = block_rows(free_chsh(0.0))
     assert report["value"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
     assert report["violated"]
 
 
 def test_curve_value_at_beta_06():
     # 2 sqrt(2 - 0.36) = 2 sqrt(1.64)
-    report = free_chsh(0.6)
+    (report,) = block_rows(free_chsh(0.6))
     assert report["value"] == pytest.approx(2.5612496949731396, rel=1e-14)
 
 
 def test_curve_matches_closed_form_on_grid():
     betas = np.linspace(0.0, 0.999, 200)
     for beta_v in betas:
-        report = free_chsh(float(beta_v))
-        assert abs(report["value"] - 2.0 * math.sqrt(2.0 - beta_v**2)) < 1e-12
+        (value,) = free_chsh(float(beta_v))["value"]
+        assert abs(value - 2.0 * math.sqrt(2.0 - beta_v**2)) < 1e-12
 
 
 def test_curve_strictly_decreasing_and_violating():
     betas = np.linspace(0.0, 0.999, 120)
-    values = [free_chsh(float(b))["value"] for b in betas]
+    values = [free_chsh(float(b))["value"][0] for b in betas]
     assert all(v > 2.0 for v in values)
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -176,7 +177,7 @@ def test_batched_terms_equal_pointwise_reference():
     # the benchmark's full 0:0.999:20000 grid, which crosses many block boundaries
     betas = [float(b) for b in np.linspace(0.0, 0.999, 20000)]
     betas += [float(b) for b in np.random.default_rng(5).uniform(0.0, 0.999999, 50)]
-    for beta_v, report in zip(betas, free_chsh_curve(betas), strict=True):
+    for beta_v, report in zip(betas, block_rows(free_chsh_curve(betas)), strict=True):
         assert report["terms"] == _pointwise_terms(beta_v)
         t = report["terms"]
         assert report["value"] == t["AB"] + t["BC"] + t["CD"] - t["DA"]
@@ -184,21 +185,17 @@ def test_batched_terms_equal_pointwise_reference():
 
 def test_free_chsh_is_a_row_of_the_curve():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
-    curve = free_chsh_curve(betas)
+    curve = block_rows(free_chsh_curve(betas))
     for i in (0, 1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, len(betas) - 1):
-        assert free_chsh(betas[i]) == curve[i]
-
-
-def test_empty_curve_is_empty():
-    assert free_chsh_curve([]) == []
+        assert block_rows(free_chsh(betas[i])) == [curve[i]]
 
 
 def test_stack_with_one_bad_slice_is_rejected():
     betas = [0.1, 0.5, 0.9]
     densities, a, b, c, d = _stacks(betas)
-    parameters = [{} for _ in betas]
-    reports = chsh_value(densities, a, b, c, d, parameters)
-    assert correlator(densities, a, b).tolist() == [r["terms"]["AB"] for r in reports]
+    parameters = {"beta_v": betas}
+    block = chsh_value(densities, a, b, c, d, parameters)
+    assert correlator(densities, a, b).tolist() == block["terms"]["AB"]
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
@@ -221,15 +218,13 @@ def test_real_stacks_give_the_rows_of_their_complex_casts():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
     stacks = _real_stacks(betas)
     assert all(m.dtype == np.float64 for m in stacks)
-    complex_rows = chsh_value(*(m.astype(complex) for m in stacks), [{} for _ in betas])
-    assert chsh_value(*stacks, [{} for _ in betas]) == complex_rows
+    complex_block = chsh_value(*(m.astype(complex) for m in stacks), {})
+    assert chsh_value(*stacks, {}) == complex_block
     # the curve, a block at a time as the CLI streams it, gives the same terms
-    curve = [
-        row
-        for start in range(0, len(betas), REPORT_BLOCK)
-        for row in free_chsh_curve(betas[start:start + REPORT_BLOCK])
-    ]
-    assert [row["terms"] for row in curve] == [row["terms"] for row in complex_rows]
+    curve = [free_chsh_curve(betas[start:start + REPORT_BLOCK])
+             for start in range(0, len(betas), REPORT_BLOCK)]
+    for name, column in complex_block["terms"].items():
+        assert [x for block in curve for x in block["terms"][name]] == column
 
 
 def test_free_observables_stay_complex():
@@ -240,7 +235,7 @@ def test_free_observables_stay_complex():
 
 def test_real_stack_with_one_bad_slice_is_rejected():
     densities, a, b, c, d = _real_stacks([0.1, 0.5, 0.9])
-    parameters = [{}, {}, {}]
+    parameters = {}
     non_symmetric = b.copy()
     non_symmetric[1, 0, 1] += 0.5
     with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
@@ -269,7 +264,7 @@ def test_grid_reaching_the_speed_of_light_exits_2(capsys):
 
 
 def test_report_parameters_carry_closed_form():
-    report = free_chsh(0.5)
+    (report,) = block_rows(free_chsh(0.5))
     assert report["parameters"]["closed_form"] == pytest.approx(
         2.0 * math.sqrt(1.75), rel=1e-15
     )
