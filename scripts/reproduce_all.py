@@ -82,12 +82,12 @@ def main():
               f"closed form = {p['closed_form'][0]:.12f}")
 
     print("\n--- measurability contrast at beta = 0.5 ---")
-    spectrum, mixing = results("measurability", alpha=a, n_max=10, beta=0.5)
+    spectrum, *mixing = results("measurability", alpha=a, n_max=10, beta=0.5)
     print(f"  hydrogen spectrum n <= 10: all positive "
           f"(min mu = {spectrum['terms']['min_mu'][0]:.9f})")
-    # one mixing row per observable, with the weight of each of its eigenvectors
-    for name, weights in zip("ABCD", zip(*mixing["terms"].values())):
-        formatted = ", ".join(f"{w:.4f}" for w in weights)
+    # one one-row mixing block per observable, with the weight of each of its eigenvectors
+    for name, block in zip("ABCD", mixing):
+        formatted = ", ".join(f"{w:.4f}" for (w,) in block["terms"].values())
         print(f"  observable {name}': negative-energy weights per eigenvector: {formatted}")
 
     print(f"\ndone in {time.perf_counter() - start:.1f}s")

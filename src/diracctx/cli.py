@@ -29,6 +29,7 @@ from .contextuality import (
     harmonic_coefficients,
     optimal_xi,
     peres_mermin_value,
+    report_block,
 )
 from .freeparticle import (
     check_betas,
@@ -280,14 +281,9 @@ def _chsh_on_states(table: tuple, a: float, observables, extra_params: dict) -> 
 
 def _run_audit(config: RunConfig) -> list:
     residuals = audit_algebra()
-    return [{
-        "kind": ["algebra_audit"],
-        "terms": _one_row(residuals),
-        "value": [max(residuals.values())],
-        "bound": [0.0],
-        # a check passes only at exactly 0; a nan residual fails too
-        "violated": [any(r != 0.0 for r in residuals.values())],
-    }]
+    # a check passes only at exactly 0; np.max keeps a nan residual, which fails too
+    return [report_block("algebra_audit", _one_row(residuals), [np.max(list(residuals.values()))],
+                         0.0, [any(r != 0.0 for r in residuals.values())])]
 
 
 def _xi_rows(table: tuple, a: float, xi: float | None = None) -> dict:
@@ -349,25 +345,20 @@ def _run_free_electron(config: RunConfig) -> Iterable[dict]:
 
 def _run_measurability(config: RunConfig) -> list:
     mus = state_table(config.n_max, config.alpha)[3].tolist()
-    spectrum = {
-        "kind": ["hydrogen_spectrum_positivity"],
-        "terms": {"min_mu": [min(mus)], "max_mu": [max(mus)]},
-        "value": [min(mus)],
-        "bound": [0.0],
-        "violated": [min(mus) > 0.0],
-    }
+    spectrum = report_block("hydrogen_spectrum_positivity",
+                            {"min_mu": [min(mus)], "max_mu": [max(mus)]},
+                            [min(mus)], 0.0, [min(mus) > 0.0])
     # one row per observable, each with the weights of its four eigenvectors
     weights = np.array([energy_split(config.beta, obs) for obs in free_observables(config.beta)])
     # mixing margin: how far the most mixed eigenvector sits inside (0, 1)
     margins = np.minimum(weights, 1.0 - weights).max(axis=1)
-    mixing = {
-        "kind": [f"negative_energy_mixing_{name}" for name in "ABCD"],
-        "terms": {f"weight_{i}": column.tolist() for i, column in enumerate(weights.T)},
-        "value": margins.tolist(),
-        "bound": [MIXING_THRESHOLD] * len(margins),
-        "violated": (margins > MIXING_THRESHOLD).tolist(),
-    }
-    return [spectrum, mixing]
+    # one one-row block per observable, so that each block has one kind
+    mixing = (
+        report_block(f"negative_energy_mixing_{name}",
+                     {f"weight_{i}": [w] for i, w in enumerate(row)},
+                     [margin], MIXING_THRESHOLD, [margin > MIXING_THRESHOLD])
+        for name, row, margin in zip("ABCD", weights.tolist(), margins.tolist()))
+    return [spectrum, *mixing]
 
 
 def _run_converge(config: RunConfig) -> list:
@@ -377,14 +368,9 @@ def _run_converge(config: RunConfig) -> list:
     state = eigenstate(qn, config.alpha)
     closed_form = analytic_densities(*_one_state(qn, config.alpha)[1:])[0]
     gap = float(np.abs(reduce(state) - closed_form).max())
-    return [{
-        "kind": ["convergence"],
-        "terms": {"radial_nodes": [float(len(state.rule[0]))]},
-        "value": [gap],
-        "bound": [CONVERGE_BOUND],
-        # a nan gap fails too
-        "violated": [not gap <= CONVERGE_BOUND],
-    }]
+    # a nan gap fails too
+    return [report_block("convergence", {"radial_nodes": [float(len(state.rule[0]))]}, [gap],
+                         CONVERGE_BOUND, [not gap <= CONVERGE_BOUND])]
 
 
 @dataclass(frozen=True)
@@ -443,7 +429,7 @@ def execute(config: RunConfig) -> dict:
     version, the config echo and the results, as the dict the report
     serializes. Deterministic given the config (incl. seed). The set-up
     runs here; the results are a one-shot iterable of report blocks of at
-    most REPORT_BLOCK rows (see contextuality.chsh_value), each evaluated
+    most REPORT_BLOCK rows (see contextuality.report_block), each evaluated
     as it is read."""
     return {
         "command": config.command,

@@ -42,24 +42,31 @@ def chsh_value(density, a, b, c, d, parameters: dict) -> dict:
         np.ravel(pair_correlator(rho, o1, o2)) for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
     )
     value = ab + bc + cd - da
-    return _block("chsh_nc", {"AB": ab, "BC": bc, "CD": cd, "DA": da}, value, CHSH_BOUND,
-                  parameters)
+    return report_block("chsh_nc", {"AB": ab, "BC": bc, "CD": cd, "DA": da}, value, CHSH_BOUND,
+                        value > CHSH_BOUND, parameters)
 
 
-def _block(kind: str, terms: dict, value: np.ndarray, bound: float, parameters: dict) -> dict:
-    """The report block of the term and value arrays of len(value) rows."""
+def report_block(kind: str, terms: dict, value, bound: float, violated, parameters=None) -> dict:
+    """The report block of len(value) rows, the one constructor of a block:
+    kind and bound once per row, each term, value and violated column (an
+    array or a list) as a list, and parameters, a dict of columns, as is and
+    only when given; a parameter column that is not one entry per row raises
+    ValueError. The caller decides violated, and so what a nan row claims."""
+    value = np.asarray(value).tolist()
     rows = len(value)
-    for name, column in parameters.items():
-        if len(column) != rows:
-            raise ValueError(f"parameter {name} has {len(column)} entries for {rows} rows")
-    return {
+    block = {
         "kind": [kind] * rows,
-        "terms": {name: term.tolist() for name, term in terms.items()},
-        "value": value.tolist(),
+        "terms": {name: np.asarray(term).tolist() for name, term in terms.items()},
+        "value": value,
         "bound": [bound] * rows,
-        "violated": (value > bound).tolist(),
-        "parameters": parameters,
+        "violated": np.asarray(violated).tolist(),
     }
+    if parameters is not None:
+        for name, column in parameters.items():
+            if len(column) != rows:
+                raise ValueError(f"parameter {name} has {len(column)} entries for {rows} rows")
+        block["parameters"] = parameters
+    return block
 
 
 def ground_observables(m_j: float):
@@ -137,4 +144,5 @@ def peres_mermin_value(densities, labels: list) -> dict:
     terms = {name: expectation(densities, product) for name, product, _ in _PM_LINE_PRODUCTS}
     # one signed sum from +0.0: a first term of -0.0 then gives 0.0, as from int 0
     value = sum((sign * terms[name] for name, _, sign in _PM_LINE_PRODUCTS), 0.0)
-    return _block("peres_mermin", terms, value, PERES_MERMIN_BOUND, {"state": labels})
+    return report_block("peres_mermin", terms, value, PERES_MERMIN_BOUND,
+                        value > PERES_MERMIN_BOUND, {"state": labels})

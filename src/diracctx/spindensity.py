@@ -115,7 +115,8 @@ def checked_observable(name: str, o) -> np.ndarray:
     when o is real, complex128 otherwise."""
     o = np.asarray(o)
     o = o.astype(float if np.isrealobj(o) else complex, copy=False)
-    if hermiticity_defect(o) > COMMUTE_TOLERANCE:
+    # written as not <= so that a nan entry fails the check too
+    if not hermiticity_defect(o) <= COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(f"observable {name} is not Hermitian")
     return o
 
@@ -140,7 +141,7 @@ def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarr
     ValueError as expectation does."""
     product = _matmul(o1, o2)
     comm = np.abs(product - _matmul(o2, o1)).max()
-    if comm > COMMUTE_TOLERANCE:
+    if not comm <= COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(
             f"observables do not commute (largest entry {comm:.3e}); "
             "the correlator is only defined on compatible pairs"
@@ -150,17 +151,20 @@ def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarr
 
 def expectation(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
     """Real part of trace(rho . op) over the broadcast leading axes of the
-    densities and the operator. Raises ValueError if a density is not
-    Hermitian (the trace of a Hermitian op then has an imaginary part)."""
+    densities and the operator. Raises ValueError if a density is not finite
+    or not Hermitian (the trace of a Hermitian op then has an imaginary part)."""
     # the diagonal of rho . op, then its sum, gives the bits of
     # trace(rho @ o1 @ o2) on the free-electron grid and the sweep stacks; the
     # one-step "...ij,...ji->..." contraction moves the last bit of some terms
     value = np.einsum("...ij,...ji->...i", rho, op).sum(-1)
     spurious = np.abs(value.imag)
-    if spurious.max() > COMMUTE_TOLERANCE:
+    if not spurious.max() <= COMMUTE_TOLERANCE:
         worst = np.ravel(value.imag)[np.ravel(spurious).argmax()]
         raise ValueError(
             f"density is not Hermitian: its trace has imaginary part {worst:.3e}")
+    # a real density and operator leave no imaginary part to carry a nan
+    if not np.isfinite(value.real).all():
+        raise ValueError("density has an entry that is not finite")
     return value.real
 
 

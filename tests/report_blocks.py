@@ -1,5 +1,5 @@
 """Report blocks read back one row at a time, for tests that check a row on
-its own."""
+its own, and a comparison of report texts that stays readable at megabytes."""
 
 
 def block_rows(block: dict, count: int | None = None) -> list[dict]:
@@ -18,3 +18,23 @@ def block_rows(block: dict, count: int | None = None) -> list[dict]:
 def report_rows(blocks) -> list[dict]:
     """The rows of a stream of report blocks, in order."""
     return [row for block in blocks for row in block_rows(block)]
+
+
+def assert_same_text(actual: str, expected: str, context: int = 40) -> None:
+    """Assert the texts are equal. A mismatch reports both lengths and the
+    first differing offset with up to context characters of each text around
+    it, never the whole texts: a diff of two multi-MB reports would not end."""
+    if actual == expected:
+        return
+    # the longest common prefix, by bisection over whole-prefix comparisons
+    offset, stop = 0, min(len(actual), len(expected))
+    while offset < stop:
+        middle = (offset + stop + 1) // 2
+        if actual[:middle] == expected[:middle]:
+            offset = middle
+        else:
+            stop = middle - 1
+    window = slice(max(offset - context, 0), offset + context)
+    raise AssertionError(
+        f"texts differ: {len(actual)} against {len(expected)} characters, first at "
+        f"offset {offset}: {actual[window]!r} against {expected[window]!r}")

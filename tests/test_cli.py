@@ -47,7 +47,7 @@ from diracctx.spindensity import (
     radial_weights,
     state_label,
 )
-from report_blocks import block_rows, report_rows
+from report_blocks import assert_same_text, block_rows, report_rows
 
 
 def _run(command, **kwargs):
@@ -159,6 +159,21 @@ def test_audit_command_reports_zero_residual():
     assert result["terms"]["pm col 3 product"] == 0.0
 
 
+@pytest.mark.parametrize("residuals, value", [
+    # Python's max would return 0.0 here, as nan compares false
+    ({"first": 0.0, "second": math.nan, "third": 0.0}, math.nan),
+    ({"first": 0.0, "second": 2.0, "third": 0.0}, 2.0),
+])
+def test_audit_value_keeps_a_failed_residual(monkeypatch, residuals, value):
+    import diracctx.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "audit_algebra", lambda: residuals)
+    (row,) = _rows("audit")
+    assert row["value"] == value or math.isnan(value) and math.isnan(row["value"])
+    assert row["violated"] is True
+    assert list(row["terms"]) == list(residuals)
+
+
 def test_peres_mermin_command_is_state_independent():
     rows = _rows("peres-mermin", n_max=2, seed=42)
     # 10 hydrogen states + 100 random spinors + maximally mixed
@@ -168,7 +183,13 @@ def test_peres_mermin_command_is_state_independent():
 
 
 def test_measurability_contrast():
-    spectrum, *mixing = _rows("measurability", beta=0.5, n_max=10)
+    blocks = _run("measurability", beta=0.5, n_max=10)["results"]
+    # one one-row block per check, so each block has one kind
+    assert [block["kind"] for block in blocks] == [
+        ["hydrogen_spectrum_positivity"],
+        *([f"negative_energy_mixing_{name}"] for name in "ABCD"),
+    ]
+    spectrum, *mixing = report_rows(blocks)
     assert spectrum["kind"] == "hydrogen_spectrum_positivity"
     assert spectrum["value"] > 0.0 and spectrum["violated"]
     assert len(mixing) == 4
@@ -568,7 +589,7 @@ def test_render_json_of_float_edges_in_one_column():
 ])
 def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
     doc = _run(command, **kwargs)
-    assert render(doc, "json") == _reference_json(doc)
+    assert_same_text(render(doc, "json"), _reference_json(doc))
 
 
 @pytest.mark.parametrize("payload", [
@@ -626,13 +647,24 @@ def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, 
     # header, then the blocks
     assert len(pieces) == len(doc["results"]) + 1
     text = "".join(pieces)
-    assert text == render(doc, output_format)
+    assert_same_text(text, render(doc, output_format))
     reference = _reference_json if output_format == "json" else _reference_csv
-    assert text == reference(doc)
+    assert_same_text(text, reference(doc))
     assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == text
+    assert_same_text(capsys.readouterr().out, text)
     assert main([*argv, "--output", str(tmp_path / "report")]) == EXIT_OK
-    assert (tmp_path / "report").read_text(encoding="utf-8") == text
+    assert_same_text((tmp_path / "report").read_text(encoding="utf-8"), text)
+
+
+def test_assert_same_text_names_the_first_difference():
+    text = "x" * 5_000_000 + "abc"
+    assert_same_text(text, "x" * 5_000_000 + "abc")
+    with pytest.raises(AssertionError, match="^texts differ: 5000003 against 5000003 characters, "
+                                             "first at offset 5000001: 'xabc' against 'xaXb'$"):
+        assert_same_text(text, "x" * 5_000_000 + "aXb", context=2)
+    # one text a prefix of the other: the offset is the shorter length
+    with pytest.raises(AssertionError, match="first at offset 5000000: 'xx' against 'xxab'$"):
+        assert_same_text(text[:-3], text, context=2)
 
 
 SCHEMA = ("kind", "terms", "value", "bound", "violated", "parameters")
@@ -679,6 +711,12 @@ def _joined(blocks):
     ("sweep", {"n_max": 3}, "chsh_value"),
     ("free-electron", {"beta_grid": "0:0.9:1100"}, "chsh_value"),
     ("peres-mermin", {"n_max": 2}, "peres_mermin_value"),
+    # every runner's blocks come from the one constructor
+    ("audit", {}, "report_block"),
+    ("measurability", {}, "report_block"),
+    ("converge", {}, "report_block"),
+    ("sweep", {"n_max": 9}, "report_block"),
+    ("peres-mermin", {"n_max": 2}, "report_block"),
 ])
 def test_report_rows_are_the_rows_built_once(monkeypatch, command, kwargs, source):
     # the blocks the kernel returns are the blocks the writer formats, uncopied
@@ -894,7 +932,7 @@ COMMAND_NAMES = (
 @pytest.mark.parametrize("command", COMMAND_NAMES)
 def test_library_and_cli_defaults_agree(command, capsys):
     assert main([command]) == EXIT_OK
-    assert capsys.readouterr().out == render(execute(RunConfig(command=command)), "json")
+    assert_same_text(capsys.readouterr().out, render(execute(RunConfig(command=command)), "json"))
 
 
 def test_command_rejects_flag_it_does_not_read(capsys):

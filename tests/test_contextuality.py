@@ -22,6 +22,7 @@ from diracctx.contextuality import (
     harmonic_coefficients,
     optimal_xi,
     peres_mermin_value,
+    report_block,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
@@ -187,6 +188,54 @@ def test_peres_mermin_rejects_a_non_hermitian_density():
     rho = np.eye(4)[None] / 4 * (1 + 0.5j)
     with pytest.raises(ValueError, match="^density is not Hermitian: .* imaginary part [-]?5.000e-01"):
         peres_mermin_value(rho, ["x"])
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_chsh_and_peres_mermin_reject_a_nan_density(dtype):
+    # nan compares false with every tolerance, so each guard is written not <=;
+    # a real density on real observables has no imaginary part to carry the nan
+    rho = np.full((2, 4, 4), np.nan, dtype=dtype)
+    with pytest.raises(ValueError, match="^density "):
+        chsh_value(rho, *ground_observables(0.5), {})
+    with pytest.raises(ValueError, match="^density "):
+        chsh_value(rho, *(np.eye(4),) * 4, {})
+    with pytest.raises(ValueError, match="^density "):
+        peres_mermin_value(rho, ["x", "y"])
+
+
+def test_chsh_rejects_a_nan_observable():
+    a, b, c, d = ground_observables(0.5)
+    b = b.copy()
+    b[0, 0] = np.nan
+    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
+        chsh_value(np.eye(4) / 4, a, b, c, d, {})
+
+
+def test_peres_mermin_rejects_a_nan_line_product(monkeypatch):
+    # peres_mermin_value takes no observable: a nan line product stands in for one
+    import diracctx.contextuality as contextuality
+
+    (name, product, sign), *rest = contextuality._PM_LINE_PRODUCTS
+    product = product.copy()
+    product[1, 1] = np.nan
+    monkeypatch.setattr(contextuality, "_PM_LINE_PRODUCTS", ((name, product, sign), *rest))
+    with pytest.raises(ValueError, match="^density "):
+        peres_mermin_value(np.eye(4)[None] / 4, ["x"])
+
+
+def test_report_block_is_the_one_block_constructor():
+    block = report_block("k", {"t": np.array([1.0, 2.0])}, np.array([3.0, 4.0]), 3.5,
+                         np.array([False, True]))
+    # without parameters the block holds the schema's first five keys, all lists
+    assert list(block) == ["kind", "terms", "value", "bound", "violated"]
+    assert block == {"kind": ["k", "k"], "terms": {"t": [1.0, 2.0]}, "value": [3.0, 4.0],
+                     "bound": [3.5, 3.5], "violated": [False, True]}
+    assert type(block["violated"][0]) is bool
+    parameters = {"state": ["a", "b"]}
+    assert report_block("k", {}, [1.0, 2.0], 0.0, [True, True], parameters)["parameters"] \
+        is parameters
+    with pytest.raises(ValueError, match="parameter state has 1 entries for 2 rows"):
+        report_block("k", {}, [1.0, 2.0], 0.0, [True, True], {"state": ["a"]})
 
 
 def test_report_row_has_the_schema_keys_in_order():
