@@ -164,10 +164,48 @@ def _json_column(values: list) -> list[str]:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _json_template(block: dict, indent: str, columns: list) -> str:
+def _json_field(values: list) -> tuple[str, list | None]:
+    """The field of a column in its block's row template, with the entries the
+    block's % takes for it (None when it takes none). A constant column,
+    bitwise for floats (0.0 and -0.0 differ), is its one JSON text, written
+    into the template. A float column whose every entry is plain (finite,
+    1e-4 <= |x| < 1e14 and more than 1e-13 |x| from an integer) is %.15g of
+    the floats themselves: that text has a "." and no exponent, so it is the
+    JSON of the rounded float already. Any other column is %s of its texts
+    from _json_column, which also raises on a mixed or non-JSON column."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and issubclass(next(iter(kinds)), float):
+        floats = np.array(values, dtype=float)
+        bits = floats.view(np.uint64)
+        if (bits == bits[0]).all():
+            return _float_texts(values[:1])[0], None
+        size = np.abs(floats)
+        # the range test comes first: it keeps nan and inf out of the subtraction
+        if ((size >= 1e-4) & (size < 1e14)).all() and (
+                np.abs(floats - np.rint(floats)) > 1e-13 * size).all():
+            return "%.15g", values
+        return "%s", _float_texts(values)
+    texts = _json_column(values)
+    if texts and texts.count(texts[0]) == len(texts):
+        return texts[0].replace("%", "%%"), None
+    return "%s", texts
+
+
+def _interleaved(columns: list, count: int) -> tuple:
+    """The entries of count rows of the columns, row by row: the fields of
+    count copies of a row template, in order. A column of another length
+    raises ValueError."""
+    flat = [None] * (len(columns) * count)
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return tuple(flat)
+
+
+def _row_template(block: dict, indent: str, columns: list) -> str:
     """The JSON text of one row of the block at this indent level, as
-    json.dumps(..., indent=2) writes it, with %s for each column; the texts of
-    the columns are appended to columns in the order of their %s."""
+    json.dumps(..., indent=2) writes it, with the field of each column from
+    _json_field; each column is appended to columns with the entries its
+    field takes."""
     if not block:
         return "{}"
     inner = indent + "  "
@@ -176,25 +214,29 @@ def _json_template(block: dict, indent: str, columns: list) -> str:
         if not isinstance(key, str):
             raise TypeError(f"report keys must be str, got {type(key).__name__}")
         if isinstance(entry, dict):
-            text = _json_template(entry, inner, columns)
+            text = _row_template(entry, inner, columns)
         elif isinstance(entry, list):
-            columns.append(_json_column(entry))
-            text = "%s"
+            text, entries = _json_field(entry)
+            columns.append((entry, entries))
         else:
             raise TypeError(f"a report block holds lists and blocks, got {type(entry).__name__}")
         items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
-def _json_rows(block: dict, indent: str) -> list[str]:
-    """The JSON text of each row of the block, at this indent level: one
-    template filled by % from the formatted columns. A block without columns
-    is one row, as the head's empty params is."""
+def _json_block(block: dict, indent: str) -> str:
+    """The JSON text of the rows of a block at this indent level, joined by
+    "," and a new line: the row template of _row_template, repeated once per
+    row and filled by one %. A block without columns is one row, as the
+    head's empty params is; a block of no rows is ""."""
     columns = []
-    template = _json_template(block, indent, columns)
-    if not columns:
-        return [template % ()]
-    return [template % row for row in zip(*columns, strict=True)]
+    row = _row_template(block, indent, columns)
+    counts = {len(column) for column, _ in columns}
+    if len(counts) > 1:
+        raise ValueError(f"a report block has columns of {sorted(counts)} entries")
+    count = counts.pop() if counts else 1
+    fields = [entries for _, entries in columns if entries is not None]
+    return (",\n" + indent).join([row] * count) % _interleaved(fields, count)
 
 
 def _one_row(row: dict) -> dict:
@@ -210,15 +252,15 @@ def _json_pieces(document: dict):
         text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
         if key != "results":
             # the head's params is one row of a block, the other entries one-entry columns
-            text += (_json_rows(_one_row(value), "  ") if isinstance(value, dict)
-                     else _json_column([value]))[0]
+            text += (_json_block(_one_row(value), "  ") if isinstance(value, dict)
+                     else _json_column([value])[0])
             continue
         separator = ",\n    "
         prefix = text + "[\n    "
         for block in value:
-            rows = _json_rows(block, "    ")
+            rows = _json_block(block, "    ")
             if rows:
-                yield prefix + separator.join(rows)
+                yield prefix + rows
                 prefix = separator
         # the prefix is still the opening bracket when the results were empty
         text = "\n  ]" if prefix is separator else text + "[]"
@@ -244,9 +286,9 @@ def report_pieces(document: dict, output_format: str):
         if sweep:
             p = block["parameters"]
             head = [p["n"], p["kappa"], p["mj"], p["sign"], p["mu"], p["xi_star"]]
-        rows = zip(*head, block["value"], block["bound"], _json_column(block["violated"]),
-                   strict=True)
-        yield "".join([row % fields for fields in rows])
+        columns = [*head, block["value"], block["bound"], _json_column(block["violated"])]
+        count = len(block["value"])
+        yield "".join([row] * count) % _interleaved(columns, count)
 
 
 def render(document: dict, output_format: str) -> str:
@@ -322,7 +364,9 @@ def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
     maximally mixed state, a block at a time."""
     n, kappa, twice_mj, delta = state_table(config.n_max, config.alpha)
     rng = np.random.default_rng(config.seed)
-    spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
+    # spinor i is parts[i, 0] + i parts[i, 1]: the draw order of one spinor at a time
+    parts = rng.normal(size=(100, 2, 4))
+    spinors = parts[:, 0] + 1j * parts[:, 1]
     others = np.concatenate([pure_density(spinors), [np.eye(4) / 4.0]])
     other_labels = [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]
     count = len(n)

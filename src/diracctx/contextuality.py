@@ -139,9 +139,12 @@ def peres_mermin_value(densities, labels: list) -> dict:
     An (N, 4, 4) stack of density matrices with a list of N labels gives a
     report block of N rows, from one trace per line product over the whole
     stack; labels of another length raise ValueError, as
-    spindensity.expectation does for a non-Hermitian density.
+    spindensity.expectation does for a non-Hermitian density. Each line
+    product passes checked_observable under its line's name, so a nan or
+    non-Hermitian product raises IncompatibleObservablesError naming it.
     """
-    terms = {name: expectation(densities, product) for name, product, _ in _PM_LINE_PRODUCTS}
+    terms = {name: expectation(densities, checked_observable(name, product))
+             for name, product, _ in _PM_LINE_PRODUCTS}
     # one signed sum from +0.0: a first term of -0.0 then gives 0.0, as from int 0
     value = sum((sign * terms[name] for name, _, sign in _PM_LINE_PRODUCTS), 0.0)
     return report_block("peres_mermin", terms, value, PERES_MERMIN_BOUND,

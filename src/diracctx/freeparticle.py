@@ -47,13 +47,15 @@ def _plane_waves(betas: np.ndarray) -> np.ndarray:
     return spinors / np.sqrt(2.0 * energy / (1.0 + energy))[:, None]
 
 
-def _observables(betas: list):
+def _observables(betas):
     """The angles theta = arctan(1/E) = arctan(sqrt(1 - beta^2)) at the
     velocity ratios, and (A', B', C', D') as float64, with B' and D' as
-    (N, 4, 4) stacks over the angles: every entry is real."""
-    thetas = [math.atan(math.sqrt(1.0 - b * b)) for b in betas]
-    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
-    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
+    (N, 4, 4) stacks over the angles: every entry is real. The square root
+    is correctly rounded in numpy as in math; atan, cos and sin are math's."""
+    betas = np.asarray(betas, dtype=float)
+    thetas = list(map(math.atan, np.sqrt(1.0 - betas * betas).tolist()))
+    cos = np.array(list(map(math.cos, thetas)))[:, None, None]
+    sin = np.array(list(map(math.sin, thetas)))[:, None, None]
     return thetas, (_G0, cos * _G35 + sin * _G15, _IG2, -cos * _G35 + sin * _G15)
 
 
@@ -76,13 +78,12 @@ def free_chsh_curve(betas) -> dict:
     """
     betas = np.asarray(betas, dtype=float)
     check_betas(betas)
-    values = betas.tolist()
-    thetas, observables = _observables(values)
+    thetas, observables = _observables(betas)
     # normalized in complex by pure_density, which the report's bits follow;
     # the imaginary parts are exactly 0
     densities = pure_density(_plane_waves(betas)).real
     parameters = {
-        "beta_v": values,
+        "beta_v": betas.tolist(),
         "theta": thetas,
         "closed_form": (2.0 * np.sqrt(2.0 - betas * betas)).tolist(),
     }

@@ -577,6 +577,53 @@ def test_render_json_of_float_edges_in_one_column():
     assert render(doc, "json") == _reference_json(doc, [{"value": x} for x in column])
 
 
+@pytest.mark.parametrize("column", [
+    # constant columns: folded only when every entry has the same bits
+    [0.0, -0.0], [-0.0, -0.0, -0.0], [2.0] * 3, [1e-5] * 3, [math.nan] * 2, [math.inf] * 2,
+    ["a%b"] * 2, [True] * 2, [None] * 2,
+    # plain floats, mixed with entries at the edge of the plain rule
+    *([0.5, x] for x in (9.999999999999999e-05, 1e-4, 0.9999999999999999,
+                         2.0000000000000004, 99999999999999.98, 1e14,
+                         # subnormal and past 1e14, where %.15g is not the JSON text
+                         5e-324, -1.5e-310, 123456789012345.67)),
+    # the edge values on their own
+    [9.999999999999999e-05, 1e-4], [0.9999999999999999, 2.0000000000000004],
+    [99999999999999.98, 1e14], [-1e-4, -0.25, -99999999999999.9],
+    # one row
+    [0.3],
+], ids=repr)
+def test_render_json_of_folded_and_plain_columns(column):
+    # the column beside a plain column and a column of other texts, in a
+    # block, in the head's params, and under a key that holds %
+    count = len(column)
+    plain = [0.25 + i for i in range(count)]
+    labels = [f"s%{i}" for i in range(count)]
+    block = {"kind": column, "terms": {"%s": plain, "x%%": column}, "state": labels}
+    doc = _document("edges", {"p%": column[0], "q": {"r%d": column[-1]}}, [block, block])
+    rows = block_rows(block, count) * 2
+    assert_same_text(render(doc, "json"), _reference_json(doc, rows))
+
+
+def test_render_json_of_blocks_without_columns():
+    # the head's empty params, and a block whose only entry is an empty block
+    doc = _document("empty", {}, [{"terms": {}}])
+    assert_same_text(render(doc, "json"), _reference_json(doc, [{"terms": {}}]))
+
+
+@pytest.mark.parametrize("column", [[True, 1], [1.0, 1], [1, True, True]])
+def test_render_json_checks_the_column_type_before_folding(column):
+    # True == 1 and 1.0 == 1: a column that folded first would be written
+    doc = _document("mixed", {}, [{"value": column}])
+    with pytest.raises(TypeError, match="mixes the types"):
+        render(doc, "json")
+
+
+def test_render_json_rejects_columns_of_different_lengths():
+    doc = _document("ragged", {}, [{"value": [1.5, 2.5], "bound": [2.0]}])
+    with pytest.raises(ValueError):
+        render(doc, "json")
+
+
 @pytest.mark.parametrize("command, kwargs", [
     ("audit", {}),
     ("ground", {}),
@@ -733,17 +780,36 @@ def test_report_rows_are_the_rows_built_once(monkeypatch, command, kwargs, sourc
     for key, module in list(sys.modules.items()):
         if key.startswith("diracctx") and getattr(module, source, None) is original:
             monkeypatch.setattr(module, source, recorded)
-    json_rows = cli_module._json_rows
+    json_block = cli_module._json_block
 
     def writes(block, indent):
         if indent == "    ":  # the result blocks, not the params of the head
             written.append(block)
-        return json_rows(block, indent)
+        return json_block(block, indent)
 
-    monkeypatch.setattr(cli_module, "_json_rows", writes)
+    monkeypatch.setattr(cli_module, "_json_block", writes)
     render(execute(RunConfig(command=command, **kwargs)), "json")
     assert len(written) == len(built) > 0
     assert all(block is made for block, made in zip(written, built))
+
+
+def _random_spinors(seed):
+    """The 100 random spinors of peres-mermin, drawn one spinor at a time:
+    the real part, then the imaginary part."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_random_spinors_are_one_draw_in_the_order_of_one_at_a_time(seed):
+    parts = np.random.default_rng(seed).normal(size=(100, 2, 4))
+    assert np.array_equal(parts[:, 0] + 1j * parts[:, 1], _random_spinors(seed))
+    # the report's random rows are those of the spinors drawn one at a time
+    rows = [r for r in _rows("peres-mermin", n_max=1, seed=seed)
+            if r["parameters"]["state"].startswith("random-")]
+    oracle = peres_mermin_value(pure_density(_random_spinors(seed)),
+                                [f"random-{idx}" for idx in range(100)])
+    assert rows == block_rows(oracle)
 
 
 def _stacked_block(command, n_max):
@@ -756,8 +822,7 @@ def _stacked_block(command, n_max):
     if command == "sweep":
         observables = excited_observables(optimal_xi(kappa, twice_mj, delta)[0])
         return chsh_value(densities, *observables, {})
-    rng = np.random.default_rng(0)
-    spinors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(100)]
+    spinors = _random_spinors(0)
     stack = np.concatenate([densities, [pure_density(u) for u in spinors], [np.eye(4) / 4.0]])
     labels = [state_label(qn.n, qn.kappa, qn.m_j) for qn in states]
     labels += [f"random-{idx}" for idx in range(100)] + ["maximally-mixed"]

@@ -211,15 +211,29 @@ def test_chsh_rejects_a_nan_observable():
         chsh_value(np.eye(4) / 4, a, b, c, d, {})
 
 
-def test_peres_mermin_rejects_a_nan_line_product(monkeypatch):
-    # peres_mermin_value takes no observable: a nan line product stands in for one
+def _with_line_product(monkeypatch, line, entry, shift):
+    """Patch the line product of one Peres-Mermin line: shift one entry."""
     import diracctx.contextuality as contextuality
 
-    (name, product, sign), *rest = contextuality._PM_LINE_PRODUCTS
+    lines = list(contextuality._PM_LINE_PRODUCTS)
+    name, product, sign = lines[line]
     product = product.copy()
-    product[1, 1] = np.nan
-    monkeypatch.setattr(contextuality, "_PM_LINE_PRODUCTS", ((name, product, sign), *rest))
-    with pytest.raises(ValueError, match="^density "):
+    product[entry] += shift
+    lines[line] = name, product, sign
+    monkeypatch.setattr(contextuality, "_PM_LINE_PRODUCTS", tuple(lines))
+
+
+def test_peres_mermin_rejects_a_nan_line_product(monkeypatch):
+    # peres_mermin_value takes no observable: a nan line product stands in for
+    # one, and the error names its line, not the density
+    _with_line_product(monkeypatch, 0, (1, 1), np.nan)
+    with pytest.raises(IncompatibleObservablesError, match="^observable R1 is not Hermitian$"):
+        peres_mermin_value(np.eye(4)[None] / 4, ["x"])
+
+
+def test_peres_mermin_names_a_non_hermitian_line_product(monkeypatch):
+    _with_line_product(monkeypatch, 4, (0, 1), 1.0)
+    with pytest.raises(IncompatibleObservablesError, match="^observable C2 is not Hermitian$"):
         peres_mermin_value(np.eye(4)[None] / 4, ["x"])
 
 
