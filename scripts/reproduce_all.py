@@ -13,6 +13,8 @@ Usage:
 import argparse
 import time
 
+import numpy as np
+
 from diracctx.cli import RunConfig, execute
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA
 
@@ -22,14 +24,14 @@ def results(command: str, **knobs) -> list:
     return list(execute(RunConfig(command=command, **knobs))["results"])
 
 
-def column(blocks: list, *keys: str) -> list:
+def column(blocks: list, *keys: str) -> np.ndarray:
     """One column of the blocks, joined: column(blocks, "parameters", "mu")."""
-    joined = []
+    columns = []
     for block in blocks:
         for key in keys:
             block = block[key]
-        joined += block
-    return joined
+        columns.append(block)
+    return np.concatenate(columns)
 
 
 def main():
@@ -63,8 +65,8 @@ def main():
     for row in zip(n, kappa, mj, mu, value, closed_form):
         if row[2] == 0.5:  # one representative row per (n, kappa)
             print("  {:>2} {:>5} {:>5}  {:<18.12f} {:<18.12f} {:<18.12f}".format(*row))
-    worst = max(abs(v - c) / c for v, c in zip(value, closed_form))
-    i = min(range(len(closed_form)), key=closed_form.__getitem__)
+    worst = np.max(np.abs(value - closed_form) / closed_form)
+    i = np.argmin(closed_form)
     print(f"  {len(value)} states; worst relative gap to 2 sqrt(mu^2 + X^2) {worst:.2e}; "
           f"smallest violation {closed_form[i]:.6f} "
           f"(n={n[i]}, kappa={kappa[i]}, mj={mj[i]}) > 2")
@@ -72,7 +74,7 @@ def main():
     print("\n--- Peres-Mermin square, noncontextual bound 4 ---")
     values = column(results("peres-mermin", alpha=a, n_max=2), "value")
     print(f"  {len(values)} states (eigenstates, random spinors, maximally mixed): "
-          f"value = 6 with spread {max(values) - min(values):.2e}")
+          f"value = 6 with spread {np.ptp(values):.2e}")
 
     print("\n--- free Dirac electron, value = 2 sqrt(2 - beta^2) ---")
     for beta in (0.0, 0.3, 0.6, 0.9, 0.999):

@@ -7,6 +7,8 @@ Usage:
 
 import argparse
 
+import numpy as np
+
 from diracctx.cli import RunConfig, execute
 
 
@@ -23,8 +25,9 @@ def main():
     print("beta,theta,value,closed_form,violated")
     for block in blocks:
         p = block["parameters"]
-        violated = ["true" if v else "false" for v in block["violated"]]
-        rows = zip(p["beta_v"], p["theta"], block["value"], p["closed_form"], violated)
+        violated = np.where(block["violated"], "true", "false")
+        columns = (p["beta_v"], p["theta"], block["value"], p["closed_form"], violated)
+        rows = zip(*(column.tolist() for column in columns))
         print("".join("%.15g,%.15g,%.15g,%.15g,%s\n" % row for row in rows), end="")
 
 

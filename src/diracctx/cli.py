@@ -142,53 +142,51 @@ def _float_texts(column: list) -> list[str]:
     return texts
 
 
-def _json_column(values: list) -> list[str]:
-    """The JSON text of each value of a column, all of one type, matching
-    json.dumps of the value with every float rounded to 15 significant digits."""
-    kinds = set(map(type, values))
-    if len(kinds) > 1:
-        raise TypeError(f"a report column mixes the types {sorted(k.__name__ for k in kinds)}")
-    if not kinds:
-        return []
-    kind = kinds.pop()
-    if issubclass(kind, float):
+def _json_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each entry of a column, as json.dumps writes it with
+    floats at 15 significant digits, by its dtype kind: float, int, bool, str,
+    or object for the head's None or an int past int64 (a large seed); any
+    other column raises TypeError."""
+    kind, values = column.dtype.kind, column.tolist()
+    if kind == "f":
         return _float_texts(values)
-    if issubclass(kind, str):
+    if kind == "U":
         return list(map(encode_basestring_ascii, values))
-    if kind is type(None):
-        return ["null"] * len(values)
-    if kind is bool:
+    if kind == "b":
         return ["true" if value else "false" for value in values]
-    if issubclass(kind, int):
-        return list(map(int.__repr__, values))
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if kind in "iu" or kind == "O" and all(value is None or type(value) is int for value in values):
+        return ["null" if value is None else str(value) for value in values]
+    raise TypeError(f"a report column of dtype {column.dtype} is not JSON serializable")
 
 
-def _json_field(values: list) -> tuple[str, list | None]:
+def _json_field(column: np.ndarray) -> tuple[str, list | None]:
     """The field of a column in its block's row template, with the entries the
-    block's % takes for it (None when it takes none). A constant column,
-    bitwise for floats (0.0 and -0.0 differ), is its one JSON text, written
-    into the template. A float column whose every entry is plain (finite,
-    1e-4 <= |x| < 1e14 and more than 1e-13 |x| from an integer) is %.15g of
-    the floats themselves: that text has a "." and no exponent, so it is the
-    JSON of the rounded float already. Any other column is %s of its texts
-    from _json_column, which also raises on a mixed or non-JSON column."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and issubclass(next(iter(kinds)), float):
-        floats = np.array(values, dtype=float)
+    block's % takes for it (None when it takes none); a column that is not a
+    1-D numpy array raises TypeError. A constant column, bitwise for floats
+    (0.0 and -0.0 differ), is its one JSON text, written into the template
+    once its dtype has passed _json_texts. A float column whose every entry is
+    plain (finite, 1e-4 <= |x| < 1e14 and more than 1e-13 |x| from an integer)
+    is %.15g of the floats themselves: that text has a "." and no exponent, so
+    it is the JSON of the rounded float already. Any other column is %s of its
+    texts from _json_texts."""
+    if not isinstance(column, np.ndarray) or column.ndim != 1:
+        raise TypeError(f"a report column is a 1-D numpy array, got {type(column).__name__}")
+    if column.dtype.kind == "f":
+        floats = column.astype(float, copy=False)
         bits = floats.view(np.uint64)
-        if (bits == bits[0]).all():
-            return _float_texts(values[:1])[0], None
+        if len(bits) and (bits == bits[0]).all():
+            return _json_texts(floats[:1])[0], None
         size = np.abs(floats)
         # the range test comes first: it keeps nan and inf out of the subtraction
         if ((size >= 1e-4) & (size < 1e14)).all() and (
                 np.abs(floats - np.rint(floats)) > 1e-13 * size).all():
-            return "%.15g", values
-        return "%s", _float_texts(values)
-    texts = _json_column(values)
-    if texts and texts.count(texts[0]) == len(texts):
-        return texts[0].replace("%", "%%"), None
-    return "%s", texts
+            return "%.15g", floats.tolist()
+        return "%s", _float_texts(floats.tolist())
+    first = _json_texts(column[:1])
+    # an object column is checked entry by entry ([1, True] compare equal), never folded
+    if first and column.dtype != object and (column == column[0]).all():
+        return first[0].replace("%", "%%"), None
+    return "%s", _json_texts(column)
 
 
 def _interleaved(columns: list, count: int) -> tuple:
@@ -215,11 +213,9 @@ def _row_template(block: dict, indent: str, columns: list) -> str:
             raise TypeError(f"report keys must be str, got {type(key).__name__}")
         if isinstance(entry, dict):
             text = _row_template(entry, inner, columns)
-        elif isinstance(entry, list):
+        else:
             text, entries = _json_field(entry)
             columns.append((entry, entries))
-        else:
-            raise TypeError(f"a report block holds lists and blocks, got {type(entry).__name__}")
         items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
@@ -240,8 +236,12 @@ def _json_block(block: dict, indent: str) -> str:
 
 
 def _one_row(row: dict) -> dict:
-    """The one-row block of a row dict."""
-    return {key: _one_row(v) if isinstance(v, dict) else [v] for key, v in row.items()}
+    """The one-row block of a row dict, each value a one-entry column; a value
+    json.dumps cannot write as a scalar (a numpy integer, a list) raises TypeError."""
+    for value in row.values():
+        if not isinstance(value, (dict, float, int, str, type(None))):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return {key: _one_row(v) if isinstance(v, dict) else np.array([v]) for key, v in row.items()}
 
 
 def _json_pieces(document: dict):
@@ -252,8 +252,8 @@ def _json_pieces(document: dict):
         text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
         if key != "results":
             # the head's params is one row of a block, the other entries one-entry columns
-            text += (_json_block(_one_row(value), "  ") if isinstance(value, dict)
-                     else _json_column([value])[0])
+            entry = _one_row({key: value})[key]
+            text += _json_block(entry, "  ") if isinstance(entry, dict) else _json_texts(entry)[0]
             continue
         separator = ",\n    "
         prefix = text + "[\n    "
@@ -286,7 +286,8 @@ def report_pieces(document: dict, output_format: str):
         if sweep:
             p = block["parameters"]
             head = [p["n"], p["kappa"], p["mj"], p["sign"], p["mu"], p["xi_star"]]
-        columns = [*head, block["value"], block["bound"], _json_column(block["violated"])]
+        columns = [column.tolist() for column in (*head, block["value"], block["bound"])]
+        columns.append(_json_texts(block["violated"]))
         count = len(block["value"])
         yield "".join([row] * count) % _interleaved(columns, count)
 
@@ -314,9 +315,8 @@ def _chsh_on_states(table: tuple, a: float, observables, extra_params: dict) -> 
     the table; the report parameters gain the columns of extra_params."""
     n, kappa, twice_mj, mu = table
     params = {
-        "a": [a] * len(n), "n": n.tolist(), "kappa": kappa.tolist(),
-        "mj": (twice_mj / 2.0).tolist(), "sign": np.where(kappa > 0, 1, -1).tolist(),
-        "mu": mu.tolist(), **extra_params,
+        "a": np.full(len(n), a), "n": n, "kappa": kappa, "mj": twice_mj / 2.0,
+        "sign": np.where(kappa > 0, 1, -1), "mu": mu, **extra_params,
     }
     return chsh_value(analytic_densities(kappa, twice_mj, mu), *observables, parameters=params)
 
@@ -331,12 +331,12 @@ def _run_audit(config: RunConfig) -> list:
 def _xi_rows(table: tuple, a: float, xi: float | None = None) -> dict:
     """The xi-family block of the states of the table: each at its optimal
     xi*, or, given xi, all at xi with the closed form 2(c cos xi + s sin xi)."""
-    xi_star, closed_forms = (v.tolist() for v in optimal_xi(*table[1:]))
+    xi_star, closed_forms = optimal_xi(*table[1:])
     xis = xi_star
     if xi is not None:
         c, s = harmonic_coefficients(*table[1:])
-        xis = [xi] * len(xi_star)
-        closed_forms = (2.0 * (c * math.cos(xi) + s * math.sin(xi))).tolist()
+        xis = np.full(len(xi_star), xi)
+        closed_forms = 2.0 * (c * math.cos(xi) + s * math.sin(xi))
     extras = {"xi": xis, "xi_star": xi_star, "closed_form": closed_forms}
     return _chsh_on_states(table, a, excited_observables(xis), extras)
 
@@ -375,6 +375,7 @@ def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
         # the slice of the states clamps to them; the rest is what follows
         states = n[entries], kappa[entries], twice_mj[entries]
         rest = slice(max(entries.start - count, 0), max(entries.stop - count, 0))
+        # state_label formats Python scalars, not numpy's, at a third of the time
         labels = [state_label(m, k, t / 2.0) for m, k, t in zip(*(c.tolist() for c in states))]
         stack = np.concatenate([analytic_densities(*states[1:], delta[entries]), others[rest]])
         return peres_mermin_value(stack, labels + other_labels[rest])
@@ -388,10 +389,10 @@ def _run_free_electron(config: RunConfig) -> Iterable[dict]:
 
 
 def _run_measurability(config: RunConfig) -> list:
-    mus = state_table(config.n_max, config.alpha)[3].tolist()
+    mus = state_table(config.n_max, config.alpha)[3]
     spectrum = report_block("hydrogen_spectrum_positivity",
-                            {"min_mu": [min(mus)], "max_mu": [max(mus)]},
-                            [min(mus)], 0.0, [min(mus) > 0.0])
+                            {"min_mu": [mus.min()], "max_mu": [mus.max()]},
+                            [mus.min()], 0.0, [mus.min() > 0.0])
     # one row per observable, each with the weights of its four eigenvectors
     weights = np.array([energy_split(config.beta, obs) for obs in free_observables(config.beta)])
     # mixing margin: how far the most mixed eigenvector sits inside (0, 1)
@@ -401,7 +402,7 @@ def _run_measurability(config: RunConfig) -> list:
         report_block(f"negative_energy_mixing_{name}",
                      {f"weight_{i}": [w] for i, w in enumerate(row)},
                      [margin], MIXING_THRESHOLD, [margin > MIXING_THRESHOLD])
-        for name, row, margin in zip("ABCD", weights.tolist(), margins.tolist()))
+        for name, row, margin in zip("ABCD", weights, margins))
     return [spectrum, *mixing]
 
 
@@ -473,8 +474,8 @@ def execute(config: RunConfig) -> dict:
     version, the config echo and the results, as the dict the report
     serializes. Deterministic given the config (incl. seed). The set-up
     runs here; the results are a one-shot iterable of report blocks of at
-    most REPORT_BLOCK rows (see contextuality.report_block), each evaluated
-    as it is read."""
+    most REPORT_BLOCK rows, every column a 1-D numpy array (see
+    contextuality.report_block), each block evaluated as it is read."""
     return {
         "command": config.command,
         "params": config.params,

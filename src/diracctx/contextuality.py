@@ -27,13 +27,13 @@ _GAMMA_PRIME = build_family("GammaPrime")
 def chsh_value(density, a, b, c, d, parameters: dict) -> dict:
     """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2, as a report
     block: the keys kind, terms, value, bound, violated, parameters, each a
-    list with one entry per row or, for terms and parameters, a dict of them.
+    column of one entry per row or, for terms and parameters, a dict of them.
 
     density is a (4, 4) density matrix or an (N, 4, 4) stack of them, and any
     observable may be a (N, 4, 4) stack. Gives one row per entry of the
     broadcast leading axes, evaluated in one pass. parameters is a dict of
-    columns, stored in the block as is; a column that is not one entry per row
-    raises ValueError. Each observable is checked Hermitian once and each of
+    columns, stored in the block as arrays; a column that is not one entry per
+    row raises ValueError. Each observable is checked Hermitian once and each of
     the four pairs for commutation.
     """
     rho = np.asarray(density)
@@ -48,24 +48,25 @@ def chsh_value(density, a, b, c, d, parameters: dict) -> dict:
 
 def report_block(kind: str, terms: dict, value, bound: float, violated, parameters=None) -> dict:
     """The report block of len(value) rows, the one constructor of a block:
-    kind and bound once per row, each term, value and violated column (an
-    array or a list) as a list, and parameters, a dict of columns, as is and
-    only when given; a parameter column that is not one entry per row raises
-    ValueError. The caller decides violated, and so what a nan row claims."""
-    value = np.asarray(value).tolist()
+    each column a 1-D array of one entry per row, its dtype its type. kind and
+    bound fill a column each; terms, value, violated and each column of
+    parameters (a dict, stored only when given) pass through np.asarray, so an
+    array is not copied. A parameter column that is not one entry per row
+    raises ValueError. The caller decides violated, and so what a nan row claims."""
+    value = np.asarray(value)
     rows = len(value)
     block = {
-        "kind": [kind] * rows,
-        "terms": {name: np.asarray(term).tolist() for name, term in terms.items()},
+        "kind": np.full(rows, kind),
+        "terms": {name: np.asarray(term) for name, term in terms.items()},
         "value": value,
-        "bound": [bound] * rows,
-        "violated": np.asarray(violated).tolist(),
+        "bound": np.full(rows, bound),
+        "violated": np.asarray(violated),
     }
     if parameters is not None:
+        block["parameters"] = parameters = {k: np.asarray(c) for k, c in parameters.items()}
         for name, column in parameters.items():
             if len(column) != rows:
                 raise ValueError(f"parameter {name} has {len(column)} entries for {rows} rows")
-        block["parameters"] = parameters
     return block
 
 
@@ -85,11 +86,12 @@ def excited_observables(xis):
     """The xi family valid on both kappa branches:
     (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z).
 
-    A sequence of N angles gives B and D as (N, 4, 4) stacks, each slice the
-    matrix of its angle.
+    A sequence or an array of N angles gives B and D as (N, 4, 4) stacks,
+    each slice the matrix of its angle, from math's sin and cos of each.
     """
-    sin = np.array([math.sin(x) for x in xis])[:, None, None]
-    cos = np.array([math.cos(x) for x in xis])[:, None, None]
+    angles = np.asarray(xis, dtype=float).tolist()
+    sin = np.array([math.sin(x) for x in angles])[:, None, None]
+    cos = np.array([math.cos(x) for x in angles])[:, None, None]
     gpy, gpz = _GAMMA_PRIME.y, _GAMMA_PRIME.z
     return _GAMMA.y, -sin * gpy + cos * gpz, _GAMMA.z, sin * gpy + cos * gpz
 

@@ -82,12 +82,8 @@ def free_chsh_curve(betas) -> dict:
     # normalized in complex by pure_density, which the report's bits follow;
     # the imaginary parts are exactly 0
     densities = pure_density(_plane_waves(betas)).real
-    parameters = {
-        "beta_v": betas.tolist(),
-        "theta": thetas,
-        "closed_form": (2.0 * np.sqrt(2.0 - betas * betas)).tolist(),
-    }
-    return chsh_value(densities, *observables, parameters=parameters)
+    return chsh_value(densities, *observables, parameters={
+        "beta_v": betas, "theta": thetas, "closed_form": 2.0 * np.sqrt(2.0 - betas * betas)})
 
 
 def free_chsh(beta_v: float) -> dict:

@@ -1,18 +1,27 @@
-"""Report blocks read back one row at a time, for tests that check a row on
-its own, and a comparison of report texts that stays readable at megabytes."""
+"""Report blocks read back as Python scalars, one row or one list per column
+at a time, for tests that check a row on its own or compare blocks, and a
+comparison of report texts that stays readable at megabytes."""
 
 
 def block_rows(block: dict, count: int | None = None) -> list[dict]:
     """The rows of a report block of count rows (by default one per entry of
-    its kind column): row i holds entry i of each list, and each nested block
-    becomes a nested dict. Every list must hold count entries."""
+    its kind column): row i holds entry i of each column as a Python scalar,
+    and each nested block becomes a nested dict. Every column must be an
+    array of count entries."""
     count = len(block["kind"]) if count is None else count
     columns = {
-        key: block_rows(entry, count) if isinstance(entry, dict) else entry
+        key: block_rows(entry, count) if isinstance(entry, dict) else entry.tolist()
         for key, entry in block.items()
     }
     assert all(len(column) == count for column in columns.values())
     return [{key: column[i] for key, column in columns.items()} for i in range(count)]
+
+
+def block_lists(block: dict) -> dict:
+    """The block with each column read back as a list of Python scalars, for
+    comparing blocks with ==."""
+    return {key: block_lists(entry) if isinstance(entry, dict) else entry.tolist()
+            for key, entry in block.items()}
 
 
 def report_rows(blocks) -> list[dict]:

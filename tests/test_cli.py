@@ -47,7 +47,7 @@ from diracctx.spindensity import (
     radial_weights,
     state_label,
 )
-from report_blocks import assert_same_text, block_rows, report_rows
+from report_blocks import assert_same_text, block_lists, block_rows, report_rows
 
 
 def _run(command, **kwargs):
@@ -508,18 +508,21 @@ def test_float_text_at_edges(x):
 
 
 _keys = st.text(max_size=8)
+# each leaf kind with the dtype of its columns; numpy's str dtype drops a
+# trailing NUL, which no report text ends in
 _LEAF_KINDS = {
-    "float": st.floats(),
-    "float64": st.floats().map(np.float64),
-    "int": st.integers(),
-    "bool": st.booleans(),
-    "none": st.none(),
-    "str": st.text(max_size=4),
+    "float": (st.floats(), float),
+    "float64": (st.floats().map(np.float64), float),
+    "int": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "bool": (st.booleans(), bool),
+    "none": (st.none(), object),
+    "str": (st.text(max_size=4).filter(lambda text: not text.endswith("\x00")), str),
 }
-# a params echo: a dict of leaves and dicts, written as one row
+# a params echo: a dict of leaves and dicts, written as one row; its ints
+# may lie past int64, as a large --seed does
 _trees = st.recursive(
-    st.one_of(*_LEAF_KINDS.values()), lambda inner: st.dictionaries(_keys, inner, max_size=4),
-    max_leaves=12)
+    st.one_of(st.integers(), *(leaf for leaf, _ in _LEAF_KINDS.values())),
+    lambda inner: st.dictionaries(_keys, inner, max_size=4), max_leaves=12)
 # the shape of a block: a leaf kind for each column, and a dict of shapes
 # (an empty one too) for each nested block; its top level holds a column
 _kinds = st.sampled_from(sorted(_LEAF_KINDS))
@@ -532,10 +535,11 @@ _shapes = st.builds(
 
 
 def _block_of(draw, shape, count):
-    """A block of count rows of the shape: a column of count values of its
+    """A block of count rows of the shape: an array of count values of its
     kind for each leaf, and a nested block for each dict."""
     if isinstance(shape, str):
-        return draw(st.lists(_LEAF_KINDS[shape], min_size=count, max_size=count))
+        leaf, dtype = _LEAF_KINDS[shape]
+        return np.array(draw(st.lists(leaf, min_size=count, max_size=count)), dtype=dtype)
     return {key: _block_of(draw, item, count) for key, item in shape.items()}
 
 
@@ -573,7 +577,7 @@ def test_render_json_of_tables_matches_reference_writer(data):
 
 def test_render_json_of_float_edges_in_one_column():
     column = [*FLOAT_EDGES, *(-x for x in FLOAT_EDGES), math.inf, -math.inf, math.nan]
-    doc = _document("edges", {}, [{"value": column}])
+    doc = _document("edges", {}, [{"value": np.array(column)}])
     assert render(doc, "json") == _reference_json(doc, [{"value": x} for x in column])
 
 
@@ -598,7 +602,8 @@ def test_render_json_of_folded_and_plain_columns(column):
     count = len(column)
     plain = [0.25 + i for i in range(count)]
     labels = [f"s%{i}" for i in range(count)]
-    block = {"kind": column, "terms": {"%s": plain, "x%%": column}, "state": labels}
+    block = {"kind": np.array(column), "terms": {"%s": np.array(plain), "x%%": np.array(column)},
+             "state": np.array(labels)}
     doc = _document("edges", {"p%": column[0], "q": {"r%d": column[-1]}}, [block, block])
     rows = block_rows(block, count) * 2
     assert_same_text(render(doc, "json"), _reference_json(doc, rows))
@@ -610,16 +615,20 @@ def test_render_json_of_blocks_without_columns():
     assert_same_text(render(doc, "json"), _reference_json(doc, [{"terms": {}}]))
 
 
-@pytest.mark.parametrize("column", [[True, 1], [1.0, 1], [1, True, True]])
+@pytest.mark.parametrize("column", [
+    *(np.array(entries, dtype=object) for entries in ([True, 1], [1.0, 1], [1, True, True])),
+    # a list is no column, though it holds one type
+    [2.0, 2.0],
+])
 def test_render_json_checks_the_column_type_before_folding(column):
     # True == 1 and 1.0 == 1: a column that folded first would be written
     doc = _document("mixed", {}, [{"value": column}])
-    with pytest.raises(TypeError, match="mixes the types"):
+    with pytest.raises(TypeError, match="is not JSON serializable|is a 1-D numpy array"):
         render(doc, "json")
 
 
 def test_render_json_rejects_columns_of_different_lengths():
-    doc = _document("ragged", {}, [{"value": [1.5, 2.5], "bound": [2.0]}])
+    doc = _document("ragged", {}, [{"value": np.array([1.5, 2.5]), "bound": np.array([2.0])}])
     with pytest.raises(ValueError):
         render(doc, "json")
 
@@ -645,10 +654,15 @@ def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
     {"params": {"x": {2.0, 3.0}}},
     {"params": {"x": [2.0, 3.0]}},
     {"params": {"x": (2.0, 3.0)}},
-    # a column holds one type, and a list is no column entry
+    # a column is a 1-D array of one JSON type, and a list is no column
     {"results": [{"value": [1.0, None]}]},
     {"results": [{"violated": [True, 1]}]},
     {"results": [{"terms": {"x": [[2.0, 3.0]]}}]},
+    {"results": [{"value": np.array([1.0, None])}]},
+    {"results": [{"terms": {"x": np.array([[2.0, 3.0]])}}]},
+    {"results": [{"value": np.array(2.0)}]},
+    {"results": [{"value": np.array([1j, 2j])}]},
+    {"results": [{"kind": np.array([b"x", b"x"])}]},
 ])
 def test_render_json_rejects_what_json_cannot_hold(payload):
     doc = {**_document("audit", {}, []), **payload}
@@ -715,12 +729,15 @@ def test_assert_same_text_names_the_first_difference():
 
 
 SCHEMA = ("kind", "terms", "value", "bound", "violated", "parameters")
+# the dtype kind of each column by its key: U str, b bool, i int; every other
+# column (each term, value, bound and the other parameters) is f float
+COLUMN_KINDS = {"kind": "U", "violated": "b", "state": "U", "n": "i", "kappa": "i", "sign": "i"}
 
 
 def _columns_of(block):
-    """Every list of a block, nested blocks included."""
-    for entry in block.values():
-        yield from _columns_of(entry) if isinstance(entry, dict) else [entry]
+    """Every column of a block with its key, nested blocks included."""
+    for key, entry in block.items():
+        yield from _columns_of(entry) if isinstance(entry, dict) else [(key, entry)]
 
 
 @pytest.mark.parametrize("command, kwargs", [
@@ -737,17 +754,17 @@ def test_every_block_keeps_the_block_contract(command, kwargs):
         assert 1 <= count <= REPORT_BLOCK
         # the schema's keys in its order; only the few-row checks have no parameters
         assert list(block) == list(SCHEMA[:len(block)]) and len(block) >= 5
-        for column in _columns_of(block):
-            assert type(column) is list and len(column) == count
-            assert len(set(map(type, column))) == 1
+        for key, column in _columns_of(block):
+            assert type(column) is np.ndarray and column.shape == (count,)
+            assert column.dtype.kind == COLUMN_KINDS.get(key, "f"), key
 
 
 def _joined(blocks):
-    """The blocks as one block: each list the concatenation of theirs."""
+    """The blocks as one block: each column the concatenation of theirs."""
     first = blocks[0]
     return {
         key: _joined([b[key] for b in blocks]) if isinstance(entry, dict)
-        else [x for b in blocks for x in b[key]]
+        else np.concatenate([b[key] for b in blocks])
         for key, entry in first.items()
     }
 
@@ -853,9 +870,9 @@ def test_streamed_blocks_equal_one_stacked_pass(monkeypatch, command, n_max, sou
     results = execute(RunConfig(command=command, n_max=n_max))["results"]
     # nothing is evaluated until the report reads the blocks
     assert calls == []
-    streamed = _joined(list(results))
+    streamed = block_lists(_joined(list(results)))
     monkeypatch.undo()
-    whole = _stacked_block(command, n_max)
+    whole = block_lists(_stacked_block(command, n_max))
     count = len(whole["value"])
     assert count > REPORT_BLOCK
     assert calls == [min(REPORT_BLOCK, count - start) for start in range(0, count, REPORT_BLOCK)]
@@ -1062,6 +1079,12 @@ def test_negative_seed_exits_2(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seed must be non-negative, got -1" in captured.err
+
+
+def test_seed_past_int64_is_echoed_exactly(capsys):
+    # numpy holds the seed as an object column, which the writer takes for ints
+    assert main(["peres-mermin", "--n-max", "1", "--seed", str(10**23)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["params"]["seed"] == 10**23
 
 
 @pytest.mark.parametrize("command", ["sweep", "peres-mermin", "measurability"])

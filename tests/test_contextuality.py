@@ -27,7 +27,7 @@ from diracctx.contextuality import (
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
 from diracctx.spindensity import IncompatibleObservablesError, pure_density, reduce, state_label
-from report_blocks import block_rows
+from report_blocks import block_lists, block_rows
 
 GAMMA = build_family("Gamma")
 GAMMA_PRIME = build_family("GammaPrime")
@@ -240,14 +240,18 @@ def test_peres_mermin_names_a_non_hermitian_line_product(monkeypatch):
 def test_report_block_is_the_one_block_constructor():
     block = report_block("k", {"t": np.array([1.0, 2.0])}, np.array([3.0, 4.0]), 3.5,
                          np.array([False, True]))
-    # without parameters the block holds the schema's first five keys, all lists
+    # without parameters the block holds the schema's first five keys, all arrays
     assert list(block) == ["kind", "terms", "value", "bound", "violated"]
-    assert block == {"kind": ["k", "k"], "terms": {"t": [1.0, 2.0]}, "value": [3.0, 4.0],
-                     "bound": [3.5, 3.5], "violated": [False, True]}
-    assert type(block["violated"][0]) is bool
-    parameters = {"state": ["a", "b"]}
-    assert report_block("k", {}, [1.0, 2.0], 0.0, [True, True], parameters)["parameters"] \
-        is parameters
+    assert block_lists(block) == {"kind": ["k", "k"], "terms": {"t": [1.0, 2.0]},
+                                  "value": [3.0, 4.0], "bound": [3.5, 3.5],
+                                  "violated": [False, True]}
+    assert [block[key].dtype.kind for key in ("kind", "value", "bound", "violated")] == [
+        "U", "f", "f", "b"]
+    # an array column is stored without a copy, a list column as its array
+    value = np.array([1.0, 2.0])
+    made = report_block("k", {}, value, 0.0, [True, True], {"state": ["a", "b"], "x": value})
+    assert made["value"] is value and made["parameters"]["x"] is value
+    assert made["parameters"]["state"].dtype.kind == "U"
     with pytest.raises(ValueError, match="parameter state has 1 entries for 2 rows"):
         report_block("k", {}, [1.0, 2.0], 0.0, [True, True], {"state": ["a"]})
 
@@ -257,27 +261,29 @@ def test_report_row_has_the_schema_keys_in_order():
                        parameters={"a": [ALPHA], "n": [1]})
     assert type(block) is dict
     assert list(block) == ["kind", "terms", "value", "bound", "violated", "parameters"]
-    assert block["kind"] == ["chsh_nc"]
+    assert block["kind"].tolist() == ["chsh_nc"]
     assert list(block["terms"]) == ["AB", "BC", "CD", "DA"]
-    assert block["violated"] == [True]
-    assert block["parameters"]["n"] == [1]
-    # every column a list of Python scalars of one type, as the report writer takes it
+    assert block["violated"].tolist() == [True]
+    assert block["parameters"]["n"].tolist() == [1]
+    # every column a 1-D array whose dtype is its one type, as the report writer takes it
     columns = [block[key] for key in ("kind", "value", "bound", "violated")]
     columns += list(block["terms"].values())
-    assert all(type(column) is list and len({type(x) for x in column}) == 1 for column in columns)
+    assert all(type(column) is np.ndarray and column.ndim == 1 for column in columns)
+    assert [column.dtype.kind for column in columns] == ["U", "f", "f", "b"] + ["f"] * 4
 
 
 def test_report_serialization_round_trip():
     block = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5),
                        parameters={"a": [ALPHA], "n": [1]})
-    assert json.loads(json.dumps(block)) == block
+    rows = block_rows(block)
+    assert json.loads(json.dumps(rows)) == rows
 
 
 def test_chsh_rows_own_the_parameters_they_are_given():
-    # the block stores the caller's parameter columns as they are, not copies
-    parameters = {"a": [ALPHA], "n": [1]}
+    # the block stores the caller's parameter arrays as they are, not copies
+    parameters = {"a": np.array([ALPHA]), "n": np.array([1])}
     block = chsh_value(_density(1, 1, 0.5), *ground_observables(0.5), parameters=parameters)
-    assert block["parameters"] is parameters
+    assert all(block["parameters"][key] is column for key, column in parameters.items())
     densities = np.stack([_density(1, 1, 0.5), _density(1, 1, -0.5)])
     stacked = {"m_j": [0.5, -0.5]}
     rows = block_rows(chsh_value(densities, *ground_observables(0.5), parameters=stacked))
