@@ -103,16 +103,6 @@ def build_family(label: str) -> ObservableTriple:
     return _FAMILIES[label]
 
 
-def direction_observable(family: ObservableTriple, n) -> np.ndarray:
-    """Hermitian involution family . n for a unit 3-vector n."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError(f"direction must be a unit vector, |n| = {np.linalg.norm(n)}")
-    return n[0] * family.x + n[1] * family.y + n[2] * family.z
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

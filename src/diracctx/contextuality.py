@@ -1,11 +1,12 @@
-"""Observable constructions and noncontextuality-inequality evaluation.
+"""Observable planes and noncontextuality-inequality evaluation.
 
-Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2 and the
-six-term Peres-Mermin inequality with noncontextual bound 4, both evaluated
-on spin densities given as (4, 4) arrays or (N, 4, 4) stacks, plus the
-one-parameter xi family of observable choices whose maximum admits the closed
-form 2*sqrt(delta^2 + X^2). The closed forms take the columns
-(kappa, 2 m_j, delta) of the states, delta = <beta>, and nothing else.
+Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2, each of its
+observable quadruples one plane of the correlation matrix plus one angle, and
+the six-term Peres-Mermin inequality with noncontextual bound 4, both
+evaluated on spin densities given as (4, 4) arrays or (N, 4, 4) stacks, plus
+the closed form 2*sqrt(delta^2 + X^2) of the xi family's maximum. The closed
+forms take the columns (kappa, 2 m_j, delta) of the states, delta = <beta>,
+and nothing else.
 """
 
 from __future__ import annotations
@@ -20,8 +21,15 @@ from .spindensity import checked_observable, expectation, pair_correlator
 CHSH_BOUND = 2.0
 PERES_MERMIN_BOUND = 4.0
 
-_GAMMA = build_family("Gamma")
-_GAMMA_PRIME = build_family("GammaPrime")
+_GAMMA, _GAMMA_PRIME = build_family("Gamma"), build_family("GammaPrime")
+# the planes (A, C, P, Q) of plane_observables, read-only as the families are:
+# x-z is real, so the free curve runs in float64 ("0.0 -" keeps every zero
+# +0.0), and y-z is complex
+XZ_PLANE = (_GAMMA.x.real.copy(), _GAMMA.z.real.copy(), _GAMMA_PRIME.x.real.copy(),
+            0.0 - _GAMMA_PRIME.z.real)
+YZ_PLANE = (_GAMMA.y, _GAMMA.z, _GAMMA_PRIME.y, _GAMMA_PRIME.z)
+for _matrix in XZ_PLANE:
+    _matrix.flags.writeable = False
 
 
 def chsh_value(density, a, b, c, d, parameters: dict) -> dict:
@@ -70,30 +78,35 @@ def report_block(kind: str, terms: dict, value, bound: float, violated, paramete
     return block
 
 
+def plane_observables(plane, cos, sin):
+    """The CHSH quadruple (A, cos P + sin Q, C, -cos P + sin Q) on a plane
+    (A, C, P, Q), with B and D as (N, 4, 4) stacks over the N entries of the
+    columns cos and sin, each slice the matrices of its entry."""
+    a, c, p, q = plane
+    cos, sin = np.reshape(cos, (-1, 1, 1)), np.reshape(sin, (-1, 1, 1))
+    return a, cos * p + sin * q, c, -cos * p + sin * q
+
+
 def ground_observables(m_j: float):
-    """The (A, B, C, D) choice for the two ground states m_j = +-1/2."""
-    gx, gz = _GAMMA.x, _GAMMA.z
-    gpx, gpz = _GAMMA_PRIME.x, _GAMMA_PRIME.z
-    s = 1.0 / math.sqrt(2.0)
-    if m_j == 0.5:
-        return gx, s * (gpx - gpz), gz, -s * (gpx + gpz)
-    if m_j == -0.5:
-        return gx, s * (gpz - gpx), gz, s * (gpx + gpz)
-    raise ValueError(f"ground state has m_j in {{+1/2, -1/2}}, got {m_j}")
+    """The (A, B, C, D) choice for the two ground states m_j = +-1/2, B and D
+    as (4, 4) matrices: the x-z plane at cos = sin = +-1/sqrt(2), by m_j's sign."""
+    if m_j not in (0.5, -0.5):
+        raise ValueError(f"ground state has m_j in {{+1/2, -1/2}}, got {m_j}")
+    s = math.copysign(1.0 / math.sqrt(2.0), m_j)
+    a, b, c, d = plane_observables(XZ_PLANE, s, s)
+    return a, b[0], c, d[0]
 
 
 def excited_observables(xis):
-    """The xi family valid on both kappa branches:
+    """The xi family valid on both kappa branches, the y-z plane at (-sin xi, cos xi):
     (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z).
 
     A sequence or an array of N angles gives B and D as (N, 4, 4) stacks,
     each slice the matrix of its angle, from math's sin and cos of each.
     """
     angles = np.asarray(xis, dtype=float).tolist()
-    sin = np.array([math.sin(x) for x in angles])[:, None, None]
-    cos = np.array([math.cos(x) for x in angles])[:, None, None]
-    gpy, gpz = _GAMMA_PRIME.y, _GAMMA_PRIME.z
-    return _GAMMA.y, -sin * gpy + cos * gpz, _GAMMA.z, sin * gpy + cos * gpz
+    return plane_observables(YZ_PLANE, [-math.sin(x) for x in angles],
+                             [math.cos(x) for x in angles])
 
 
 def harmonic_coefficients(kappa, twice_mj, delta):

@@ -1,9 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from diracctx import clifford
 from diracctx.clifford import (
@@ -18,7 +14,6 @@ from diracctx.clifford import (
     audit_algebra,
     build_family,
     commutator,
-    direction_observable,
 )
 
 I4 = np.eye(4)
@@ -141,55 +136,6 @@ def test_alpha_beta_shapes():
         # beta anticommutes with every alpha
         assert np.array_equal(alpha @ BETA, -(BETA @ alpha))
     assert not any(m.flags.writeable for m in (BETA, *ALPHA))
-
-
-# --- direction observables ----------------------------------------------------
-
-def test_direction_observable_basis_direction():
-    gam = build_family("Gamma")
-    assert np.array_equal(direction_observable(gam, (1.0, 0.0, 0.0)), gam.x)
-
-
-@pytest.mark.parametrize("theta", np.linspace(0.0, 2.0 * math.pi, 9))
-def test_direction_observable_squares_to_identity_on_circle(theta):
-    gamp = build_family("GammaPrime")
-    obs = direction_observable(gamp, (math.cos(theta), 0.0, -math.sin(theta)))
-    assert np.abs(obs @ obs - I4).max() < 1e-12
-
-
-@given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=3, max_size=3))
-@settings(max_examples=100)
-def test_direction_observable_involution_random_units(raw):
-    v = np.asarray(raw)
-    norm = np.linalg.norm(v)
-    if norm < 1e-3:
-        return
-    fam = build_family("Sigma")
-    obs = direction_observable(fam, v / norm)
-    assert np.abs(obs @ obs - I4).max() < 1e-12
-    assert np.abs(obs - obs.conj().T).max() < 1e-12
-    eigs = np.linalg.eigvalsh(obs)
-    assert np.allclose(np.abs(eigs), 1.0, atol=1e-12)
-
-
-def test_direction_observable_rejects_non_unit():
-    with pytest.raises(ValueError):
-        direction_observable(build_family("Gamma"), (1.0, 1.0, 0.0))
-
-
-def test_direction_observables_reproduce_ground_choice():
-    # A, B, C, D from directions at theta = pi/4
-    gam = build_family("Gamma")
-    gamp = build_family("GammaPrime")
-    s = 1.0 / math.sqrt(2.0)
-    a = direction_observable(gam, (1.0, 0.0, 0.0))
-    b = direction_observable(gamp, (s, 0.0, -s))
-    c = direction_observable(gam, (0.0, 0.0, 1.0))
-    d = direction_observable(gamp, (-s, 0.0, -s))
-    assert np.allclose(a, gam.x)
-    assert np.allclose(b, (gamp.x - gamp.z) * s)
-    assert np.allclose(c, gam.z)
-    assert np.allclose(d, -(gamp.x + gamp.z) * s)
 
 
 # --- audit ---------------------------------------------------------------------

@@ -3,25 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bound_states import valid_states
-from diracctx.clifford import (
-    PERES_MERMIN_GRID,
-    PERES_MERMIN_LINES,
-    build_family,
-    direction_observable,
-)
+from diracctx.clifford import PERES_MERMIN_GRID, PERES_MERMIN_LINES, build_family
 from diracctx.contextuality import (
     CHSH_BOUND,
     PERES_MERMIN_BOUND,
+    XZ_PLANE,
+    YZ_PLANE,
     chsh_value,
     excited_observables,
     ground_observables,
     harmonic_coefficients,
     optimal_xi,
     peres_mermin_value,
+    plane_observables,
     report_block,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
@@ -54,23 +52,62 @@ def _peres_mermin(density, label="state"):
 
 # --- observable constructions ---------------------------------------------------
 
-def test_ground_observables_are_involutions():
-    for obs in ground_observables(0.5) + ground_observables(-0.5):
-        assert np.abs(obs @ obs - I4).max() < 1e-12
-        assert np.abs(obs - obs.conj().T).max() < 1e-12
+# each plane with the dtype of its observables
+PLANES = {"x-z": (XZ_PLANE, np.float64), "y-z": (YZ_PLANE, np.complex128)}
+ANGLE = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
 
 
-def test_ground_contexts_commute_but_ac_does_not():
-    a, b, c, d = ground_observables(0.5)
-    for pair in ((a, b), (b, c), (c, d), (d, a)):
-        assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
-    assert np.abs(a @ c - c @ a).max() > 1.0  # both Gamma-family, anticommuting
+@given(st.sampled_from(sorted(PLANES)), st.lists(ANGLE, min_size=1, max_size=6))
+@example("x-z", [math.pi / 4.0, -3.0 * math.pi / 4.0])  # the two ground choices
+@settings(max_examples=80, deadline=None)
+def test_plane_observables_structure(name, thetas):
+    plane, dtype = PLANES[name]
+    cos, sin = [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
+    a, b, c, d = plane_observables(plane, cos, sin)
+    assert b.shape == d.shape == (len(thetas), 4, 4)
+    assert [m.dtype for m in (a, b, c, d)] == [dtype] * 4
+    assert not any(m.flags.writeable for m in plane)
+    # A and C are both Gamma-family: they anticommute, exactly
+    assert np.array_equal(a @ c, -(c @ a)) and np.abs(a @ c).max() == 1.0
+    for i, (co, si) in enumerate(zip(cos, sin)):
+        quadruple = (a, b[i], c, d[i])
+        for obs in quadruple:
+            assert np.abs(obs - obs.conj().T).max() < 1e-15
+            assert np.abs(obs @ obs - I4).max() < 1e-12
+        for o1, o2 in zip(quadruple, quadruple[1:] + quadruple[:1]):
+            assert np.abs(o1 @ o2 - o2 @ o1).max() < 1e-12
+        single = plane_observables(plane, [co], [si])
+        assert b[i].tobytes() == single[1][0].tobytes()
+        assert d[i].tobytes() == single[3][0].tobytes()
 
 
-def test_ground_b_is_a_direction_observable():
-    s = 1.0 / math.sqrt(2.0)
-    b = ground_observables(0.5)[1]
-    assert np.allclose(b, direction_observable(GAMMA_PRIME, (s, 0.0, -s)), atol=1e-15)
+@given(st.sampled_from(sorted(PLANES)), ANGLE, st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_chsh_on_a_plane_is_twice_its_two_correlators(name, theta, seed, rank):
+    # <AB> + <BC> + <CD> - <DA> = 2 (cos <A P> + sin <C Q>) on any density,
+    # since A and C commute with P and Q
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    plane = PLANES[name][0]
+    a, c, p, q = plane
+    observables = plane_observables(plane, math.cos(theta), math.sin(theta))
+    value = chsh_value(rho, *observables, {})["value"][0]
+    want = 2.0 * (math.cos(theta) * np.trace(rho @ a @ p).real
+                  + math.sin(theta) * np.trace(rho @ c @ q).real)
+    assert abs(value - want) < 4e-15
+
+
+@pytest.mark.parametrize("m_j", [0.5, -0.5])
+def test_ground_observables_are_the_xz_plane_at_a_quarter_turn(m_j):
+    # m_j = 1/2: B = (Gp.x - Gp.z)/sqrt 2, D = -(Gp.x + Gp.z)/sqrt 2; m_j = -1/2
+    # negates both
+    s = math.copysign(1.0 / math.sqrt(2.0), m_j)
+    a, b, c, d = ground_observables(m_j)
+    assert np.array_equal(a, GAMMA.x) and np.array_equal(c, GAMMA.z)
+    assert np.array_equal(b, s * (GAMMA_PRIME.x - GAMMA_PRIME.z))
+    assert np.array_equal(d, -s * (GAMMA_PRIME.x + GAMMA_PRIME.z))
 
 
 def test_ground_observables_reject_other_mj():
@@ -92,17 +129,6 @@ def test_excited_observables_xi_half_pi():
     b, d = b[0], d[0]
     assert np.allclose(b, -GAMMA_PRIME.y, atol=1e-15)
     assert np.allclose(d, GAMMA_PRIME.y, atol=1e-15)
-
-
-@given(st.floats(-math.pi, math.pi, allow_nan=False))
-@settings(max_examples=80)
-def test_excited_observables_structure_any_xi(xi):
-    a, b, c, d = excited_observables([xi])
-    b, d = b[0], d[0]
-    for obs in (a, b, c, d):
-        assert np.abs(obs @ obs - I4).max() < 1e-12
-    for pair in ((a, b), (b, c), (c, d), (d, a)):
-        assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
 
 
 def test_excited_observables_stack_slices_equal_single_angles():

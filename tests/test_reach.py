@@ -22,7 +22,6 @@ ALLOWED = {
     "cli.render": "benchmarks/layers.py traces it",
     "freeparticle.free_chsh": "benchmarks/layers.py traces it",
     "spindensity.correlator": "benchmarks/layers.py traces it",
-    "clifford.direction_observable": "the optimum over the whole Gamma x Gamma' family builds on it",
 }
 
 # functions are keyed by file and first line, decorators counted, as

@@ -7,8 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bound_states import valid_states
-from diracctx.clifford import build_family, direction_observable, hermiticity_defect
-from diracctx.contextuality import excited_observables, optimal_xi
+from diracctx.clifford import build_family, hermiticity_defect
+from diracctx.contextuality import (
+    XZ_PLANE,
+    YZ_PLANE,
+    excited_observables,
+    optimal_xi,
+    plane_observables,
+)
 from diracctx.freeparticle import _observables
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, state_table
@@ -151,11 +157,12 @@ def test_pure_density_invariant_under_global_phase(phase):
 def test_single_observable_expectation_bounded():
     density = _ground_density()
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        v = rng.normal(size=3)
-        obs = direction_observable(GAMMA, v / np.linalg.norm(v))
-        value = correlator(density, obs, I4)
-        assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+    for theta in rng.uniform(-math.pi, math.pi, size=10):
+        for plane in (XZ_PLANE, YZ_PLANE):
+            a, b, c, d = plane_observables(plane, math.cos(theta), math.sin(theta))
+            for obs in (a, b[0], c, d[0]):
+                value = correlator(density, obs, I4)
+                assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
 def test_radial_weights_rest_limit():
