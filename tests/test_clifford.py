@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from diracctx.clifford import (
     build_family,
     commutator,
 )
+from diracctx.contextuality import ground_observables
 
 I4 = np.eye(4)
 # written out here, apart from the package's own
@@ -136,6 +139,27 @@ def test_alpha_beta_shapes():
         # beta anticommutes with every alpha
         assert np.array_equal(alpha @ BETA, -(BETA @ alpha))
     assert not any(m.flags.writeable for m in (BETA, *ALPHA))
+
+
+# --- direction observables ----------------------------------------------------
+
+def _direction(fam, n):
+    """The family's observable along the unit direction n: n_x X + n_y Y + n_z Z."""
+    return n[0] * fam.x + n[1] * fam.y + n[2] * fam.z
+
+
+def test_direction_observables_reproduce_ground_choice():
+    # A, B, C, D from directions at theta = pi/4
+    gam = build_family("Gamma")
+    gamp = build_family("GammaPrime")
+    s = 1.0 / math.sqrt(2.0)
+    a, b, c, d = ground_observables(0.5)
+    assert np.allclose(a, _direction(gam, (1.0, 0.0, 0.0)))
+    assert np.allclose(b, _direction(gamp, (s, 0.0, -s)))
+    assert np.allclose(c, _direction(gam, (0.0, 0.0, 1.0)))
+    assert np.allclose(d, _direction(gamp, (-s, 0.0, -s)))
+    for obs in (a, b, c, d):
+        assert np.abs(obs @ obs - I4).max() < 1e-12
 
 
 # --- audit ---------------------------------------------------------------------

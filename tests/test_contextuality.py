@@ -99,6 +99,27 @@ def test_chsh_on_a_plane_is_twice_its_two_correlators(name, theta, seed, rank):
     assert abs(value - want) < 4e-15
 
 
+def test_ground_observables_are_involutions():
+    for obs in ground_observables(0.5) + ground_observables(-0.5):
+        assert np.abs(obs @ obs - I4).max() < 1e-12
+        assert np.abs(obs - obs.conj().T).max() < 1e-12
+
+
+def test_ground_contexts_commute_but_ac_does_not():
+    a, b, c, d = ground_observables(0.5)
+    for pair in ((a, b), (b, c), (c, d), (d, a)):
+        assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
+    assert np.abs(a @ c - c @ a).max() > 1.0  # both Gamma-family, anticommuting
+
+
+def test_ground_b_is_a_direction_observable():
+    # B is GammaPrime along the unit direction (s, 0, -s)
+    s = 1.0 / math.sqrt(2.0)
+    b = ground_observables(0.5)[1]
+    direction = s * GAMMA_PRIME.x + 0.0 * GAMMA_PRIME.y - s * GAMMA_PRIME.z
+    assert np.allclose(b, direction, atol=1e-15)
+
+
 @pytest.mark.parametrize("m_j", [0.5, -0.5])
 def test_ground_observables_are_the_xz_plane_at_a_quarter_turn(m_j):
     # m_j = 1/2: B = (Gp.x - Gp.z)/sqrt 2, D = -(Gp.x + Gp.z)/sqrt 2; m_j = -1/2
@@ -129,6 +150,17 @@ def test_excited_observables_xi_half_pi():
     b, d = b[0], d[0]
     assert np.allclose(b, -GAMMA_PRIME.y, atol=1e-15)
     assert np.allclose(d, GAMMA_PRIME.y, atol=1e-15)
+
+
+@given(st.floats(-math.pi, math.pi, allow_nan=False))
+@settings(max_examples=80)
+def test_excited_observables_structure_any_xi(xi):
+    a, b, c, d = excited_observables([xi])
+    b, d = b[0], d[0]
+    for obs in (a, b, c, d):
+        assert np.abs(obs @ obs - I4).max() < 1e-12
+    for pair in ((a, b), (b, c), (c, d), (d, a)):
+        assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
 
 
 def test_excited_observables_stack_slices_equal_single_angles():
