@@ -55,7 +55,7 @@ GENERIC_CSV_ROW = "%s,%.15g,%.15g,%s\n"
 MIXING_THRESHOLD = 1e-10
 # converge's largest accepted entry gap between the integrated density and its
 # closed form: on the exact rule every state of the documented domain sits at
-# the rounding floor, about 4e-14 at worst
+# the rounding floor, about 4e-14 at worst; a larger or nan gap exits 3
 CONVERGE_BOUND = 1e-12
 # the most rows of a report block, evaluated and written as one piece of the
 # streamed report; bounds the columns, stacks and texts held at once
@@ -413,9 +413,14 @@ def _run_converge(config: RunConfig) -> list:
     state = eigenstate(qn, config.alpha)
     closed_form = analytic_densities(*_one_state(qn, config.alpha)[1:])[0]
     gap = float(np.abs(reduce(state) - closed_form).max())
-    # a nan gap fails too
-    return [report_block("convergence", {"radial_nodes": [float(len(state.rule[0]))]}, [gap],
-                         CONVERGE_BOUND, [not gap <= CONVERGE_BOUND])]
+    nodes = len(state.rule[0])
+    # the quadrature oracle's one check; np.max keeps a nan, which fails it too
+    if not gap <= CONVERGE_BOUND:
+        raise QuadratureError(
+            f"{state_label(qn.n, qn.kappa, qn.m_j)}: the density departs from its closed "
+            f"form by {gap:.3e} > {CONVERGE_BOUND} on {nodes} radial nodes")
+    return [report_block("convergence", {"radial_nodes": [float(nodes)]}, [gap],
+                         CONVERGE_BOUND, [False])]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from diracctx.hydrogen import (
 )
 from diracctx.spindensity import (
     pure_density,
-    radial_weights,
     reduce,
     state_label,
 )
@@ -170,7 +169,8 @@ def test_criterion_08_radial_identities():
     for qn in valid_states(4):
         if qn.m_j != 0.5:
             continue  # the radial pair is m_j-independent: one check per (n, kappa)
-        analytic = radial_weights(qn, ALPHA)
+        mu = sommerfeld_mu(qn.n, qn.kappa, ALPHA)
+        analytic = (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
         density = reduce(eigenstate(qn, ALPHA))
         numeric = (density[0, 0] + density[1, 1]).real, (density[2, 2] + density[3, 3]).real
         worst = max(worst, abs(numeric[0] - analytic[0]), abs(numeric[1] - analytic[1]))

@@ -44,7 +44,6 @@ from diracctx.spindensity import (
     QuadratureError,
     analytic_densities,
     pure_density,
-    radial_weights,
     state_label,
 )
 from report_blocks import assert_same_text, block_lists, block_rows, report_rows
@@ -206,7 +205,7 @@ def test_converge_ground_sits_at_rounding_floor():
 
 def test_converge_excited_sits_at_rounding_floor():
     # one integration, on the exact count n_tilde + 1; the one-node-short rule
-    # is the guard test's case
+    # fails the entry gap (test_spindensity)
     (row,) = _rows("converge", n=4, kappa=-2)
     assert row["terms"]["radial_nodes"] == 3.0
     assert row["value"] < 1e-12
@@ -223,10 +222,10 @@ def test_converge_at_tiny_alpha(capsys):
 @pytest.mark.parametrize("eps", [1e-9, 1e-11])
 @pytest.mark.parametrize("kwargs", [{}, {"n": 3, "kappa": -2}])
 @pytest.mark.parametrize("error", ["identity", "off-diagonal"])
-def test_converge_flags_a_wrong_density(monkeypatch, eps, kwargs, error):
+def test_converge_flags_a_wrong_density(monkeypatch, capsys, eps, kwargs, error):
     # every Gamma_a Gamma'_b is traceless, so eps * I moves no CHSH value, and
-    # neither error moves a block weight past reduce's 1e-8 guard; the entry
-    # gap sees both
+    # neither error moves a block weight by more than 2 eps; the entry gap sees
+    # both, and converge writes no report
     import diracctx.cli as cli_module
 
     shift = eps * np.eye(4, dtype=complex)
@@ -235,17 +234,45 @@ def test_converge_flags_a_wrong_density(monkeypatch, eps, kwargs, error):
         shift[0, 3], shift[3, 0] = 1j * eps, -1j * eps
     exact_reduce = cli_module.reduce
     monkeypatch.setattr(cli_module, "reduce", lambda state: exact_reduce(state) + shift)
-    (row,) = _rows("converge", **kwargs)
-    assert row["violated"]
-    assert abs(row["value"] - eps) <= 1e-15
+    argv = [f"--{name}={value}" for name, value in kwargs.items()]
+    assert main(["converge", *argv]) == EXIT_QUADRATURE
+    out, err = capsys.readouterr()
+    n, kappa = kwargs.get("n", 1), kwargs.get("kappa", 1)
+    assert out == "" and err == (
+        f"quadrature failure: {state_label(n, kappa, 0.5)}: the density departs from its "
+        f"closed form by {eps:.3e} > {CONVERGE_BOUND} on {n - abs(kappa) + 1} radial nodes\n")
 
 
-def test_converge_flags_a_nan_density(monkeypatch):
+def test_converge_flags_a_nan_density(monkeypatch, capsys):
     import diracctx.cli as cli_module
 
     monkeypatch.setattr(cli_module, "reduce", lambda state: np.full((4, 4), np.nan))
-    (row,) = _rows("converge")
-    assert math.isnan(row["value"]) and row["violated"]
+    assert main(["converge"]) == EXIT_QUADRATURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"quadrature failure: n=1 kappa=1 mj=0.5: the density departs from its "
+                   f"closed form by nan > {CONVERGE_BOUND} on 1 radial nodes\n")
+
+
+@pytest.mark.parametrize("argv, label", [
+    ([], "n=1 kappa=1 mj=0.5"), (["--n", "4", "--kappa", "-2"], "n=4 kappa=-2 mj=0.5")])
+def test_converge_catches_swapped_clebsch_gordan_weights(monkeypatch, capsys, argv, label):
+    # the lower block's two weights exchanged in the closed form: every block
+    # trace stays (1 +- mu)/2, yet two diagonal entries move by (1 - mu)/2
+    # times the weights' difference, 4.4e-6 for the ground state
+    import diracctx.cli as cli_module
+
+    exact = cli_module.analytic_densities
+
+    def swapped(*columns):
+        densities = exact(*columns)
+        densities[..., [2, 3], [2, 3]] = densities[..., [3, 2], [3, 2]]
+        return densities
+
+    monkeypatch.setattr(cli_module, "analytic_densities", swapped)
+    assert main(["converge", *argv]) == EXIT_QUADRATURE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"quadrature failure: {label}: ")
 
 
 def test_excited_at_its_optimal_xi_is_the_sweep_row():
@@ -353,9 +380,10 @@ def test_reports_take_the_closed_form_density(monkeypatch, capsys, argv):
 
 def _reference_density(qn, a):
     """Per-state reference: one state's diagonal density, built on its own
-    from the block weights and the rational Clebsch-Gordan weights."""
+    from the block weights (1 +- mu)/2 and the rational Clebsch-Gordan weights."""
     l, m = qn.l, round(qn.m_j - 0.5)
-    up, down = radial_weights(qn, a)
+    mu = sommerfeld_mu(qn.n, qn.kappa, a)
+    up, down = (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
     part_a = ((l + m + 1) / (2 * l + 1), (l - m) / (2 * l + 1))
     part_b = ((l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3))
     upper, lower = (part_a, part_b) if qn.kappa > 0 else (part_b, part_a)
@@ -556,7 +584,9 @@ def _tables(draw, shapes):
     return blocks, rows
 
 
-@given(st.text(max_size=8), st.dictionaries(_keys, _trees, max_size=3), _tables(_shapes))
+# the command, a report text too, keeps clear of a trailing NUL as the str leaves do
+@given(st.text(max_size=8).filter(lambda text: not text.endswith("\x00")),
+       st.dictionaries(_keys, _trees, max_size=3), _tables(_shapes))
 @settings(max_examples=100)
 def test_render_json_matches_reference_writer(command, params, table):
     # each block of its own shape
@@ -1141,8 +1171,8 @@ def test_main_quadrature_failure_exit_3(monkeypatch, capsys):
 
 
 def test_converge_on_nan_rule_weights_exits_3(monkeypatch, capsys):
-    # the state's own rule with nan weights: reduce's guard fires on the nan
-    # drift, so converge exits 3 instead of reporting a nan gap
+    # the state's own rule with nan weights: the nan density gives a nan entry
+    # gap, which fails converge's check, so it exits 3 instead of reporting it
     import diracctx.cli as cli_module
 
     def nan_weights(qn, a):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bound_states import valid_states
+from diracctx.cli import EXIT_QUADRATURE, main
 from diracctx.clifford import build_family, hermiticity_defect
 from diracctx.contextuality import (
     XZ_PLANE,
@@ -20,13 +22,11 @@ from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, state_table
 from diracctx.spindensity import (
     IncompatibleObservablesError,
-    QuadratureError,
     _matmul,
     analytic_densities,
     checked_observable,
     correlator,
     pure_density,
-    radial_weights,
     reduce,
     state_label,
 )
@@ -75,7 +75,8 @@ def test_ground_correlators_match_block_trace_oracle():
     # hand block-diagonal traces: <AB> = (w_f - w_g/3)/sqrt(2),
     # <DA> = (-w_f + w_g/3)/sqrt(2)
     density = _ground_density()
-    w_f, w_g = radial_weights(QuantumNumbers(1, 1, 0.5), ALPHA)
+    mu = sommerfeld_mu(1, 1, ALPHA)
+    w_f, w_g = (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
     s = 1.0 / math.sqrt(2.0)
     a = GAMMA.x
     b = s * (GAMMA_PRIME.x - GAMMA_PRIME.z)
@@ -165,21 +166,11 @@ def test_single_observable_expectation_bounded():
                 assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
-def test_radial_weights_rest_limit():
-    assert radial_weights(QuantumNumbers(1, 1, 0.5), 0.0) == (1.0, 0.0)
-
-
-def test_radial_weights_ground_substitution():
-    w_f, w_g = radial_weights(QuantumNumbers(1, 1, 0.5), ALPHA)
-    root = math.sqrt(1.0 - ALPHA**2)
-    assert w_f == pytest.approx((1.0 + root) / 2.0, rel=1e-15)
-    assert w_g == pytest.approx((1.0 - root) / 2.0, rel=1e-15)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_radial_weights_quadrature_agrees_with_analytic(n):
     for qn in (q for q in valid_states(n) if q.n == n and q.m_j == 0.5):
-        analytic = radial_weights(qn, ALPHA)
+        mu = sommerfeld_mu(qn.n, qn.kappa, ALPHA)
+        analytic = (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
         density = reduce(eigenstate(qn, ALPHA))
         numeric = (density[0, 0] + density[1, 1]).real, (density[2, 2] + density[3, 3]).real
         assert numeric[0] == pytest.approx(analytic[0], abs=1e-8)
@@ -228,31 +219,43 @@ def _one_node_short(state):
     return dataclasses.replace(state, rule=radial_nodes(qn.n_tilde, 2.0 * nu))
 
 
-def test_reduce_flags_non_convergent_quadrature():
+def _converge_on(monkeypatch, capsys, broken, *argv) -> str:
+    """converge's stderr, run on broken(state) for the state of argv; it must
+    exit 3 and write no report."""
+    import diracctx.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "eigenstate", lambda qn, a: broken(eigenstate(qn, a)))
+    assert main(["converge", *argv]) == EXIT_QUADRATURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+def test_reduce_flags_non_convergent_quadrature(monkeypatch, capsys):
     # one radial node short of n_tilde + 1 leaves the degree-2 n_tilde radial
-    # integrand inexact; the block-weight guard must fire
-    state = eigenstate(QuantumNumbers(4, -2, 0.5), ALPHA)
-    reduce(state)
-    with pytest.raises(QuadratureError):
-        reduce(_one_node_short(state))
+    # integrand inexact; converge's entry gap must fail
+    err = _converge_on(monkeypatch, capsys, _one_node_short, "--n", "4", "--kappa", "-2")
+    assert err.startswith("quadrature failure: ")
 
 
-def test_reduce_flags_nan_block_weights():
-    # a nan drift compares false with the tolerance, and must fail all the same
-    state = eigenstate(QuantumNumbers(2, -1, 0.5), ALPHA)
-    rho, w = state.rule
-    with pytest.raises(QuadratureError, match="by nan"):
-        reduce(dataclasses.replace(state, rule=(rho, w * np.nan)))
+def test_reduce_flags_nan_block_weights(monkeypatch, capsys):
+    # a nan gap compares false with the bound, and must fail all the same
+    def nan_weights(state):
+        rho, w = state.rule
+        return dataclasses.replace(state, rule=(rho, w * np.nan))
+
+    err = _converge_on(monkeypatch, capsys, nan_weights, "--n", "2", "--kappa", "-1")
+    assert " by nan > " in err
 
 
-def test_reduce_metadata():
+def test_reduce_metadata(monkeypatch, capsys):
     # reduce returns the bare matrix; the state's label names it in a failure
     assert _ground_density().shape == (4, 4)
     qn = QuantumNumbers(4, -2, 0.5)
     label = state_label(qn.n, qn.kappa, qn.m_j)
     assert label == "n=4 kappa=-2 mj=0.5"
-    with pytest.raises(QuadratureError, match=f"^{label}: .* on 2 radial nodes$"):
-        reduce(_one_node_short(eigenstate(qn, ALPHA)))
+    err = _converge_on(monkeypatch, capsys, _one_node_short, "--n", "4", "--kappa", "-2")
+    assert re.fullmatch(f"quadrature failure: {label}: .* on 2 radial nodes\n", err)
 
 
 @st.composite
@@ -272,12 +275,12 @@ def test_density_is_the_closed_form_across_the_domain(qn, a):
     # diagonal: (1 +- mu)/2 times the Clebsch-Gordan weights of the A and B
     # harmonics, with the roles swapped for kappa < 0
     l, m = qn.l, round(qn.m_j - 0.5)
-    up, down = radial_weights(qn, a)
+    mu = sommerfeld_mu(qn.n, qn.kappa, a)
+    up, down = (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
     part_a = ((l + m + 1) / (2 * l + 1), (l - m) / (2 * l + 1))
     part_b = ((l - m + 1) / (2 * l + 3), (l + m + 2) / (2 * l + 3))
     upper, lower = (part_a, part_b) if qn.kappa > 0 else (part_b, part_a)
     expected = np.diag([up * upper[0], up * upper[1], down * lower[0], down * lower[1]])
-    mu = sommerfeld_mu(qn.n, qn.kappa, a)
     assert np.abs(analytic_densities([qn.kappa], [2 * qn.m_j], [mu])[0] - expected).max() < 1e-15
     density = reduce(eigenstate(qn, a))
     assert np.abs(np.diag(density) - np.diag(expected)).max() < 1e-12
