@@ -145,8 +145,7 @@ def _float_texts(column: list) -> list[str]:
 def _json_texts(column: np.ndarray) -> list[str]:
     """The JSON text of each entry of a column, as json.dumps writes it with
     floats at 15 significant digits, by its dtype kind: float, int, bool, str,
-    or object for the head's None or an int past int64 (a large seed); any
-    other column raises TypeError."""
+    or object of None and Python ints only; any other column raises TypeError."""
     kind, values = column.dtype.kind, column.tolist()
     if kind == "f":
         return _float_texts(values)
@@ -235,13 +234,21 @@ def _json_block(block: dict, indent: str) -> str:
     return (",\n" + indent).join([row] * count) % _interleaved(fields, count)
 
 
-def _one_row(row: dict) -> dict:
-    """The one-row block of a row dict, each value a one-entry column; a value
-    json.dumps cannot write as a scalar (a numpy integer, a list) raises TypeError."""
-    for value in row.values():
-        if not isinstance(value, (dict, float, int, str, type(None))):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return {key: _one_row(v) if isinstance(v, dict) else np.array([v]) for key, v in row.items()}
+def _head_json(value, indent: str) -> str:
+    """The JSON text of a head value (the command, the version, the params) at
+    this indent level, straight from its Python value as json.dumps(...,
+    indent=2) writes it: a float by _float_texts, None, an int, a bool or a
+    str by json.dumps, a dict of str keys member by member; any other value
+    (a numpy integer, a list) or key raises TypeError."""
+    if isinstance(value, float):
+        return _float_texts([value])[0]
+    if value is None or isinstance(value, (int, str)):
+        return json.dumps(value)
+    if not isinstance(value, dict) or not all(isinstance(key, str) for key in value):
+        raise TypeError(f"a report head of {type(value).__name__} is not JSON serializable")
+    inner = indent + "  "
+    items = [encode_basestring_ascii(key) + ": " + _head_json(v, inner) for key, v in value.items()]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}" if items else "{}"
 
 
 def _json_pieces(document: dict):
@@ -251,9 +258,7 @@ def _json_pieces(document: dict):
     for i, (key, value) in enumerate(document.items()):
         text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
         if key != "results":
-            # the head's params is one row of a block, the other entries one-entry columns
-            entry = _one_row({key: value})[key]
-            text += _json_block(entry, "  ") if isinstance(entry, dict) else _json_texts(entry)[0]
+            text += _head_json(value, "  ")
             continue
         separator = ",\n    "
         prefix = text + "[\n    "
@@ -285,7 +290,7 @@ def report_pieces(document: dict, output_format: str):
         head = [block["kind"]]
         if sweep:
             p = block["parameters"]
-            head = [p["n"], p["kappa"], p["mj"], p["sign"], p["mu"], p["xi_star"]]
+            head = [p[key] for key in SWEEP_CSV_HEADER[:6]]
         columns = [column.tolist() for column in (*head, block["value"], block["bound"])]
         columns.append(_json_texts(block["violated"]))
         count = len(block["value"])
@@ -324,8 +329,9 @@ def _chsh_on_states(table: tuple, a: float, observables, extra_params: dict) -> 
 def _run_audit(config: RunConfig) -> list:
     residuals = audit_algebra()
     # a check passes only at exactly 0; np.max keeps a nan residual, which fails too
-    return [report_block("algebra_audit", _one_row(residuals), [np.max(list(residuals.values()))],
-                         0.0, [any(r != 0.0 for r in residuals.values())])]
+    return [report_block("algebra_audit", {name: [r] for name, r in residuals.items()},
+                         [np.max(list(residuals.values()))], 0.0,
+                         [any(r != 0.0 for r in residuals.values())])]
 
 
 def _xi_rows(table: tuple, a: float, xi: float | None = None) -> dict:

@@ -1,12 +1,12 @@
 """Observable planes and noncontextuality-inequality evaluation.
 
-Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2, each of its
-observable quadruples one plane of the correlation matrix plus one angle, and
-the six-term Peres-Mermin inequality with noncontextual bound 4, both
-evaluated on spin densities given as (4, 4) arrays or (N, 4, 4) stacks, plus
-the closed form 2*sqrt(delta^2 + X^2) of the xi family's maximum. The closed
-forms take the columns (kappa, 2 m_j, delta) of the states, delta = <beta>,
-and nothing else.
+Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2, each test one
+plane (A, C, P, Q) of the correlation matrix plus one angle, so that it reads
+a density only through the plane correlators <AP>, <AQ>, <CP> and <CQ>; the
+six-term Peres-Mermin inequality with noncontextual bound 4; both on spin
+densities given as (4, 4) arrays or (N, 4, 4) stacks. Also the closed form
+2*sqrt(delta^2 + X^2) of the xi family's maximum, from the columns
+(kappa, 2 m_j, delta) of the states, delta = <beta>, and nothing else.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import math
 import numpy as np
 
 from .clifford import PERES_MERMIN_LINES, build_family
-from .spindensity import checked_observable, expectation, pair_correlator
+from .spindensity import (IncompatibleObservablesError, checked_observable, expectation,
+                          pair_correlator)
 
 CHSH_BOUND = 2.0
 PERES_MERMIN_BOUND = 4.0
 
 _GAMMA, _GAMMA_PRIME = build_family("Gamma"), build_family("GammaPrime")
-# the planes (A, C, P, Q) of plane_observables, read-only as the families are:
+# the planes (A, C, P, Q) of chsh_value, read-only as the families are:
 # x-z is real, so the free curve runs in float64 ("0.0 -" keeps every zero
 # +0.0), and y-z is complex
 XZ_PLANE = (_GAMMA.x.real.copy(), _GAMMA.z.real.copy(), _GAMMA_PRIME.x.real.copy(),
@@ -32,23 +33,28 @@ for _matrix in XZ_PLANE:
     _matrix.flags.writeable = False
 
 
-def chsh_value(density, a, b, c, d, parameters: dict) -> dict:
-    """<AB> + <BC> + <CD> - <DA> against the noncontextual bound 2, as a report
-    block: the keys kind, terms, value, bound, violated, parameters, each a
-    column of one entry per row or, for terms and parameters, a dict of them.
+def chsh_value(density, plane, cos, sin, parameters: dict) -> dict:
+    """<AB> + <BC> + <CD> - <DA> on the plane (A, C, P, Q) at the angle
+    (cos, sin), B = cos P + sin Q and D = -cos P + sin Q, against the bound 2,
+    as a report block of the columns kind, terms, value, bound, violated and
+    parameters (terms and parameters dicts of columns, stored as arrays; a
+    parameter column that is not one entry per row raises ValueError).
 
-    density is a (4, 4) density matrix or an (N, 4, 4) stack of them, and any
-    observable may be a (N, 4, 4) stack. Gives one row per entry of the
-    broadcast leading axes, evaluated in one pass. parameters is a dict of
-    columns, stored in the block as arrays; a column that is not one entry per
-    row raises ValueError. Each observable is checked Hermitian once and each of
-    the four pairs for commutation.
+    density is a (4, 4) matrix or an (N, 4, 4) stack; cos and sin are floats or
+    columns that broadcast against it. Each term is a real combination of the
+    correlator columns <AP>, <AQ>, <CP>, <CQ>: A, C, P, Q are checked Hermitian
+    and those pairs for commutation once, which covers B and D at every angle;
+    a cos or sin that is not finite raises IncompatibleObservablesError.
     """
+    cos, sin = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    if not (np.isfinite(cos).all() and np.isfinite(sin).all()):
+        raise IncompatibleObservablesError("a cos or sin of B and D is not finite")
+    a, c, p, q = (checked_observable(name, o) for name, o in zip("ACPQ", plane))
     rho = np.asarray(density)
-    a, b, c, d = (checked_observable(name, o) for name, o in zip("ABCD", (a, b, c, d)))
-    ab, bc, cd, da = (
-        np.ravel(pair_correlator(rho, o1, o2)) for o1, o2 in ((a, b), (b, c), (c, d), (d, a))
-    )
+    ap, aq, cp, cq = (np.ravel(pair_correlator(rho, o1, o2))
+                      for o1, o2 in ((a, p), (a, q), (c, p), (c, q)))
+    ab, bc = cos * ap + sin * aq, cos * cp + sin * cq
+    cd, da = -cos * cp + sin * cq, -cos * ap + sin * aq
     value = ab + bc + cd - da
     return report_block("chsh_nc", {"AB": ab, "BC": bc, "CD": cd, "DA": da}, value, CHSH_BOUND,
                         value > CHSH_BOUND, parameters)
@@ -78,35 +84,29 @@ def report_block(kind: str, terms: dict, value, bound: float, violated, paramete
     return block
 
 
-def plane_observables(plane, cos, sin):
+def plane_observables(plane, cos: float, sin: float):
     """The CHSH quadruple (A, cos P + sin Q, C, -cos P + sin Q) on a plane
-    (A, C, P, Q), with B and D as (N, 4, 4) stacks over the N entries of the
-    columns cos and sin, each slice the matrices of its entry."""
+    (A, C, P, Q) at one angle, as four (4, 4) matrices."""
     a, c, p, q = plane
-    cos, sin = np.reshape(cos, (-1, 1, 1)), np.reshape(sin, (-1, 1, 1))
     return a, cos * p + sin * q, c, -cos * p + sin * q
 
 
 def ground_observables(m_j: float):
-    """The (A, B, C, D) choice for the two ground states m_j = +-1/2, B and D
-    as (4, 4) matrices: the x-z plane at cos = sin = +-1/sqrt(2), by m_j's sign."""
+    """The setting (plane, cos, sin) of the two ground states m_j = +-1/2: the
+    x-z plane at cos = sin = +-1/sqrt(2), by m_j's sign."""
     if m_j not in (0.5, -0.5):
         raise ValueError(f"ground state has m_j in {{+1/2, -1/2}}, got {m_j}")
     s = math.copysign(1.0 / math.sqrt(2.0), m_j)
-    a, b, c, d = plane_observables(XZ_PLANE, s, s)
-    return a, b[0], c, d[0]
+    return XZ_PLANE, s, s
 
 
 def excited_observables(xis):
-    """The xi family valid on both kappa branches, the y-z plane at (-sin xi, cos xi):
-    (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z).
-
-    A sequence or an array of N angles gives B and D as (N, 4, 4) stacks,
-    each slice the matrix of its angle, from math's sin and cos of each.
-    """
+    """The setting (plane, cos, sin) of the xi family valid on both kappa
+    branches, the y-z plane at (-sin xi, cos xi), cos and sin as columns over
+    the angles xis from math's sin and cos of each:
+    (Gamma_y, -sin(xi) Gp_y + cos(xi) Gp_z, Gamma_z, sin(xi) Gp_y + cos(xi) Gp_z)."""
     angles = np.asarray(xis, dtype=float).tolist()
-    return plane_observables(YZ_PLANE, [-math.sin(x) for x in angles],
-                             [math.cos(x) for x in angles])
+    return YZ_PLANE, np.array([-math.sin(x) for x in angles]), np.array(list(map(math.cos, angles)))
 
 
 def harmonic_coefficients(kappa, twice_mj, delta):

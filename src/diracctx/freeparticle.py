@@ -40,13 +40,13 @@ def _plane_waves(betas: np.ndarray) -> np.ndarray:
 
 def _observables(betas):
     """The angles theta = arctan(1/E) = arctan(sqrt(1 - beta^2)) at the
-    velocity ratios, and (A', B', C', D'), the float64 x-z plane at (cos theta,
-    sin theta), B' and D' stacked. The square root is correctly rounded in
-    numpy as in math; atan, cos and sin are math's."""
+    velocity ratios, and the setting (plane, cos, sin) of (A', B', C', D'): the
+    float64 x-z plane at the columns cos theta and sin theta. The square root
+    is correctly rounded in numpy as in math; atan, cos and sin are math's."""
     betas = np.asarray(betas, dtype=float)
     thetas = list(map(math.atan, np.sqrt(1.0 - betas * betas).tolist()))
-    return thetas, plane_observables(XZ_PLANE, list(map(math.cos, thetas)),
-                                     list(map(math.sin, thetas)))
+    return thetas, (XZ_PLANE, np.array(list(map(math.cos, thetas))),
+                    np.array(list(map(math.sin, thetas))))
 
 
 def free_observables(beta_v: float):
@@ -58,8 +58,8 @@ def free_observables(beta_v: float):
     basis of a float64 matrix differs, and moves the negative-energy weights
     of the measurability report by up to 3.3e-16 at beta = 0 and 0.5."""
     check_betas(beta_v)
-    a, b, c, d = _observables([beta_v])[1]
-    return tuple(m.astype(complex) for m in (a, b[0], c, d[0]))
+    plane, cos, sin = _observables([beta_v])[1]
+    return tuple(m.astype(complex) for m in plane_observables(plane, cos[0], sin[0]))
 
 
 def free_chsh_curve(betas) -> dict:
@@ -67,17 +67,17 @@ def free_chsh_curve(betas) -> dict:
     velocity ratio, as a report block of one row per point; the closed form
     is 2*sqrt(2 - beta^2).
 
-    The points are evaluated in one pass over (N, 4, 4) float64 stacks of
-    densities and of the B', D' observables; a caller with a long grid passes
-    it a block at a time.
+    The points are evaluated in one pass over an (N, 4, 4) float64 stack of
+    densities and the angle columns of the x-z plane; a caller with a long
+    grid passes it a block at a time.
     """
     betas = np.asarray(betas, dtype=float)
     check_betas(betas)
-    thetas, observables = _observables(betas)
+    thetas, setting = _observables(betas)
     # normalized in complex by pure_density, which the report's bits follow;
     # the imaginary parts are exactly 0
     densities = pure_density(_plane_waves(betas)).real
-    return chsh_value(densities, *observables, parameters={
+    return chsh_value(densities, *setting, parameters={
         "beta_v": betas, "theta": thetas, "closed_form": 2.0 * np.sqrt(2.0 - betas * betas)})
 
 

@@ -108,26 +108,14 @@ def checked_observable(name: str, o) -> np.ndarray:
     return o
 
 
-def _matmul(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
-    """o1 @ o2. When one side is a single matrix m and the other a stack,
-    it is one 2D product over the stacked rows: stack @ m as
-    stack.reshape(-1, 4) @ m, and m @ stack through the transposes,
-    (stack^T @ m^T)^T."""
-    if o1.ndim == 2 and o2.ndim > 2:
-        rows = o2.swapaxes(-1, -2).reshape(-1, o2.shape[-2]) @ o1.T
-        return rows.reshape(o2.shape).swapaxes(-1, -2)
-    if o2.ndim == 2 and o1.ndim > 2:
-        return (o1.reshape(-1, o1.shape[-1]) @ o2).reshape(o1.shape)
-    return o1 @ o2
-
-
 def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
     """Real part of trace(rho . o1 . o2) for observables that checked_observable
-    passed, over the broadcast leading axes of the density matrices and both
-    observables. Raises if any pair of the stacks does not commute, and
-    ValueError as expectation does."""
-    product = _matmul(o1, o2)
-    comm = np.abs(product - _matmul(o2, o1)).max()
+    passed, over the broadcast leading axes of the densities and both
+    observables: for two matrices of a plane, one correlator column over a
+    density stack. Raises if the pair does not commute, and ValueError as
+    expectation does."""
+    product = o1 @ o2
+    comm = np.abs(product - o2 @ o1).max()
     if not comm <= COMMUTE_TOLERANCE:
         raise IncompatibleObservablesError(
             f"observables do not commute (largest entry {comm:.3e}); "

@@ -17,7 +17,7 @@ from diracctx.clifford import (
     build_family,
     commutator,
 )
-from diracctx.contextuality import ground_observables
+from diracctx.contextuality import ground_observables, plane_observables
 
 I4 = np.eye(4)
 # written out here, apart from the package's own
@@ -153,7 +153,7 @@ def test_direction_observables_reproduce_ground_choice():
     gam = build_family("Gamma")
     gamp = build_family("GammaPrime")
     s = 1.0 / math.sqrt(2.0)
-    a, b, c, d = ground_observables(0.5)
+    a, b, c, d = plane_observables(*ground_observables(0.5))
     assert np.allclose(a, _direction(gam, (1.0, 0.0, 0.0)))
     assert np.allclose(b, _direction(gamp, (s, 0.0, -s)))
     assert np.allclose(c, _direction(gam, (0.0, 0.0, 1.0)))

@@ -46,6 +46,12 @@ def _columns(qn, a=ALPHA):
     return qn.kappa, 2 * qn.m_j, sommerfeld_mu(qn.n, qn.kappa, a)
 
 
+def _matrices(setting):
+    """The (A, B, C, D) matrices of a setting (plane, cos, sin) at its first angle."""
+    plane, cos, sin = setting
+    return plane_observables(plane, np.ravel(cos)[0], np.ravel(sin)[0])
+
+
 def _peres_mermin(density, label="state"):
     return block_rows(peres_mermin_value(np.asarray(density)[None], [label]))[0]
 
@@ -62,23 +68,27 @@ ANGLE = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
 @settings(max_examples=80, deadline=None)
 def test_plane_observables_structure(name, thetas):
     plane, dtype = PLANES[name]
-    cos, sin = [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
-    a, b, c, d = plane_observables(plane, cos, sin)
-    assert b.shape == d.shape == (len(thetas), 4, 4)
-    assert [m.dtype for m in (a, b, c, d)] == [dtype] * 4
     assert not any(m.flags.writeable for m in plane)
-    # A and C are both Gamma-family: they anticommute, exactly
-    assert np.array_equal(a @ c, -(c @ a)) and np.abs(a @ c).max() == 1.0
-    for i, (co, si) in enumerate(zip(cos, sin)):
-        quadruple = (a, b[i], c, d[i])
+    for theta in thetas:
+        a, b, c, d = plane_observables(plane, math.cos(theta), math.sin(theta))
+        assert b.shape == d.shape == (4, 4)
+        assert [m.dtype for m in (a, b, c, d)] == [dtype] * 4
+        # A and C are both Gamma-family: they anticommute, exactly
+        assert np.array_equal(a @ c, -(c @ a)) and np.abs(a @ c).max() == 1.0
+        quadruple = (a, b, c, d)
         for obs in quadruple:
             assert np.abs(obs - obs.conj().T).max() < 1e-15
             assert np.abs(obs @ obs - I4).max() < 1e-12
         for o1, o2 in zip(quadruple, quadruple[1:] + quadruple[:1]):
             assert np.abs(o1 @ o2 - o2 @ o1).max() < 1e-12
-        single = plane_observables(plane, [co], [si])
-        assert b[i].tobytes() == single[1][0].tobytes()
-        assert d[i].tobytes() == single[3][0].tobytes()
+
+
+def _random_densities(rng, count, rank):
+    """count random density matrices of the rank, as an (count, 4, 4) stack."""
+    g = rng.normal(size=(count, 4, rank)) + 1j * rng.normal(size=(count, 4, rank))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 @given(st.sampled_from(sorted(PLANES)), ANGLE, st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -86,27 +96,64 @@ def test_plane_observables_structure(name, thetas):
 def test_chsh_on_a_plane_is_twice_its_two_correlators(name, theta, seed, rank):
     # <AB> + <BC> + <CD> - <DA> = 2 (cos <A P> + sin <C Q>) on any density,
     # since A and C commute with P and Q
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    rho = _random_densities(np.random.default_rng(seed), 1, rank)[0]
     plane = PLANES[name][0]
     a, c, p, q = plane
-    observables = plane_observables(plane, math.cos(theta), math.sin(theta))
-    value = chsh_value(rho, *observables, {})["value"][0]
+    value = chsh_value(rho, plane, math.cos(theta), math.sin(theta), {})["value"][0]
     want = 2.0 * (math.cos(theta) * np.trace(rho @ a @ p).real
                   + math.sin(theta) * np.trace(rho @ c @ q).real)
     assert abs(value - want) < 4e-15
 
 
+@given(st.sampled_from(sorted(PLANES)), st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.integers(1, 600))
+@example("y-z", 7, 4, 600)
+@settings(max_examples=40, deadline=None)
+def test_plane_terms_match_the_matrix_products(name, seed, rank, count):
+    # the terms from the four plane correlators against trace(rho @ o1 @ o2) of
+    # the quadruple plane_observables builds, row by row: within 1e-15 a term
+    # and 2e-15 a value (measured 2.2e-16 and 8.9e-16 on the report grids)
+    rng = np.random.default_rng(seed)
+    plane = PLANES[name][0]
+    rho = _random_densities(rng, count, rank)
+    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count).tolist()
+    cos, sin = np.array([math.cos(t) for t in angles]), np.array([math.sin(t) for t in angles])
+    block = chsh_value(rho, plane, cos, sin, {})
+    assert len(block["value"]) == count
+    for i in range(count):
+        a, b, c, d = plane_observables(plane, cos[i], sin[i])
+        want = {term: np.trace(rho[i] @ o1 @ o2).real
+                for term, (o1, o2) in zip(("AB", "BC", "CD", "DA"), ((a, b), (b, c), (c, d), (d, a)))}
+        for term, reference in want.items():
+            assert abs(block["terms"][term][i] - reference) <= 1e-15
+        total = want["AB"] + want["BC"] + want["CD"] - want["DA"]
+        assert abs(block["value"][i] - total) <= 2e-15
+
+
+def test_a_plane_is_checked_at_every_angle():
+    # Q = C does not commute with A: with sin = 0, B = cos P + 0 Q commutes
+    # with A and the quadruple's own products could not tell
+    a, c, p, _ = XZ_PLANE
+    with pytest.raises(IncompatibleObservablesError, match="do not commute"):
+        chsh_value(np.eye(4) / 4, (a, c, p, c), [1.0, -1.0], [0.0, 0.0], {})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_cos_or_sin_that_is_not_finite_is_rejected(bad):
+    rho = np.stack([np.eye(4) / 4] * 3)
+    for cos, sin in (([1.0, bad, 0.0], [0.0, 0.0, 1.0]), (0.0, [1.0, 0.0, bad]), (bad, 0.0)):
+        with pytest.raises(IncompatibleObservablesError, match="not finite"):
+            chsh_value(rho, XZ_PLANE, cos, sin, {})
+
+
 def test_ground_observables_are_involutions():
-    for obs in ground_observables(0.5) + ground_observables(-0.5):
+    for obs in _matrices(ground_observables(0.5)) + _matrices(ground_observables(-0.5)):
         assert np.abs(obs @ obs - I4).max() < 1e-12
         assert np.abs(obs - obs.conj().T).max() < 1e-12
 
 
 def test_ground_contexts_commute_but_ac_does_not():
-    a, b, c, d = ground_observables(0.5)
+    a, b, c, d = _matrices(ground_observables(0.5))
     for pair in ((a, b), (b, c), (c, d), (d, a)):
         assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
     assert np.abs(a @ c - c @ a).max() > 1.0  # both Gamma-family, anticommuting
@@ -115,7 +162,7 @@ def test_ground_contexts_commute_but_ac_does_not():
 def test_ground_b_is_a_direction_observable():
     # B is GammaPrime along the unit direction (s, 0, -s)
     s = 1.0 / math.sqrt(2.0)
-    b = ground_observables(0.5)[1]
+    b = _matrices(ground_observables(0.5))[1]
     direction = s * GAMMA_PRIME.x + 0.0 * GAMMA_PRIME.y - s * GAMMA_PRIME.z
     assert np.allclose(b, direction, atol=1e-15)
 
@@ -125,7 +172,7 @@ def test_ground_observables_are_the_xz_plane_at_a_quarter_turn(m_j):
     # m_j = 1/2: B = (Gp.x - Gp.z)/sqrt 2, D = -(Gp.x + Gp.z)/sqrt 2; m_j = -1/2
     # negates both
     s = math.copysign(1.0 / math.sqrt(2.0), m_j)
-    a, b, c, d = ground_observables(m_j)
+    a, b, c, d = _matrices(ground_observables(m_j))
     assert np.array_equal(a, GAMMA.x) and np.array_equal(c, GAMMA.z)
     assert np.array_equal(b, s * (GAMMA_PRIME.x - GAMMA_PRIME.z))
     assert np.array_equal(d, -s * (GAMMA_PRIME.x + GAMMA_PRIME.z))
@@ -137,8 +184,7 @@ def test_ground_observables_reject_other_mj():
 
 
 def test_excited_observables_xi_zero_degenerates():
-    a, b, c, d = excited_observables([0.0])
-    b, d = b[0], d[0]
+    a, b, c, d = _matrices(excited_observables([0.0]))
     assert np.array_equal(b, d)
     assert np.allclose(b, GAMMA_PRIME.z, atol=1e-15)
     assert np.array_equal(a, GAMMA.y)
@@ -146,8 +192,7 @@ def test_excited_observables_xi_zero_degenerates():
 
 
 def test_excited_observables_xi_half_pi():
-    _, b, _, d = excited_observables([math.pi / 2.0])
-    b, d = b[0], d[0]
+    _, b, _, d = _matrices(excited_observables([math.pi / 2.0]))
     assert np.allclose(b, -GAMMA_PRIME.y, atol=1e-15)
     assert np.allclose(d, GAMMA_PRIME.y, atol=1e-15)
 
@@ -155,40 +200,29 @@ def test_excited_observables_xi_half_pi():
 @given(st.floats(-math.pi, math.pi, allow_nan=False))
 @settings(max_examples=80)
 def test_excited_observables_structure_any_xi(xi):
-    a, b, c, d = excited_observables([xi])
-    b, d = b[0], d[0]
+    a, b, c, d = _matrices(excited_observables([xi]))
     for obs in (a, b, c, d):
         assert np.abs(obs @ obs - I4).max() < 1e-12
     for pair in ((a, b), (b, c), (c, d), (d, a)):
         assert np.abs(pair[0] @ pair[1] - pair[1] @ pair[0]).max() < 1e-12
 
 
-def test_excited_observables_stack_slices_equal_single_angles():
-    xis = [-3.0, -0.4, 0.0, 0.3, math.pi / 2.0, 2.9]
-    a, b, c, d = excited_observables(xis)
-    assert b.shape == d.shape == (len(xis), 4, 4)
-    for i, xi in enumerate(xis):
-        single = excited_observables([xi])
-        assert b[i].tobytes() == single[1][0].tobytes()
-        assert d[i].tobytes() == single[3][0].tobytes()
-
-
 def test_xi_family_stack_with_one_non_hermitian_slice_is_rejected():
     states = [QuantumNumbers(2, 1, 0.5), QuantumNumbers(3, -2, -1.5), QuantumNumbers(4, 3, 2.5)]
     densities = np.stack([_density(qn.n, qn.kappa, qn.m_j) for qn in states])
-    a, b, c, d = excited_observables([optimal_xi(*_columns(qn))[0] for qn in states])
+    (a, c, p, q), cos, sin = excited_observables(
+        [optimal_xi(*_columns(qn))[0] for qn in states])
     parameters = {"state": ["a", "b", "c"]}
-    assert len(chsh_value(densities, a, b, c, d, parameters)["value"]) == 3
-    non_hermitian = b.copy()
-    non_hermitian[1] = 1j * non_hermitian[1]
-    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(densities, a, non_hermitian, c, d, parameters)
+    assert len(chsh_value(densities, (a, c, p, q), cos, sin, parameters)["value"]) == 3
+    with pytest.raises(IncompatibleObservablesError, match="observable P is not Hermitian"):
+        chsh_value(densities, (a, c, 1j * p, q), cos, sin, parameters)
 
 
 # --- CHSH-like inequality ---------------------------------------------------------
 
 def test_identity_observables_meet_bound_without_violation():
-    report = block_rows(chsh_value(np.eye(4) / 4.0, I4, I4, I4, I4, {}))[0]
+    # B = D = I at cos = 1, sin = 0
+    report = block_rows(chsh_value(np.eye(4) / 4.0, (I4,) * 4, 1.0, 0.0, {}))[0]
     assert report["value"] == pytest.approx(2.0, abs=1e-12)
     assert report["bound"] == CHSH_BOUND
     assert not report["violated"]
@@ -226,19 +260,19 @@ def test_chsh_checks_each_observable_once(monkeypatch):
 
 
 def test_chsh_rejects_incompatible_context():
-    a, b, c, _ = ground_observables(0.5)
+    (a, c, _, q), cos, sin = ground_observables(0.5)
     with pytest.raises(IncompatibleObservablesError):
-        chsh_value(_density(1, 1, 0.5), a, c, b, a, {})  # (A, C) share the family
+        chsh_value(_density(1, 1, 0.5), (a, c, c, q), cos, sin, {})  # (A, C) share the family
 
 
 def test_chsh_rejects_a_non_hermitian_density():
-    # trace(rho A B) = i trace((AB)^+ AB) / 4 = i, as AB is unitary: the
+    # trace(rho A P) = i trace((AP)^+ AP) / 4 = i, as AP is unitary: the
     # density is at fault, not a quadrature
-    a, b, c, d = excited_observables([0.4])
-    b, d = b[0], d[0]
-    rho = 1j * (a @ b).conj().T / 4
+    setting = excited_observables([0.4])
+    a, _, p, _ = setting[0]
+    rho = 1j * (a @ p).conj().T / 4
     with pytest.raises(ValueError, match="^density is not Hermitian: .* imaginary part 1.000e"):
-        chsh_value(rho, a, b, c, d, {})
+        chsh_value(rho, *setting, {})
 
 
 def test_peres_mermin_rejects_a_non_hermitian_density():
@@ -256,17 +290,17 @@ def test_chsh_and_peres_mermin_reject_a_nan_density(dtype):
     with pytest.raises(ValueError, match="^density "):
         chsh_value(rho, *ground_observables(0.5), {})
     with pytest.raises(ValueError, match="^density "):
-        chsh_value(rho, *(np.eye(4),) * 4, {})
+        chsh_value(rho, (np.eye(4),) * 4, 1.0, 0.0, {})
     with pytest.raises(ValueError, match="^density "):
         peres_mermin_value(rho, ["x", "y"])
 
 
 def test_chsh_rejects_a_nan_observable():
-    a, b, c, d = ground_observables(0.5)
-    b = b.copy()
-    b[0, 0] = np.nan
-    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(np.eye(4) / 4, a, b, c, d, {})
+    (a, c, p, q), cos, sin = ground_observables(0.5)
+    p = p.copy()
+    p[0, 0] = np.nan
+    with pytest.raises(IncompatibleObservablesError, match="observable P is not Hermitian"):
+        chsh_value(np.eye(4) / 4, (a, c, p, q), cos, sin, {})
 
 
 def _with_line_product(monkeypatch, line, entry, shift):

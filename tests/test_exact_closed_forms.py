@@ -20,6 +20,7 @@ from diracctx.contextuality import (
     excited_observables,
     ground_observables,
     harmonic_coefficients,
+    plane_observables,
 )
 from diracctx.freeparticle import _plane_waves
 from diracctx.spindensity import analytic_densities, pure_density
@@ -184,7 +185,7 @@ def _gaussian_integer(m):
 @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
 @pytest.mark.parametrize("twice_mj", [1, -1])
 def test_ground_value_over_sqrt2_is_1_plus_delta(twice_mj, delta):
-    a, b, c, d = ground_observables(twice_mj / 2)
+    a, b, c, d = plane_observables(*ground_observables(twice_mj / 2))
     # B and D carry 1/sqrt 2: with it factored out, every product is a
     # Gaussian-integer matrix and the value is (AB + BC + CD - DA)/sqrt 2
     b, d = (_gaussian_integer(math.sqrt(2.0) * o) for o in (b, d))

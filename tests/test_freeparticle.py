@@ -165,22 +165,31 @@ def _pointwise_terms(beta_v):
 
 
 def _stacks(betas):
+    """The densities of the velocity ratios as a complex stack, and the
+    setting of the curve, its x-z plane cast to complex."""
     spinors = _plane_waves(np.array(betas)).astype(complex)
     densities = np.stack([np.outer(u, u.conj()) for u in spinors])
-    a, _, c, _ = free_observables(0.0)
-    b = np.stack([free_observables(beta)[1] for beta in betas])
-    d = np.stack([free_observables(beta)[3] for beta in betas])
-    return densities, a, b, c, d
+    plane, cos, sin = _observables(betas)[1]
+    return densities, tuple(m.astype(complex) for m in plane), cos, sin
 
 
 def test_batched_terms_equal_pointwise_reference():
     # the benchmark's full 0:0.999:20000 grid, which crosses many block boundaries
     betas = [float(b) for b in np.linspace(0.0, 0.999, 20000)]
     betas += [float(b) for b in np.random.default_rng(5).uniform(0.0, 0.999999, 50)]
-    for beta_v, report in zip(betas, block_rows(free_chsh_curve(betas)), strict=True):
-        assert report["terms"] == _pointwise_terms(beta_v)
+    rows = block_rows(free_chsh_curve(betas))
+    for beta_v, report in zip(betas, rows, strict=True):
+        # the plane's correlators round differently from the products of the
+        # multiplied-out B' and D', by at most 2.2e-16 a term and 8.9e-16 a value
+        want = _pointwise_terms(beta_v)
         t = report["terms"]
+        assert all(abs(t[name] - want[name]) <= 1e-15 for name in want)
+        total = want["AB"] + want["BC"] + want["CD"] - want["DA"]
+        assert abs(report["value"] - total) <= 2e-15
         assert report["value"] == t["AB"] + t["BC"] + t["CD"] - t["DA"]
+    # a row of the stacked pass is the one-row pass of its point, bit for bit
+    for i in [*range(0, 20000, 40), *range(20000, len(betas))]:
+        assert block_rows(free_chsh(betas[i])) == [rows[i]]
 
 
 def test_free_chsh_is_a_row_of_the_curve():
@@ -192,34 +201,37 @@ def test_free_chsh_is_a_row_of_the_curve():
 
 def test_stack_with_one_bad_slice_is_rejected():
     betas = [0.1, 0.5, 0.9]
-    densities, a, b, c, d = _stacks(betas)
+    densities, plane, cos, sin = _stacks(betas)
+    a, c, p, q = plane
     parameters = {"beta_v": betas}
-    block = chsh_value(densities, a, b, c, d, parameters)
-    assert correlator(densities, a, b).tolist() == block["terms"]["AB"].tolist()
+    block = chsh_value(densities, plane, cos, sin, parameters)
+    # the correlator of a stack of B' gives the AB column to its last bits
+    b = np.stack([free_observables(beta)[1] for beta in betas])
+    assert np.abs(correlator(densities, a, b) - block["terms"]["AB"]).max() <= 1e-15
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
-    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(densities, a, non_hermitian, c, d, parameters)
     with pytest.raises(IncompatibleObservablesError, match="observable O2 is not Hermitian"):
         correlator(densities, a, non_hermitian)
-    non_commuting = d.copy()
-    non_commuting[2] = a  # commutes with A' but not with C' = i g2
+    with pytest.raises(IncompatibleObservablesError, match="observable P is not Hermitian"):
+        chsh_value(densities, (a, c, 1j * p, q), cos, sin, parameters)
+    # Q = A' commutes with A' but not with C' = i g2
     with pytest.raises(IncompatibleObservablesError, match="do not commute"):
-        chsh_value(densities, a, b, c, non_commuting, parameters)
+        chsh_value(densities, (a, c, p, a), cos, sin, parameters)
 
 
 def _real_stacks(betas):
-    """The curve's float64 stacks: densities |u><u| and (A', B', C', D')."""
+    """The curve's float64 density stack |u><u| and its setting (plane, cos, sin)."""
     densities = np.stack([pure_density(u).real for u in _plane_waves(np.array(betas))])
     return (densities, *_observables(betas)[1])
 
 
 def test_real_stacks_give_the_rows_of_their_complex_casts():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
-    stacks = _real_stacks(betas)
-    assert all(m.dtype == np.float64 for m in stacks)
-    complex_block = chsh_value(*(m.astype(complex) for m in stacks), {})
-    assert block_lists(chsh_value(*stacks, {})) == block_lists(complex_block)
+    densities, plane, cos, sin = _real_stacks(betas)
+    assert all(m.dtype == np.float64 for m in (densities, *plane, cos, sin))
+    complex_block = chsh_value(densities.astype(complex),
+                               tuple(m.astype(complex) for m in plane), cos, sin, {})
+    assert block_lists(chsh_value(densities, plane, cos, sin, {})) == block_lists(complex_block)
     # the curve, a block at a time as the CLI streams it, gives the same terms
     curve = [free_chsh_curve(betas[start:start + REPORT_BLOCK])
              for start in range(0, len(betas), REPORT_BLOCK)]
@@ -230,20 +242,20 @@ def test_real_stacks_give_the_rows_of_their_complex_casts():
 def test_free_observables_stay_complex():
     for beta_v in (0.0, 0.5, 0.9):
         assert [m.dtype for m in free_observables(beta_v)] == [np.complex128] * 4
-    assert all(m.dtype == np.float64 for m in _observables([0.3])[1])
+    plane, cos, sin = _observables([0.3])[1]
+    assert all(m.dtype == np.float64 for m in (*plane, cos, sin))
 
 
 def test_real_stack_with_one_bad_slice_is_rejected():
-    densities, a, b, c, d = _real_stacks([0.1, 0.5, 0.9])
+    densities, (a, c, p, q), cos, sin = _real_stacks([0.1, 0.5, 0.9])
     parameters = {}
-    non_symmetric = b.copy()
-    non_symmetric[1, 0, 1] += 0.5
-    with pytest.raises(IncompatibleObservablesError, match="observable B is not Hermitian"):
-        chsh_value(densities, a, non_symmetric, c, d, parameters)
-    non_commuting = d.copy()
-    non_commuting[2] = a  # commutes with A' but not with C' = i g2
+    non_symmetric = p.copy()
+    non_symmetric[0, 1] += 0.5
+    with pytest.raises(IncompatibleObservablesError, match="observable P is not Hermitian"):
+        chsh_value(densities, (a, c, non_symmetric, q), cos, sin, parameters)
+    # Q = A' commutes with A' but not with C' = i g2
     with pytest.raises(IncompatibleObservablesError, match="do not commute"):
-        chsh_value(densities, a, b, c, non_commuting, parameters)
+        chsh_value(densities, (a, c, p, a), cos, sin, parameters)
 
 
 @pytest.mark.parametrize("beta", [1.0, -0.1, math.nan])

@@ -13,16 +13,12 @@ from diracctx.clifford import build_family, hermiticity_defect
 from diracctx.contextuality import (
     XZ_PLANE,
     YZ_PLANE,
-    excited_observables,
-    optimal_xi,
     plane_observables,
 )
-from diracctx.freeparticle import _observables
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
-from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, state_table
+from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
 from diracctx.spindensity import (
     IncompatibleObservablesError,
-    _matmul,
     analytic_densities,
     checked_observable,
     correlator,
@@ -97,44 +93,6 @@ def test_correlator_rejects_non_hermitian():
         correlator(density, 1j * I4, I4)
 
 
-def _report_observables(family):
-    """The (A, B, C, D) of a report, B and D stacked: the xi family at the
-    optimal angles of the n <= 8 states, or the free curve's float64
-    observables on 2,000 velocity ratios."""
-    if family == "xi":
-        return excited_observables(optimal_xi(*state_table(8, ALPHA)[1:])[0])
-    return _observables(np.linspace(0.0, 0.999, 2000).tolist())[1]
-
-
-@pytest.mark.parametrize("family", ["xi", "free"])
-def test_stacked_products_are_the_bits_of_matmul(family):
-    # each fixed observable is a signed permutation matrix, so every entry of
-    # every product is one exact term, whatever order BLAS sums in
-    a, b, c, d = _report_observables(family)
-    for o1, o2 in ((a, b), (b, c), (c, d), (d, a)):
-        for left, right in ((o1, o2), (o2, o1)):
-            got, want = _matmul(left, right), np.matmul(left, right)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-
-
-def test_stacked_products_of_random_complex_matrices_match_matmul():
-    rng = np.random.default_rng(7)
-
-    def draw(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    single, stack = draw(4, 4), draw(3, 5, 4, 4)
-    for left, right in ((single, stack), (stack, single)):
-        got, want = _matmul(left, right), np.matmul(left, right)
-        assert got.shape == want.shape == (3, 5, 4, 4)
-        # relative to the sum of the moduli of the four terms of each entry
-        scale = np.matmul(np.abs(left), np.abs(right))
-        assert (np.abs(got - want) <= 1e-15 * scale).all()
-    # two stacks, or two single matrices, stay one broadcast matmul
-    assert _matmul(stack, stack).tobytes() == np.matmul(stack, stack).tobytes()
-    assert _matmul(single, single).tobytes() == (single @ single).tobytes()
-
-
 def test_checked_observable_keeps_the_dtype_of_its_input():
     real = np.array(GAMMA_PRIME.z.real)
     assert checked_observable("O", real).dtype == np.float64
@@ -161,7 +119,7 @@ def test_single_observable_expectation_bounded():
     for theta in rng.uniform(-math.pi, math.pi, size=10):
         for plane in (XZ_PLANE, YZ_PLANE):
             a, b, c, d = plane_observables(plane, math.cos(theta), math.sin(theta))
-            for obs in (a, b[0], c, d[0]):
+            for obs in (a, b, c, d):
                 value = correlator(density, obs, I4)
                 assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
