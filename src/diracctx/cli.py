@@ -46,12 +46,12 @@ from .hydrogen import (
 )
 from .spindensity import QuadratureError, analytic_densities, pure_density, reduce, state_label
 
-SWEEP_CSV_HEADER = ("n", "kappa", "mj", "sign", "mu", "xi_star", "value", "bound", "violated")
-GENERIC_CSV_HEADER = ("kind", "value", "bound", "violated")
-# one CSV row of each header; every field is a number or a fixed word, so
-# none needs quoting
-SWEEP_CSV_ROW = "%s,%s,%.15g,%s,%.15g,%.15g,%.15g,%.15g,%s\n"
-GENERIC_CSV_ROW = "%s,%.15g,%.15g,%s\n"
+# the parameter columns that lead each command's CSV rows, before value,
+# bound and violated; any other command's rows lead with the block's kind
+CSV_LABELS = {
+    "sweep": ("n", "kappa", "mj", "sign", "mu", "xi_star"),
+    "free-electron": ("beta_v", "theta", "closed_form"),
+}
 MIXING_THRESHOLD = 1e-10
 # converge's largest accepted entry gap between the integrated density and its
 # closed form: on the exact rule every state of the documented domain sits at
@@ -144,8 +144,8 @@ def _float_texts(column: list) -> list[str]:
 
 def _json_texts(column: np.ndarray) -> list[str]:
     """The JSON text of each entry of a column, as json.dumps writes it with
-    floats at 15 significant digits, by its dtype kind: float, int, bool, str,
-    or object of None and Python ints only; any other column raises TypeError."""
+    floats at 15 significant digits, by its dtype kind: float, int, bool or
+    str; any other column raises TypeError."""
     kind, values = column.dtype.kind, column.tolist()
     if kind == "f":
         return _float_texts(values)
@@ -153,8 +153,8 @@ def _json_texts(column: np.ndarray) -> list[str]:
         return list(map(encode_basestring_ascii, values))
     if kind == "b":
         return ["true" if value else "false" for value in values]
-    if kind in "iu" or kind == "O" and all(value is None or type(value) is int for value in values):
-        return ["null" if value is None else str(value) for value in values]
+    if kind in "iu":
+        return list(map(str, values))
     raise TypeError(f"a report column of dtype {column.dtype} is not JSON serializable")
 
 
@@ -182,8 +182,7 @@ def _json_field(column: np.ndarray) -> tuple[str, list | None]:
             return "%.15g", floats.tolist()
         return "%s", _float_texts(floats.tolist())
     first = _json_texts(column[:1])
-    # an object column is checked entry by entry ([1, True] compare equal), never folded
-    if first and column.dtype != object and (column == column[0]).all():
+    if first and (column == column[0]).all():
         return first[0].replace("%", "%%"), None
     return "%s", _json_texts(column)
 
@@ -275,30 +274,27 @@ def _json_pieces(document: dict):
 def report_pieces(document: dict, output_format: str):
     """The report as consecutive texts: the head, the results a block at a
     time, then the tail; their concatenation is the fixed JSON schema or the
-    fixed-header CSV."""
+    CSV, whose rows lead with the command's CSV_LABELS columns."""
     if output_format == "json":
         yield from _json_pieces(document)
         return
     if output_format != "csv":
         raise ValueError(f"format must be json or csv, got {output_format!r}")
-    sweep = document["command"] == "sweep"
-    header, row = SWEEP_CSV_HEADER, SWEEP_CSV_ROW
-    if not sweep:
-        header, row = GENERIC_CSV_HEADER, GENERIC_CSV_ROW
-    yield ",".join(header) + "\n"
+    labels = CSV_LABELS.get(document["command"], ())
+    yield ",".join(labels or ("kind",)) + ",value,bound,violated\n"
     for block in document["results"]:
-        head = [block["kind"]]
-        if sweep:
-            p = block["parameters"]
-            head = [p[key] for key in SWEEP_CSV_HEADER[:6]]
-        columns = [column.tolist() for column in (*head, block["value"], block["bound"])]
-        columns.append(_json_texts(block["violated"]))
+        head = [block["parameters"][key] for key in labels] or [block["kind"]]
+        columns = [*head, block["value"], block["bound"]]
+        # a float is written %.15g, an int or a str %s and violated true or
+        # false: a number or a fixed word, so no field needs quoting
+        row = "".join("%.15g," if c.dtype.kind == "f" else "%s," for c in columns) + "%s\n"
+        entries = [c.tolist() for c in columns] + [_json_texts(block["violated"])]
         count = len(block["value"])
-        yield "".join([row] * count) % _interleaved(columns, count)
+        yield row * count % _interleaved(entries, count)
 
 
 def render(document: dict, output_format: str) -> str:
-    """Serialize to the fixed JSON schema or the fixed-header CSV."""
+    """Serialize to the fixed JSON schema or the CSV."""
     return "".join(report_pieces(document, output_format))
 
 

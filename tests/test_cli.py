@@ -24,10 +24,8 @@ from diracctx.cli import (
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_USAGE,
-    GENERIC_CSV_HEADER,
     REPORT_BLOCK,
     RunConfig,
-    SWEEP_CSV_HEADER,
     build_parser,
     execute,
     _float_texts,
@@ -474,17 +472,45 @@ def test_sweep_csv_header_and_rows():
     doc = _run("sweep", n_max=2, output_format="csv")
     text = render(doc, "csv")
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(SWEEP_CSV_HEADER)
+    # the header benchmarks/gate.py compares literally
+    assert lines[0] == "n,kappa,mj,sign,mu,xi_star,value,bound,violated"
     assert len(lines) == 1 + len(report_rows(doc["results"]))
     first = lines[1].split(",")
     assert first[0] == "1" and first[-1] == "true"
 
 
 def test_generic_csv_header():
-    doc = _run("free-electron", beta=0.0)
+    # a command without CSV labels leads each row with its kind
+    doc = _run("peres-mermin", n_max=1, seed=0)
     lines = render(doc, "csv").strip().split("\n")
-    assert lines[0] == ",".join(GENERIC_CSV_HEADER)
-    assert lines[1].startswith("chsh_nc,2.82842712474619,2,true")
+    assert lines[0] == "kind,value,bound,violated"
+    assert lines[1] == "peres_mermin,6,4,true"
+    assert len(lines) == 1 + 2 + 100 + 1
+
+
+def test_free_electron_csv_tabulates_the_closed_form(tmp_path, capsys):
+    # 1,100 points are three report blocks
+    for points in (3, 1100):
+        grid = f"0:0.999:{points}"
+        assert main(["free-electron", "--beta-grid", grid, "--format", "csv"]) == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "beta_v,theta,closed_form,value,bound,violated"
+        table = [row.split(",") for row in rows]
+        if points == 3:
+            assert [float(row[0]) for row in table] == [0.0, 0.4995, 0.999]
+        for _, _, closed_form, value, bound, violated in table:
+            assert abs(float(value) - float(closed_form)) <= 1e-12
+            assert (bound, violated) == ("2", "true")
+        # each row is the row of the JSON report on the same grid
+        report = tmp_path / f"curve-{points}.json"
+        assert main(["free-electron", "--beta-grid", grid, "--output", str(report)]) == EXIT_OK
+        results = json.loads(report.read_text())["results"]
+        assert len(table) == len(results) == points
+        for (beta, theta, closed_form, value, _, violated), r in zip(table, results):
+            p = r["parameters"]
+            assert (float(beta), float(theta), float(closed_form), float(value)) == (
+                p["beta_v"], p["theta"], p["closed_form"], r["value"])
+            assert (violated == "true") is r["violated"]
 
 
 def test_render_floats_capped_at_15_significant_digits():
@@ -547,13 +573,14 @@ _LEAF_KINDS = {
     "float64": (st.floats().map(np.float64), float),
     "int": (st.integers(-2**63, 2**63 - 1), np.int64),
     "bool": (st.booleans(), bool),
-    "none": (st.none(), object),
     "str": (st.text(max_size=4).filter(lambda text: not text.endswith("\x00")), str),
 }
 # a params echo: a dict of leaves and dicts, written from its Python values;
-# its ints may lie past int64, as a large --seed does, and its texts may end in NUL
+# a leaf may be None, its ints may lie past int64, as a large --seed does, and
+# its texts may end in NUL
 _trees = st.recursive(
-    st.one_of(st.integers(), st.text(max_size=4), *(leaf for leaf, _ in _LEAF_KINDS.values())),
+    st.one_of(st.none(), st.integers(), st.text(max_size=4),
+              *(leaf for leaf, _ in _LEAF_KINDS.values())),
     lambda inner: st.dictionaries(_keys, inner, max_size=4), max_leaves=12)
 # the shape of a block: a leaf kind for each column, and a dict of shapes
 # (an empty one too) for each nested block; its top level holds a column
@@ -623,7 +650,7 @@ def test_render_json_of_float_edges_in_one_column():
 @pytest.mark.parametrize("column", [
     # constant columns: folded only when every entry has the same bits
     [0.0, -0.0], [-0.0, -0.0, -0.0], [2.0] * 3, [1e-5] * 3, [math.nan] * 2, [math.inf] * 2,
-    ["a%b"] * 2, [True] * 2, [None] * 2,
+    ["a%b"] * 2, [True] * 2,
     # plain floats, mixed with entries at the edge of the plain rule
     *([0.5, x] for x in (9.999999999999999e-05, 1e-4, 0.9999999999999999,
                          2.0000000000000004, 99999999999999.98, 1e14,
@@ -702,6 +729,10 @@ def test_render_json_of_every_command_matches_reference_writer(command, kwargs):
     {"results": [{"value": np.array(2.0)}]},
     {"results": [{"value": np.array([1j, 2j])}]},
     {"results": [{"kind": np.array([b"x", b"x"])}]},
+    # an object column, empty or not, though each entry has a JSON text
+    {"results": [{"value": np.array([None, None])}]},
+    {"results": [{"value": np.array([1, 2], dtype=object)}]},
+    {"results": [{"value": np.array([], dtype=object)}]},
 ])
 def test_render_json_rejects_what_json_cannot_hold(payload):
     doc = {**_document("audit", {}, []), **payload}
@@ -711,17 +742,21 @@ def test_render_json_rejects_what_json_cannot_hold(payload):
 
 def _reference_csv(doc):
     """Reference writer: the whole CSV from one csv.writer, row after row of
-    the rows read back from the blocks."""
+    the rows read back from the blocks, each led by its command's labels."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    sweep = doc["command"] == "sweep"
-    writer.writerow(SWEEP_CSV_HEADER if sweep else GENERIC_CSV_HEADER)
+    command = doc["command"]
+    labels = {"sweep": ["n", "kappa", "mj", "sign", "mu", "xi_star"],
+              "free-electron": ["beta_v", "theta", "closed_form"]}.get(command, ["kind"])
+    writer.writerow(labels + ["value", "bound", "violated"])
     for r in report_rows(doc["results"]):
+        p = r.get("parameters")
         head = [r["kind"]]
-        if sweep:
-            p = r["parameters"]
+        if command == "sweep":
             head = [p["n"], p["kappa"], f"{p['mj']:.15g}", p["sign"], f"{p['mu']:.15g}",
                     f"{p['xi_star']:.15g}"]
+        if command == "free-electron":
+            head = [f"{p[key]:.15g}" for key in labels]
         writer.writerow(head + [f"{r['value']:.15g}", f"{r['bound']:.15g}",
                                 "true" if r["violated"] else "false"])
     return buf.getvalue()
