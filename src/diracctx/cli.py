@@ -34,7 +34,7 @@ from .contextuality import (
 from .freeparticle import (
     check_betas,
     energy_split,
-    free_chsh_curve,
+    free_chsh,
     free_observables,
 )
 from .hydrogen import (
@@ -49,6 +49,8 @@ from .spindensity import QuadratureError, analytic_densities, pure_density, redu
 # the parameter columns that lead each command's CSV rows, before value,
 # bound and violated; any other command's rows lead with the block's kind
 CSV_LABELS = {
+    "ground": ("n", "kappa", "mj", "sign", "mu", "closed_form"),
+    "excited": ("n", "kappa", "mj", "sign", "mu", "xi", "xi_star", "closed_form"),
     "sweep": ("n", "kappa", "mj", "sign", "mu", "xi_star"),
     "free-electron": ("beta_v", "theta", "closed_form"),
 }
@@ -387,7 +389,7 @@ def _run_peres_mermin(config: RunConfig) -> Iterable[dict]:
 
 def _run_free_electron(config: RunConfig) -> Iterable[dict]:
     betas = (config.beta,) if config.beta_grid is None else _parse_beta_grid(config.beta_grid)
-    return _in_blocks(len(betas), lambda points: free_chsh_curve(betas[points]))
+    return _in_blocks(len(betas), lambda points: free_chsh(betas[points]))
 
 
 def _run_measurability(config: RunConfig) -> list:

@@ -62,16 +62,16 @@ def free_observables(beta_v: float):
     return tuple(m.astype(complex) for m in plane_observables(plane, cos[0], sin[0]))
 
 
-def free_chsh_curve(betas) -> dict:
+def free_chsh(betas) -> dict:
     """Four-correlator inequality on the positive-helicity state at each
-    velocity ratio, as a report block of one row per point; the closed form
-    is 2*sqrt(2 - beta^2).
+    velocity ratio of betas, a float or a sequence, as a report block of one
+    row per point; the closed form is 2*sqrt(2 - beta^2).
 
     The points are evaluated in one pass over an (N, 4, 4) float64 stack of
     densities and the angle columns of the x-z plane; a caller with a long
     grid passes it a block at a time.
     """
-    betas = np.asarray(betas, dtype=float)
+    betas = np.ravel(np.asarray(betas, dtype=float))
     check_betas(betas)
     thetas, setting = _observables(betas)
     # normalized in complex by pure_density, which the report's bits follow;
@@ -79,11 +79,6 @@ def free_chsh_curve(betas) -> dict:
     densities = pure_density(_plane_waves(betas)).real
     return chsh_value(densities, *setting, parameters={
         "beta_v": betas, "theta": thetas, "closed_form": 2.0 * np.sqrt(2.0 - betas * betas)})
-
-
-def free_chsh(beta_v: float) -> dict:
-    """The violation curve at one velocity ratio, as its one-row report block."""
-    return free_chsh_curve([beta_v])
 
 
 def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:

@@ -24,11 +24,9 @@ from .specfun import hyp1f1_terminating, radial_nodes, spherical_harmonic
 FINE_STRUCTURE_ALPHA = 1.0 / 137.036
 
 
-def _check_alpha(a: float, allow_zero: bool = False) -> None:
-    lo_ok = a >= 0.0 if allow_zero else a > 0.0
-    if not (lo_ok and a < 1.0):
-        bound = "[0, 1)" if allow_zero else "(0, 1)"
-        raise ValueError(f"fine structure constant must lie in {bound}, got {a}")
+def _check_alpha(a: float) -> None:
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"fine structure constant must lie in (0, 1), got {a}")
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,8 @@ class QuantumNumbers:
 
 
 def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
-    """Bound-state energy mu = E/Mc^2; depends on kappa only through |kappa|.
-
-    a = 0 is admitted and gives the rest-energy limit mu = 1.
-    """
-    _check_alpha(a, allow_zero=True)
+    """Bound-state energy mu = E/Mc^2; depends on kappa only through |kappa|."""
+    _check_alpha(a)
     if kappa == 0 or abs(kappa) > n or n < 1:
         raise ValueError(f"invalid (n, kappa) = ({n}, {kappa})")
     nu = math.sqrt(kappa * kappa - a * a)
@@ -105,11 +100,10 @@ def radial_fg(qn: QuantumNumbers, a: float, rho):
     The 1F1(1 - n_tilde, ...) term is skipped entirely when n_tilde = 0: its
     prefactor n_tilde vanishes and the series would not terminate.
     """
-    _check_alpha(a)
+    mu = sommerfeld_mu(qn.n, qn.kappa, a)
     rho = np.asarray(rho, dtype=float)
     nt = qn.n_tilde
     nu = math.sqrt(qn.kappa * qn.kappa - a * a)
-    mu = sommerfeld_mu(qn.n, qn.kappa, a)
     # the apparent principal quantum number N = (n_tilde + nu)/mu = a/sqrt(1 - mu^2);
     # written through N, a/sqrt(1 - mu^2) and sqrt(1 - mu) do not cancel at small a
     big_n = math.hypot(nt + nu, a)
@@ -195,7 +189,7 @@ class SpinorField:
         return out
 
 
-def eigenstate(qn: QuantumNumbers, a: float = FINE_STRUCTURE_ALPHA) -> SpinorField:
+def eigenstate(qn: QuantumNumbers, a: float) -> SpinorField:
     """Assembled bound state: (i f phi^A, g phi^B)/sqrt(N) for kappa > 0,
     A and B swapped for kappa < 0.
 

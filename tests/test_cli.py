@@ -513,6 +513,29 @@ def test_free_electron_csv_tabulates_the_closed_form(tmp_path, capsys):
             assert (violated == "true") is r["violated"]
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["ground", "--mj", "-0.5"], "n,kappa,mj,sign,mu,closed_form,value,bound,violated"),
+    *((argv, "n,kappa,mj,sign,mu,xi,xi_star,closed_form,value,bound,violated") for argv in (
+        ["excited", "--n", "3", "--kappa", "-2"],
+        ["excited", "--n", "3", "--kappa", "2", "--xi", "0.3"])),
+], ids=["ground", "excited-optimal-xi", "excited-given-xi"])
+def test_state_csv_rows_lead_with_their_state(argv, header, tmp_path, capsys):
+    assert main([*argv, "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    # each row is the row of the JSON report, its labels read from the parameters
+    report = tmp_path / "report.json"
+    assert main([*argv, "--output", str(report)]) == EXIT_OK
+    results = json.loads(report.read_text())["results"]
+    assert len(lines) == 1 + len(results) == 2
+    labels = header.split(",")[:-3]
+    for line, r in zip(lines[1:], results):
+        *fields, violated = line.split(",")
+        want = [r["parameters"][key] for key in labels] + [r["value"], r["bound"]]
+        assert [float(field) for field in fields] == want
+        assert (violated == "true") is r["violated"]
+
+
 def test_render_floats_capped_at_15_significant_digits():
     doc = _document("audit", {"alpha": 1.0 / 137.036}, [])
     payload = json.loads(render(doc, "json"))
@@ -745,18 +768,17 @@ def _reference_csv(doc):
     the rows read back from the blocks, each led by its command's labels."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    command = doc["command"]
-    labels = {"sweep": ["n", "kappa", "mj", "sign", "mu", "xi_star"],
-              "free-electron": ["beta_v", "theta", "closed_form"]}.get(command, ["kind"])
-    writer.writerow(labels + ["value", "bound", "violated"])
+    state = ["n", "kappa", "mj", "sign", "mu"]
+    labels = {"ground": state + ["closed_form"],
+              "excited": state + ["xi", "xi_star", "closed_form"],
+              "sweep": state + ["xi_star"],
+              "free-electron": ["beta_v", "theta", "closed_form"]}.get(doc["command"])
+    writer.writerow((labels or ["kind"]) + ["value", "bound", "violated"])
     for r in report_rows(doc["results"]):
         p = r.get("parameters")
-        head = [r["kind"]]
-        if command == "sweep":
-            head = [p["n"], p["kappa"], f"{p['mj']:.15g}", p["sign"], f"{p['mu']:.15g}",
-                    f"{p['xi_star']:.15g}"]
-        if command == "free-electron":
-            head = [f"{p[key]:.15g}" for key in labels]
+        # an int parameter (n, kappa, sign) is written as it is, a float %.15g
+        head = [p[key] if isinstance(p[key], int) else f"{p[key]:.15g}"
+                for key in labels] if labels else [r["kind"]]
         writer.writerow(head + [f"{r['value']:.15g}", f"{r['bound']:.15g}",
                                 "true" if r["violated"] else "false"])
     return buf.getvalue()
@@ -766,6 +788,9 @@ def _reference_csv(doc):
     *(["free-electron", "--beta-grid", f"0:0.999:{count}"]
       for count in (1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 2 * REPORT_BLOCK + 1)),
     ["sweep", "--n-max", "8"],
+    ["ground", "--mj", "-0.5"],
+    ["excited", "--n", "3", "--kappa", "-2"],
+    ["excited", "--n", "3", "--kappa", "2", "--xi", "0.3"],
     ["audit"],
     ["measurability"],
     ["converge", "--n", "3", "--kappa", "-2"],

@@ -14,7 +14,6 @@ from diracctx.freeparticle import (
     check_betas,
     energy_split,
     free_chsh,
-    free_chsh_curve,
     _observables,
     _plane_waves,
     free_observables,
@@ -93,7 +92,7 @@ def test_state_solves_fixed_k_hamiltonian():
 # --- observables ---------------------------------------------------------------
 
 def test_observable_angle_limits():
-    rest, fast = free_chsh_curve([0.0, 0.9999999])["parameters"]["theta"]
+    rest, fast = free_chsh([0.0, 0.9999999])["parameters"]["theta"]
     assert rest == pytest.approx(math.pi / 4.0, rel=1e-15)
     assert fast < 5e-4
     assert _observables([0.0, 0.9999999])[0] == [rest, fast]
@@ -177,7 +176,7 @@ def test_batched_terms_equal_pointwise_reference():
     # the benchmark's full 0:0.999:20000 grid, which crosses many block boundaries
     betas = [float(b) for b in np.linspace(0.0, 0.999, 20000)]
     betas += [float(b) for b in np.random.default_rng(5).uniform(0.0, 0.999999, 50)]
-    rows = block_rows(free_chsh_curve(betas))
+    rows = block_rows(free_chsh(betas))
     for beta_v, report in zip(betas, rows, strict=True):
         # the plane's correlators round differently from the products of the
         # multiplied-out B' and D', by at most 2.2e-16 a term and 8.9e-16 a value
@@ -194,9 +193,16 @@ def test_batched_terms_equal_pointwise_reference():
 
 def test_free_chsh_is_a_row_of_the_curve():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
-    curve = block_rows(free_chsh_curve(betas))
+    curve = block_rows(free_chsh(betas))
     for i in (0, 1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, len(betas) - 1):
         assert block_rows(free_chsh(betas[i])) == [curve[i]]
+
+
+def test_a_float_a_list_and_a_0d_array_give_one_row():
+    blocks = [free_chsh(beta) for beta in (0.3, [0.3], np.array(0.3))]
+    (row,) = block_rows(blocks[0])
+    assert row["parameters"]["beta_v"] == 0.3
+    assert [block_lists(block) for block in blocks] == [block_lists(blocks[0])] * 3
 
 
 def test_stack_with_one_bad_slice_is_rejected():
@@ -233,7 +239,7 @@ def test_real_stacks_give_the_rows_of_their_complex_casts():
                                tuple(m.astype(complex) for m in plane), cos, sin, {})
     assert block_lists(chsh_value(densities, plane, cos, sin, {})) == block_lists(complex_block)
     # the curve, a block at a time as the CLI streams it, gives the same terms
-    curve = [free_chsh_curve(betas[start:start + REPORT_BLOCK])
+    curve = [free_chsh(betas[start:start + REPORT_BLOCK])
              for start in range(0, len(betas), REPORT_BLOCK)]
     for name, column in complex_block["terms"].items():
         assert [x for block in curve for x in block["terms"][name].tolist()] == column.tolist()
@@ -272,7 +278,7 @@ def test_grid_reaching_the_speed_of_light_exits_2(capsys):
     assert main(["free-electron", "--beta-grid", "0:1:3"]) == EXIT_USAGE
     assert "velocity ratio must lie in [0, 1)" in capsys.readouterr().err
     with pytest.raises(ValueError):
-        free_chsh_curve([0.2, 1.0])
+        free_chsh([0.2, 1.0])
 
 
 def test_report_parameters_carry_closed_form():

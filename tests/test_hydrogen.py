@@ -91,8 +91,9 @@ def test_ground_energy_closed_form():
 
 
 def test_rest_energy_limit():
+    # a^2 = 1e-18 is below half an ulp of 1, so mu rounds to the rest energy
     for n, kappa in [(1, 1), (3, 2), (5, -4)]:
-        assert sommerfeld_mu(n, kappa, 0.0) == 1.0
+        assert sommerfeld_mu(n, kappa, 1e-9) == 1.0
 
 
 def test_energy_against_high_precision_oracle():
@@ -109,6 +110,16 @@ def test_energy_rejects_bad_alpha():
         sommerfeld_mu(1, 1, 1.5)
     with pytest.raises(ValueError):
         sommerfeld_mu(1, 1, -0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: sommerfeld_mu(1, 1, a),
+    lambda a: radial_fg(QuantumNumbers(2, -1, 0.5), a, [0.5, 1.0]),
+    lambda a: eigenstate(QuantumNumbers(2, -1, 0.5), a),
+], ids=["sommerfeld_mu", "radial_fg", "eigenstate"])
+def test_alpha_zero_is_outside_the_domain(call):
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 0\.0"):
+        call(0.0)
 
 
 def test_kramers_degeneracy_in_energy():
