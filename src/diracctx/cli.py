@@ -53,6 +53,7 @@ CSV_LABELS = {
     "excited": ("n", "kappa", "mj", "sign", "mu", "xi", "xi_star", "closed_form"),
     "sweep": ("n", "kappa", "mj", "sign", "mu", "xi_star"),
     "free-electron": ("beta_v", "theta", "closed_form"),
+    "peres-mermin": ("state",),
 }
 MIXING_THRESHOLD = 1e-10
 # converge's largest accepted entry gap between the integrated density and its

@@ -107,13 +107,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-# the check below runs on every correlator call, so it returns the numpy
-# scalar (a float subclass) without a conversion; it acts on the last two axes
-# and broadcasts over leading ones, so one call checks a whole stack
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entry of |a - a^dagger| over every matrix of the stack."""
+    """Largest entry of |a - a^dagger| over every matrix of the stack: it acts
+    on the last two axes and broadcasts over leading ones. It runs once per
+    checked_observable call (4 per chsh_value, 6 per peres_mermin_value), so
+    it returns the numpy scalar, a float subclass, without a conversion."""
     return np.abs(a - a.conj().swapaxes(-1, -2)).max()
 
 

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .clifford import PERES_MERMIN_LINES, build_family
-from .spindensity import (IncompatibleObservablesError, checked_observable, expectation,
-                          pair_correlator)
+from .spindensity import (IncompatibleObservablesError, checked_observable, correlator,
+                          expectation)
 
 CHSH_BOUND = 2.0
 PERES_MERMIN_BOUND = 4.0
@@ -51,7 +51,7 @@ def chsh_value(density, plane, cos, sin, parameters: dict) -> dict:
         raise IncompatibleObservablesError("a cos or sin of B and D is not finite")
     a, c, p, q = (checked_observable(name, o) for name, o in zip("ACPQ", plane))
     rho = np.asarray(density)
-    ap, aq, cp, cq = (np.ravel(pair_correlator(rho, o1, o2))
+    ap, aq, cp, cq = (np.ravel(correlator(rho, o1, o2))
                       for o1, o2 in ((a, p), (a, q), (c, p), (c, q)))
     ab, bc = cos * ap + sin * aq, cos * cp + sin * cq
     cd, da = -cos * cp + sin * cq, -cos * ap + sin * aq

@@ -108,12 +108,12 @@ def checked_observable(name: str, o) -> np.ndarray:
     return o
 
 
-def pair_correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+def correlator(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
     """Real part of trace(rho . o1 . o2) for observables that checked_observable
     passed, over the broadcast leading axes of the densities and both
     observables: for two matrices of a plane, one correlator column over a
-    density stack. Raises if the pair does not commute, and ValueError as
-    expectation does."""
+    density stack, and for single matrices a numpy float64, which is a float.
+    Raises if the pair does not commute, and ValueError as expectation does."""
     product = o1 @ o2
     comm = np.abs(product - o2 @ o1).max()
     if not comm <= COMMUTE_TOLERANCE:
@@ -141,15 +141,3 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
     if not np.isfinite(value.real).all():
         raise ValueError("density has an entry that is not finite")
     return value.real
-
-
-def correlator(density, o1, o2):
-    """Real part of trace(rho . o1 . o2) for a commuting Hermitian pair.
-
-    Any argument may carry leading stack axes, which broadcast. A float for
-    single matrices, else an array over the leading axes.
-    """
-    value = pair_correlator(
-        np.asarray(density), checked_observable("O1", o1), checked_observable("O2", o2)
-    )
-    return float(value) if value.ndim == 0 else value

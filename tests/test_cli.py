@@ -480,12 +480,18 @@ def test_sweep_csv_header_and_rows():
 
 
 def test_generic_csv_header():
-    # a command without CSV labels leads each row with its kind
+    # peres-mermin rows lead with their state
     doc = _run("peres-mermin", n_max=1, seed=0)
     lines = render(doc, "csv").strip().split("\n")
-    assert lines[0] == "kind,value,bound,violated"
-    assert lines[1] == "peres_mermin,6,4,true"
+    assert lines[0] == "state,value,bound,violated"
+    assert lines[1] == "n=1 kappa=1 mj=-0.5,6,4,true"
     assert len(lines) == 1 + 2 + 100 + 1
+    # a command without CSV labels leads each row with its kind
+    doc = _run("measurability")
+    header, *rows = render(doc, "csv").strip().split("\n")
+    assert header == "kind,value,bound,violated"
+    assert len(rows) == 5
+    assert [row.split(",")[0] for row in rows] == [r["kind"] for r in report_rows(doc["results"])]
 
 
 def test_free_electron_csv_tabulates_the_closed_form(tmp_path, capsys):
@@ -772,12 +778,14 @@ def _reference_csv(doc):
     labels = {"ground": state + ["closed_form"],
               "excited": state + ["xi", "xi_star", "closed_form"],
               "sweep": state + ["xi_star"],
-              "free-electron": ["beta_v", "theta", "closed_form"]}.get(doc["command"])
+              "free-electron": ["beta_v", "theta", "closed_form"],
+              "peres-mermin": ["state"]}.get(doc["command"])
     writer.writerow((labels or ["kind"]) + ["value", "bound", "violated"])
     for r in report_rows(doc["results"]):
         p = r.get("parameters")
-        # an int parameter (n, kappa, sign) is written as it is, a float %.15g
-        head = [p[key] if isinstance(p[key], int) else f"{p[key]:.15g}"
+        # an int parameter (n, kappa, sign) or a str one (state) is written as
+        # it is, a float %.15g
+        head = [p[key] if isinstance(p[key], (int, str)) else f"{p[key]:.15g}"
                 for key in labels] if labels else [r["kind"]]
         writer.writerow(head + [f"{r['value']:.15g}", f"{r['bound']:.15g}",
                                 "true" if r["violated"] else "false"])
@@ -795,6 +803,9 @@ def _reference_csv(doc):
     ["measurability"],
     ["converge", "--n", "3", "--kappa", "-2"],
     ["peres-mermin", "--n-max", "2"],
+    # 1,113 rows, three blocks, one edge between the bound states and the
+    # random spinors
+    ["peres-mermin", "--n-max", "11"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_streamed_report_equals_the_whole_report(argv, output_format, tmp_path, capsys):

@@ -259,6 +259,20 @@ def test_chsh_checks_each_observable_once(monkeypatch):
     assert len(checked) == 4
 
 
+@pytest.mark.parametrize("rows", [1, 512])
+def test_chsh_calls_the_correlator_four_times(monkeypatch, rows):
+    import diracctx.contextuality as contextuality
+
+    calls = []
+    original = contextuality.correlator
+    monkeypatch.setattr(contextuality, "correlator",
+                        lambda *args: calls.append(args) or original(*args))
+    densities = np.repeat(_density(1, 1, 0.5)[None], rows, axis=0)
+    block = chsh_value(densities, *ground_observables(0.5), {})
+    assert len(block["value"]) == rows
+    assert len(calls) == 4
+
+
 def test_chsh_rejects_incompatible_context():
     (a, c, _, q), cos, sin = ground_observables(0.5)
     with pytest.raises(IncompatibleObservablesError):

@@ -20,7 +20,8 @@ from diracctx.freeparticle import (
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import sommerfeld_mu
-from diracctx.spindensity import IncompatibleObservablesError, correlator, pure_density
+from diracctx.spindensity import (IncompatibleObservablesError, checked_observable, correlator,
+                                  pure_density)
 from report_blocks import block_lists, block_rows
 
 I4 = np.eye(4, dtype=complex)
@@ -217,7 +218,7 @@ def test_stack_with_one_bad_slice_is_rejected():
     non_hermitian = b.copy()
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable O2 is not Hermitian"):
-        correlator(densities, a, non_hermitian)
+        checked_observable("O2", non_hermitian)
     with pytest.raises(IncompatibleObservablesError, match="observable P is not Hermitian"):
         chsh_value(densities, (a, c, 1j * p, q), cos, sin, parameters)
     # Q = A' commutes with A' but not with C' = i g2

@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "diracctx"
 # module.qualname -> why it stays though no command calls it
 ALLOWED = {
     "cli.render": "benchmarks/layers.py traces it",
-    "spindensity.correlator": "benchmarks/layers.py traces it",
 }
 
 # functions are keyed by file and first line, decorators counted, as

@@ -88,9 +88,10 @@ def test_correlator_rejects_non_commuting_pair():
 
 
 def test_correlator_rejects_non_hermitian():
-    density = _ground_density()
-    with pytest.raises(IncompatibleObservablesError):
-        correlator(density, 1j * I4, I4)
+    # a correlator's observables pass checked_observable first, which holds
+    # the Hermiticity check
+    with pytest.raises(IncompatibleObservablesError, match="observable O1 is not Hermitian"):
+        checked_observable("O1", 1j * I4)
 
 
 def test_checked_observable_keeps_the_dtype_of_its_input():
