@@ -136,7 +136,7 @@ def _float_texts(column: list) -> list[str]:
     to fix is then gone through text by text.
     """
     text = "\n".join(["%.15g"] * len(column)) % tuple(column)
-    texts = text.split("\n")
+    texts = text.split("\n") if column else []
     if "e" in text or "n" in text or text.count(".") < len(texts):
         texts = [
             json.dumps(float(s)) if "e" in s or "n" in s else s if "." in s else s + ".0"
@@ -147,8 +147,8 @@ def _float_texts(column: list) -> list[str]:
 
 def _json_texts(column: np.ndarray) -> list[str]:
     """The JSON text of each entry of a column, as json.dumps writes it with
-    floats at 15 significant digits, by its dtype kind: float, int, bool or
-    str; any other column raises TypeError."""
+    floats at 15 significant digits, by its dtype kind: float, str, bool or
+    else int."""
     kind, values = column.dtype.kind, column.tolist()
     if kind == "f":
         return _float_texts(values)
@@ -156,38 +156,145 @@ def _json_texts(column: np.ndarray) -> list[str]:
         return list(map(encode_basestring_ascii, values))
     if kind == "b":
         return ["true" if value else "false" for value in values]
-    if kind in "iu":
-        return list(map(str, values))
-    raise TypeError(f"a report column of dtype {column.dtype} is not JSON serializable")
+    return list(map(str, values))
 
 
-def _json_field(column: np.ndarray) -> tuple[str, list | None]:
-    """The field of a column in its block's row template, with the entries the
-    block's % takes for it (None when it takes none); a column that is not a
-    1-D numpy array raises TypeError. A constant column, bitwise for floats
-    (0.0 and -0.0 differ), is its one JSON text, written into the template
-    once its dtype has passed _json_texts. A float column whose every entry is
-    plain (finite, 1e-4 <= |x| < 1e14 and more than 1e-13 |x| from an integer)
-    is %.15g of the floats themselves: that text has a "." and no exponent, so
-    it is the JSON of the rounded float already. Any other column is %s of its
-    texts from _json_texts."""
-    if not isinstance(column, np.ndarray) or column.ndim != 1:
-        raise TypeError(f"a report column is a 1-D numpy array, got {type(column).__name__}")
+def _csv_texts(column: np.ndarray) -> list[str]:
+    """The CSV text of each entry of a column: a float %.15g, a str as it is,
+    an int or a bool (true or false) as in JSON; a number or a fixed word, so
+    no field needs quoting."""
     if column.dtype.kind == "f":
-        floats = column.astype(float, copy=False)
-        bits = floats.view(np.uint64)
-        if len(bits) and (bits == bits[0]).all():
-            return _json_texts(floats[:1])[0], None
-        size = np.abs(floats)
-        # the range test comes first: it keeps nan and inf out of the subtraction
-        if ((size >= 1e-4) & (size < 1e14)).all() and (
-                np.abs(floats - np.rint(floats)) > 1e-13 * size).all():
-            return "%.15g", floats.tolist()
-        return "%s", _float_texts(floats.tolist())
-    first = _json_texts(column[:1])
-    if first and (column == column[0]).all():
-        return first[0].replace("%", "%%"), None
-    return "%s", _json_texts(column)
+        return ["%.15g" % x for x in column.tolist()]
+    return column.tolist() if column.dtype.kind == "U" else _json_texts(column)
+
+
+def _is_plain(floats: np.ndarray) -> bool:
+    """Whether the column holds entries and every one is plain: finite,
+    1e-4 <= |x| < 1e14 and more than 1e-13 |x| from an integer, so more than
+    ten units of its 15th significant digit. %.15g writes a plain float with a
+    nonzero fraction and no exponent, a text that is also its JSON."""
+    size = np.abs(floats)
+    # the range test comes first: it keeps nan and inf out of the subtraction
+    return bool(len(size) and ((size >= 1e-4) & (size < 1e14)).all()
+                and (np.abs(floats - np.rint(floats)) > 1e-13 * size).all())
+
+
+# 10**k, an exact double for k <= 22
+_POW10 = np.array([float(10**k) for k in range(20)])
+
+
+def _halves(floats: np.ndarray) -> tuple:
+    """Veltkamp's split: hi + lo is each float exactly, each half of at most
+    26 significant bits, so a product of two halves is an exact double."""
+    scaled = 134217729.0 * floats  # 2**27 + 1
+    hi = scaled - (scaled - floats)
+    return hi, floats - hi
+
+
+def _digits15(floats: np.ndarray) -> tuple:
+    """The 15 significant digits of each plain float as three int64 columns:
+    the whole part of |x|, and the fraction digits with their trailing zeros
+    stripped, as their count and their value; so "%d.%0*d" % (whole, width,
+    frac) is "%.15g" % abs(x), byte for byte.
+
+    The digits are m = |x| 10**(14 - e) rounded half to even, in [1e14, 1e15)
+    for e the decimal exponent of |x|. Both factors are exact doubles, and the
+    product p lies where its ulp is at most 1/8, so every half integer there
+    is a double and p falls on the same side of it as the exact product; only
+    a p that is itself a half integer needs its rounding error, which Dekker's
+    exact product gives. log10 may miss e by one next to a power of ten; p
+    outside [1e14, 1e15) moves it. A rounding up to 1e15 carries into e.
+    """
+    size = np.abs(floats)
+    e = np.floor(np.log10(size)).astype(np.int64)
+    product = size * _POW10[14 - e]
+    e += (product >= 1e15).astype(np.int64) - (product < 1e14)
+    scale = _POW10[14 - e]
+    product = size * scale
+    digits = np.rint(product)
+    # Dekker's exact product: the halves of the factors multiply exactly, so
+    # error is the exact product minus p; an exact tie stays even
+    ties = np.flatnonzero(np.abs(product - digits) == 0.5)
+    (a_hi, a_lo), (b_hi, b_lo), p = _halves(size[ties]), _halves(scale[ties]), product[ties]
+    error = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    digits[ties] = np.where(error == 0.0, digits[ties], np.floor(p) + (error > 0.0))
+    carry = digits == 1e15
+    digits[carry] = 1e14
+    width = 14 - (e + carry)
+    whole, frac = np.divmod(digits.astype(np.int64), _POW10[width].astype(np.int64))
+    # strip the trailing zeros, 8, 4, 2 and 1 at a time: a plain float's frac
+    # is below 1e15 and not 0, so it ends in at most 14
+    zeros = np.flatnonzero(frac % 10 == 0)
+    for step in (8, 4, 2, 1):
+        cut = zeros[frac[zeros] % 10**step == 0]
+        frac[cut] //= 10**step
+        width[cut] -= step
+    return whole, width, frac
+
+
+def _plain_field(floats: np.ndarray, whole, width, frac) -> tuple[str, list]:
+    """The field of a plain float column, from its _digits15 columns, with the
+    entry lists its % takes: "%s%d.%0*d" of sign, whole, width and frac, the
+    sign written into the field when the column has one sign and the whole
+    part when it is constant, as in "0.%0*d", "-0.%0*d" or "2.%0*d"."""
+    field, lists = ".%0*d", [width.tolist(), frac.tolist()]
+    if (whole == whole[0]).all():
+        field = str(whole[0]) + field
+    else:
+        field, lists = "%d" + field, [whole.tolist(), *lists]
+    negative = floats < 0.0
+    if negative.all():
+        field = "-" + field
+    elif negative.any():
+        field, lists = "%s" + field, [np.where(negative, "-", "").tolist(), *lists]
+    return field, lists
+
+
+def _row_fields(columns: list, texts: Callable[[np.ndarray], list]) -> tuple[list, list, int]:
+    """The field of each column in its block's row template, the entry lists
+    the block's % takes for them, in order, and the block's row count (1 for
+    no columns); texts(column) is the report format's text of each entry.
+
+    A constant column, bitwise for floats (0.0 and -0.0 differ), is its one
+    text, written into the template. A float column of plain entries only
+    (see _is_plain) is written from its exact digits, which one _digits15
+    pass gives for every such column of the block. An int column is %d of its
+    ints, the text of an int in either format. Any other column is %s of its
+    texts. A column that is not a 1-D numpy array of float, int, bool or str
+    raises TypeError, before any folding (True == 1), and columns of
+    different lengths ValueError.
+    """
+    parts, plain, counts = [], [], set()
+    for column in columns:
+        if not isinstance(column, np.ndarray) or column.ndim != 1:
+            raise TypeError(f"a report column is a 1-D numpy array, got {type(column).__name__}")
+        if column.dtype.kind not in "biufU":
+            raise TypeError(f"a report column of dtype {column.dtype} is not JSON serializable")
+        counts.add(len(column))
+        floats = column.dtype.kind == "f"
+        if floats:
+            column = column.astype(float, copy=False)
+        same = column.view(np.uint64) if floats else column
+        if len(column) and (same == same[0]).all():
+            parts.append((texts(column[:1])[0].replace("%", "%%"), []))
+        elif floats and _is_plain(column):
+            plain.append((len(parts), column))
+            parts.append(None)
+        elif column.dtype.kind in "iu":
+            parts.append(("%d", [column.tolist()]))
+        else:
+            parts.append(("%s", [texts(column)]))
+    if len(counts) > 1:
+        raise ValueError(f"a report block has columns of {sorted(counts)} entries")
+    if plain:
+        digits = _digits15(np.concatenate([floats for _, floats in plain]))
+        start = 0
+        for i, floats in plain:
+            stop = start + len(floats)
+            parts[i] = _plain_field(floats, *(column[start:stop] for column in digits))
+            start = stop
+    entries = [entry for _, lists in parts for entry in lists]
+    return [field for field, _ in parts], entries, counts.pop() if counts else 1
 
 
 def _interleaved(columns: list, count: int) -> tuple:
@@ -200,11 +307,16 @@ def _interleaved(columns: list, count: int) -> tuple:
     return tuple(flat)
 
 
-def _row_template(block: dict, indent: str, columns: list) -> str:
+def _leaves(block: dict):
+    """The columns of a block, nested blocks included, in row template order."""
+    for entry in block.values():
+        yield from _leaves(entry) if isinstance(entry, dict) else (entry,)
+
+
+def _row_template(block: dict, indent: str, fields) -> str:
     """The JSON text of one row of the block at this indent level, as
-    json.dumps(..., indent=2) writes it, with the field of each column from
-    _json_field; each column is appended to columns with the entries its
-    field takes."""
+    json.dumps(..., indent=2) writes it, each column's text the next of the
+    iterator fields."""
     if not block:
         return "{}"
     inner = indent + "  "
@@ -212,11 +324,7 @@ def _row_template(block: dict, indent: str, columns: list) -> str:
     for key, entry in block.items():
         if not isinstance(key, str):
             raise TypeError(f"report keys must be str, got {type(key).__name__}")
-        if isinstance(entry, dict):
-            text = _row_template(entry, inner, columns)
-        else:
-            text, entries = _json_field(entry)
-            columns.append((entry, entries))
+        text = _row_template(entry, inner, fields) if isinstance(entry, dict) else next(fields)
         items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
@@ -226,14 +334,9 @@ def _json_block(block: dict, indent: str) -> str:
     "," and a new line: the row template of _row_template, repeated once per
     row and filled by one %. A block without columns is one row, as the
     head's empty params is; a block of no rows is ""."""
-    columns = []
-    row = _row_template(block, indent, columns)
-    counts = {len(column) for column, _ in columns}
-    if len(counts) > 1:
-        raise ValueError(f"a report block has columns of {sorted(counts)} entries")
-    count = counts.pop() if counts else 1
-    fields = [entries for _, entries in columns if entries is not None]
-    return (",\n" + indent).join([row] * count) % _interleaved(fields, count)
+    fields, entries, count = _row_fields(list(_leaves(block)), _json_texts)
+    row = _row_template(block, indent, iter(fields))
+    return (",\n" + indent).join([row] * count) % _interleaved(entries, count)
 
 
 def _head_json(value, indent: str) -> str:
@@ -287,13 +390,9 @@ def report_pieces(document: dict, output_format: str):
     yield ",".join(labels or ("kind",)) + ",value,bound,violated\n"
     for block in document["results"]:
         head = [block["parameters"][key] for key in labels] or [block["kind"]]
-        columns = [*head, block["value"], block["bound"]]
-        # a float is written %.15g, an int or a str %s and violated true or
-        # false: a number or a fixed word, so no field needs quoting
-        row = "".join("%.15g," if c.dtype.kind == "f" else "%s," for c in columns) + "%s\n"
-        entries = [c.tolist() for c in columns] + [_json_texts(block["violated"])]
-        count = len(block["value"])
-        yield row * count % _interleaved(entries, count)
+        columns = [*head, block["value"], block["bound"], block["violated"]]
+        fields, entries, count = _row_fields(columns, _csv_texts)
+        yield (",".join(fields) + "\n") * count % _interleaved(entries, count)
 
 
 def render(document: dict, output_format: str) -> str:

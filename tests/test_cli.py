@@ -28,7 +28,11 @@ from diracctx.cli import (
     RunConfig,
     build_parser,
     execute,
+    _digits15,
     _float_texts,
+    _is_plain,
+    _json_texts,
+    _row_fields,
     _parse_beta_grid,
     main,
     render,
@@ -594,6 +598,88 @@ def test_float_text_at_edges(x):
     assert _float_texts([x])[0] == json.dumps(float(f"{x:.15g}"))
 
 
+def _texts_by_digits(floats):
+    """The text of each plain float from one _digits15 pass, as the writers
+    build it: a "-" for a negative float, then "%d.%0*d" of its digits."""
+    digits = zip(*(column.tolist() for column in _digits15(np.array(floats))))
+    return ["-" * (x < 0) + "%d.%0*d" % d for x, d in zip(floats, digits)]
+
+
+def _with_neighbours(floats):
+    """Each float between its two neighbouring doubles."""
+    return [float(y) for x in floats
+            for y in (np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf))]
+
+
+PLAIN_EDGES = (
+    # exact decimal ties of 16 digits (d + j / 2**15 has 15 fraction digits),
+    # rounded half to even: down and up
+    5.000030517578125, 5.000091552734375,
+    *(d + j * 2.0**-15 for d in (1, 8) for j in (1, 5, 7, 32767)),
+    *(10.0 + j * 2.0**-14 for j in (1, 3)),
+    # the double nearest a 16-digit tie (m + 0.5) / 10**k, and its neighbours
+    *_with_neighbours([(m + 0.5) / 10**k for k in (3, 8, 13, 18)
+                       for m in (123456789012345, 555555555555555, 987654321098765)]),
+    # powers of ten, of which 1e-4 is the smallest plain float, and their
+    # neighbours: the double below 0.1, 0.01 and 0.001 carries into the next
+    # decade, since its 15 digits round up to 1e15
+    *_with_neighbours([1e-3, 1e-2, 1e-1]), 1e-4, float(np.nextafter(1e-4, 1.0)),
+    0.099999999999999995, 0.0099999999999999995,
+    # 15 nonzero digits within 1e-12 of a power of ten, on either side
+    0.0999999999999912345, 0.1000000000000123, 0.000100000000000123, 999.99999999876,
+    1000.00000000123,
+    # the largest plain floats: 1e-13 |x| < 0.5 keeps them below 5e12
+    4999999999999.5, 3999999999999.5, 1234567890123.45,
+    # fractions with leading zeros
+    3.05, 0.000123, 1.0001, 7.000000000001, 123.000456, 0.10000000000001,
+)
+
+
+@pytest.mark.parametrize("x", PLAIN_EDGES, ids=repr)
+def test_digits_at_edges(x):
+    floats = [x, -x]
+    assert _is_plain(np.array(floats))
+    assert _texts_by_digits(floats) == ["%.15g" % y for y in floats]
+
+
+def test_digits_of_exact_ties_round_half_to_even():
+    assert _texts_by_digits([5.000030517578125, -5.000091552734375]) == [
+        "5.00003051757812", "-5.00009155273438"]
+
+
+def test_digits_of_every_edge_in_one_pass():
+    floats = [y for x in PLAIN_EDGES for y in (x, -x)]
+    assert _texts_by_digits(floats) == ["%.15g" % y for y in floats]
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+def test_digits_place_the_decade_whatever_log10_gives(monkeypatch, offset):
+    # a log10 that misses by 1e-12 puts every float that near a power of ten
+    # in the wrong decade; the scaled product moves it back
+    floats = [y for x in PLAIN_EDGES for y in (x, -x)]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + offset)
+    assert _texts_by_digits(floats) == ["%.15g" % y for y in floats]
+
+
+# plain floats of both signs: any double in range, the double nearest a
+# 15-digit decimal, and the double nearest a 16-digit tie of one
+_plain_floats = st.builds(
+    lambda size, negative: -size if negative else size,
+    st.one_of(
+        st.floats(1e-4, 1e14, exclude_max=True),
+        st.builds(lambda m, k, tie: (m + tie) / 10**k,
+                  st.integers(10**14, 10**15 - 1), st.integers(2, 18), st.sampled_from([0, 0.5]))),
+    st.booleans(),
+).filter(lambda x: _is_plain(np.array([x])))
+
+
+@given(st.lists(_plain_floats, min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_digits_are_the_15_significant_digits(floats):
+    assert _texts_by_digits(floats) == ["%.15g" % x for x in floats]
+
+
 _keys = st.text(max_size=8)
 # each leaf kind with the dtype of its columns; numpy's str dtype drops a
 # trailing NUL, which no result text ends in
@@ -790,6 +876,55 @@ def _reference_csv(doc):
         writer.writerow(head + [f"{r['value']:.15g}", f"{r['bound']:.15g}",
                                 "true" if r["violated"] else "false"])
     return buf.getvalue()
+
+
+def _float_field_blocks():
+    """The blocks of an excited-shaped report of REPORT_BLOCK + 4 rows, cut at
+    the block edge and into one last one-row block, whose float columns take
+    every field of the writers. value is plain of both signs; mj plain with
+    the whole part 2; mu plain, negative and below 1; xi plain up to the edge
+    and then 0.0, an exponent form and plain floats; xi_star constant after
+    the edge only; closed_form, bound and the term BC (-0.0) constant."""
+    count = REPORT_BLOCK + 4
+    i = np.arange(count)
+    value = np.where(i % 3, 1.0, -1.0) * (0.125 + i / 7.0)
+    params = {
+        "n": np.full(count, 3), "kappa": np.where(i % 2, -2, 2), "mj": 2.0 + 1.0 / (i + 3.0),
+        "sign": np.where(i % 2, -1, 1), "mu": -1.0 / (i + 3.0),
+        "xi": np.concatenate([0.5 + i[:REPORT_BLOCK] / 1e4, [0.0, 1e-5, 0.75, 0.5]]),
+        "xi_star": np.where(i < REPORT_BLOCK, 1.0 / (i + 1.5), 1.5),
+        "closed_form": np.full(count, 2.5),
+    }
+    block = {"kind": np.full(count, "chsh_nc"),
+             "terms": {"AB": value / 4.0, "BC": np.full(count, -0.0)},
+             "value": value, "bound": np.full(count, 2.0),
+             "violated": (i % 3 > 0) | (i >= REPORT_BLOCK), "parameters": params}
+
+    def cut(entry, rows):
+        if isinstance(entry, dict):
+            return {key: cut(column, rows) for key, column in entry.items()}
+        return entry[rows]
+
+    edges = (0, REPORT_BLOCK, count - 1, count)
+    return [cut(block, slice(start, stop)) for start, stop in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_render_of_every_float_field_across_a_block_edge(output_format):
+    doc = _document("excited", {"alpha": 0.5}, _float_field_blocks())
+    reference = _reference_json if output_format == "json" else _reference_csv
+    assert_same_text(render(doc, output_format), reference(doc))
+
+
+def test_plain_float_fields_fold_the_sign_and_the_whole_part():
+    columns = [[0.25, -1.5], [2.25, 2.5], [-0.25, -0.5], [0.25, 0.5], [0.0, 0.5], [1.5, 1.5],
+               [1e-5, 0.5], [-12.25, -3.5]]
+    fields, entries, count = _row_fields([np.array(c) for c in columns], _json_texts)
+    assert fields == ["%s%d.%0*d", "2.%0*d", "-0.%0*d", "0.%0*d", "%s", "1.5", "%s", "-%d.%0*d"]
+    assert count == 2
+    digits = [[2, 1], [25, 5]]  # the widths and fractions of x.25 and x.5
+    assert entries == [["", "-"], [0, 1], *digits, *digits, *digits, *digits,
+                       ["0.0", "0.5"], ["1e-05", "0.5"], [12, 3], *digits]
 
 
 @pytest.mark.parametrize("argv", [
