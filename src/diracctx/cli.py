@@ -24,9 +24,9 @@ from . import __version__
 from .clifford import audit_algebra
 from .contextuality import (
     chsh_value,
+    correlation_diagonal,
     excited_observables,
     ground_observables,
-    harmonic_coefficients,
     optimal_xi,
     peres_mermin_value,
     report_block,
@@ -434,20 +434,22 @@ def _run_audit(config: RunConfig) -> list:
 
 def _xi_rows(table: tuple, a: float, xi: float | None = None) -> dict:
     """The xi-family block of the states of the table: each at its optimal
-    xi*, or, given xi, all at xi with the closed form 2(c cos xi + s sin xi)."""
+    xi*, or, given xi, all at xi with the closed form 2(c cos xi - delta sin xi)."""
     xi_star, closed_forms = optimal_xi(*table[1:])
     xis = xi_star
     if xi is not None:
-        c, s = harmonic_coefficients(*table[1:])
+        _, delta, c = correlation_diagonal(*table[1:])
         xis = np.full(len(xi_star), xi)
-        closed_forms = 2.0 * (c * math.cos(xi) + s * math.sin(xi))
+        closed_forms = 2.0 * (c * math.cos(xi) - delta * math.sin(xi))
     extras = {"xi": xis, "xi_star": xi_star, "closed_form": closed_forms}
     return _chsh_on_states(table, a, excited_observables(xis), extras)
 
 
 def _run_ground(config: RunConfig) -> list:
     table = _one_state(QuantumNumbers(n=1, kappa=1, m_j=config.mj), config.alpha)
-    extra = {"closed_form": [math.sqrt(2.0) * (1.0 + table[3].item())]}
+    # the (t_x, c) pair of T's diagonal at 45 degrees: sqrt 2 |t_x - c| = sqrt 2 (1 + mu)
+    t_x, _, c = correlation_diagonal(*table[1:])
+    extra = {"closed_form": math.sqrt(2.0) * np.abs(t_x - c)}
     return [_chsh_on_states(table, config.alpha, ground_observables(config.mj), extra)]
 
 

@@ -4,9 +4,10 @@ Covers the four-correlator inequality <AB>+<BC>+<CD>-<DA> <= 2, each test one
 plane (A, C, P, Q) of the correlation matrix plus one angle, so that it reads
 a density only through the plane correlators <AP>, <AQ>, <CP> and <CQ>; the
 six-term Peres-Mermin inequality with noncontextual bound 4; both on spin
-densities given as (4, 4) arrays or (N, 4, 4) stacks. Also the closed form
-2*sqrt(delta^2 + X^2) of the xi family's maximum, from the columns
-(kappa, 2 m_j, delta) of the states, delta = <beta>, and nothing else.
+densities given as (4, 4) arrays or (N, 4, 4) stacks. Also the one
+closed-form kernel: the diagonal (t_x, delta, c) of the correlation matrix of
+every bound state, from its columns (kappa, 2 m_j, delta), delta = <beta>, and
+nothing else; every bound-state CHSH closed form reads it.
 """
 
 from __future__ import annotations
@@ -109,14 +110,12 @@ def excited_observables(xis):
     return YZ_PLANE, np.array([-math.sin(x) for x in angles]), np.array(list(map(math.cos, angles)))
 
 
-def harmonic_coefficients(kappa, twice_mj, delta):
-    """Coefficients (c, s) of the xi sweep I(xi) = 2(c cos xi + s sin xi), as
-    arrays over the columns kappa, 2 m_j and delta.
-
-    With l = |kappa| - 1 and 2m + 1 = 2 m_j, c = -X on the kappa > 0 branch
-    and +X on kappa < 0, where
-    X = (2m+1)(delta + 2l + 2)/(4l^2 + 8l + 3) resp. (2m+1)(2l + 2 - delta)/(...);
-    s = -delta on both branches.
+def correlation_diagonal(kappa, twice_mj, delta):
+    """The diagonal (t_x, delta, c) of T_ab = tr(rho Gamma_a Gamma'_b), diagonal on
+    every bound state, as arrays over the columns kappa, 2 m_j and delta;
+    Fraction object columns give it exactly. With l = |kappa| - 1 and
+    d = 4l^2 + 8l + 3 = 4 kappa^2 - 1, t_x = 2m_j (1 + 2 kappa delta)/d and
+    c = -2m_j (delta + 2l + 2)/d on the kappa > 0 branch, 2m_j (2l + 2 - delta)/d on kappa < 0.
     """
     kappa, twice_mj, delta = np.broadcast_arrays(kappa, twice_mj, delta)
     l = np.abs(kappa) - 1
@@ -125,21 +124,22 @@ def harmonic_coefficients(kappa, twice_mj, delta):
     # rounds differently on some states
     positive = twice_mj * (delta + 2 * l + 2) / denom
     negative = twice_mj * (2 * l + 2 - delta) / denom
-    return np.where(kappa > 0, -positive, negative), -delta
+    t_x = twice_mj * (1 + 2 * kappa * delta) / denom
+    return t_x, delta, np.where(kappa > 0, -positive, negative)
 
 
 def optimal_xi(kappa, twice_mj, delta):
-    """Maximizing angle and maximum value of the xi sweep, as arrays over the
-    columns kappa, 2 m_j and delta.
+    """Maximizing angle and maximum value of the xi sweep
+    I(xi) = 2(c cos xi - delta sin xi), as arrays over the columns kappa, 2 m_j and delta.
 
-    The two-term harmonic form peaks at xi* = atan2(s, c) with the value
-    2 hypot(c, s). Both are taken from math per state: np.arctan2 and np.hypot
-    round the last bit differently on some states.
+    It peaks at xi* = atan2(-delta, c) with the value 2 hypot(c, delta). Both are
+    taken from math per state: np.arctan2 and np.hypot round the last bit
+    differently on some states.
     """
-    c, s = harmonic_coefficients(kappa, twice_mj, delta)
-    pairs = list(zip(c.ravel().tolist(), s.ravel().tolist()))
-    xi = np.reshape([math.atan2(s, c) for c, s in pairs], c.shape)
-    value = np.reshape([2.0 * math.hypot(c, s) for c, s in pairs], c.shape)
+    _, delta, c = correlation_diagonal(kappa, twice_mj, delta)
+    pairs = list(zip(c.ravel().tolist(), delta.ravel().tolist()))
+    xi = np.reshape([math.atan2(-d, c) for c, d in pairs], c.shape)
+    value = np.reshape([2.0 * math.hypot(c, d) for c, d in pairs], c.shape)
     return xi, value
 
 

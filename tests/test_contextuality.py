@@ -7,24 +7,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bound_states import valid_states
-from diracctx.clifford import PERES_MERMIN_GRID, PERES_MERMIN_LINES, build_family
+from diracctx.clifford import AXES, PERES_MERMIN_GRID, PERES_MERMIN_LINES, build_family
 from diracctx.contextuality import (
     CHSH_BOUND,
     PERES_MERMIN_BOUND,
     XZ_PLANE,
     YZ_PLANE,
     chsh_value,
+    correlation_diagonal,
     excited_observables,
     ground_observables,
-    harmonic_coefficients,
     optimal_xi,
     peres_mermin_value,
     plane_observables,
     report_block,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
-from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu
-from diracctx.spindensity import IncompatibleObservablesError, pure_density, reduce, state_label
+from diracctx.hydrogen import QuantumNumbers, eigenstate, sommerfeld_mu, state_table
+from diracctx.spindensity import (IncompatibleObservablesError, analytic_densities, pure_density,
+                                  reduce, state_label)
 from report_blocks import block_lists, block_rows
 
 GAMMA = build_family("Gamma")
@@ -431,13 +432,15 @@ def test_closed_form_negative_branch_substitution():
     )
 
 
-def test_harmonic_coefficients_signs():
-    c_pos, s_pos = harmonic_coefficients(*_columns(QuantumNumbers(2, 1, 0.5)))
-    c_neg, s_neg = harmonic_coefficients(*_columns(QuantumNumbers(2, -1, 0.5)))
+def test_correlation_diagonal_signs():
+    t_pos, delta_pos, c_pos = correlation_diagonal(*_columns(QuantumNumbers(2, 1, 0.5)))
+    t_neg, delta_neg, c_neg = correlation_diagonal(*_columns(QuantumNumbers(2, -1, 0.5)))
     mu = sommerfeld_mu(2, 1, ALPHA)
-    assert s_pos == s_neg == -mu
+    assert delta_pos == delta_neg == mu
     assert c_pos == pytest.approx(-(mu + 2.0) / 3.0, rel=1e-14)
     assert c_neg == pytest.approx((2.0 - mu) / 3.0, rel=1e-14)
+    assert t_pos == pytest.approx((1.0 + 2.0 * mu) / 3.0, rel=1e-14)
+    assert t_neg == pytest.approx((1.0 - 2.0 * mu) / 3.0, rel=1e-14)
 
 
 def test_harmonic_c_never_vanishes():
@@ -447,13 +450,42 @@ def test_harmonic_c_never_vanishes():
     kappa = [qn.kappa for qn in states]
     twice_mj = [2 * qn.m_j for qn in states]
     smallest = min(
-        np.abs(harmonic_coefficients(
+        np.abs(correlation_diagonal(
             kappa, twice_mj, [sommerfeld_mu(qn.n, qn.kappa, a) for qn in states]
-        )[0]).min()
+        )[2]).min()
         for a in (1e-9, 1.0 / 137.036, 0.1, 0.5, 0.9, 0.99)
     )
     assert len(states) == 44_280
     assert smallest > 0.01
+
+
+def test_t_x_and_c_are_odd_in_mj():
+    _, kappa, twice_mj, delta = state_table(40, 0.9)
+    t_x, same_delta, c = correlation_diagonal(kappa, twice_mj, delta)
+    flipped = correlation_diagonal(kappa, -twice_mj, delta)
+    assert np.array_equal(flipped[0], -t_x) and np.array_equal(flipped[2], -c)
+    assert np.array_equal(flipped[1], same_delta) and np.array_equal(same_delta, delta)
+
+
+# Gamma_a Gamma'_b for a, b in x, y, z
+PRODUCTS = {(p, q): getattr(GAMMA, p) @ getattr(GAMMA_PRIME, q) for p in AXES for q in AXES}
+
+
+@given(a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(a=ALPHA)
+@example(a=0.5)
+@example(a=0.9)
+@example(a=0.999999)
+@settings(max_examples=20, deadline=None)
+def test_density_correlation_matrix_is_the_kernel_diagonal(a):
+    # the two derivations, independent on purpose: T_ab = tr(rho Gamma_a Gamma'_b)
+    # of the densities of analytic_densities against correlation_diagonal
+    _, kappa, twice_mj, delta = state_table(40, a)
+    densities = analytic_densities(kappa, twice_mj, delta)
+    t = {key: np.einsum("nij,ji->n", densities, product) for key, product in PRODUCTS.items()}
+    assert not any(t[p, q].any() for p in AXES for q in AXES if p != q)
+    for axis, entry in zip(AXES, correlation_diagonal(kappa, twice_mj, delta)):
+        assert np.abs(t[axis, axis] - entry).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,kappa,m_j", [(2, 1, 0.5), (3, -2, -0.5), (4, 4, 3.5)])

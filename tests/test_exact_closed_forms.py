@@ -5,7 +5,9 @@ exact: the entries of Gamma_a Gamma'_b are Gaussian integers (the audit checks
 them with zero tolerance), the squared Clebsch-Gordan weights are rationals,
 and the bound-state density is affine in delta = <beta>. So T is affine in
 delta, and its values at delta = 0 and delta = 1 prove an identity for every
-delta. The plane wave is checked at rational points of E^2 - k^2 = 1.
+delta. The closed-form kernel contextuality.correlation_diagonal runs here on
+Fraction columns, so the diagonal (t_x, delta, c) it gives is proved, not
+copied. The plane wave is checked at rational points of E^2 - k^2 = 1.
 """
 
 import math
@@ -17,9 +19,9 @@ import pytest
 from diracctx.clifford import AXES, build_family
 from diracctx.contextuality import (
     chsh_value,
+    correlation_diagonal,
     excited_observables,
     ground_observables,
-    harmonic_coefficients,
     plane_observables,
 )
 from diracctx.freeparticle import _plane_waves
@@ -88,39 +90,37 @@ def _exact_density(kappa, twice_mj, delta):
     return [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
 
 
-def _exact_c(kappa, twice_mj, delta):
-    """c = -X on the kappa > 0 branch and +X on kappa < 0."""
-    l = abs(kappa) - 1
-    denom = 4 * l * l + 8 * l + 3
-    if kappa > 0:
-        return -Fraction(twice_mj) * (delta + 2 * l + 2) / denom
-    return Fraction(twice_mj) * (2 * l + 2 - delta) / denom
+def _kernel_diagonals(states, delta):
+    """correlation_diagonal on Fraction columns: the exact (t_x, delta, c) of
+    each state at one delta, one tuple of Fractions per state."""
+    kappa, twice_mj = zip(*states)
+    columns = correlation_diagonal(kappa, twice_mj, [delta] * len(states))
+    diagonals = list(zip(*(column.tolist() for column in columns)))
+    assert all(type(entry) is Fraction for diagonal in diagonals for entry in diagonal)
+    return diagonals
 
 
 @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1)])
 def test_bound_state_correlation_matrix_is_diag_tx_delta_c(delta):
-    for kappa, twice_mj in _bound_states():
+    states = _bound_states()
+    for (kappa, twice_mj), diagonal in zip(states, _kernel_diagonals(states, delta)):
         rho = _exact_density(kappa, twice_mj, delta)
         assert sum(rho[i][i] for i in range(4)) == 1
         t = _correlation_matrix(rho)
         assert all(imag == 0 for _, imag in t.values())
         assert all(t[a, b][0] == 0 for a in AXES for b in AXES if a != b)
-        m_j, j = Fraction(twice_mj, 2), Fraction(2 * abs(kappa) - 1, 2)
-        t_x = m_j * (1 + 2 * kappa * delta) / (j * (2 * j + 2))
-        assert (t["x", "x"][0], t["y", "y"][0], t["z", "z"][0]) == (
-            t_x, delta, _exact_c(kappa, twice_mj, delta)
-        )
+        assert tuple(t[axis, axis][0] for axis in AXES) == diagonal
 
 
 def test_ground_state_reaches_2_exactly_at_delta_2_5():
     # the threshold delta* = 2/5 of the ground state: there t_x = 3/5 and
     # c = -4/5, so t_x^2 + c^2 = 1 and the (t_x, c) optimum 2 sqrt(t_x^2 + c^2) is 2
     delta = Fraction(2, 5)
+    (diagonal,) = _kernel_diagonals([(1, 1)], delta)
+    assert diagonal == (Fraction(3, 5), delta, Fraction(-4, 5))
     t = _correlation_matrix(_exact_density(1, 1, delta))
-    diagonal = tuple(t[axis, axis] for axis in AXES)
-    assert diagonal == ((Fraction(3, 5), 0), (delta, 0), (Fraction(-4, 5), 0))
-    t_x, _, c = (real for real, _ in diagonal)
-    assert c == _exact_c(1, 1, delta)
+    assert tuple(t[axis, axis] for axis in AXES) == tuple((entry, 0) for entry in diagonal)
+    t_x, _, c = diagonal
     assert t_x * t_x + c * c == 1
 
 
@@ -133,12 +133,13 @@ def test_float_closed_forms_lie_within_1e_15_of_the_exact_values(delta):
     assert not densities[:, ~np.eye(4, dtype=bool)].any()
     diagonals = np.diagonal(densities, axis1=-2, axis2=-1)
     assert not diagonals.imag.any()
-    c, s = harmonic_coefficients(kappa, twice_mj, [float(delta)] * len(states))
-    assert np.array_equal(s, np.full(len(states), -float(delta)))
-    for (k, tm), diagonal, c_float in zip(states, diagonals.real.tolist(), c.tolist()):
+    floats = zip(*(column.tolist() for column in correlation_diagonal(
+        kappa, twice_mj, [float(delta)] * len(states))))
+    for (k, tm), diagonal, float_t, exact_t in zip(
+            states, diagonals.real.tolist(), floats, _kernel_diagonals(states, delta)):
         exact = _exact_diagonal(k, tm, delta)
         assert all(abs(Fraction(x) - e) <= TOLERANCE for x, e in zip(diagonal, exact))
-        assert abs(Fraction(c_float) - _exact_c(k, tm, delta)) <= TOLERANCE
+        assert all(abs(Fraction(x) - e) <= TOLERANCE for x, e in zip(float_t, exact_t))
 
 
 # each CHSH term <O1 O2> of the xi family as the pair (p, q) of
@@ -162,7 +163,8 @@ def test_xi_family_value_is_2_c_cos_xi_minus_2_delta_sin_xi(delta):
     at_0, at_right_angle = (
         block_rows(chsh_value(densities, *excited_observables([xi]), {}))
         for xi in (0.0, math.pi / 2.0))
-    for (kappa, twice_mj), row_0, row_right_angle in zip(states, at_0, at_right_angle):
+    for (kappa, twice_mj), (_, _, c), row_0, row_right_angle in zip(
+            states, _kernel_diagonals(states, delta), at_0, at_right_angle):
         t = {key: real for key, (real, _) in _correlation_matrix(
             _exact_density(kappa, twice_mj, delta)).items()}
         terms = {name: read(t) for name, read in XI_TERMS.items()}
@@ -171,8 +173,8 @@ def test_xi_family_value_is_2_c_cos_xi_minus_2_delta_sin_xi(delta):
             assert abs(Fraction(row_right_angle["terms"][name]) - q) <= TOLERANCE
         total = [terms["AB"][i] + terms["BC"][i] + terms["CD"][i] - terms["DA"][i]
                  for i in range(2)]
-        # the (c, s) of harmonic_coefficients, in I(xi) = 2 (c cos xi + s sin xi)
-        assert total == [2 * _exact_c(kappa, twice_mj, delta), -2 * delta]
+        # the (c, delta) of correlation_diagonal, in I(xi) = 2 (c cos xi - delta sin xi)
+        assert total == [2 * c, -2 * delta]
 
 
 def _gaussian_integer(m):
@@ -198,6 +200,10 @@ def test_ground_value_over_sqrt2_is_1_plus_delta(twice_mj, delta):
     (ab, _), (bc, _), (cd, _), (da, _) = terms
     # value / sqrt 2 = (AB + BC + CD - DA) / 2
     assert (ab + bc + cd - da) / 2 == 1 + delta
+    # the ground closed form sqrt 2 |t_x - c| of cli: t_x - c is affine in
+    # delta, so its values at delta = 0 and 1 make it +-(1 + delta) for every delta
+    ((t_x, _, c),) = _kernel_diagonals([(1, twice_mj)], delta)
+    assert t_x - c == twice_mj * (1 + delta) and abs(t_x - c) == 1 + delta
 
 
 RATIONAL_T = ("1", "3/2", "2", "7/2", "10")
