@@ -62,7 +62,7 @@ MIXING_THRESHOLD = 1e-10
 CONVERGE_BOUND = 1e-12
 # the most rows of a report block, evaluated and written as one piece of the
 # streamed report; bounds the columns, stacks and texts held at once
-REPORT_BLOCK = 512
+REPORT_BLOCK = 1024
 
 EXIT_OK = 0
 EXIT_CLOSED_OUTPUT = 1
@@ -168,19 +168,9 @@ def _csv_texts(column: np.ndarray) -> list[str]:
     return column.tolist() if column.dtype.kind == "U" else _json_texts(column)
 
 
-def _is_plain(floats: np.ndarray) -> bool:
-    """Whether the column holds entries and every one is plain: finite,
-    1e-4 <= |x| < 1e14 and more than 1e-13 |x| from an integer, so more than
-    ten units of its 15th significant digit. %.15g writes a plain float with a
-    nonzero fraction and no exponent, a text that is also its JSON."""
-    size = np.abs(floats)
-    # the range test comes first: it keeps nan and inf out of the subtraction
-    return bool(len(size) and ((size >= 1e-4) & (size < 1e14)).all()
-                and (np.abs(floats - np.rint(floats)) > 1e-13 * size).all())
-
-
-# 10**k, an exact double for k <= 22
+# 10**k, an exact double for k <= 22, and as an int64
 _POW10 = np.array([float(10**k) for k in range(20)])
+_POW10_INT = np.array([10**k for k in range(19)], dtype=np.int64)
 
 
 def _halves(floats: np.ndarray) -> tuple:
@@ -192,10 +182,13 @@ def _halves(floats: np.ndarray) -> tuple:
 
 
 def _digits15(floats: np.ndarray) -> tuple:
-    """The 15 significant digits of each plain float as three int64 columns:
-    the whole part of |x|, and the fraction digits with their trailing zeros
-    stripped, as their count and their value; so "%d.%0*d" % (whole, width,
-    frac) is "%.15g" % abs(x), byte for byte.
+    """The 15 significant digits of each float x with 1e-4 <= |x| < 1e14 as
+    three int64 columns: the whole part of |x|, and the fraction digits with
+    their trailing zeros stripped, as their count and their value; so
+    "%d.%0*d" % (whole, width, frac) is "%.15g" % abs(x), byte for byte, when
+    the digits have a fraction. Digits that round to an integer W have frac 0
+    of width 1, the text "W.0": the JSON of the rounded float, where %.15g
+    writes W.
 
     The digits are m = |x| 10**(14 - e) rounded half to even, in [1e14, 1e15)
     for e the decimal exponent of |x|. Both factors are exact doubles, and the
@@ -221,90 +214,120 @@ def _digits15(floats: np.ndarray) -> tuple:
     carry = digits == 1e15
     digits[carry] = 1e14
     width = 14 - (e + carry)
-    whole, frac = np.divmod(digits.astype(np.int64), _POW10[width].astype(np.int64))
-    # strip the trailing zeros, 8, 4, 2 and 1 at a time: a plain float's frac
-    # is below 1e15 and not 0, so it ends in at most 14
-    zeros = np.flatnonzero(frac % 10 == 0)
+    whole, frac = np.divmod(digits.astype(np.int64), _POW10_INT[width])
+    # strip the trailing zeros, 8, 4, 2 and 1 at a time: a nonzero frac is
+    # below 1e15, so it ends in at most 14
+    zeros = np.flatnonzero((frac % 10 == 0) & (frac != 0))
     for step in (8, 4, 2, 1):
         cut = zeros[frac[zeros] % 10**step == 0]
         frac[cut] //= 10**step
         width[cut] -= step
+    width[frac == 0] = 1
     return whole, width, frac
 
 
-def _plain_field(floats: np.ndarray, whole, width, frac) -> tuple[str, list]:
-    """The field of a plain float column, from its _digits15 columns, with the
-    entry lists its % takes: "%s%d.%0*d" of sign, whole, width and frac, the
-    sign written into the field when the column has one sign and the whole
-    part when it is constant, as in "0.%0*d", "-0.%0*d" or "2.%0*d"."""
-    field, lists = ".%0*d", [width.tolist(), frac.tolist()]
-    if (whole == whole[0]).all():
-        field = str(whole[0]) + field
-    else:
-        field, lists = "%d" + field, [whole.tolist(), *lists]
-    negative = floats < 0.0
-    if negative.all():
-        field = "-" + field
-    elif negative.any():
-        field, lists = "%s" + field, [np.where(negative, "-", "").tolist(), *lists]
-    return field, lists
+def _float_fields(table: np.ndarray, texts: Callable, integral: bool) -> list:
+    """The field and the entry lists of each row of a (k, N) float table,
+    N >= 1: the float columns of a block, decided in one pass over them all.
+
+    A row constant bitwise (0.0 and -0.0 differ) is its one text. A plain row
+    is written from the exact digits of _digits15: every entry is finite with
+    1e-4 <= |x| < 1e14, where %.15g writes no exponent, and, unless integral
+    (the format writes an integral float "W.0", as JSON does), none has
+    digits that round to an integer. When a plain row's entries share their
+    sign, their whole part and their count of leading fraction zeros, that
+    prefix is written into the field before one %d of the stripped fraction
+    digits, as in "0.%d", "-0.%d", "2.%d" or "0.00%d". Any other plain row is
+    "%s%d.%0*d" of sign, whole, width and fraction, the sign written in when
+    the row has one and the whole part when it is constant. Any other row is
+    %s of its texts.
+    """
+    bits = table.view(np.uint64)
+    constant = (bits == bits[:, :1]).all(axis=1)
+    size = np.abs(table)
+    # the range test keeps nan and inf out of the digits
+    rows = np.flatnonzero(~constant & ((size >= 1e-4) & (size < 1e14)).all(axis=1))
+    candidates = table[rows]
+    digits = _digits15(candidates.ravel())
+    whole, width, frac = (column.reshape(candidates.shape) for column in digits)
+    negative = candidates < 0.0
+    # the fraction's leading zeros: its width less its digit count, 1 for 0
+    zeros = width - np.maximum(np.searchsorted(_POW10_INT, frac, side="right"), 1)
+    plain = (integral | (frac != 0).all(axis=1)).tolist()
+    all_negative, any_negative = negative.all(axis=1).tolist(), negative.any(axis=1).tolist()
+    same_whole = (whole == whole[:, :1]).all(axis=1).tolist()
+    same_zeros = (zeros == zeros[:, :1]).all(axis=1).tolist()
+    parts = [(texts(row[:1])[0].replace("%", "%%"), []) if same else None
+             for row, same in zip(table, constant.tolist())]
+    for r, i in enumerate(rows.tolist()):
+        if not plain[r]:
+            continue
+        sign = "-" if all_negative[r] else ""
+        mixed = any_negative[r] and not all_negative[r]
+        if same_whole[r] and same_zeros[r] and not mixed:
+            parts[i] = (f"{sign}{whole[r, 0]}.{'0' * int(zeros[r, 0])}%d", [frac[r].tolist()])
+            continue
+        field, lists = ".%0*d", [width[r].tolist(), frac[r].tolist()]
+        if same_whole[r]:
+            field = str(whole[r, 0]) + field
+        else:
+            field, lists = "%d" + field, [whole[r].tolist(), *lists]
+        if mixed:
+            field, lists = "%s" + field, [np.where(negative[r], b"-", b"").tolist(), *lists]
+        parts[i] = (sign + field, lists)
+    return [part or ("%s", [list(map(str.encode, texts(row)))]) for part, row in zip(parts, table)]
 
 
-def _row_fields(columns: list, texts: Callable[[np.ndarray], list]) -> tuple[list, list, int]:
+def _row_fields(columns: list, output_format: str) -> tuple[list, list, int]:
     """The field of each column in its block's row template, the entry lists
     the block's % takes for them, in order, and the block's row count (1 for
-    no columns); texts(column) is the report format's text of each entry.
+    no columns), in the report format, json or csv; a %s entry is bytes.
 
-    A constant column, bitwise for floats (0.0 and -0.0 differ), is its one
-    text, written into the template. A float column of plain entries only
-    (see _is_plain) is written from its exact digits, which one _digits15
-    pass gives for every such column of the block. An int column is %d of its
-    ints, the text of an int in either format. Any other column is %s of its
-    texts. A column that is not a 1-D numpy array of float, int, bool or str
-    raises TypeError, before any folding (True == 1), and columns of
-    different lengths ValueError.
+    The float columns take their fields from one _float_fields pass. Any
+    other constant column is its one text, written into the template. An int
+    column is %d of its ints, the text of an int in either format. Any other
+    column is %s of its texts. A column that is not a 1-D numpy array of
+    float, int, bool or str raises TypeError, before any folding (True == 1),
+    and columns of different lengths ValueError.
     """
-    parts, plain, counts = [], [], set()
+    texts = _json_texts if output_format == "json" else _csv_texts
+    parts, floats, counts = [], [], set()
     for column in columns:
         if not isinstance(column, np.ndarray) or column.ndim != 1:
             raise TypeError(f"a report column is a 1-D numpy array, got {type(column).__name__}")
         if column.dtype.kind not in "biufU":
             raise TypeError(f"a report column of dtype {column.dtype} is not JSON serializable")
         counts.add(len(column))
-        floats = column.dtype.kind == "f"
-        if floats:
-            column = column.astype(float, copy=False)
-        same = column.view(np.uint64) if floats else column
-        if len(column) and (same == same[0]).all():
+        if column.dtype.kind == "f":
+            floats.append(len(parts))
+            parts.append(column)
+        elif len(column) and (column == column[0]).all():
             parts.append((texts(column[:1])[0].replace("%", "%%"), []))
-        elif floats and _is_plain(column):
-            plain.append((len(parts), column))
-            parts.append(None)
         elif column.dtype.kind in "iu":
             parts.append(("%d", [column.tolist()]))
         else:
-            parts.append(("%s", [texts(column)]))
+            parts.append(("%s", [list(map(str.encode, texts(column)))]))
     if len(counts) > 1:
         raise ValueError(f"a report block has columns of {sorted(counts)} entries")
-    if plain:
-        digits = _digits15(np.concatenate([floats for _, floats in plain]))
-        start = 0
-        for i, floats in plain:
-            stop = start + len(floats)
-            parts[i] = _plain_field(floats, *(column[start:stop] for column in digits))
-            start = stop
+    count = counts.pop() if counts else 1
+    if floats:
+        table = np.array([parts[i] for i in floats], dtype=float)
+        fields = (_float_fields(table, texts, output_format == "json") if count
+                  else [("%s", [[]])] * len(floats))
+        for i, part in zip(floats, fields):
+            parts[i] = part
     entries = [entry for _, lists in parts for entry in lists]
-    return [field for field, _ in parts], entries, counts.pop() if counts else 1
+    return [field for field, _ in parts], entries, count
 
 
-def _interleaved(columns: list, count: int) -> tuple:
-    """The entries of count rows of the columns, row by row: the fields of
-    count copies of a row template, in order. A column of another length
-    raises ValueError."""
-    flat = [None] * (len(columns) * count)
-    for i, column in enumerate(columns):
-        flat[i::len(columns)] = column
-    return tuple(flat)
+def _filled(row: str, separator: str, entries: list, count: int) -> str:
+    """count copies of the row template, joined by separator and filled by
+    one % on bytes from the entry lists, interleaved row by row. An entry
+    list of another length raises ValueError."""
+    flat = [None] * (len(entries) * count)
+    for i, column in enumerate(entries):
+        flat[i::len(entries)] = column
+    return (separator.encode().join([row.encode()] * count) % tuple(flat)).decode()
 
 
 def _leaves(block: dict):
@@ -334,9 +357,8 @@ def _json_block(block: dict, indent: str) -> str:
     "," and a new line: the row template of _row_template, repeated once per
     row and filled by one %. A block without columns is one row, as the
     head's empty params is; a block of no rows is ""."""
-    fields, entries, count = _row_fields(list(_leaves(block)), _json_texts)
-    row = _row_template(block, indent, iter(fields))
-    return (",\n" + indent).join([row] * count) % _interleaved(entries, count)
+    fields, entries, count = _row_fields(list(_leaves(block)), "json")
+    return _filled(_row_template(block, indent, iter(fields)), ",\n" + indent, entries, count)
 
 
 def _head_json(value, indent: str) -> str:
@@ -391,8 +413,8 @@ def report_pieces(document: dict, output_format: str):
     for block in document["results"]:
         head = [block["parameters"][key] for key in labels] or [block["kind"]]
         columns = [*head, block["value"], block["bound"], block["violated"]]
-        fields, entries, count = _row_fields(columns, _csv_texts)
-        yield (",".join(fields) + "\n") * count % _interleaved(entries, count)
+        fields, entries, count = _row_fields(columns, "csv")
+        yield _filled(",".join(fields) + "\n", "", entries, count)
 
 
 def render(document: dict, output_format: str) -> str:

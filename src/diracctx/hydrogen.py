@@ -69,13 +69,19 @@ class QuantumNumbers:
         return self.n - abs(self.kappa)
 
 
+def _nu(kappa: int, a: float) -> float:
+    """nu = sqrt(kappa^2 - a^2), as sqrt((|kappa| - a)(|kappa| + a)): at
+    |kappa| = 1 and a near 1, kappa^2 - a^2 would cancel, and each factor is
+    exact or within half an ulp."""
+    return math.sqrt((abs(kappa) - a) * (abs(kappa) + a))
+
+
 def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
     """Bound-state energy mu = E/Mc^2; depends on kappa only through |kappa|."""
     _check_alpha(a)
     if kappa == 0 or abs(kappa) > n or n < 1:
         raise ValueError(f"invalid (n, kappa) = ({n}, {kappa})")
-    nu = math.sqrt(kappa * kappa - a * a)
-    return (1.0 + (a / (n - abs(kappa) + nu)) ** 2) ** -0.5
+    return (1.0 + (a / (n - abs(kappa) + _nu(kappa, a))) ** 2) ** -0.5
 
 
 def state_table(n_max: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -103,7 +109,7 @@ def radial_fg(qn: QuantumNumbers, a: float, rho):
     mu = sommerfeld_mu(qn.n, qn.kappa, a)
     rho = np.asarray(rho, dtype=float)
     nt = qn.n_tilde
-    nu = math.sqrt(qn.kappa * qn.kappa - a * a)
+    nu = _nu(qn.kappa, a)
     # the apparent principal quantum number N = (n_tilde + nu)/mu = a/sqrt(1 - mu^2);
     # written through N, a/sqrt(1 - mu^2) and sqrt(1 - mu) do not cancel at small a
     big_n = math.hypot(nt + nu, a)
@@ -199,7 +205,7 @@ def eigenstate(qn: QuantumNumbers, a: float) -> SpinorField:
     keeps that rule.
     """
     _check_alpha(a)
-    rule = radial_nodes(qn.n_tilde + 1, 2.0 * math.sqrt(qn.kappa * qn.kappa - a * a))
+    rule = radial_nodes(qn.n_tilde + 1, 2.0 * _nu(qn.kappa, a))
     rho, w = rule
     f, g = radial_fg(qn, a, rho)
     norm = float(np.sum(w * rho * rho * (f * f + g * g)))

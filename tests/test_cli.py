@@ -30,8 +30,6 @@ from diracctx.cli import (
     execute,
     _digits15,
     _float_texts,
-    _is_plain,
-    _json_texts,
     _row_fields,
     _parse_beta_grid,
     main,
@@ -280,9 +278,9 @@ def test_converge_catches_swapped_clebsch_gordan_weights(monkeypatch, capsys, ar
 def test_excited_at_its_optimal_xi_is_the_sweep_row():
     # one xi-family row path: the one-state table of excited and the rows of
     # sweep's blocks, on both sides of the first block edge
-    sweep = _rows("sweep", n_max=9, alpha=0.3)
-    assert len(sweep) == 570
-    for i in (0, 1, REPORT_BLOCK - 2, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 569):
+    sweep = _rows("sweep", n_max=12, alpha=0.3)
+    assert len(sweep) == 1300
+    for i in (0, 1, REPORT_BLOCK - 2, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 1299):
         p = sweep[i]["parameters"]
         (row,) = _rows("excited", alpha=0.3, n=p["n"], kappa=p["kappa"], mj=p["mj"])
         assert row == sweep[i]
@@ -599,8 +597,9 @@ def test_float_text_at_edges(x):
 
 
 def _texts_by_digits(floats):
-    """The text of each plain float from one _digits15 pass, as the writers
-    build it: a "-" for a negative float, then "%d.%0*d" of its digits."""
+    """The text of each float with 1e-4 <= |x| < 1e14 from one _digits15
+    pass, as the writers build it: a "-" for a negative float, then
+    "%d.%0*d" of its digits."""
     digits = zip(*(column.tolist() for column in _digits15(np.array(floats))))
     return ["-" * (x < 0) + "%d.%0*d" % d for x, d in zip(floats, digits)]
 
@@ -638,7 +637,8 @@ PLAIN_EDGES = (
 @pytest.mark.parametrize("x", PLAIN_EDGES, ids=repr)
 def test_digits_at_edges(x):
     floats = [x, -x]
-    assert _is_plain(np.array(floats))
+    # the CSV writes the column from its digits, not from its %.15g texts
+    assert _row_fields([np.array(floats)], "csv")[0] != ["%s"]
     assert _texts_by_digits(floats) == ["%.15g" % y for y in floats]
 
 
@@ -662,6 +662,11 @@ def test_digits_place_the_decade_whatever_log10_gives(monkeypatch, offset):
     assert _texts_by_digits(floats) == ["%.15g" % y for y in floats]
 
 
+def _plain(x):
+    """Whether %.15g writes x with a fraction and no exponent."""
+    return 1e-4 <= abs(x) < 1e14 and "." in "%.15g" % x
+
+
 # plain floats of both signs: any double in range, the double nearest a
 # 15-digit decimal, and the double nearest a 16-digit tie of one
 _plain_floats = st.builds(
@@ -671,13 +676,29 @@ _plain_floats = st.builds(
         st.builds(lambda m, k, tie: (m + tie) / 10**k,
                   st.integers(10**14, 10**15 - 1), st.integers(2, 18), st.sampled_from([0, 0.5]))),
     st.booleans(),
-).filter(lambda x: _is_plain(np.array([x])))
+).filter(_plain)
 
 
 @given(st.lists(_plain_floats, min_size=1, max_size=40))
 @settings(max_examples=300)
 def test_digits_are_the_15_significant_digits(floats):
     assert _texts_by_digits(floats) == ["%.15g" % x for x in floats]
+
+
+# floats whose 15 digits may round to an integer: integers of up to 14 digits
+# a few ulps away, of both signs
+_near_integers = st.builds(
+    lambda whole, ulps, negative: (-1.0) ** negative * (whole + ulps * math.ulp(whole)),
+    st.integers(1, 10**14 - 1), st.integers(-4, 4), st.booleans(),
+).filter(lambda x: abs(x) < 1e14)
+
+
+@given(st.lists(st.one_of(_plain_floats, _near_integers), min_size=1, max_size=40))
+@settings(max_examples=300)
+@example([0.9999999999999998, 6.000000000000001, -1.0000000000000002, 2.0, 99999999999999.98])
+def test_digits_of_integral_texts_are_their_json(floats):
+    # %.15g writes an integral W; its digits are "W.0", the JSON of the rounded float
+    assert _texts_by_digits(floats) == [json.dumps(float("%.15g" % x)) for x in floats]
 
 
 _keys = st.text(max_size=8)
@@ -881,13 +902,17 @@ def _reference_csv(doc):
 def _float_field_blocks():
     """The blocks of an excited-shaped report of REPORT_BLOCK + 4 rows, cut at
     the block edge and into one last one-row block, whose float columns take
-    every field of the writers. value is plain of both signs; mj plain with
-    the whole part 2; mu plain, negative and below 1; xi plain up to the edge
-    and then 0.0, an exponent form and plain floats; xi_star constant after
-    the edge only; closed_form, bound and the term BC (-0.0) constant."""
+    every field of the writers. value is plain of both signs up to the edge,
+    and then near-integers (digits "W.0" in JSON, %s of "W" in CSV) and 2.5;
+    mj plain with the whole part 2 and none to three leading fraction zeros,
+    three in every row after the edge; mu plain, negative and below 1; the
+    term CD negative with the prefix -0.00; xi with the prefix 0. up to the
+    edge and then 0.0, an exponent form and plain floats; xi_star constant
+    after the edge only; closed_form, bound and the term BC (-0.0) constant."""
     count = REPORT_BLOCK + 4
     i = np.arange(count)
     value = np.where(i % 3, 1.0, -1.0) * (0.125 + i / 7.0)
+    value[REPORT_BLOCK:] = [6.000000000000001, -1.0, 0.9999999999999998, 2.5]
     params = {
         "n": np.full(count, 3), "kappa": np.where(i % 2, -2, 2), "mj": 2.0 + 1.0 / (i + 3.0),
         "sign": np.where(i % 2, -1, 1), "mu": -1.0 / (i + 3.0),
@@ -896,7 +921,8 @@ def _float_field_blocks():
         "closed_form": np.full(count, 2.5),
     }
     block = {"kind": np.full(count, "chsh_nc"),
-             "terms": {"AB": value / 4.0, "BC": np.full(count, -0.0)},
+             "terms": {"AB": value / 4.0, "BC": np.full(count, -0.0),
+                       "CD": -1e-3 - 1e-3 / (i + 3.0)},
              "value": value, "bound": np.full(count, 2.0),
              "violated": (i % 3 > 0) | (i >= REPORT_BLOCK), "parameters": params}
 
@@ -917,19 +943,75 @@ def test_render_of_every_float_field_across_a_block_edge(output_format):
 
 
 def test_plain_float_fields_fold_the_sign_and_the_whole_part():
-    columns = [[0.25, -1.5], [2.25, 2.5], [-0.25, -0.5], [0.25, 0.5], [0.0, 0.5], [1.5, 1.5],
-               [1e-5, 0.5], [-12.25, -3.5]]
-    fields, entries, count = _row_fields([np.array(c) for c in columns], _json_texts)
-    assert fields == ["%s%d.%0*d", "2.%0*d", "-0.%0*d", "0.%0*d", "%s", "1.5", "%s", "-%d.%0*d"]
-    assert count == 2
+    # a shared sign, whole part and count of leading fraction zeros is one
+    # prefix before a %d of the fraction digits; any other plain column
+    # folds its sign and its whole part when it has one of each
+    columns = [[2.25, 2.5], [-0.25, -0.5], [0.025, 0.0625], [0.25, 0.05], [0.25, -1.5],
+               [-12.25, -3.5], [0.0, 0.5], [1.5, 1.5], [1e-5, 0.5],
+               [-1.0, 0.9999999999999998], [6.000000000000001, 6.0]]
+    head = ["2.%d", "-0.%d", "0.0%d", "0.%0*d", "%s%d.%0*d", "-%d.%0*d", "%s", "1.5", "%s"]
     digits = [[2, 1], [25, 5]]  # the widths and fractions of x.25 and x.5
-    assert entries == [["", "-"], [0, 1], *digits, *digits, *digits, *digits,
-                       ["0.0", "0.5"], ["1e-05", "0.5"], [12, 3], *digits]
+    for output_format in ("json", "csv"):
+        fields, entries, count = _row_fields([np.array(c) for c in columns], output_format)
+        assert count == 2
+        assert entries[:12] == [[25, 5], [25, 5], [25, 625], [2, 2], [25, 5],
+                                [b"", b"-"], [0, 1], *digits, [12, 3], *digits]
+        texts = [b"0.0", b"0.5"] if output_format == "json" else [b"0", b"0.5"]
+        assert entries[12:14] == [texts, [b"1e-05", b"0.5"]]
+        if output_format == "json":
+            # 15 digits that round to an integer W take the digit path: "W.0"
+            assert fields == head + ["%s1.%0*d", "6.%d"]
+            assert entries[14:] == [[b"-", b""], [1, 1], [0, 0], [0, 0]]
+        else:
+            # where the CSV writes %.15g's W
+            assert fields == head + ["%s", "%s"]
+            assert entries[14:] == [[b"-1", b"1"], [b"6", b"6"]]
+
+
+@st.composite
+def _prefixed_columns(draw):
+    """A column of 2 to 40 floats with 1e-4 <= |x| < 1e14, each the double
+    nearest sign whole.zeros digits; the entries share their sign, whole part
+    and count of leading fraction zeros, or each draws its own. The digits
+    include powers of ten, as in 2.001 and 7.000000000001."""
+    def prefix():
+        return (draw(st.sampled_from(["", "-"])), draw(st.integers(0, 10**6)),
+                draw(st.integers(0, 12)))
+
+    shared = prefix() if draw(st.booleans()) else None
+    column = []
+    for _ in range(draw(st.integers(2, 40))):
+        sign, whole, zeros = shared or prefix()
+        digits = draw(st.one_of(st.integers(1, 10**15), st.sampled_from([1, 10, 100, 31])))
+        x = float(f"{sign}{whole}.{'0' * zeros}{digits}")
+        column.append(x if abs(x) >= 1e-4 else float(f"{sign}0.0001{digits}"))
+    return column
+
+
+@given(_prefixed_columns())
+@settings(max_examples=300)
+@example([2.0031, 2.0047])
+@example([0.000123, 0.000456])
+@example([2.001, 2.002])
+@example([7.000000000001, 7.000000000002])
+@example([-0.5, -0.25])
+@example([-3.0625, -3.5, 0.125])
+def test_plain_columns_with_shared_and_mixed_prefixes_are_their_texts(column):
+    # in a block beside a plain column, as the rows of the CSV and the JSON
+    count = len(column)
+    block = {"kind": np.full(count, "t"), "value": np.array(column),
+             "bound": np.arange(count) + 0.5, "violated": np.ones(count, dtype=bool)}
+    doc = _document("table", {}, [block])
+    rows = render(doc, "csv").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["%.15g" % x for x in column]
+    assert_same_text(render(doc, "json"), _reference_json(doc))
 
 
 @pytest.mark.parametrize("argv", [
+    # one block of 1 and 511 to 513 rows, and each side of the block edges
     *(["free-electron", "--beta-grid", f"0:0.999:{count}"]
-      for count in (1, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 2 * REPORT_BLOCK + 1)),
+      for count in (1, 511, 512, 513, REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1,
+                    2 * REPORT_BLOCK + 1)),
     ["sweep", "--n-max", "8"],
     ["ground", "--mj", "-0.5"],
     ["excited", "--n", "3", "--kappa", "-2"],
@@ -938,8 +1020,7 @@ def test_plain_float_fields_fold_the_sign_and_the_whole_part():
     ["measurability"],
     ["converge", "--n", "3", "--kappa", "-2"],
     ["peres-mermin", "--n-max", "2"],
-    # 1,113 rows, three blocks, one edge between the bound states and the
-    # random spinors
+    # 1,113 rows, two blocks, the edge among the random spinors
     ["peres-mermin", "--n-max", "11"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 @pytest.mark.parametrize("output_format", ["json", "csv"])
@@ -987,7 +1068,7 @@ def _columns_of(block):
 
 @pytest.mark.parametrize("command, kwargs", [
     *((command, {}) for command in COMMANDS),
-    ("sweep", {"n_max": 9}),
+    ("sweep", {"n_max": 12}),
     ("peres-mermin", {"n_max": 11}),
     ("free-electron", {"beta_grid": "0:0.999:1025"}),
 ])
@@ -1092,10 +1173,11 @@ def _stacked_block(command, n_max):
 
 
 @pytest.mark.parametrize("command, n_max, source", [
-    # block edges among the states: 570 and 1,300 sweep rows, 570 states + 101
-    ("sweep", 9, "chsh_value"),
+    # block edges among the states: 1,300 and 2,480 sweep rows (two and three
+    # blocks), 1,300 states + 101
     ("sweep", 12, "chsh_value"),
-    ("peres-mermin", 9, "peres_mermin_value"),
+    ("sweep", 15, "chsh_value"),
+    ("peres-mermin", 12, "peres_mermin_value"),
     # the edge at 1,024 falls among the random spinors: 1,012 states + 101
     ("peres-mermin", 11, "peres_mermin_value"),
 ])
@@ -1135,17 +1217,17 @@ def test_streamed_blocks_equal_one_stacked_pass(monkeypatch, command, n_max, sou
 
 
 def test_free_curve_report_memory_stays_bounded(tmp_path):
-    # the 20,000-point curve: one block of rows and texts at a time peaks near
-    # 2.4 MB; building every row before the first byte is written peaks near
-    # 18 MB
+    # the 20,000-point curve: one block of 1,024 rows and their texts at a
+    # time peaks near 2.3 MB; building every block before the first byte is
+    # written peaks near 19 MB
     _assert_report_memory_bounded(
         ["free-electron", "--beta-grid", "0:0.999:20000"], 8_000_000, tmp_path)
 
 
 @pytest.mark.parametrize("argv, min_bytes", [
-    # 5,740 states: near 2.2 MB streamed, 13.4 MB with every row held
+    # 5,740 states: near 1.2 MB streamed, 2.0 MB with every block held
     (["sweep", "--n-max", "20", "--format", "csv"], 400_000),
-    # 5,740 states + 101: near 2.6 MB streamed, 8.8 MB with every row held
+    # 5,740 states + 101: near 2.7 MB streamed, 5.3 MB with every block held
     (["peres-mermin", "--n-max", "20"], 1_500_000),
 ], ids=["sweep", "peres-mermin"])
 def test_state_report_memory_stays_bounded(argv, min_bytes, tmp_path):

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -98,6 +99,26 @@ def test_rest_energy_limit():
 
 def test_energy_against_high_precision_oracle():
     assert sommerfeld_mu(2, 1, ALPHA) == pytest.approx(MU_2_1_ORACLE, rel=1e-15)
+
+
+def _decimal_mu(n, kappa, a):
+    """mu of the same double a at 50 significant digits, by the standard
+    library's decimal arithmetic."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        a = decimal.Decimal(a)
+        nu = (decimal.Decimal(kappa * kappa) - a * a).sqrt()
+        return 1 / (1 + (a / (n - abs(kappa) + nu)) ** 2).sqrt()
+
+
+@pytest.mark.parametrize("a", [0.9999, 0.999999, 0.9, ALPHA])
+@pytest.mark.parametrize("n, kappa", [(1, 1), (2, -1), (2, 1), (3, 2), (40, -1), (40, 40)])
+def test_energy_near_the_domain_edge_against_decimal(n, kappa, a):
+    # at |kappa| = 1 and a near 1, kappa^2 - a^2 cancels: written so, mu was
+    # off by 5.5e-12 relative at a = 0.999999 and 1.3e-13 at 0.9999
+    exact = _decimal_mu(n, kappa, a)
+    error = abs(decimal.Decimal(sommerfeld_mu(n, kappa, a)) - exact)
+    assert error <= decimal.Decimal(4e-16) * exact
 
 
 def test_energy_rejects_kappa_beyond_n():
