@@ -184,11 +184,11 @@ def _halves(floats: np.ndarray) -> tuple:
 def _digits15(floats: np.ndarray) -> tuple:
     """The 15 significant digits of each float x with 1e-4 <= |x| < 1e14 as
     three int64 columns: the whole part of |x|, and the fraction digits with
-    their trailing zeros stripped, as their count and their value; so
-    "%d.%0*d" % (whole, width, frac) is "%.15g" % abs(x), byte for byte, when
-    the digits have a fraction. Digits that round to an integer W have frac 0
-    of width 1, the text "W.0": the JSON of the rounded float, where %.15g
-    writes W.
+    their trailing zeros stripped, as their count and their value; so whole,
+    "." and frac zero-padded to width digits are "%.15g" % abs(x), byte for
+    byte, when the digits have a fraction. Digits that round to an integer W
+    have frac 0 of width 1, the text "W.0": the JSON of the rounded float,
+    where %.15g writes W.
 
     The digits are m = |x| 10**(14 - e) rounded half to even, in [1e14, 1e15)
     for e the decimal exponent of |x|. Both factors are exact doubles, and the
@@ -234,13 +234,11 @@ def _float_fields(table: np.ndarray, texts: Callable, integral: bool) -> list:
     is written from the exact digits of _digits15: every entry is finite with
     1e-4 <= |x| < 1e14, where %.15g writes no exponent, and, unless integral
     (the format writes an integral float "W.0", as JSON does), none has
-    digits that round to an integer. When a plain row's entries share their
-    sign, their whole part and their count of leading fraction zeros, that
-    prefix is written into the field before one %d of the stripped fraction
-    digits, as in "0.%d", "-0.%d", "2.%d" or "0.00%d". Any other plain row is
-    "%s%d.%0*d" of sign, whole, width and fraction, the sign written in when
-    the row has one and the whole part when it is constant. Any other row is
-    %s of its texts.
+    digits that round to an integer. Each plain entry is its prefix (sign,
+    whole part, "." and the fraction's leading zeros), then %d of its
+    stripped fraction digits: a row whose entries share one prefix writes it
+    into the field, as in "0.%d", "-2.00%d" or "6.%d" of 0, and any other
+    plain row is "%s%d" of prefix bytes. Any other row is %s of its texts.
     """
     bits = table.view(np.uint64)
     constant = (bits == bits[:, :1]).all(axis=1)
@@ -250,31 +248,25 @@ def _float_fields(table: np.ndarray, texts: Callable, integral: bool) -> list:
     candidates = table[rows]
     digits = _digits15(candidates.ravel())
     whole, width, frac = (column.reshape(candidates.shape) for column in digits)
-    negative = candidates < 0.0
     # the fraction's leading zeros: its width less its digit count, 1 for 0
     zeros = width - np.maximum(np.searchsorted(_POW10_INT, frac, side="right"), 1)
-    plain = (integral | (frac != 0).all(axis=1)).tolist()
-    all_negative, any_negative = negative.all(axis=1).tolist(), negative.any(axis=1).tolist()
-    same_whole = (whole == whole[:, :1]).all(axis=1).tolist()
-    same_zeros = (zeros == zeros[:, :1]).all(axis=1).tolist()
+    # each entry's prefix as one int64: the whole part, the leading zeros (at
+    # most 14, in five bits) and the sign (the low bit)
+    keys = (whole * 32 + zeros) * 2 + (candidates < 0.0)
+    plain = np.flatnonzero(integral | (frac != 0).all(axis=1))
+    shared = (keys == keys[:, :1]).all(axis=1).tolist()
     parts = [(texts(row[:1])[0].replace("%", "%%"), []) if same else None
              for row, same in zip(table, constant.tolist())]
-    for r, i in enumerate(rows.tolist()):
-        if not plain[r]:
-            continue
-        sign = "-" if all_negative[r] else ""
-        mixed = any_negative[r] and not all_negative[r]
-        if same_whole[r] and same_zeros[r] and not mixed:
-            parts[i] = (f"{sign}{whole[r, 0]}.{'0' * int(zeros[r, 0])}%d", [frac[r].tolist()])
-            continue
-        field, lists = ".%0*d", [width[r].tolist(), frac[r].tolist()]
-        if same_whole[r]:
-            field = str(whole[r, 0]) + field
+    for r, i in zip(plain.tolist(), rows[plain].tolist()):
+        # a shared row's one key is its first; only a mixed row runs np.unique
+        row = keys[r]
+        unique, inverse = (row[:1], None) if shared[r] else np.unique(row, return_inverse=True)
+        prefixes = [b"-" * (key & 1) + b"%d." % (key >> 6) + b"0" * (key >> 1 & 31)
+                    for key in unique.tolist()]
+        if shared[r]:
+            parts[i] = (prefixes[0].decode() + "%d", [frac[r].tolist()])
         else:
-            field, lists = "%d" + field, [whole[r].tolist(), *lists]
-        if mixed:
-            field, lists = "%s" + field, [np.where(negative[r], b"-", b"").tolist(), *lists]
-        parts[i] = (sign + field, lists)
+            parts[i] = ("%s%d", [np.array(prefixes, object)[inverse].tolist(), frac[r].tolist()])
     return [part or ("%s", [list(map(str.encode, texts(row)))]) for part, row in zip(parts, table)]
 
 

@@ -26,12 +26,18 @@ def check_betas(betas) -> None:
         raise ValueError(f"velocity ratio must lie in [0, 1), got {float(betas[bad.argmax()])}")
 
 
+def _inverse_energy(betas):
+    """1/E = sqrt(1 - beta^2), as sqrt((1 - beta)(1 + beta)): near beta = 1,
+    1 - beta^2 would cancel, and each factor is exact or within half an ulp."""
+    return np.sqrt((1.0 - betas) * (1.0 + betas))
+
+
 def _plane_waves(betas: np.ndarray) -> np.ndarray:
     """The real (N, 4) positive-helicity spinors (1, 0, k/(1+E), 0)/sqrt(N_e) at
     each velocity ratio, with E = 1/sqrt(1 - beta^2), k = beta E and
     N_e = 2E/(1+E). The spinors stay float64 here: dividing complex ones by
     sqrt(N_e) would round differently."""
-    energy = 1.0 / np.sqrt(1.0 - betas * betas)
+    energy = 1.0 / _inverse_energy(betas)
     spinors = np.zeros((len(betas), 4))
     spinors[:, 0] = 1.0
     spinors[:, 2] = betas * energy / (1.0 + energy)
@@ -44,7 +50,7 @@ def _observables(betas):
     float64 x-z plane at the columns cos theta and sin theta. The square root
     is correctly rounded in numpy as in math; atan, cos and sin are math's."""
     betas = np.asarray(betas, dtype=float)
-    thetas = list(map(math.atan, np.sqrt(1.0 - betas * betas).tolist()))
+    thetas = list(map(math.atan, _inverse_energy(betas).tolist()))
     return thetas, (XZ_PLANE, np.array(list(map(math.cos, thetas))),
                     np.array(list(map(math.sin, thetas))))
 
@@ -89,7 +95,7 @@ def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:
     beta. H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is
     exact."""
     check_betas(beta_v)
-    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
+    energy = 1.0 / _inverse_energy(beta_v)
     hamiltonian = beta_v * energy * ALPHA[2] + BETA
     proj_neg = (np.eye(4) - hamiltonian / energy) / 2.0
     eigvecs = np.linalg.eigh(checked_observable("to split", observable))[1]

@@ -942,30 +942,30 @@ def test_render_of_every_float_field_across_a_block_edge(output_format):
     assert_same_text(render(doc, output_format), reference(doc))
 
 
-def test_plain_float_fields_fold_the_sign_and_the_whole_part():
-    # a shared sign, whole part and count of leading fraction zeros is one
-    # prefix before a %d of the fraction digits; any other plain column
-    # folds its sign and its whole part when it has one of each
-    columns = [[2.25, 2.5], [-0.25, -0.5], [0.025, 0.0625], [0.25, 0.05], [0.25, -1.5],
-               [-12.25, -3.5], [0.0, 0.5], [1.5, 1.5], [1e-5, 0.5],
+def test_plain_float_fields_are_a_prefix_then_the_fraction_digits():
+    # each plain entry is its prefix (sign, whole part, "." and leading
+    # fraction zeros), then %d of its fraction digits: a prefix shared by the
+    # column is written into the field, any other column is "%s%d" of prefix
+    # bytes, here with a mixed sign, whole part and count of leading zeros
+    columns = [[2.25, 2.5], [-0.25, -0.5], [0.025, 0.0625], [0.25, -0.5],
+               [-12.25, -3.5], [0.25, 0.05], [0.0, 0.5], [1.5, 1.5], [1e-5, 0.5],
                [-1.0, 0.9999999999999998], [6.000000000000001, 6.0]]
-    head = ["2.%d", "-0.%d", "0.0%d", "0.%0*d", "%s%d.%0*d", "-%d.%0*d", "%s", "1.5", "%s"]
-    digits = [[2, 1], [25, 5]]  # the widths and fractions of x.25 and x.5
+    head = ["2.%d", "-0.%d", "0.0%d", "%s%d", "%s%d", "%s%d", "%s", "1.5", "%s"]
     for output_format in ("json", "csv"):
         fields, entries, count = _row_fields([np.array(c) for c in columns], output_format)
         assert count == 2
-        assert entries[:12] == [[25, 5], [25, 5], [25, 625], [2, 2], [25, 5],
-                                [b"", b"-"], [0, 1], *digits, [12, 3], *digits]
+        assert entries[:9] == [[25, 5], [25, 5], [25, 625], [b"0.", b"-0."], [25, 5],
+                               [b"-12.", b"-3."], [25, 5], [b"0.", b"0.0"], [25, 5]]
         texts = [b"0.0", b"0.5"] if output_format == "json" else [b"0", b"0.5"]
-        assert entries[12:14] == [texts, [b"1e-05", b"0.5"]]
+        assert entries[9:11] == [texts, [b"1e-05", b"0.5"]]
         if output_format == "json":
-            # 15 digits that round to an integer W take the digit path: "W.0"
-            assert fields == head + ["%s1.%0*d", "6.%d"]
-            assert entries[14:] == [[b"-", b""], [1, 1], [0, 0], [0, 0]]
+            # 15 digits that round to an integer W are the prefix "W." and 0
+            assert fields == head + ["%s%d", "6.%d"]
+            assert entries[11:] == [[b"-1.", b"1."], [0, 0], [0, 0]]
         else:
             # where the CSV writes %.15g's W
             assert fields == head + ["%s", "%s"]
-            assert entries[14:] == [[b"-1", b"1"], [b"6", b"6"]]
+            assert entries[11:] == [[b"-1", b"1"], [b"6", b"6"]]
 
 
 @st.composite
@@ -996,6 +996,9 @@ def _prefixed_columns(draw):
 @example([7.000000000001, 7.000000000002])
 @example([-0.5, -0.25])
 @example([-3.0625, -3.5, 0.125])
+@example([-0.25, 0.5, 0.125])
+@example([2.5, 12.5, 2.25])
+@example([0.5, 0.25, 0.05])
 def test_plain_columns_with_shared_and_mixed_prefixes_are_their_texts(column):
     # in a block beside a plain column, as the rows of the CSV and the JSON
     count = len(column)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from diracctx.freeparticle import (
     check_betas,
     energy_split,
     free_chsh,
+    _inverse_energy,
     _observables,
     _plane_waves,
     free_observables,
@@ -97,6 +99,31 @@ def test_observable_angle_limits():
     assert rest == pytest.approx(math.pi / 4.0, rel=1e-15)
     assert fast < 5e-4
     assert _observables([0.0, 0.9999999])[0] == [rest, fast]
+
+
+def _decimal_atan(x):
+    """atan of a Decimal 0 <= x <= 1/2 by its Taylor series, to below 1e-60."""
+    term, total, k = x, x, 0
+    while term.copy_abs() > decimal.Decimal(10) ** -60:
+        k += 1
+        term *= -x * x
+        total += term / (2 * k + 1)
+    return total
+
+
+def test_angle_and_energy_near_the_speed_of_light_against_decimal():
+    # 1 - beta^2 cancels near beta = 1: written so, theta and E were off by
+    # 5.5e-12 relative at beta = 0.999999 and by 2.0e-11 at 0.9999999
+    betas = np.concatenate([[0.9999, 0.999999, 0.9999999],
+                            np.linspace(0.0, 0.999999, 20000)[-2000:]])
+    thetas, energies = _observables(betas)[0], 1.0 / _inverse_energy(betas)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        for beta, theta, energy in zip(betas.tolist(), thetas, energies.tolist()):
+            inverse = (1 - decimal.Decimal(beta) ** 2).sqrt()
+            exact = _decimal_atan(inverse)
+            assert abs(decimal.Decimal(theta) - exact) <= decimal.Decimal(4e-16) * exact
+            assert abs(decimal.Decimal(energy) * inverse - 1) <= decimal.Decimal(4e-16)
 
 
 def test_high_velocity_limit_of_b():
