@@ -160,11 +160,8 @@ def _json_texts(column: np.ndarray) -> list[str]:
 
 
 def _csv_texts(column: np.ndarray) -> list[str]:
-    """The CSV text of each entry of a column: a float %.15g, a str as it is,
-    an int or a bool (true or false) as in JSON; a number or a fixed word, so
-    no field needs quoting."""
-    if column.dtype.kind == "f":
-        return ["%.15g" % x for x in column.tolist()]
+    """The CSV text of each entry of a column: a str as it is, any other
+    entry as in JSON; a number or a fixed word, so no field needs quoting."""
     return column.tolist() if column.dtype.kind == "U" else _json_texts(column)
 
 
@@ -226,25 +223,22 @@ def _digits15(floats: np.ndarray) -> tuple:
     return whole, width, frac
 
 
-def _float_fields(table: np.ndarray, texts: Callable, integral: bool) -> list:
+def _float_fields(table: np.ndarray) -> list:
     """The field and the entry lists of each row of a (k, N) float table,
-    N >= 1: the float columns of a block, decided in one pass over them all.
+    N >= 1: a block's float columns that are not constant, in one pass.
 
-    A row constant bitwise (0.0 and -0.0 differ) is its one text. A plain row
-    is written from the exact digits of _digits15: every entry is finite with
-    1e-4 <= |x| < 1e14, where %.15g writes no exponent, and, unless integral
-    (the format writes an integral float "W.0", as JSON does), none has
-    digits that round to an integer. Each plain entry is its prefix (sign,
-    whole part, "." and the fraction's leading zeros), then %d of its
-    stripped fraction digits: a row whose entries share one prefix writes it
-    into the field, as in "0.%d", "-2.00%d" or "6.%d" of 0, and any other
-    plain row is "%s%d" of prefix bytes. Any other row is %s of its texts.
+    A plain row is written from the exact digits of _digits15: every entry
+    is finite with 1e-4 <= |x| < 1e14, where %.15g writes no exponent. Each
+    plain entry is its prefix (sign, whole part, "." and the fraction's
+    leading zeros), then %d of its stripped fraction digits: a row whose
+    entries share one prefix writes it into the field, as in "0.%d",
+    "-2.00%d" or "6.%d" of 0 (digits that round to an integer W are "W.0",
+    the JSON text), and any other plain row is "%s%d" of prefix bytes. Any
+    other row is %s of its texts.
     """
-    bits = table.view(np.uint64)
-    constant = (bits == bits[:, :1]).all(axis=1)
     size = np.abs(table)
     # the range test keeps nan and inf out of the digits
-    rows = np.flatnonzero(~constant & ((size >= 1e-4) & (size < 1e14)).all(axis=1))
+    rows = np.flatnonzero(((size >= 1e-4) & (size < 1e14)).all(axis=1))
     candidates = table[rows]
     digits = _digits15(candidates.ravel())
     whole, width, frac = (column.reshape(candidates.shape) for column in digits)
@@ -253,11 +247,9 @@ def _float_fields(table: np.ndarray, texts: Callable, integral: bool) -> list:
     # each entry's prefix as one int64: the whole part, the leading zeros (at
     # most 14, in five bits) and the sign (the low bit)
     keys = (whole * 32 + zeros) * 2 + (candidates < 0.0)
-    plain = np.flatnonzero(integral | (frac != 0).all(axis=1))
     shared = (keys == keys[:, :1]).all(axis=1).tolist()
-    parts = [(texts(row[:1])[0].replace("%", "%%"), []) if same else None
-             for row, same in zip(table, constant.tolist())]
-    for r, i in zip(plain.tolist(), rows[plain].tolist()):
+    parts = [None] * len(table)
+    for r, i in enumerate(rows.tolist()):
         # a shared row's one key is its first; only a mixed row runs np.unique
         row = keys[r]
         unique, inverse = (row[:1], None) if shared[r] else np.unique(row, return_inverse=True)
@@ -267,7 +259,8 @@ def _float_fields(table: np.ndarray, texts: Callable, integral: bool) -> list:
             parts[i] = (prefixes[0].decode() + "%d", [frac[r].tolist()])
         else:
             parts[i] = ("%s%d", [np.array(prefixes, object)[inverse].tolist(), frac[r].tolist()])
-    return [part or ("%s", [list(map(str.encode, texts(row)))]) for part, row in zip(parts, table)]
+    return [part or ("%s", [list(map(str.encode, _json_texts(row)))])
+            for part, row in zip(parts, table)]
 
 
 def _row_fields(columns: list, output_format: str) -> tuple[list, list, int]:
@@ -275,12 +268,12 @@ def _row_fields(columns: list, output_format: str) -> tuple[list, list, int]:
     the block's % takes for them, in order, and the block's row count (1 for
     no columns), in the report format, json or csv; a %s entry is bytes.
 
-    The float columns take their fields from one _float_fields pass. Any
-    other constant column is its one text, written into the template. An int
-    column is %d of its ints, the text of an int in either format. Any other
-    column is %s of its texts. A column that is not a 1-D numpy array of
-    float, int, bool or str raises TypeError, before any folding (True == 1),
-    and columns of different lengths ValueError.
+    A constant column (a float one by its float64 bits: 0.0 and -0.0 differ)
+    is its one text, written into the template; the other float columns take
+    their fields from one _float_fields pass. An int column is %d of its ints,
+    the text of an int in either format. Any other column is %s of its texts.
+    A column that is not a 1-D numpy array of float, int, bool or str raises
+    TypeError before any folding (True == 1); ragged columns raise ValueError.
     """
     texts = _json_texts if output_format == "json" else _csv_texts
     parts, floats, counts = [], [], set()
@@ -290,11 +283,13 @@ def _row_fields(columns: list, output_format: str) -> tuple[list, list, int]:
         if column.dtype.kind not in "biufU":
             raise TypeError(f"a report column of dtype {column.dtype} is not JSON serializable")
         counts.add(len(column))
-        if column.dtype.kind == "f":
+        # a copy, so that a strided column has its bits too
+        values = column.astype(float).view(np.uint64) if column.dtype.kind == "f" else column
+        if len(column) and (values == values[0]).all():
+            parts.append((texts(column[:1])[0].replace("%", "%%"), []))
+        elif column.dtype.kind == "f":
             floats.append(len(parts))
             parts.append(column)
-        elif len(column) and (column == column[0]).all():
-            parts.append((texts(column[:1])[0].replace("%", "%%"), []))
         elif column.dtype.kind in "iu":
             parts.append(("%d", [column.tolist()]))
         else:
@@ -304,8 +299,7 @@ def _row_fields(columns: list, output_format: str) -> tuple[list, list, int]:
     count = counts.pop() if counts else 1
     if floats:
         table = np.array([parts[i] for i in floats], dtype=float)
-        fields = (_float_fields(table, texts, output_format == "json") if count
-                  else [("%s", [[]])] * len(floats))
+        fields = _float_fields(table) if count else [("%s", [[]])] * len(floats)
         for i, part in zip(floats, fields):
             parts[i] = part
     entries = [entry for _, lists in parts for entry in lists]
@@ -322,73 +316,63 @@ def _filled(row: str, separator: str, entries: list, count: int) -> str:
     return (separator.encode().join([row.encode()] * count) % tuple(flat)).decode()
 
 
-def _leaves(block: dict):
-    """The columns of a block, nested blocks included, in row template order."""
-    for entry in block.values():
-        yield from _leaves(entry) if isinstance(entry, dict) else (entry,)
-
-
-def _row_template(block: dict, indent: str, fields) -> str:
-    """The JSON text of one row of the block at this indent level, as
-    json.dumps(..., indent=2) writes it, each column's text the next of the
-    iterator fields."""
-    if not block:
-        return "{}"
+def _json_text(value, indent: str, leaf: Callable) -> str:
+    """The JSON text of value at this indent level, as json.dumps(...,
+    indent=2) writes it: a dict of str keys member by member, any other key
+    raising TypeError, and any other value leaf(value)."""
+    if not isinstance(value, dict):
+        return leaf(value)
     inner = indent + "  "
     items = []
-    for key, entry in block.items():
+    for key, entry in value.items():
         if not isinstance(key, str):
             raise TypeError(f"report keys must be str, got {type(key).__name__}")
-        text = _row_template(entry, inner, fields) if isinstance(entry, dict) else next(fields)
-        items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items.append(encode_basestring_ascii(key) + ": " + _json_text(entry, inner, leaf))
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}" if items else "{}"
 
 
-def _json_block(block: dict, indent: str) -> str:
-    """The JSON text of the rows of a block at this indent level, joined by
-    "," and a new line: the row template of _row_template, repeated once per
-    row and filled by one %. A block without columns is one row, as the
-    head's empty params is; a block of no rows is ""."""
-    fields, entries, count = _row_fields(list(_leaves(block)), "json")
-    return _filled(_row_template(block, indent, iter(fields)), ",\n" + indent, entries, count)
-
-
-def _head_json(value, indent: str) -> str:
-    """The JSON text of a head value (the command, the version, the params) at
-    this indent level, straight from its Python value as json.dumps(...,
-    indent=2) writes it: a float by _float_texts, None, an int, a bool or a
-    str by json.dumps, a dict of str keys member by member; any other value
-    (a numpy integer, a list) or key raises TypeError."""
+def _head_leaf(value) -> str:
+    """The JSON text of a head value (the command, the version, a params
+    entry), straight from its Python value: a float by _float_texts, None,
+    an int, a bool or a str by json.dumps; any other value (a numpy integer,
+    a list) raises TypeError."""
     if isinstance(value, float):
         return _float_texts([value])[0]
     if value is None or isinstance(value, (int, str)):
         return json.dumps(value)
-    if not isinstance(value, dict) or not all(isinstance(key, str) for key in value):
-        raise TypeError(f"a report head of {type(value).__name__} is not JSON serializable")
-    inner = indent + "  "
-    items = [encode_basestring_ascii(key) + ": " + _head_json(v, inner) for key, v in value.items()]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}" if items else "{}"
+    raise TypeError(f"a report head of {type(value).__name__} is not JSON serializable")
+
+
+def _json_block(block: dict, indent: str) -> str:
+    """The JSON text of the rows of a block at this indent level, joined by
+    "," and a new line: one row's text, each column a NUL (which no JSON text
+    holds raw) replaced by its field, is the row template, repeated once per
+    row and filled by one %. A block without columns is one row, as the
+    head's empty params is; a block of no rows is ""."""
+    columns = []
+    text = _json_text(block, indent, lambda column: columns.append(column) or "\x00")
+    fields, entries, count = _row_fields(columns, "json")
+    pieces = text.replace("%", "%%").split("\x00")
+    row = pieces[0] + "".join(field + piece for field, piece in zip(fields, pieces[1:]))
+    return _filled(row, ",\n" + indent, entries, count)
 
 
 def _json_pieces(document: dict):
     """The JSON report in pieces: the text up to the results, the results a
-    block at a time, then the rest."""
-    text = "{"
-    for i, (key, value) in enumerate(document.items()):
-        text += ("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": "
-        if key != "results":
-            text += _head_json(value, "  ")
-            continue
-        separator = ",\n    "
-        prefix = text + "[\n    "
-        for block in value:
-            rows = _json_block(block, "    ")
-            if rows:
-                yield prefix + rows
-                prefix = separator
-        # the prefix is still the opening bracket when the results were empty
-        text = "\n  ]" if prefix is separator else text + "[]"
-    yield text + "\n}\n"
+    block at a time, then the rest. The document is written once, with a NUL
+    for the results, and split there."""
+    results = document["results"]
+    text = _json_text(document, "", lambda value: "\x00" if value is results else _head_leaf(value))
+    head, tail = text.split("\x00")
+    separator = ",\n    "
+    prefix = head + "[\n    "
+    for block in results:
+        rows = _json_block(block, "    ")
+        if rows:
+            yield prefix + rows
+            prefix = separator
+    # the prefix is still the opening bracket when the results were empty
+    yield ("\n  ]" if prefix is separator else head + "[]") + tail + "\n"
 
 
 def report_pieces(document: dict, output_format: str):

@@ -486,7 +486,7 @@ def test_generic_csv_header():
     doc = _run("peres-mermin", n_max=1, seed=0)
     lines = render(doc, "csv").strip().split("\n")
     assert lines[0] == "state,value,bound,violated"
-    assert lines[1] == "n=1 kappa=1 mj=-0.5,6,4,true"
+    assert lines[1] == "n=1 kappa=1 mj=-0.5,6.0,4.0,true"
     assert len(lines) == 1 + 2 + 100 + 1
     # a command without CSV labels leads each row with its kind
     doc = _run("measurability")
@@ -508,7 +508,7 @@ def test_free_electron_csv_tabulates_the_closed_form(tmp_path, capsys):
             assert [float(row[0]) for row in table] == [0.0, 0.4995, 0.999]
         for _, _, closed_form, value, bound, violated in table:
             assert abs(float(value) - float(closed_form)) <= 1e-12
-            assert (bound, violated) == ("2", "true")
+            assert (bound, violated) == ("2.0", "true")
         # each row is the row of the JSON report on the same grid
         report = tmp_path / f"curve-{points}.json"
         assert main(["free-electron", "--beta-grid", grid, "--output", str(report)]) == EXIT_OK
@@ -761,9 +761,13 @@ def test_render_json_matches_reference_writer(command, params, table):
 
 
 def test_render_json_head_texts_ending_in_nul_match_reference_writer():
-    # the head is written from its Python values, so no numpy str drops a trailing NUL
-    doc = _document("\x00", {"label": "a\x00", "nested": {"x": "\x00\x00"}}, [])
-    assert render(doc, "json") == _reference_json(doc, [])
+    # the head is written from its Python values, so no numpy str drops a trailing NUL;
+    # keys and texts that hold NUL and % beside the NUL that marks each column
+    # and the results in the writer's templates
+    params = {"label": "a\x00", "nested": {"x": "\x00\x00"}, "%\x00k": "%d\x00"}
+    block = {"kind": np.array(["t", "u"]), "\x00%s": {"%\x00": np.array([0.5, 1.5])}}
+    doc = _document("\x00", params, [block])
+    assert render(doc, "json") == _reference_json(doc)
     assert json.loads(render(doc, "json"))["command"] == "\x00"
 
 
@@ -778,9 +782,15 @@ def test_render_json_of_tables_matches_reference_writer(data):
 
 
 def test_render_json_of_float_edges_in_one_column():
+    # in both formats, which write a float alike: NaN and Infinity in CSV too
     column = [*FLOAT_EDGES, *(-x for x in FLOAT_EDGES), math.inf, -math.inf, math.nan]
-    doc = _document("edges", {}, [{"value": np.array(column)}])
-    assert render(doc, "json") == _reference_json(doc, [{"value": x} for x in column])
+    count = len(column)
+    block = {"kind": np.full(count, "edge"), "value": np.array(column),
+             "bound": np.full(count, 2.0), "violated": np.zeros(count, dtype=bool)}
+    doc = _document("edges", {}, [block])
+    assert render(doc, "json") == _reference_json(doc)
+    assert render(doc, "csv") == _reference_csv(doc)
+    assert "\nedge,NaN,2.0,false\n" in render(doc, "csv")
 
 
 @pytest.mark.parametrize("column", [
@@ -797,16 +807,23 @@ def test_render_json_of_float_edges_in_one_column():
     [99999999999999.98, 1e14], [-1e-4, -0.25, -99999999999999.9],
     # one row
     [0.3],
+    # strided views, as the sweep's columns are: plain entries beside 0.0, and
+    # a constant -0.0
+    np.arange(8.0)[::2], np.full(8, -0.0)[::2],
+    # float32: 0.0 and -0.0 differ in float64 bits too
+    np.array([0.0, -0.0], dtype=np.float32),
 ], ids=repr)
 def test_render_json_of_folded_and_plain_columns(column):
     # the column beside a plain column and a column of other texts, in a
     # block, in the head's params, and under a key that holds %
+    column = np.asarray(column)
     count = len(column)
     plain = [0.25 + i for i in range(count)]
     labels = [f"s%{i}" for i in range(count)]
-    block = {"kind": np.array(column), "terms": {"%s": np.array(plain), "x%%": np.array(column)},
+    block = {"kind": column, "terms": {"%s": np.array(plain), "x%%": column},
              "state": np.array(labels)}
-    doc = _document("edges", {"p%": column[0], "q": {"r%d": column[-1]}}, [block, block])
+    head = {"p%": column[0].item(), "q": {"r%d": column[-1].item()}}
+    doc = _document("edges", head, [block, block])
     rows = block_rows(block, count) * 2
     assert_same_text(render(doc, "json"), _reference_json(doc, rows))
 
@@ -891,11 +908,11 @@ def _reference_csv(doc):
     for r in report_rows(doc["results"]):
         p = r.get("parameters")
         # an int parameter (n, kappa, sign) or a str one (state) is written as
-        # it is, a float %.15g
-        head = [p[key] if isinstance(p[key], (int, str)) else f"{p[key]:.15g}"
+        # it is, a float as the JSON reference writes it
+        head = [p[key] if isinstance(p[key], (int, str)) else json.dumps(float(f"{p[key]:.15g}"))
                 for key in labels] if labels else [r["kind"]]
-        writer.writerow(head + [f"{r['value']:.15g}", f"{r['bound']:.15g}",
-                                "true" if r["violated"] else "false"])
+        writer.writerow(head + [json.dumps(float(f"{r[key]:.15g}")) for key in ("value", "bound")]
+                        + ["true" if r["violated"] else "false"])
     return buf.getvalue()
 
 
@@ -950,22 +967,16 @@ def test_plain_float_fields_are_a_prefix_then_the_fraction_digits():
     columns = [[2.25, 2.5], [-0.25, -0.5], [0.025, 0.0625], [0.25, -0.5],
                [-12.25, -3.5], [0.25, 0.05], [0.0, 0.5], [1.5, 1.5], [1e-5, 0.5],
                [-1.0, 0.9999999999999998], [6.000000000000001, 6.0]]
-    head = ["2.%d", "-0.%d", "0.0%d", "%s%d", "%s%d", "%s%d", "%s", "1.5", "%s"]
+    # both formats write a float as the JSON text: 15 digits that round to an
+    # integer W are the prefix "W." and 0
     for output_format in ("json", "csv"):
         fields, entries, count = _row_fields([np.array(c) for c in columns], output_format)
         assert count == 2
-        assert entries[:9] == [[25, 5], [25, 5], [25, 625], [b"0.", b"-0."], [25, 5],
-                               [b"-12.", b"-3."], [25, 5], [b"0.", b"0.0"], [25, 5]]
-        texts = [b"0.0", b"0.5"] if output_format == "json" else [b"0", b"0.5"]
-        assert entries[9:11] == [texts, [b"1e-05", b"0.5"]]
-        if output_format == "json":
-            # 15 digits that round to an integer W are the prefix "W." and 0
-            assert fields == head + ["%s%d", "6.%d"]
-            assert entries[11:] == [[b"-1.", b"1."], [0, 0], [0, 0]]
-        else:
-            # where the CSV writes %.15g's W
-            assert fields == head + ["%s", "%s"]
-            assert entries[11:] == [[b"-1", b"1"], [b"6", b"6"]]
+        assert fields == ["2.%d", "-0.%d", "0.0%d", "%s%d", "%s%d", "%s%d", "%s", "1.5", "%s",
+                          "%s%d", "6.%d"]
+        assert entries == [[25, 5], [25, 5], [25, 625], [b"0.", b"-0."], [25, 5],
+                           [b"-12.", b"-3."], [25, 5], [b"0.", b"0.0"], [25, 5],
+                           [b"0.0", b"0.5"], [b"1e-05", b"0.5"], [b"-1.", b"1."], [0, 0], [0, 0]]
 
 
 @st.composite
@@ -1006,7 +1017,7 @@ def test_plain_columns_with_shared_and_mixed_prefixes_are_their_texts(column):
              "bound": np.arange(count) + 0.5, "violated": np.ones(count, dtype=bool)}
     doc = _document("table", {}, [block])
     rows = render(doc, "csv").splitlines()[1:]
-    assert [row.split(",")[1] for row in rows] == ["%.15g" % x for x in column]
+    assert [row.split(",")[1] for row in rows] == [json.dumps(float("%.15g" % x)) for x in column]
     assert_same_text(render(doc, "json"), _reference_json(doc))
 
 
