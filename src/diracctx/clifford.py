@@ -11,7 +11,7 @@ numbers are exact in IEEE double, whatever order BLAS uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,18 +51,9 @@ ALPHA = tuple(_frozen(np.kron(_PAULI["x"], _PAULI[ax])) for ax in AXES)
 BETA = _frozen(np.kron(_PAULI["z"], _I2))
 
 
-@dataclass(frozen=True)
-class ObservableTriple:
-    """A commuting-family triple; each component is a Hermitian involution and
-    x*y = i*z cyclically."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-
-def _triple(x, y, z) -> ObservableTriple:
-    return ObservableTriple(x=_frozen(x), y=_frozen(y), z=_frozen(z))
+def _triple(x, y, z) -> MappingProxyType:
+    """Read-only axes x, y, z -> Hermitian involutions, x*y = i*z cyclically."""
+    return MappingProxyType(dict(zip(AXES, map(_frozen, (x, y, z)))))
 
 
 _FAMILIES = {
@@ -76,9 +67,9 @@ _FAMILIES = {
 # columns are +1, down the third column -1
 _S, _SP = _FAMILIES["Sigma"], _FAMILIES["SigmaPrime"]
 PERES_MERMIN_GRID = (
-    (_SP.z, _S.z, _frozen(_S.z @ _SP.z)),
-    (_S.x, _SP.x, _frozen(_S.x @ _SP.x)),
-    (_frozen(_SP.z @ _S.x), _frozen(_SP.x @ _S.z), _frozen(_S.y @ _SP.y)),
+    (_SP["z"], _S["z"], _frozen(_S["z"] @ _SP["z"])),
+    (_S["x"], _SP["x"], _frozen(_S["x"] @ _SP["x"])),
+    (_frozen(_SP["z"] @ _S["x"]), _frozen(_SP["x"] @ _S["z"]), _frozen(_S["y"] @ _SP["y"])),
 )
 
 
@@ -96,8 +87,8 @@ def _lines(grid) -> tuple:
 PERES_MERMIN_LINES = _lines(PERES_MERMIN_GRID)
 
 
-def build_family(label: str) -> ObservableTriple:
-    """Observable triple for one of the four families."""
+def build_family(label: str) -> MappingProxyType:
+    """The read-only axis mapping (x, y, z) of one of the four families."""
     if label not in FAMILY_LABELS:
         raise ValueError(f"label must be one of {FAMILY_LABELS}, got {label!r}")
     return _FAMILIES[label]
@@ -150,20 +141,17 @@ def audit_algebra() -> dict[str, float]:
     # family components: Hermitian involutions, cyclic products
     for label in FAMILY_LABELS:
         fam = _FAMILIES[label]
-        for ax in AXES:
-            m = getattr(fam, ax)
+        for ax, m in fam.items():
             add(f"{label}.{ax} hermitian", m - m.conj().T)
             add(f"{label}.{ax}^2 = 1", m @ m - IDENTITY4)
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-            add(f"{label}.{a}*{b} = i*{c}",
-                getattr(fam, a) @ getattr(fam, b) - 1j * getattr(fam, c))
+            add(f"{label}.{a}*{b} = i*{c}", fam[a] @ fam[b] - 1j * fam[c])
 
     # the nine cross-family commutators
     for a in AXES:
         for b in AXES:
             add(f"[Gamma.{a}, GammaPrime.{b}] = 0",
-                commutator(getattr(_FAMILIES["Gamma"], a),
-                           getattr(_FAMILIES["GammaPrime"], b)))
+                commutator(_FAMILIES["Gamma"][a], _FAMILIES["GammaPrime"][b]))
 
     # Peres-Mermin lines: pairwise commutation, products +-1 with only col 3
     # negative; the lines are taken from the grid as it is now

@@ -27,9 +27,9 @@ _GAMMA, _GAMMA_PRIME = build_family("Gamma"), build_family("GammaPrime")
 # the planes (A, C, P, Q) of chsh_value, read-only as the families are:
 # x-z is real, so the free curve runs in float64 ("0.0 -" keeps every zero
 # +0.0), and y-z is complex
-XZ_PLANE = (_GAMMA.x.real.copy(), _GAMMA.z.real.copy(), _GAMMA_PRIME.x.real.copy(),
-            0.0 - _GAMMA_PRIME.z.real)
-YZ_PLANE = (_GAMMA.y, _GAMMA.z, _GAMMA_PRIME.y, _GAMMA_PRIME.z)
+XZ_PLANE = (_GAMMA["x"].real.copy(), _GAMMA["z"].real.copy(), _GAMMA_PRIME["x"].real.copy(),
+            0.0 - _GAMMA_PRIME["z"].real)
+YZ_PLANE = (_GAMMA["y"], _GAMMA["z"], _GAMMA_PRIME["y"], _GAMMA_PRIME["z"])
 for _matrix in XZ_PLANE:
     _matrix.flags.writeable = False
 

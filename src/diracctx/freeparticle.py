@@ -13,7 +13,7 @@ import numpy as np
 
 from .clifford import ALPHA, BETA
 from .contextuality import XZ_PLANE, chsh_value, plane_observables
-from .spindensity import checked_observable, pure_density
+from .spindensity import COMMUTE_TOLERANCE, checked_observable, pure_density
 
 
 def check_betas(betas) -> None:
@@ -57,15 +57,11 @@ def _observables(betas):
 
 def free_observables(beta_v: float):
     """(A', B', C', D') = (g0, (cos(t) g3 + sin(t) g1) g5, i g2, (-cos(t) g3 + sin(t) g1) g5),
-    as complex matrices: g0, i g2, g3 g5 and g1 g5 are Gamma.x, Gamma.z,
-    GammaPrime.x and -GammaPrime.z, since g1 g5 = -g5 g1.
-
-    They stay complex, though every entry is real, for energy_split: its eigh
-    basis of a float64 matrix differs, and moves the negative-energy weights
-    of the measurability report by up to 3.3e-16 at beta = 0 and 0.5."""
+    the curve's own float64 matrices at beta_v: g0, i g2, g3 g5 and g1 g5 are
+    Gamma.x, Gamma.z, GammaPrime.x and -GammaPrime.z, since g1 g5 = -g5 g1."""
     check_betas(beta_v)
     plane, cos, sin = _observables([beta_v])[1]
-    return tuple(m.astype(complex) for m in plane_observables(plane, cos[0], sin[0]))
+    return plane_observables(plane, cos[0], sin[0])
 
 
 def free_chsh(betas) -> dict:
@@ -88,15 +84,21 @@ def free_chsh(betas) -> dict:
 
 
 def energy_split(beta_v: float, observable: np.ndarray) -> np.ndarray:
-    """The negative-energy weight of each eigenvector of the observable at the
-    momentum k = beta E of velocity ratio beta_v: diagonalize the observable
-    and weigh each eigenvector with the projector (1 - H/E)/2 onto the
-    negative-energy subspace of the fixed-k free Hamiltonian H = k alpha_z +
-    beta. H^2 = (1 + k^2) * identity = E^2 * identity, so the projector is
-    exact."""
+    """The negative-energy weights of a dichotomic observable O at the momentum
+    k = beta E of velocity ratio beta_v: the eigenvalues w of the projector
+    P = (1 - H/E)/2 onto the negative energies of H = k alpha_z + beta (exact,
+    as H^2 = E^2) on each eigenspace of O, so no basis of one moves them:
+    (1 -+ beta)/2 for A' and C', (1 -+ beta/sqrt(2 - beta^2))/2 for B' and D'.
+    M = (O P + P O)/2 + 2 O is -(2 + w) on O's -1 eigenspace and 2 + w on its
+    +1 eigenspace, so the weights come in M's ascending order: the -1
+    eigenspace by decreasing weight, then the +1 eigenspace by increasing
+    weight. O^2 != 1 raises ValueError."""
     check_betas(beta_v)
     energy = 1.0 / _inverse_energy(beta_v)
     hamiltonian = beta_v * energy * ALPHA[2] + BETA
     proj_neg = (np.eye(4) - hamiltonian / energy) / 2.0
-    eigvecs = np.linalg.eigh(checked_observable("to split", observable))[1]
+    o = checked_observable("to split", observable)
+    if not np.abs(o @ o - np.eye(4)).max() <= COMMUTE_TOLERANCE:
+        raise ValueError("observable to split is not dichotomic: O^2 != 1")
+    eigvecs = np.linalg.eigh((o @ proj_neg + proj_neg @ o) / 2.0 + 2.0 * o)[1]
     return np.einsum("iu,uv,vi->i", eigvecs.conj().T, proj_neg, eigvecs).real

@@ -24,6 +24,10 @@ from .specfun import hyp1f1_terminating, radial_nodes, spherical_harmonic
 FINE_STRUCTURE_ALPHA = 1.0 / 137.036
 
 
+class QuadratureError(RuntimeError):
+    """A normalization that is not finite, or a density off its closed form."""
+
+
 def _check_alpha(a: float) -> None:
     if not 0.0 < a < 1.0:
         raise ValueError(f"fine structure constant must lie in (0, 1), got {a}")
@@ -202,7 +206,8 @@ def eigenstate(qn: QuantumNumbers, a: float) -> SpinorField:
     rho^2 (f^2 + g^2) is rho^(2 nu) e^-rho times a polynomial of degree
     2 n_tilde, so n_tilde + 1 Gauss-Laguerre nodes for that weight integrate
     the normalization N = integral rho^2 (f^2 + g^2) d rho exactly; the state
-    keeps that rule.
+    keeps that rule. A normalization that is not positive and finite (the
+    rule's weights or the radial pair overflow at large n) raises QuadratureError.
     """
     _check_alpha(a)
     rule = radial_nodes(qn.n_tilde + 1, 2.0 * _nu(qn.kappa, a))
@@ -210,6 +215,6 @@ def eigenstate(qn: QuantumNumbers, a: float) -> SpinorField:
     f, g = radial_fg(qn, a, rho)
     norm = float(np.sum(w * rho * rho * (f * f + g * g)))
     if not (norm > 0.0 and math.isfinite(norm)):
-        raise ValueError(f"normalization must be positive and finite, got {norm}")
+        raise QuadratureError(f"normalization must be positive and finite, got {norm}")
     return SpinorField(qn=qn, a=a, rule=rule, norm=norm)
 

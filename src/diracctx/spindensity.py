@@ -18,14 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import hermiticity_defect
-from .hydrogen import SpinorField
+from .hydrogen import QuadratureError, SpinorField
 from .specfun import quadrature_nodes
 
 COMMUTE_TOLERANCE = 1e-10
-
-
-class QuadratureError(RuntimeError):
-    """An integrated spin density departs from its closed form."""
 
 
 class IncompatibleObservablesError(ValueError):

@@ -150,8 +150,8 @@ def test_criterion_07_algebra_audit():
     gamp = build_family("GammaPrime")
     commutators_zero = all(
         np.array_equal(commutator(a, b), np.zeros((4, 4)))
-        for a in (gam.x, gam.y, gam.z)
-        for b in (gamp.x, gamp.y, gamp.z)
+        for a in (gam["x"], gam["y"], gam["z"])
+        for b in (gamp["x"], gamp["y"], gamp["z"])
     )
     eye = np.eye(4)
     products_ok = all(

@@ -254,6 +254,23 @@ def test_converge_flags_a_nan_density(monkeypatch, capsys):
                    f"closed form by nan > {CONVERGE_BOUND} on 1 radial nodes\n")
 
 
+@pytest.mark.parametrize("n, kappa", [(85, 85), (188, 1), (200, -199)])
+def test_converge_exits_3_when_the_normalization_overflows(n, kappa):
+    # the radial rule's weights overflow at large |kappa|: a numerical failure,
+    # not a usage error; in a subprocess, since pytest turns the overflow
+    # RuntimeWarning into an error in process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracctx.cli", "converge", "--n", str(n), "--kappa", str(kappa)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_QUADRATURE
+    assert proc.stdout == ""
+    assert "quadrature failure: normalization must be positive and finite" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, label", [
     ([], "n=1 kappa=1 mj=0.5"), (["--n", "4", "--kappa", "-2"], "n=4 kappa=-2 mj=0.5")])
 def test_converge_catches_swapped_clebsch_gordan_weights(monkeypatch, capsys, argv, label):
@@ -396,10 +413,10 @@ def _reference_sweep_row(qn, a):
     and their signed sum."""
     gamma, gamma_prime = build_family("Gamma"), build_family("GammaPrime")
     xi = optimal_xi(*_columns([qn], a))[0].item()
-    b = -math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
-    d = math.sin(xi) * gamma_prime.y + math.cos(xi) * gamma_prime.z
+    b = -math.sin(xi) * gamma_prime["y"] + math.cos(xi) * gamma_prime["z"]
+    d = math.sin(xi) * gamma_prime["y"] + math.cos(xi) * gamma_prime["z"]
     rho = _reference_density(qn, a)
-    pairs = {"AB": (gamma.y, b), "BC": (b, gamma.z), "CD": (gamma.z, d), "DA": (d, gamma.y)}
+    pairs = {"AB": (gamma["y"], b), "BC": (b, gamma["z"]), "CD": (gamma["z"], d), "DA": (d, gamma["y"])}
     terms = {k: float(np.trace(rho @ o1 @ o2).real) for k, (o1, o2) in pairs.items()}
     return terms, terms["AB"] + terms["BC"] + terms["CD"] - terms["DA"]
 

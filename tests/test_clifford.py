@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from diracctx.clifford import (
     GAMMA,
     IDENTITY4,
     PERES_MERMIN_GRID,
-    ObservableTriple,
     audit_algebra,
     build_family,
     commutator,
@@ -69,31 +69,31 @@ def test_adjoint_is_involutive():
 
 def test_gamma_family_definition():
     fam = build_family("Gamma")
-    assert np.array_equal(fam.x, GAMMA[0])
-    assert np.array_equal(fam.y, GAMMA[2] @ GAMMA[0])
-    assert np.array_equal(fam.z, 1j * GAMMA[2])
+    assert np.array_equal(fam["x"], GAMMA[0])
+    assert np.array_equal(fam["y"], GAMMA[2] @ GAMMA[0])
+    assert np.array_equal(fam["z"], 1j * GAMMA[2])
 
 
 def test_gamma_prime_family_definition():
     fam = build_family("GammaPrime")
-    assert np.array_equal(fam.x, GAMMA[3] @ GAMMA[5])
-    assert np.array_equal(fam.y, 1j * GAMMA[3] @ GAMMA[1])
-    assert np.array_equal(fam.z, GAMMA[5] @ GAMMA[1])
+    assert np.array_equal(fam["x"], GAMMA[3] @ GAMMA[5])
+    assert np.array_equal(fam["y"], 1j * GAMMA[3] @ GAMMA[1])
+    assert np.array_equal(fam["z"], GAMMA[5] @ GAMMA[1])
 
 
 def test_sigma_families_are_kron_products():
     sig = build_family("Sigma")
     sigp = build_family("SigmaPrime")
     for ax in AXES:
-        assert np.array_equal(getattr(sig, ax), np.kron(np.eye(2), PAULI[ax]))
-        assert np.array_equal(getattr(sigp, ax), np.kron(PAULI[ax], np.eye(2)))
+        assert np.array_equal(sig[ax], np.kron(np.eye(2), PAULI[ax]))
+        assert np.array_equal(sigp[ax], np.kron(PAULI[ax], np.eye(2)))
 
 
 def test_cross_family_commutators_vanish_exactly():
     gam = build_family("Gamma")
     gamp = build_family("GammaPrime")
-    for a in (gam.x, gam.y, gam.z):
-        for b in (gamp.x, gamp.y, gamp.z):
+    for a in (gam["x"], gam["y"], gam["z"]):
+        for b in (gamp["x"], gamp["y"], gamp["z"]):
             assert np.array_equal(commutator(a, b), np.zeros((4, 4)))
 
 
@@ -105,7 +105,7 @@ def test_self_commutator_is_zero():
 @pytest.mark.parametrize("label", FAMILY_LABELS)
 def test_family_components_hermitian_involutions(label):
     fam = build_family(label)
-    for m in (fam.x, fam.y, fam.z):
+    for m in (fam["x"], fam["y"], fam["z"]):
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(m @ m, I4)
 
@@ -113,7 +113,7 @@ def test_family_components_hermitian_involutions(label):
 @pytest.mark.parametrize("label", FAMILY_LABELS)
 def test_family_cyclic_products(label):
     fam = build_family(label)
-    x, y, z = fam.x, fam.y, fam.z
+    x, y, z = fam["x"], fam["y"], fam["z"]
     assert np.array_equal(x @ y, 1j * z)
     assert np.array_equal(y @ z, 1j * x)
     assert np.array_equal(z @ x, 1j * y)
@@ -121,8 +121,17 @@ def test_family_cyclic_products(label):
 
 def test_sigma_squares_sum_to_three():
     sig = build_family("Sigma")
-    total = sum(m @ m for m in (sig.x, sig.y, sig.z))
+    total = sum(m @ m for m in (sig["x"], sig["y"], sig["z"]))
     assert np.array_equal(total, 3 * I4)
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_families_are_read_only_axis_mappings(label):
+    fam = build_family(label)
+    assert tuple(fam) == AXES
+    with pytest.raises(TypeError):
+        fam["x"] = IDENTITY4
+    assert not any(m.flags.writeable for m in fam.values())
 
 
 def test_unknown_family_label():
@@ -145,7 +154,7 @@ def test_alpha_beta_shapes():
 
 def _direction(fam, n):
     """The family's observable along the unit direction n: n_x X + n_y Y + n_z Z."""
-    return n[0] * fam.x + n[1] * fam.y + n[2] * fam.z
+    return n[0] * fam["x"] + n[1] * fam["y"] + n[2] * fam["z"]
 
 
 def test_direction_observables_reproduce_ground_choice():
@@ -182,7 +191,7 @@ def test_audit_covers_expected_claims():
 def test_audited_matrices_have_unit_gaussian_integer_entries():
     # the premise of the zero-tolerance audit: entries in {0, +-1, +-i}
     mats = [*GAMMA.values(), IDENTITY4]
-    mats += [getattr(build_family(label), ax) for label in FAMILY_LABELS for ax in AXES]
+    mats += [build_family(label)[ax] for label in FAMILY_LABELS for ax in AXES]
     mats += [m for row in PERES_MERMIN_GRID for m in row]
     for m in mats:
         parts = np.concatenate([m.real.ravel(), m.imag.ravel()])
@@ -191,10 +200,9 @@ def test_audited_matrices_have_unit_gaussian_integer_entries():
 
 
 def _flip_family(label, axis):
-    fam = build_family(label)
-    mats = {ax: getattr(fam, ax) for ax in AXES}
+    mats = dict(build_family(label))
     mats[axis] = -mats[axis]
-    return {**clifford._FAMILIES, label: ObservableTriple(**mats)}
+    return {**clifford._FAMILIES, label: MappingProxyType(mats)}
 
 
 def _flip_grid_entry(i, j):

@@ -164,7 +164,7 @@ def test_ground_b_is_a_direction_observable():
     # B is GammaPrime along the unit direction (s, 0, -s)
     s = 1.0 / math.sqrt(2.0)
     b = _matrices(ground_observables(0.5))[1]
-    direction = s * GAMMA_PRIME.x + 0.0 * GAMMA_PRIME.y - s * GAMMA_PRIME.z
+    direction = s * GAMMA_PRIME["x"] + 0.0 * GAMMA_PRIME["y"] - s * GAMMA_PRIME["z"]
     assert np.allclose(b, direction, atol=1e-15)
 
 
@@ -174,9 +174,9 @@ def test_ground_observables_are_the_xz_plane_at_a_quarter_turn(m_j):
     # negates both
     s = math.copysign(1.0 / math.sqrt(2.0), m_j)
     a, b, c, d = _matrices(ground_observables(m_j))
-    assert np.array_equal(a, GAMMA.x) and np.array_equal(c, GAMMA.z)
-    assert np.array_equal(b, s * (GAMMA_PRIME.x - GAMMA_PRIME.z))
-    assert np.array_equal(d, -s * (GAMMA_PRIME.x + GAMMA_PRIME.z))
+    assert np.array_equal(a, GAMMA["x"]) and np.array_equal(c, GAMMA["z"])
+    assert np.array_equal(b, s * (GAMMA_PRIME["x"] - GAMMA_PRIME["z"]))
+    assert np.array_equal(d, -s * (GAMMA_PRIME["x"] + GAMMA_PRIME["z"]))
 
 
 def test_ground_observables_reject_other_mj():
@@ -187,15 +187,15 @@ def test_ground_observables_reject_other_mj():
 def test_excited_observables_xi_zero_degenerates():
     a, b, c, d = _matrices(excited_observables([0.0]))
     assert np.array_equal(b, d)
-    assert np.allclose(b, GAMMA_PRIME.z, atol=1e-15)
-    assert np.array_equal(a, GAMMA.y)
-    assert np.array_equal(c, GAMMA.z)
+    assert np.allclose(b, GAMMA_PRIME["z"], atol=1e-15)
+    assert np.array_equal(a, GAMMA["y"])
+    assert np.array_equal(c, GAMMA["z"])
 
 
 def test_excited_observables_xi_half_pi():
     _, b, _, d = _matrices(excited_observables([math.pi / 2.0]))
-    assert np.allclose(b, -GAMMA_PRIME.y, atol=1e-15)
-    assert np.allclose(d, GAMMA_PRIME.y, atol=1e-15)
+    assert np.allclose(b, -GAMMA_PRIME["y"], atol=1e-15)
+    assert np.allclose(d, GAMMA_PRIME["y"], atol=1e-15)
 
 
 @given(st.floats(-math.pi, math.pi, allow_nan=False))
@@ -468,7 +468,7 @@ def test_t_x_and_c_are_odd_in_mj():
 
 
 # Gamma_a Gamma'_b for a, b in x, y, z
-PRODUCTS = {(p, q): getattr(GAMMA, p) @ getattr(GAMMA_PRIME, q) for p in AXES for q in AXES}
+PRODUCTS = {(p, q): GAMMA[p] @ GAMMA_PRIME[q] for p in AXES for q in AXES}
 
 
 @given(a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -532,8 +532,8 @@ def test_xi_zero_degenerate_value_bounded():
 def test_square_entries():
     sig = build_family("Sigma")
     sigp = build_family("SigmaPrime")
-    assert np.array_equal(PERES_MERMIN_GRID[0][0], sigp.z)
-    assert np.array_equal(PERES_MERMIN_GRID[2][2], sig.y @ sigp.y)
+    assert np.array_equal(PERES_MERMIN_GRID[0][0], sigp["z"])
+    assert np.array_equal(PERES_MERMIN_GRID[2][2], sig["y"] @ sigp["y"])
     names = [name for name, _, _ in PERES_MERMIN_LINES]
     assert names == ["R1", "R2", "R3", "C1", "C2", "C3"]
     # the table holds the grid's own arrays: row 3 and column 3

@@ -43,7 +43,7 @@ def _gaussian_integer_parts(m):
 
 # Gamma_a Gamma'_b for a, b in x, y, z; complex128 products of such matrices are exact
 PRODUCTS = {
-    (a, b): _gaussian_integer_parts(getattr(GAMMA, a) @ getattr(GAMMA_PRIME, b))
+    (a, b): _gaussian_integer_parts(GAMMA[a] @ GAMMA_PRIME[b])
     for a in AXES
     for b in AXES
 }

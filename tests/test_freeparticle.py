@@ -10,7 +10,7 @@ from bound_states import valid_states
 from diracctx.cli import EXIT_USAGE, REPORT_BLOCK, main
 from diracctx.clifford import ALPHA as ALPHA_MATRICES
 from diracctx.clifford import BETA, GAMMA, build_family
-from diracctx.contextuality import chsh_value
+from diracctx.contextuality import chsh_value, plane_observables
 from diracctx.freeparticle import (
     check_betas,
     energy_split,
@@ -83,7 +83,7 @@ def test_superluminal_rejected():
 def test_helicity_block_structure():
     # Sigma_z acts as +1 on both two-spinor blocks of the eigenstate
     spinor = _spinor(0.7)
-    assert np.allclose(SIGMA.z @ spinor, spinor, atol=1e-12)
+    assert np.allclose(SIGMA["z"] @ spinor, spinor, atol=1e-12)
 
 
 def test_state_solves_fixed_k_hamiltonian():
@@ -242,7 +242,7 @@ def test_stack_with_one_bad_slice_is_rejected():
     # the correlator of a stack of B' gives the AB column to its last bits
     b = np.stack([free_observables(beta)[1] for beta in betas])
     assert np.abs(correlator(densities, a, b) - block["terms"]["AB"]).max() <= 1e-15
-    non_hermitian = b.copy()
+    non_hermitian = b.astype(complex)
     non_hermitian[1] = 1j * non_hermitian[1]
     with pytest.raises(IncompatibleObservablesError, match="observable O2 is not Hermitian"):
         checked_observable("O2", non_hermitian)
@@ -273,11 +273,14 @@ def test_real_stacks_give_the_rows_of_their_complex_casts():
         assert [x for block in curve for x in block["terms"][name].tolist()] == column.tolist()
 
 
-def test_free_observables_stay_complex():
-    for beta_v in (0.0, 0.5, 0.9):
-        assert [m.dtype for m in free_observables(beta_v)] == [np.complex128] * 4
-    plane, cos, sin = _observables([0.3])[1]
-    assert all(m.dtype == np.float64 for m in (*plane, cos, sin))
+def test_free_observables_are_the_curves_float64_matrices():
+    for beta_v in (0.0, 0.3, 0.5, 0.9, 0.999999):
+        plane, cos, sin = _observables([beta_v])[1]
+        assert all(m.dtype == np.float64 for m in (*plane, cos, sin))
+        expected = plane_observables(plane, cos[0], sin[0])
+        observables = free_observables(beta_v)
+        assert [m.dtype for m in observables] == [np.float64] * 4
+        assert all(np.array_equal(m, e) for m, e in zip(observables, expected))
 
 
 def test_real_stack_with_one_bad_slice_is_rejected():
@@ -326,10 +329,14 @@ def test_projectors_complete_and_idempotent():
     assert np.abs(m @ m - m).max() < 1e-12
     assert np.abs(p - p.conj().T).max() < 1e-12
     assert np.abs(p @ m).max() < 1e-12
-    # energy_split weighs each eigenvector with this same P_-
+    # energy_split gives the eigenvalues of this same P_- compressed onto each
+    # eigenspace of the observable, in any basis of it: the -1 eigenspace by
+    # decreasing weight, then the +1 eigenspace by increasing weight
     for obs in free_observables(0.5):
-        vecs = np.linalg.eigh(obs)[1]
-        expected = [(v.conj() @ m @ v).real for v in vecs.T]
+        values, vecs = np.linalg.eigh(obs)
+        minus, plus = vecs[:, values < 0], vecs[:, values > 0]
+        expected = np.concatenate([np.linalg.eigvalsh(minus.conj().T @ m @ minus)[::-1],
+                                   np.linalg.eigvalsh(plus.conj().T @ m @ plus)])
         assert np.abs(energy_split(0.5, obs) - expected).max() < 1e-12
 
 
@@ -344,9 +351,10 @@ def test_plane_wave_state_is_purely_positive_energy():
     for beta_v in (0.0, 0.3, 0.8):
         u = _spinor(beta_v)
         assert u @ _projector(beta_v, -1) @ u == pytest.approx(0.0, abs=1e-12)
-        # energy_split weighs the density's one eigenvector of eigenvalue 1, u
-        # itself, with the same projector
-        assert energy_split(beta_v, pure_density(u))[-1] == pytest.approx(0.0, abs=1e-12)
+        # the reflection 2|u><u| - 1 is dichotomic with u alone as its +1
+        # eigenspace, whose weight energy_split lists last
+        reflection = 2.0 * pure_density(u) - I4
+        assert energy_split(beta_v, reflection)[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_each_observable_mixes_energy_signs_at_half_c():
@@ -366,6 +374,48 @@ def test_mixing_does_not_vanish_at_zero_momentum():
     for obs in free_observables(0.0):
         weights = energy_split(0.0, obs)
         assert np.allclose(weights, 0.5, atol=1e-12)
+
+
+def _closed_form_weights(beta_v):
+    """The sorted negative-energy weights of (A', B', C', D') in closed form:
+    (1 -+ beta)/2 for A' and C', (1 -+ beta/sqrt(2 - beta^2))/2 for B' and D',
+    each twice."""
+    ac = (1.0 - beta_v) / 2.0
+    bd = (1.0 - beta_v / math.sqrt(2.0 - beta_v * beta_v)) / 2.0
+    ac, bd = sorted([ac, ac, 1.0 - ac, 1.0 - ac]), sorted([bd, bd, 1.0 - bd, 1.0 - bd])
+    return [ac, bd, ac, bd]
+
+
+SPLIT_GRID = np.linspace(0.0, 0.999999, 2001).tolist()
+
+
+def test_energy_split_matches_its_closed_forms():
+    for beta_v in SPLIT_GRID + [0.3, 0.5, 0.9]:
+        for obs, expected in zip(free_observables(beta_v), _closed_form_weights(beta_v)):
+            assert np.abs(np.sort(energy_split(beta_v, obs)) - expected).max() <= 1e-14
+
+
+def test_energy_split_of_a_and_c_agree():
+    # gamma0 and i gamma2 mix the energy signs alike, whatever basis eigh picks
+    # in their doubly degenerate eigenspaces
+    for beta_v in SPLIT_GRID:
+        a, _, c, _ = free_observables(beta_v)
+        assert np.abs(np.sort(energy_split(beta_v, a))
+                      - np.sort(energy_split(beta_v, c))).max() <= 1e-14
+
+
+def test_energy_split_of_a_complex_cast_agrees():
+    for beta_v in SPLIT_GRID[::10] + [0.5]:
+        for obs in free_observables(beta_v):
+            cast = energy_split(beta_v, obs.astype(complex))
+            assert np.abs(cast - energy_split(beta_v, obs)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("observable", [np.diag([1.0, 1.0, 1.0, 0.5]), 2.0 * np.eye(4),
+                                        np.zeros((4, 4))])
+def test_energy_split_rejects_a_non_dichotomic_observable(observable):
+    with pytest.raises(ValueError, match="not dichotomic"):
+        energy_split(0.5, observable)
 
 
 def test_energy_split_rejects_non_hermitian():

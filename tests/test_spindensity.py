@@ -74,9 +74,9 @@ def test_ground_correlators_match_block_trace_oracle():
     mu = sommerfeld_mu(1, 1, ALPHA)
     w_f, w_g = (1.0 + mu) / 2.0, (1.0 - mu) / 2.0
     s = 1.0 / math.sqrt(2.0)
-    a = GAMMA.x
-    b = s * (GAMMA_PRIME.x - GAMMA_PRIME.z)
-    d = -s * (GAMMA_PRIME.x + GAMMA_PRIME.z)
+    a = GAMMA["x"]
+    b = s * (GAMMA_PRIME["x"] - GAMMA_PRIME["z"])
+    d = -s * (GAMMA_PRIME["x"] + GAMMA_PRIME["z"])
     assert correlator(density, a, b) == pytest.approx(s * (w_f - w_g / 3.0), abs=1e-10)
     assert correlator(density, d, a) == pytest.approx(s * (-w_f + w_g / 3.0), abs=1e-10)
 
@@ -84,7 +84,7 @@ def test_ground_correlators_match_block_trace_oracle():
 def test_correlator_rejects_non_commuting_pair():
     density = _ground_density()
     with pytest.raises(IncompatibleObservablesError):
-        correlator(density, GAMMA.x, GAMMA.z)
+        correlator(density, GAMMA["x"], GAMMA["z"])
 
 
 def test_correlator_rejects_non_hermitian():
@@ -95,10 +95,10 @@ def test_correlator_rejects_non_hermitian():
 
 
 def test_checked_observable_keeps_the_dtype_of_its_input():
-    real = np.array(GAMMA_PRIME.z.real)
+    real = np.array(GAMMA_PRIME["z"].real)
     assert checked_observable("O", real).dtype == np.float64
     assert checked_observable("O", np.eye(4, dtype=int)).dtype == np.float64
-    assert checked_observable("O", GAMMA.x).dtype == np.complex128
+    assert checked_observable("O", GAMMA["x"]).dtype == np.complex128
     assert checked_observable("O", real.astype(complex)).dtype == np.complex128
     stack = np.stack([real, -real])
     assert checked_observable("O", stack).dtype == np.float64
