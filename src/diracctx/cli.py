@@ -499,8 +499,8 @@ def _run_measurability(config: RunConfig) -> list:
                             [mus.min()], 0.0, [mus.min() > 0.0])
     # one row per observable, each with the weights of its four eigenvectors
     weights = np.array([energy_split(config.beta, obs) for obs in free_observables(config.beta)])
-    # mixing margin: how far the most mixed eigenvector sits inside (0, 1)
-    margins = np.minimum(weights, 1.0 - weights).max(axis=1)
+    # mixing margin min(w): each eigenspace carries w and 1 - w, so 1 - w never cancels
+    margins = weights.min(axis=1)
     # one one-row block per observable, so that each block has one kind
     mixing = (
         report_block(f"negative_energy_mixing_{name}",

@@ -1,4 +1,4 @@
-"""Free Dirac electron: plane-wave spinors, velocity-tuned observables, the
+"""Free Dirac electron: plane-wave densities, velocity-tuned observables, the
 violation curve 2*sqrt(2 - beta^2), and the positive/negative-energy split.
 
 The plane-wave factor e^{ikz} is dropped: every observable here is spatially
@@ -13,7 +13,7 @@ import numpy as np
 
 from .clifford import ALPHA, BETA
 from .contextuality import XZ_PLANE, chsh_value, plane_observables
-from .spindensity import COMMUTE_TOLERANCE, checked_observable, pure_density
+from .spindensity import COMMUTE_TOLERANCE, checked_observable
 
 
 def check_betas(betas) -> None:
@@ -32,27 +32,25 @@ def _inverse_energy(betas):
     return np.sqrt((1.0 - betas) * (1.0 + betas))
 
 
-def _plane_waves(betas: np.ndarray) -> np.ndarray:
-    """The real (N, 4) positive-helicity spinors (1, 0, k/(1+E), 0)/sqrt(N_e) at
-    each velocity ratio, with E = 1/sqrt(1 - beta^2), k = beta E and
-    N_e = 2E/(1+E). The spinors stay float64 here: dividing complex ones by
-    sqrt(N_e) would round differently."""
-    energy = 1.0 / _inverse_energy(betas)
-    spinors = np.zeros((len(betas), 4))
-    spinors[:, 0] = 1.0
-    spinors[:, 2] = betas * energy / (1.0 + energy)
-    return spinors / np.sqrt(2.0 * energy / (1.0 + energy))[:, None]
+def _plane_wave_densities(betas: np.ndarray, inverse_energies: np.ndarray) -> np.ndarray:
+    """The real (N, 4, 4) densities |u><u| of the positive-helicity spinors
+    u = (1, 0, k/(1+E), 0)/sqrt(2E/(1+E)), k = beta E, in closed form from
+    beta and 1/E: (1 + 1/E)/2 at (0, 0), (1 - 1/E)/2 at (2, 2), beta/2 at
+    (0, 2) and (2, 0), and zero elsewhere."""
+    densities = np.zeros((len(betas), 4, 4))
+    densities[:, 0, 0] = (1.0 + inverse_energies) / 2.0
+    densities[:, 2, 2] = (1.0 - inverse_energies) / 2.0
+    densities[:, 0, 2] = densities[:, 2, 0] = betas / 2.0
+    return densities
 
 
-def _observables(betas):
-    """The angles theta = arctan(1/E) = arctan(sqrt(1 - beta^2)) at the
-    velocity ratios, and the setting (plane, cos, sin) of (A', B', C', D'): the
-    float64 x-z plane at the columns cos theta and sin theta. The square root
-    is correctly rounded in numpy as in math; atan, cos and sin are math's."""
-    betas = np.asarray(betas, dtype=float)
-    thetas = list(map(math.atan, _inverse_energy(betas).tolist()))
-    return thetas, (XZ_PLANE, np.array(list(map(math.cos, thetas))),
-                    np.array(list(map(math.sin, thetas))))
+def _observables(inverse_energies: np.ndarray):
+    """The angles theta = arctan(1/E), math's atan, and the setting (plane, cos,
+    sin) of (A', B', C', D'): the float64 x-z plane at cos theta =
+    1/sqrt(1 + (1/E)^2) and sin theta = (1/E) cos theta, correctly rounded."""
+    thetas = list(map(math.atan, inverse_energies.tolist()))
+    cos = 1.0 / np.sqrt(1.0 + inverse_energies * inverse_energies)
+    return thetas, (XZ_PLANE, cos, inverse_energies * cos)
 
 
 def free_observables(beta_v: float):
@@ -60,7 +58,7 @@ def free_observables(beta_v: float):
     the curve's own float64 matrices at beta_v: g0, i g2, g3 g5 and g1 g5 are
     Gamma.x, Gamma.z, GammaPrime.x and -GammaPrime.z, since g1 g5 = -g5 g1."""
     check_betas(beta_v)
-    plane, cos, sin = _observables([beta_v])[1]
+    plane, cos, sin = _observables(_inverse_energy(np.array([beta_v], dtype=float)))[1]
     return plane_observables(plane, cos[0], sin[0])
 
 
@@ -75,11 +73,9 @@ def free_chsh(betas) -> dict:
     """
     betas = np.ravel(np.asarray(betas, dtype=float))
     check_betas(betas)
-    thetas, setting = _observables(betas)
-    # normalized in complex by pure_density, which the report's bits follow;
-    # the imaginary parts are exactly 0
-    densities = pure_density(_plane_waves(betas)).real
-    return chsh_value(densities, *setting, parameters={
+    inverse_energies = _inverse_energy(betas)
+    thetas, setting = _observables(inverse_energies)
+    return chsh_value(_plane_wave_densities(betas, inverse_energies), *setting, parameters={
         "beta_v": betas, "theta": thetas, "closed_form": 2.0 * np.sqrt(2.0 - betas * betas)})
 
 

@@ -88,14 +88,15 @@ def radial_nodes(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k * (k + alpha))  # off[j] couples p_{j-1} and p_j; off[0] = 0
     rho = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
-    # p_j scaled by sqrt(Gamma(alpha + 1)); the scale re-enters through lgamma
+    # p_j scaled by sqrt(Gamma(alpha + 1)), which re-enters through lgamma; the
+    # weights are formed in log space, since e^rho alone overflows past rho ~ 709
     prev = np.zeros_like(rho)
     cur = np.ones_like(rho)
     total = np.ones_like(rho)
     for j in range(count - 1):
         prev, cur = cur, ((rho - diag[j]) * cur - off[j] * prev) / off[j + 1]
         total += cur * cur
-    return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0)) / total
+    return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0) - np.log(total))
 
 
 def quadrature_nodes(radial: tuple[np.ndarray, np.ndarray], polar: int) -> tuple:

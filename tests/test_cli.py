@@ -197,6 +197,18 @@ def test_measurability_contrast():
         assert 0.0 < row["value"] <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.999, 0.999999])
+def test_measurability_margins_are_their_closed_forms(beta):
+    # (1 - beta)/2 for A' and C', (1 - beta/s)/2 = (1 - beta^2)/(s (s + beta))
+    # for B' and D', s = sqrt(2 - beta^2): the margin min(w) never forms 1 - w,
+    # which cancelled to 1.0e-9 relative at beta = 0.999999
+    s = math.sqrt(2.0 - beta * beta)
+    ac, bd = (1.0 - beta) / 2.0, (1.0 - beta) * (1.0 + beta) / (s * (s + beta))
+    mixing = _rows("measurability", beta=beta, n_max=1)[1:]
+    for row, expected in zip(mixing, (ac, bd, ac, bd), strict=True):
+        assert abs(row["value"] - expected) <= (5e-10 * expected if beta > 0.9 else 1e-14)
+
+
 def test_converge_ground_sits_at_rounding_floor():
     (row,) = _rows("converge")
     assert row["terms"]["radial_nodes"] == 1.0
@@ -254,21 +266,41 @@ def test_converge_flags_a_nan_density(monkeypatch, capsys):
                    f"closed form by nan > {CONVERGE_BOUND} on 1 radial nodes\n")
 
 
-@pytest.mark.parametrize("n, kappa", [(85, 85), (188, 1), (200, -199)])
-def test_converge_exits_3_when_the_normalization_overflows(n, kappa):
-    # the radial rule's weights overflow at large |kappa|: a numerical failure,
-    # not a usage error; in a subprocess, since pytest turns the overflow
-    # RuntimeWarning into an error in process
+def _cli_env():
+    """The environment of a CLI subprocess, with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracctx.cli", "converge", "--n", str(n), "--kappa", str(kappa)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return env
+
+
+def _converge_process(n, kappa, *python_flags):
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "diracctx.cli", "converge", "--n", str(n),
+         "--kappa", str(kappa)], capture_output=True, text=True, env=_cli_env(), timeout=120)
+
+
+@pytest.mark.parametrize("n, kappa", [(85, 85), (200, -199)])
+def test_converge_exits_3_when_the_normalization_overflows(n, kappa):
+    # the radial pair f, g overflows at large |kappa|: a numerical failure, not
+    # a usage error; in a subprocess, since pytest turns the overflow
+    # RuntimeWarning into an error in process
+    proc = _converge_process(n, kappa)
     assert proc.returncode == EXIT_QUADRATURE
     assert proc.stdout == ""
     assert "quadrature failure: normalization must be positive and finite" in proc.stderr
+
+
+def test_converge_at_n_188_has_finite_weights():
+    # the radial rule's weights are formed in log space: at n = 188, kappa = 1
+    # e^rho / total once overflowed to inf and converge exited 3; now no
+    # warning is raised, even as an error
+    proc = _converge_process(188, 1, "-W", "error")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (row,) = json.loads(proc.stdout)["results"]
+    assert row["terms"]["radial_nodes"] == 188.0
+    assert row["value"] <= CONVERGE_BOUND and not row["violated"]
 
 
 @pytest.mark.parametrize("argv, label", [
@@ -1538,13 +1570,9 @@ def test_velocity_out_of_range_exits_2_before_the_first_byte(argv, first_bad, tm
 
 def test_closed_stdout_exits_1_without_a_traceback():
     # the 8 MB report overflows the pipe long before it is written
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "diracctx.cli", "free-electron", "--beta-grid", "0:0.999:20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     head = proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read().decode()

@@ -24,8 +24,8 @@ from diracctx.contextuality import (
     ground_observables,
     plane_observables,
 )
-from diracctx.freeparticle import _plane_waves
-from diracctx.spindensity import analytic_densities, pure_density
+from diracctx.freeparticle import _inverse_energy, _plane_wave_densities
+from diracctx.spindensity import analytic_densities
 from report_blocks import block_rows
 
 GAMMA = build_family("Gamma")
@@ -225,6 +225,7 @@ def test_plane_wave_correlation_matrix_is_diag_1_delta_minus_delta(t):
     for key, (real, imag) in t_matrix.items():
         assert imag == 0
         assert real == expected.get(key, 0)
-    # the package's plane-wave density at the same velocity ratio k/E
-    density = pure_density(_plane_waves(np.array([float(k / energy)]))[0])
+    # the package's closed-form density at the same velocity ratio k/E
+    betas = np.array([float(k / energy)])
+    density = _plane_wave_densities(betas, _inverse_energy(betas))[0]
     assert np.abs(density - np.array(rho, dtype=float)).max() < 1e-15

@@ -17,28 +17,44 @@ from diracctx.freeparticle import (
     free_chsh,
     _inverse_energy,
     _observables,
-    _plane_waves,
+    _plane_wave_densities,
     free_observables,
 )
 from diracctx.hydrogen import FINE_STRUCTURE_ALPHA as ALPHA
 from diracctx.hydrogen import sommerfeld_mu
-from diracctx.spindensity import (IncompatibleObservablesError, checked_observable, correlator,
-                                  pure_density)
+from diracctx.spindensity import IncompatibleObservablesError, checked_observable, correlator
 from report_blocks import block_lists, block_rows
 
 I4 = np.eye(4, dtype=complex)
 SIGMA = build_family("Sigma")
+GAMMA_FAMILY = build_family("Gamma")
+GAMMA_PRIME = build_family("GammaPrime")
 
 
 # --- states ------------------------------------------------------------------
 
-def _spinor(beta_v):
-    return _plane_waves(np.array([beta_v]))[0]
-
-
 def _energy_and_momentum(beta_v):
-    energy = 1.0 / math.sqrt(1.0 - beta_v * beta_v)
+    # 1 - beta^2 as (1 - beta)(1 + beta), which does not cancel near beta = 1
+    energy = 1.0 / math.sqrt((1.0 - beta_v) * (1.0 + beta_v))
     return energy, beta_v * energy
+
+
+def _spinor(beta_v):
+    """The reference spinor: the positive-helicity plane wave
+    u = (1, 0, k/(1+E), 0)/sqrt(2E/(1+E)), written out here, whose |u><u| the
+    package reads in closed form."""
+    energy, k = _energy_and_momentum(beta_v)
+    return np.array([1.0, 0.0, k / (1.0 + energy), 0.0]) / math.sqrt(2.0 * energy / (1.0 + energy))
+
+
+def _densities(betas):
+    """The package's closed-form densities at the velocity ratios, as free_chsh reads them."""
+    betas = np.array(betas, dtype=float)
+    return _plane_wave_densities(betas, _inverse_energy(betas))
+
+
+def _density(beta_v):
+    return _densities([beta_v])[0]
 
 
 def _hamiltonian(k):
@@ -54,22 +70,22 @@ def _projector(beta_v, sign):
 
 
 def test_rest_frame_state_is_spin_up():
-    assert np.array_equal(_spinor(0.0), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(_density(0.0), np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 @given(st.floats(0.0, 0.999, allow_nan=False))
 @settings(max_examples=100)
 def test_state_normalized_for_any_velocity(beta_v):
-    assert np.linalg.norm(_spinor(beta_v)) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(_density(beta_v)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_amplitude_ratio_at_beta_06():
-    # k = 0.75, E = 1.25, lower/upper ratio k/(1+E) = 1/3
+    # k = 0.75, E = 1.25, lower/upper ratio k/(1+E) = 1/3 = rho_20 / rho_00
     energy, k = _energy_and_momentum(0.6)
     assert k == pytest.approx(0.75, rel=1e-14)
     assert energy == pytest.approx(1.25, rel=1e-14)
-    spinor = _spinor(0.6)
-    assert spinor[2] / spinor[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    rho = _density(0.6)
+    assert rho[2, 0] / rho[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_superluminal_rejected():
@@ -82,14 +98,42 @@ def test_superluminal_rejected():
 
 def test_helicity_block_structure():
     # Sigma_z acts as +1 on both two-spinor blocks of the eigenstate
-    spinor = _spinor(0.7)
-    assert np.allclose(SIGMA["z"] @ spinor, spinor, atol=1e-12)
+    rho = _density(0.7)
+    assert np.array_equal(SIGMA["z"] @ rho, rho)
 
 
 def test_state_solves_fixed_k_hamiltonian():
     energy, k = _energy_and_momentum(0.6)
-    spinor = _spinor(0.6)
-    assert np.allclose(_hamiltonian(k) @ spinor, energy * spinor, atol=1e-12)
+    rho = _density(0.6)
+    assert np.allclose(_hamiltonian(k) @ rho, energy * rho, atol=1e-12)
+
+
+CLOSED_FORM_GRID = np.linspace(0.0, 0.999999, 2001)
+
+
+def test_closed_form_density_is_the_pure_plane_wave_state():
+    # (1 + 1/E)/2 at (0, 0), (1 - 1/E)/2 at (2, 2) and beta/2 at (0, 2) and (2, 0)
+    densities = _densities(CLOSED_FORM_GRID)
+    assert densities.dtype == np.float64 and densities.shape == (len(CLOSED_FORM_GRID), 4, 4)
+    for beta_v, rho in zip(CLOSED_FORM_GRID.tolist(), densities):
+        u = _spinor(beta_v)
+        assert np.abs(rho - np.outer(u, u)).max() <= 1e-15
+        energy, k = _energy_and_momentum(beta_v)
+        assert np.abs(_hamiltonian(k) @ rho - energy * rho).max() <= 1e-15 * energy
+        assert np.abs(rho @ rho - rho).max() <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= 1e-15
+        assert np.array_equal(SIGMA["z"] @ rho, rho)
+
+
+def test_closed_form_density_has_correlation_matrix_diag_1_delta_minus_delta():
+    # T_ab = tr(rho Gamma_a Gamma'_b) = diag(1, delta, -delta), delta = 1/E
+    densities = _densities(CLOSED_FORM_GRID)
+    deltas = _inverse_energy(CLOSED_FORM_GRID)
+    diagonal = {"x": np.ones_like(deltas), "y": deltas, "z": -deltas}
+    for a, gamma in GAMMA_FAMILY.items():
+        for b, gamma_prime in GAMMA_PRIME.items():
+            t = np.einsum("nij,ji->n", densities, gamma @ gamma_prime)
+            assert np.abs(t - (diagonal[a] if a == b else 0.0)).max() <= 1e-15
 
 
 # --- observables ---------------------------------------------------------------
@@ -98,7 +142,7 @@ def test_observable_angle_limits():
     rest, fast = free_chsh([0.0, 0.9999999])["parameters"]["theta"]
     assert rest == pytest.approx(math.pi / 4.0, rel=1e-15)
     assert fast < 5e-4
-    assert _observables([0.0, 0.9999999])[0] == [rest, fast]
+    assert _observables(_inverse_energy(np.array([0.0, 0.9999999])))[0] == [rest, fast]
 
 
 def _decimal_atan(x):
@@ -116,7 +160,7 @@ def test_angle_and_energy_near_the_speed_of_light_against_decimal():
     # 5.5e-12 relative at beta = 0.999999 and by 2.0e-11 at 0.9999999
     betas = np.concatenate([[0.9999, 0.999999, 0.9999999],
                             np.linspace(0.0, 0.999999, 20000)[-2000:]])
-    thetas, energies = _observables(betas)[0], 1.0 / _inverse_energy(betas)
+    thetas, energies = _observables(_inverse_energy(betas))[0], 1.0 / _inverse_energy(betas)
     with decimal.localcontext() as context:
         context.prec = 50
         for beta, theta, energy in zip(betas.tolist(), thetas, energies.tolist()):
@@ -177,12 +221,11 @@ def test_curve_strictly_decreasing_and_violating():
 
 
 def _pointwise_terms(beta_v):
-    """The four correlators of one velocity ratio on plain 4x4 matrices, with
-    B' and D' multiplied out from the gamma matrices as free_observables states them."""
-    spinor = _spinor(beta_v).astype(complex)
-    u = spinor / np.linalg.norm(spinor)
-    rho = np.outer(u, u.conj())
-    theta = math.atan(math.sqrt(1.0 - beta_v * beta_v))
+    """The four correlators of one velocity ratio's density on plain 4x4
+    matrices, with B' and D' multiplied out from the gamma matrices as
+    free_observables states them."""
+    rho = _density(beta_v).astype(complex)
+    theta = math.atan(math.sqrt((1.0 - beta_v) * (1.0 + beta_v)))
     g0, g1, g2, g3, g5 = (GAMMA[i] for i in (0, 1, 2, 3, 5))
     a, c = g0, 1j * g2
     b = (math.cos(theta) * g3 + math.sin(theta) * g1) @ g5
@@ -191,13 +234,16 @@ def _pointwise_terms(beta_v):
     return {k: float(np.trace(rho @ o1 @ o2).real) for k, (o1, o2) in pairs.items()}
 
 
+def _real_stacks(betas):
+    """The curve's float64 density stack |u><u| and its setting (plane, cos, sin)."""
+    return (_densities(betas), *_observables(_inverse_energy(np.array(betas)))[1])
+
+
 def _stacks(betas):
     """The densities of the velocity ratios as a complex stack, and the
     setting of the curve, its x-z plane cast to complex."""
-    spinors = _plane_waves(np.array(betas)).astype(complex)
-    densities = np.stack([np.outer(u, u.conj()) for u in spinors])
-    plane, cos, sin = _observables(betas)[1]
-    return densities, tuple(m.astype(complex) for m in plane), cos, sin
+    densities, plane, cos, sin = _real_stacks(betas)
+    return densities.astype(complex), tuple(m.astype(complex) for m in plane), cos, sin
 
 
 def test_batched_terms_equal_pointwise_reference():
@@ -207,7 +253,7 @@ def test_batched_terms_equal_pointwise_reference():
     rows = block_rows(free_chsh(betas))
     for beta_v, report in zip(betas, rows, strict=True):
         # the plane's correlators round differently from the products of the
-        # multiplied-out B' and D', by at most 2.2e-16 a term and 8.9e-16 a value
+        # multiplied-out B' and D', by at most 3.3e-16 a term and 1.3e-15 a value
         want = _pointwise_terms(beta_v)
         t = report["terms"]
         assert all(abs(t[name] - want[name]) <= 1e-15 for name in want)
@@ -253,12 +299,6 @@ def test_stack_with_one_bad_slice_is_rejected():
         chsh_value(densities, (a, c, p, a), cos, sin, parameters)
 
 
-def _real_stacks(betas):
-    """The curve's float64 density stack |u><u| and its setting (plane, cos, sin)."""
-    densities = np.stack([pure_density(u).real for u in _plane_waves(np.array(betas))])
-    return (densities, *_observables(betas)[1])
-
-
 def test_real_stacks_give_the_rows_of_their_complex_casts():
     betas = [float(b) for b in np.linspace(0.0, 0.999, 2 * REPORT_BLOCK + 3)]
     densities, plane, cos, sin = _real_stacks(betas)
@@ -275,7 +315,7 @@ def test_real_stacks_give_the_rows_of_their_complex_casts():
 
 def test_free_observables_are_the_curves_float64_matrices():
     for beta_v in (0.0, 0.3, 0.5, 0.9, 0.999999):
-        plane, cos, sin = _observables([beta_v])[1]
+        plane, cos, sin = _observables(_inverse_energy(np.array([beta_v])))[1]
         assert all(m.dtype == np.float64 for m in (*plane, cos, sin))
         expected = plane_observables(plane, cos[0], sin[0])
         observables = free_observables(beta_v)
@@ -349,11 +389,11 @@ def test_projectors_commute_with_hamiltonian():
 
 def test_plane_wave_state_is_purely_positive_energy():
     for beta_v in (0.0, 0.3, 0.8):
-        u = _spinor(beta_v)
-        assert u @ _projector(beta_v, -1) @ u == pytest.approx(0.0, abs=1e-12)
+        rho = _density(beta_v)
+        assert np.trace(rho @ _projector(beta_v, -1)).real == pytest.approx(0.0, abs=1e-12)
         # the reflection 2|u><u| - 1 is dichotomic with u alone as its +1
         # eigenspace, whose weight energy_split lists last
-        reflection = 2.0 * pure_density(u) - I4
+        reflection = 2.0 * rho - I4
         assert energy_split(beta_v, reflection)[-1] == pytest.approx(0.0, abs=1e-12)
 
 
