@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .clifford import audit_algebra
 from .contextuality import (
+    YZ_PLANE,
     chsh_value,
     correlation_diagonal,
     excited_observables,
@@ -434,13 +435,20 @@ def _xi_rows(table: tuple, a: float, xi: float | None = None) -> dict:
     """The xi-family block of the states of the table: each at its optimal
     xi*, or, given xi, all at xi with the closed form 2(c cos xi - delta sin xi)."""
     xi_star, closed_forms = optimal_xi(*table[1:])
-    xis = xi_star
-    if xi is not None:
-        _, delta, c = correlation_diagonal(*table[1:])
+    _, delta, c = correlation_diagonal(*table[1:])
+    if xi is None:
+        # at xi* = atan2(-delta, c), (-sin xi*, cos xi*) = (delta, c)/h with
+        # h = hypot(c, delta): halving the closed form 2h is exact, so each
+        # entry is one division, with no sin or cos of the angle
+        h = closed_forms / 2.0
+        setting = YZ_PLANE, delta / h, c / h
+        xis = xi_star
+    else:
+        setting = excited_observables([xi])
         xis = np.full(len(xi_star), xi)
         closed_forms = 2.0 * (c * math.cos(xi) - delta * math.sin(xi))
     extras = {"xi": xis, "xi_star": xi_star, "closed_form": closed_forms}
-    return _chsh_on_states(table, a, excited_observables(xis), extras)
+    return _chsh_on_states(table, a, setting, extras)
 
 
 def _run_ground(config: RunConfig) -> list:

@@ -132,14 +132,15 @@ def optimal_xi(kappa, twice_mj, delta):
     """Maximizing angle and maximum value of the xi sweep
     I(xi) = 2(c cos xi - delta sin xi), as arrays over the columns kappa, 2 m_j and delta.
 
-    It peaks at xi* = atan2(-delta, c) with the value 2 hypot(c, delta). Both are
-    taken from math per state: np.arctan2 and np.hypot round the last bit
-    differently on some states.
+    It peaks at xi* = atan2(-delta, c) with the value 2 hypot(c, delta). Both
+    are report columns, so both come from math, state by state: numpy's
+    arctan2 and hypot round the last bit differently on some states, and may
+    differ from one CPU to another.
     """
     _, delta, c = correlation_diagonal(kappa, twice_mj, delta)
-    pairs = list(zip(c.ravel().tolist(), delta.ravel().tolist()))
-    xi = np.reshape([math.atan2(-d, c) for c, d in pairs], c.shape)
-    value = np.reshape([2.0 * math.hypot(c, d) for c, d in pairs], c.shape)
+    cs, deltas = c.ravel().tolist(), delta.ravel().tolist()
+    xi = np.reshape(list(map(math.atan2, (-delta).ravel().tolist(), cs)), c.shape)
+    value = 2.0 * np.reshape(list(map(math.hypot, cs, deltas)), c.shape)
     return xi, value
 
 

@@ -88,20 +88,28 @@ def sommerfeld_mu(n: int, kappa: int, a: float) -> float:
     return (1.0 + (a / (n - abs(kappa) + _nu(kappa, a))) ** 2) ** -0.5
 
 
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end, each entry's run and its
+    place within that run."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
 def state_table(n_max: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The columns n, kappa, 2 m_j (ints) and delta = mu (floats) of all bound
-    states with n <= n_max, in deterministic order. mu depends only on
-    (n, |kappa|), so sommerfeld_mu runs once for each of them."""
-    rows, deltas = [], []
-    for n in range(1, n_max + 1):
-        for abs_k in range(1, n + 1):
-            mu = sommerfeld_mu(n, abs_k, a)
-            for kappa in (abs_k,) if abs_k == n else (abs_k, -abs_k):
-                for twice_mj in range(1 - 2 * abs_k, 2 * abs_k, 2):
-                    rows.append((n, kappa, twice_mj))
-                    deltas.append(mu)
-    n, kappa, twice_mj = np.array(rows, dtype=int).reshape(-1, 3).T
-    return n, kappa, twice_mj, np.array(deltas, dtype=float)
+    states with n <= n_max, in deterministic order: by n, then |kappa|, then
+    kappa = +|kappa| before -|kappa| (absent at |kappa| = n), then 2 m_j from
+    1 - 2|kappa| to 2|kappa| - 1. mu depends only on (n, |kappa|), so
+    sommerfeld_mu runs once for each of these groups, and the rows repeat them."""
+    shell, rank = _runs(np.arange(1, n_max + 1))
+    n, abs_k = shell + 1, rank + 1
+    mu = np.array([sommerfeld_mu(m, k, a) for m, k in zip(n.tolist(), abs_k.tolist())],
+                  dtype=float)
+    group, partner = _runs(np.where(abs_k == n, 1, 2))
+    entry, step = _runs(2 * abs_k[group])
+    rows = group[entry]
+    kappa = (abs_k[group] * (1 - 2 * partner))[entry]
+    return n[rows], kappa, 2 * step + 1 - 2 * abs_k[rows], mu[rows]
 
 
 def radial_fg(qn: QuantumNumbers, a: float, rho):

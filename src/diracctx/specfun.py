@@ -89,14 +89,24 @@ def radial_nodes(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     off = np.sqrt(k * (k + alpha))  # off[j] couples p_{j-1} and p_j; off[0] = 0
     rho = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
     # p_j scaled by sqrt(Gamma(alpha + 1)), which re-enters through lgamma; the
-    # weights are formed in log space, since e^rho alone overflows past rho ~ 709
+    # weights are formed in log space, since e^rho alone overflows past rho ~ 709.
+    # So is the sum: at a node where it passes 2^600 (from about 114 nodes on;
+    # past 188 it would overflow), the recurrence is scaled by 2^-300, the sum
+    # by 2^-600, and halvings counts the powers of two taken out
     prev = np.zeros_like(rho)
     cur = np.ones_like(rho)
     total = np.ones_like(rho)
+    halvings = np.zeros_like(rho)
     for j in range(count - 1):
         prev, cur = cur, ((rho - diag[j]) * cur - off[j] * prev) / off[j + 1]
         total += cur * cur
-    return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0) - np.log(total))
+        large = total > 2.0 ** 600
+        if large.any():
+            prev, cur = (np.where(large, x * 2.0 ** -300, x) for x in (prev, cur))
+            total = np.where(large, total * 2.0 ** -600, total)
+            halvings += 600.0 * large
+    log_total = np.log(total) + halvings * math.log(2.0)
+    return rho, np.exp(rho - alpha * np.log(rho) + math.lgamma(alpha + 1.0) - log_total)
 
 
 def quadrature_nodes(radial: tuple[np.ndarray, np.ndarray], polar: int) -> tuple:

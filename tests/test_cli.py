@@ -38,8 +38,10 @@ from diracctx.cli import (
 )
 from diracctx.clifford import build_family
 from diracctx.clifford import PERES_MERMIN_LINES
-from diracctx.contextuality import chsh_value, excited_observables, optimal_xi, peres_mermin_value
-from diracctx.hydrogen import FINE_STRUCTURE_ALPHA, QuantumNumbers, eigenstate, sommerfeld_mu
+from diracctx.contextuality import (YZ_PLANE, chsh_value, correlation_diagonal, excited_observables,
+                                   optimal_xi, peres_mermin_value)
+from diracctx.hydrogen import (FINE_STRUCTURE_ALPHA, QuantumNumbers, eigenstate, sommerfeld_mu,
+                               state_table)
 from diracctx.spindensity import (
     QuadratureError,
     analytic_densities,
@@ -294,13 +296,16 @@ def test_converge_exits_3_when_the_normalization_overflows(n, kappa):
 
 def test_converge_at_n_188_has_finite_weights():
     # the radial rule's weights are formed in log space: at n = 188, kappa = 1
-    # e^rho / total once overflowed to inf and converge exited 3; now no
-    # warning is raised, even as an error
-    proc = _converge_process(188, 1, "-W", "error")
-    assert proc.returncode == EXIT_OK, proc.stderr
-    (row,) = json.loads(proc.stdout)["results"]
-    assert row["terms"]["radial_nodes"] == 188.0
-    assert row["value"] <= CONVERGE_BOUND and not row["violated"]
+    # e^rho / total once overflowed to inf and converge exited 3; past 188
+    # nodes the Christoffel sum itself overflowed and zeroed the outer
+    # weights, until it was rescaled by powers of two; now no warning is
+    # raised, even as an error
+    for n in (188, 189, 200, 250):
+        proc = _converge_process(n, 1, "-W", "error")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        (row,) = json.loads(proc.stdout)["results"]
+        assert row["terms"]["radial_nodes"] == float(n)
+        assert row["value"] <= CONVERGE_BOUND and not row["violated"]
 
 
 @pytest.mark.parametrize("argv, label", [
@@ -333,6 +338,24 @@ def test_excited_at_its_optimal_xi_is_the_sweep_row():
         p = sweep[i]["parameters"]
         (row,) = _rows("excited", alpha=0.3, n=p["n"], kappa=p["kappa"], mj=p["mj"])
         assert row == sweep[i]
+
+
+@pytest.mark.parametrize("a", [FINE_STRUCTURE_ALPHA, 0.5, 0.9, 0.999999])
+def test_optimal_setting_is_the_angle_of_xi_star(monkeypatch, a):
+    # _xi_rows reads the setting from T's diagonal, (delta/h, c/h); it is the
+    # setting (-sin xi*, cos xi*) of the angle within 2 eps absolute on every
+    # state with n <= 40 (c/h can be small, so relative ulps would mislead)
+    import diracctx.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "_chsh_on_states",
+                        lambda table, a, setting, extras: calls.append((setting, extras)))
+    cli_module._xi_rows(state_table(40, a), a)
+    (((plane, cos, sin), extras),) = calls
+    _, from_angle_cos, from_angle_sin = excited_observables(extras["xi_star"])
+    assert plane is YZ_PLANE and len(cos) == len(sin) == 44_280
+    assert np.abs(cos - from_angle_cos).max() <= 2 * np.finfo(float).eps
+    assert np.abs(sin - from_angle_sin).max() <= 2 * np.finfo(float).eps
 
 
 @st.composite
@@ -1226,8 +1249,10 @@ def _stacked_block(command, n_max):
     kappa, twice_mj, delta = _columns(states)
     densities = analytic_densities(kappa, twice_mj, delta)
     if command == "sweep":
-        observables = excited_observables(optimal_xi(kappa, twice_mj, delta)[0])
-        return chsh_value(densities, *observables, {})
+        # the optimal setting (delta/h, c/h), h = hypot(c, delta), that _xi_rows reads
+        h = optimal_xi(kappa, twice_mj, delta)[1] / 2.0
+        c = correlation_diagonal(kappa, twice_mj, delta)[2]
+        return chsh_value(densities, YZ_PLANE, np.asarray(delta) / h, c / h, {})
     spinors = _random_spinors(0)
     stack = np.concatenate([densities, [pure_density(u) for u in spinors], [np.eye(4) / 4.0]])
     labels = [state_label(qn.n, qn.kappa, qn.m_j) for qn in states]

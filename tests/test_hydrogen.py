@@ -68,6 +68,31 @@ def test_state_table_rows_at_n_max_2():
         "i", "i", "i", np.float64]
 
 
+def _reference_state_table(n_max, a):
+    """The bound-state table enumerated state by state, in nested loops."""
+    rows, deltas = [], []
+    for n in range(1, n_max + 1):
+        for abs_k in range(1, n + 1):
+            mu = sommerfeld_mu(n, abs_k, a)
+            for kappa in (abs_k,) if abs_k == n else (abs_k, -abs_k):
+                for twice_mj in range(1 - 2 * abs_k, 2 * abs_k, 2):
+                    rows.append((n, kappa, twice_mj))
+                    deltas.append(mu)
+    n, kappa, twice_mj = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return n, kappa, twice_mj, np.array(deltas, dtype=np.float64)
+
+
+@pytest.mark.parametrize("a", [ALPHA, 0.5, 0.999999])
+@pytest.mark.parametrize("n_max", [*range(1, 13), 40])
+def test_state_table_is_the_nested_enumeration(n_max, a):
+    # the table expanded from its (n, |kappa|) groups: the same rows in the
+    # same order, the same dtypes and the same bits
+    table = state_table(n_max, a)
+    for column, expected in zip(table, _reference_state_table(n_max, a), strict=True):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("a", [ALPHA, 0.5, 0.999999])
 def test_state_table_delta_is_sommerfeld_mu(a):
     n, kappa, _, delta = state_table(12, a)
